@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 from . import graph as graph_mod
 from .corpus import (
@@ -93,12 +94,19 @@ def _objective(text: str) -> str:
 # ---------------------------------------------------------------------------
 # shared plumbing
 
+# Arguments that name input files: main() checks that each one given
+# exists and records its digest in the manifest.
+INPUT_ARGS = (
+    "corpus", "model", "model_a", "model_b", "graph_a", "graph_b",
+    "base", "addition", "stoplist",
+)
+
+# Parsed attributes that are not run parameters; `seed` has its own field.
+_NOT_PARAMETERS = ("handler", "subcommand", "experiment", "seed")
+
 
 def _corpus_streams(path: str, stoplist_path: str | None = None) -> list[TokenStream]:
-    corpus = Path(path)
-    if not corpus.exists():
-        raise MissingInputError([str(corpus)])
-    docs = read_corpus(corpus)
+    docs = read_corpus(path)
     streams = [tokenize_document(d) for d in docs]
     if stoplist_path:
         stoplist = load_stoplist(stoplist_path)
@@ -108,17 +116,14 @@ def _corpus_streams(path: str, stoplist_path: str | None = None) -> list[TokenSt
 
 def _load_space(path: str, ppmi: bool = False) -> VectorSpace:
     """Load a model file, sniffing COOC v1 vs embedding text format."""
-    p = Path(path)
-    if not p.exists():
-        raise MissingInputError([str(p)])
-    with open(p, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         head = fh.readline()
     if head.startswith("COOC"):
-        matrix = load_cooc(p)
+        matrix = load_cooc(path)
         return ppmi_transform(matrix) if ppmi else matrix.to_space()
     if ppmi:
         raise DataError(f"{path}: --ppmi applies to count models only")
-    return load_embedding_text(p)
+    return load_embedding_text(path)
 
 
 def _load_dense(path: str) -> VectorSpace:
@@ -130,116 +135,9 @@ def _load_dense(path: str) -> VectorSpace:
     return space
 
 
-def _emit(out: str | None, payload: str) -> None:
-    if out:
-        Path(out).write_text(payload, encoding="utf-8", newline="\n")
-    else:
-        sys.stdout.write(payload)
-
-
-def _emit_manifest(out: str | None, manifest: RunManifest) -> None:
-    if out:
-        Path(str(out) + ".manifest.json").write_text(
-            manifest.to_json(), encoding="utf-8", newline="\n"
-        )
-    else:
-        sys.stderr.write(manifest.to_json())
-
-
-def _note(message: str) -> None:
-    print(message, file=sys.stderr)
-
-
-# ---------------------------------------------------------------------------
-# subcommand handlers
-
-
-def cmd_stats(args) -> int:
-    streams = _corpus_streams(args.corpus, args.stoplist)
-    stats = corpus_stats(streams)
-    manifest = build_manifest(
-        "stats",
-        {"corpus": args.corpus, "stoplist": args.stoplist},
-        [args.corpus] + ([args.stoplist] if args.stoplist else []),
-    )
-    _emit(args.out, json.dumps(stats.to_dict(), indent=2) + "\n")
-    _emit_manifest(args.out, manifest)
-    return EXIT_OK
-
-
-def cmd_build_count(args) -> int:
-    streams = _corpus_streams(args.corpus, args.stoplist)
-    vocab = build_vocabulary(streams, min_count=args.min_count, max_size=args.max_size)
-    matrix = count_cooccurrences(streams, vocab, WindowConfig(radius=args.window))
-    save_cooc(matrix, args.out)
-    manifest = build_manifest(
-        "build-count",
-        {
-            "corpus": args.corpus,
-            "window": args.window,
-            "min_count": args.min_count,
-            "max_size": args.max_size,
-            "stoplist": args.stoplist,
-        },
-        [args.corpus] + ([args.stoplist] if args.stoplist else []),
-    )
-    _emit_manifest(args.out, manifest)
-    _note(
-        f"wrote {args.out}: {len(vocab)} words, {matrix.counts.nnz} nonzero cells"
-    )
-    return EXIT_OK
-
-
-def cmd_neighbors(args) -> int:
-    space = _load_space(args.model, ppmi=args.ppmi)
-    result = nearest_neighbors(space, args.word, args.k, args.metric)
-    payload = result.to_json() + "\n" if args.format == "json" else result.to_tsv()
-    manifest = build_manifest(
-        "neighbors",
-        {
-            "model": args.model,
-            "word": args.word,
-            "k": args.k,
-            "metric": args.metric,
-            "ppmi": args.ppmi,
-        },
-        [args.model],
-    )
-    _emit(args.out, payload)
-    _emit_manifest(args.out, manifest)
-    return EXIT_OK
-
-
-def cmd_diff(args) -> int:
-    space_a = _load_space(args.model_a, ppmi=args.ppmi)
-    space_b = _load_space(args.model_b, ppmi=args.ppmi)
-    words = None
-    if args.words and args.words != "all":
-        words = [w for w in args.words.split(",") if w]
-    report = stability_report(space_a, space_b, k=args.k, metric=args.metric, words=words)
-    if args.format == "csv":
-        payload = report.to_csv()
-    else:
-        payload = json.dumps(report.to_json_dict(), indent=2, ensure_ascii=False) + "\n"
-    manifest = build_manifest(
-        "diff",
-        {
-            "model_a": args.model_a,
-            "model_b": args.model_b,
-            "k": args.k,
-            "metric": args.metric,
-            "words": args.words,
-            "ppmi": args.ppmi,
-        },
-        [args.model_a, args.model_b],
-    )
-    _emit(args.out, payload)
-    _emit_manifest(args.out, manifest)
-    return EXIT_OK
-
-
-def _training_config(args) -> TrainingConfig:
-    return TrainingConfig(
+def _training(args) -> tuple[TrainingConfig, str, Callable]:
+    """The training configuration, architecture and trainer the parsed flags ask for."""
+    config = TrainingConfig(
         seed=args.seed,
         dimension=args.dim,
         window_radius=args.window,
@@ -248,145 +146,161 @@ def _training_config(args) -> TrainingConfig:
         min_count=args.min_count,
         objective=args.objective,
     )
+    if args.skipgram:
+        return config, "skipgram", train_skipgram
+    return config, "cbow", train_cbow
 
 
-def cmd_train(args) -> int:
+def _write(path: str | Path, text: str) -> None:
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
+def _note(message: str) -> None:
+    print(message, file=sys.stderr)
+
+
+def _inputs(args) -> list[str]:
+    """The input files given, after checking that every one of them exists."""
+    given = {name: getattr(args, name) for name in INPUT_ARGS if getattr(args, name, None)}
+    missing = [f"{name}: {path}" for name, path in given.items() if not Path(path).exists()]
+    if missing:
+        raise MissingInputError(missing)
+    return list(given.values())
+
+
+def _manifest(args, inputs: list[str]) -> RunManifest:
+    """The run's manifest, derived from every parsed argument."""
+    subcommand = args.subcommand
+    if subcommand == "experiment":
+        subcommand = f"experiment.{args.experiment}"
+    parameters = {
+        name: value for name, value in vars(args).items() if name not in _NOT_PARAMETERS
+    }
+    return build_manifest(
+        subcommand,
+        parameters,
+        inputs,
+        seed=getattr(args, "seed", None),
+    )
+
+
+def _emit(args, payload: str | None, manifest: RunManifest) -> None:
+    """Route the payload to --out or stdout and the manifest beside it.
+
+    Experiments keep their manifest inside the --out directory; other
+    commands write <out>.manifest.json, or put it on stderr when the
+    payload goes to stdout.
+    """
+    if args.subcommand == "experiment":
+        _write(Path(args.out) / "manifest.json", manifest.to_json())
+    elif args.out:
+        if payload is not None:
+            _write(args.out, payload)
+        _write(f"{args.out}.manifest.json", manifest.to_json())
+    else:
+        sys.stdout.write(payload)
+        sys.stderr.write(manifest.to_json())
+
+
+# ---------------------------------------------------------------------------
+# subcommand handlers: each does the work and returns its stdout/--out
+# payload, or None when it writes its own files.
+
+
+def cmd_stats(args) -> str:
     streams = _corpus_streams(args.corpus, args.stoplist)
-    config = _training_config(args)
-    train = train_skipgram if args.skipgram else train_cbow
+    return json.dumps(corpus_stats(streams).to_dict(), indent=2) + "\n"
+
+
+def cmd_build_count(args) -> None:
+    streams = _corpus_streams(args.corpus, args.stoplist)
+    vocab = build_vocabulary(streams, min_count=args.min_count, max_size=args.max_size)
+    matrix = count_cooccurrences(streams, vocab, WindowConfig(radius=args.window))
+    save_cooc(matrix, args.out)
+    _note(f"wrote {args.out}: {len(vocab)} words, {matrix.counts.nnz} nonzero cells")
+
+
+def cmd_neighbors(args) -> str:
+    space = _load_space(args.model, ppmi=args.ppmi)
+    result = nearest_neighbors(space, args.word, args.k, args.metric)
+    return result.to_json() + "\n" if args.format == "json" else result.to_tsv()
+
+
+def cmd_diff(args) -> str:
+    space_a = _load_space(args.model_a, ppmi=args.ppmi)
+    space_b = _load_space(args.model_b, ppmi=args.ppmi)
+    words = None
+    if args.words and args.words != "all":
+        words = [w for w in args.words.split(",") if w]
+    report = stability_report(space_a, space_b, k=args.k, metric=args.metric, words=words)
+    if args.format == "csv":
+        return report.to_csv()
+    return json.dumps(report.to_json_dict(), indent=2, ensure_ascii=False) + "\n"
+
+
+def cmd_train(args) -> None:
+    streams = _corpus_streams(args.corpus, args.stoplist)
+    config, _, train = _training(args)
     space = train(streams, config)
     text_path = f"{args.out}.txt"
     ckpt_path = f"{args.out}.npz"
     save_embedding_text(space, text_path)
     save_checkpoint(space, ckpt_path)
-    manifest = build_manifest(
-        "train",
-        {
-            "corpus": args.corpus,
-            "architecture": "skipgram" if args.skipgram else "cbow",
-            "dim": args.dim,
-            "window": args.window,
-            "epochs": args.epochs,
-            "lr": args.lr,
-            "min_count": args.min_count,
-            "objective": args.objective,
-            "stoplist": args.stoplist,
-        },
-        [args.corpus] + ([args.stoplist] if args.stoplist else []),
-        seed=args.seed,
-    )
-    _emit_manifest(args.out, manifest)
     for i, loss in enumerate(space.provenance["epoch_losses"], start=1):
         _note(f"epoch {i}/{args.epochs}: mean loss {loss:.6f}")
     _note(f"wrote {text_path} and {ckpt_path}")
-    return EXIT_OK
 
 
-def cmd_rotate(args) -> int:
+def cmd_rotate(args) -> None:
     space = _load_dense(args.model)
     rotated = random_rotation(space, seed=args.seed, style=args.style)
     save_embedding_text(rotated, args.out)
-    manifest = build_manifest(
-        "rotate",
-        {"model": args.model, "style": args.style},
-        [args.model],
-        seed=args.seed,
-    )
-    _emit_manifest(args.out, manifest)
     _note(f"wrote {args.out}")
-    return EXIT_OK
 
 
-def cmd_align(args) -> int:
+def cmd_align(args) -> str:
     space_x = _load_dense(args.model_a)
     space_y = _load_dense(args.model_b)
     result = procrustes_align(space_x, space_y)
     if args.apply_to:
         aligned = apply_alignment(space_x, result)
         save_embedding_text(aligned, args.apply_to)
-    payload = (
-        json.dumps(
-            {
-                "residual": result.residual,
-                "shared_vocab_size": len(result.shared_vocab),
-                "underdetermined": result.underdetermined,
-                "rotation": [list(row) for row in result.rotation],
-            },
-            indent=2,
-        )
-        + "\n"
-    )
-    manifest = build_manifest(
-        "align",
-        {
-            "model_a": args.model_a,
-            "model_b": args.model_b,
-            "apply_to": args.apply_to,
-        },
-        [args.model_a, args.model_b],
-    )
-    _emit(args.out, payload)
-    _emit_manifest(args.out, manifest)
-    return EXIT_OK
+    payload = {
+        "residual": result.residual,
+        "shared_vocab_size": len(result.shared_vocab),
+        "underdetermined": result.underdetermined,
+        "rotation": [list(row) for row in result.rotation],
+    }
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def cmd_graph(args) -> int:
-    p = Path(args.model)
-    if not p.exists():
-        raise MissingInputError([str(p)])
-    matrix = load_cooc(p)
-    g = graph_mod.from_counts(matrix, min_weight=args.min_weight)
-    payload = graph_mod.export_graphml(g) if args.graphml else graph_mod.export_edge_list(g)
-    manifest = build_manifest(
-        "graph",
-        {"model": args.model, "min_weight": args.min_weight, "graphml": args.graphml},
-        [args.model],
-    )
-    _emit(args.out, payload)
-    _emit_manifest(args.out, manifest)
-    return EXIT_OK
+def cmd_graph(args) -> str:
+    g = graph_mod.from_counts(load_cooc(args.model), min_weight=args.min_weight)
+    return graph_mod.export_graphml(g) if args.graphml else graph_mod.export_edge_list(g)
 
 
-def cmd_intersect(args) -> int:
-    graphs = []
-    for path in (args.graph_a, args.graph_b):
-        p = Path(path)
-        if not p.exists():
-            raise MissingInputError([str(p)])
-        graphs.append(graph_mod.import_edge_list(p.read_text(encoding="utf-8")))
-    combined = graph_mod.intersection(graphs[0], graphs[1])
-    manifest = build_manifest(
-        "intersect",
-        {"graph_a": args.graph_a, "graph_b": args.graph_b},
-        [args.graph_a, args.graph_b],
+def cmd_intersect(args) -> str:
+    graph_a, graph_b = (
+        graph_mod.import_edge_list(Path(path).read_text(encoding="utf-8"))
+        for path in (args.graph_a, args.graph_b)
     )
-    _emit(args.out, graph_mod.export_edge_list(combined))
-    _emit_manifest(args.out, manifest)
-    return EXIT_OK
+    return graph_mod.export_edge_list(graph_mod.intersection(graph_a, graph_b))
 
 
 # ---------------------------------------------------------------------------
 # experiments
 
 
-def _require_inputs(paths: dict[str, str]) -> None:
-    missing = [f"{label}: {path}" for label, path in paths.items() if not Path(path).exists()]
-    if missing:
-        raise MissingInputError(missing)
-
-
 def _write_report(outdir: Path, name: str, report) -> None:
-    (outdir / f"{name}.json").write_text(
+    _write(
+        outdir / f"{name}.json",
         json.dumps(report.to_json_dict(), indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-        newline="\n",
     )
-    (outdir / f"{name}.csv").write_text(report.to_csv(), encoding="utf-8", newline="\n")
+    _write(outdir / f"{name}.csv", report.to_csv())
 
 
-def experiment_stein_hemingway(args) -> int:
+def experiment_stein_hemingway(args) -> None:
     """Count-model corpus-augmentation study: base novel plus a short addition."""
-    _require_inputs({"base corpus": args.base, "addition corpus": args.addition})
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     base_streams = _corpus_streams(args.base, args.stoplist)
@@ -408,77 +322,35 @@ def experiment_stein_hemingway(args) -> int:
             continue
         la = nearest_neighbors(space_a, word, args.k, args.metric)
         lb = nearest_neighbors(space_b, word, args.k, args.metric)
-        (outdir / f"{word}.base.tsv").write_text(la.to_tsv(), encoding="utf-8", newline="\n")
-        (outdir / f"{word}.augmented.tsv").write_text(lb.to_tsv(), encoding="utf-8", newline="\n")
+        _write(outdir / f"{word}.base.tsv", la.to_tsv())
+        _write(outdir / f"{word}.augmented.tsv", lb.to_tsv())
         tracked[word] = {
             "overlap_at_k": report.diffs[word].overlap_at_k,
             "exact_order": report.diffs[word].exact_order,
             "base_top": list(la.tokens()),
             "augmented_top": list(lb.tokens()),
         }
-    (outdir / "tracked.json").write_text(
-        json.dumps(tracked, indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-        newline="\n",
-    )
-    manifest = build_manifest(
-        "experiment.stein_hemingway",
-        {
-            "base": args.base,
-            "addition": args.addition,
-            "window": args.window,
-            "k": args.k,
-            "metric": args.metric,
-            "min_count": args.min_count,
-            "words": args.words,
-            "stoplist": args.stoplist,
-        },
-        [args.base, args.addition] + ([args.stoplist] if args.stoplist else []),
-    )
-    (outdir / "manifest.json").write_text(manifest.to_json(), encoding="utf-8", newline="\n")
+    _write(outdir / "tracked.json", json.dumps(tracked, indent=2, ensure_ascii=False) + "\n")
     _note(f"report bundle in {outdir}")
-    return EXIT_OK
 
 
-def experiment_wiki_sep_style(args) -> int:
+def experiment_wiki_sep_style(args) -> None:
     """Embedding-based corpus-augmentation study at whatever scale the inputs allow."""
-    _require_inputs({"base corpus": args.base, "addition corpus": args.addition})
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     base_streams = _corpus_streams(args.base, args.stoplist)
     add_streams = _corpus_streams(args.addition, args.stoplist)
-    config = _training_config(args)
-    train = train_skipgram if args.skipgram else train_cbow
+    config, _, train = _training(args)
     space_a = train(base_streams, config)
     space_b = train(base_streams + add_streams, config)
     save_embedding_text(space_a, outdir / "base.txt")
     save_embedding_text(space_b, outdir / "augmented.txt")
     report = stability_report(space_a, space_b, k=args.k, metric=args.metric)
     _write_report(outdir, "report", report)
-    manifest = build_manifest(
-        "experiment.wiki_sep_style",
-        {
-            "base": args.base,
-            "addition": args.addition,
-            "dim": args.dim,
-            "window": args.window,
-            "epochs": args.epochs,
-            "lr": args.lr,
-            "min_count": args.min_count,
-            "objective": args.objective,
-            "k": args.k,
-            "metric": args.metric,
-            "architecture": "skipgram" if args.skipgram else "cbow",
-        },
-        [args.base, args.addition],
-        seed=args.seed,
-    )
-    (outdir / "manifest.json").write_text(manifest.to_json(), encoding="utf-8", newline="\n")
     _note(f"report bundle in {outdir}")
-    return EXIT_OK
 
 
-def experiment_seed_stability(args) -> int:
+def experiment_seed_stability(args) -> None:
     """Cross-seed neighbor stability at several synthetic corpus sizes.
 
     Words are ranked only when they clear a relative frequency floor
@@ -490,11 +362,10 @@ def experiment_seed_stability(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     if not sizes:
         raise DataError("no corpus sizes given")
-    config = _training_config(args)
+    config, architecture, _ = _training(args)
     seeds = [args.seed + i for i in range(args.num_seeds)]
     rows = []
     per_size = {}
-    architecture = "skipgram" if args.skipgram else "cbow"
     for size in sizes:
         min_count = max(args.min_count, round(args.min_rel_freq * size))
         stream = synthetic_corpus(size, seed=args.seed)
@@ -509,35 +380,10 @@ def experiment_seed_stability(args) -> int:
         per_size[str(size)] = result.to_json_dict()
         rows.append((size, result.mean_overlap))
         _note(f"size {size}: mean overlap@{args.k} = {result.mean_overlap:.4f}")
-    (outdir / "seed_stability.json").write_text(
-        json.dumps({"sizes": per_size}, indent=2) + "\n",
-        encoding="utf-8",
-        newline="\n",
-    )
+    _write(outdir / "seed_stability.json", json.dumps({"sizes": per_size}, indent=2) + "\n")
     csv_lines = ["size,mean_overlap"] + [f"{s},{o:.10f}" for s, o in rows]
-    (outdir / "seed_stability.csv").write_text(
-        "\n".join(csv_lines) + "\n", encoding="utf-8", newline="\n"
-    )
-    manifest = build_manifest(
-        "experiment.seed_stability",
-        {
-            "sizes": args.sizes,
-            "num_seeds": args.num_seeds,
-            "dim": args.dim,
-            "window": args.window,
-            "epochs": args.epochs,
-            "lr": args.lr,
-            "k": args.k,
-            "metric": args.metric,
-            "objective": args.objective,
-            "min_count": args.min_count,
-        },
-        [],
-        seed=args.seed,
-    )
-    (outdir / "manifest.json").write_text(manifest.to_json(), encoding="utf-8", newline="\n")
+    _write(outdir / "seed_stability.csv", "\n".join(csv_lines) + "\n")
     _note(f"report bundle in {outdir}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +524,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        manifest = _manifest(args, _inputs(args))
+        _emit(args, args.handler(args), manifest)
     except NumericalError as exc:
         print(f"driftbench: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -688,6 +535,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"driftbench: i/o error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -20,13 +20,10 @@ class WindowConfig:
     """Symmetric context window: `radius` tokens on each side of the target."""
 
     radius: int = 10
-    cross_document: bool = False
 
     def __post_init__(self):
         if self.radius < 1:
             raise ValueError("window radius must be >= 1")
-        if self.cross_document:
-            raise ValueError("windows never cross document boundaries")
 
 
 class CooccurrenceMatrix:

@@ -58,7 +58,7 @@ class FormatError(DataError):
 
 
 class MissingInputError(DataError):
-    """An experiment is missing one of its required input files."""
+    """Input files named on the command line do not exist."""
 
     def __init__(self, expected: list[str]):
         self.expected = expected

@@ -9,7 +9,6 @@ they are aligned first, is basis-dependent.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -25,7 +24,7 @@ from .errors import (
     UnknownWordError,
 )
 from .trainer import EmbeddingSpace, TrainingConfig, train_cbow, train_skipgram
-from .vector_space import NeighborList, VectorSpace, nearest_neighbors
+from .vector_space import NeighborList, VectorSpace, nearest_neighbors, neighbor_table
 
 JACOBI_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
@@ -130,30 +129,25 @@ def random_rotation(
     space: VectorSpace,
     seed: int,
     style: str = "signed_permutation",
-    identity: bool = False,
 ) -> VectorSpace:
     """Apply one seeded rigid rotation about the origin to every vector.
 
-    `identity=True` is a test hook: the space comes back bitwise
-    unchanged. Sparse (count-derived) spaces are refused because rotation
-    densifies them.
+    Sparse (count-derived) spaces are refused because rotation densifies
+    them.
     """
     if space.is_sparse:
         raise DataError("cannot rotate a sparse count space; use a dense embedding")
-    if identity:
-        rotated = np.array(space.vectors)
+    rng = np.random.default_rng(seed)
+    if style == "haar":
+        q = random_orthogonal(space.dim, rng)
+    elif style == "signed_permutation":
+        q = random_signed_permutation(space.dim, rng)
     else:
-        rng = np.random.default_rng(seed)
-        if style == "haar":
-            q = random_orthogonal(space.dim, rng)
-        elif style == "signed_permutation":
-            q = random_signed_permutation(space.dim, rng)
-        else:
-            raise ValueError(f"unknown rotation style {style!r}")
-        rotated = space.vectors @ q
+        raise ValueError(f"unknown rotation style {style!r}")
+    rotated = space.vectors @ q
     if isinstance(space, EmbeddingSpace):
         provenance = dict(space.provenance)
-        provenance["rotation"] = {"seed": seed, "style": style, "identity": identity}
+        provenance["rotation"] = {"seed": seed, "style": style}
         return EmbeddingSpace(space.vocab, rotated, provenance=provenance)
     return VectorSpace(space.vocab, rotated, kind=space.kind)
 
@@ -523,14 +517,6 @@ class CrossSeedReport:
         }
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("DRIFTBENCH_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def cross_seed_stability(
     streams: Sequence[TokenStream],
     config: TrainingConfig,
@@ -543,9 +529,7 @@ def cross_seed_stability(
 
     Every listed seed pair (self-pairs excluded) contributes an
     overlap_at_k per word; per-word values are averaged over pairs and
-    then over words. Each training run is deterministic in isolation, so
-    running unique seeds concurrently (capped by DRIFTBENCH_THREADS)
-    cannot change the result.
+    then over words. Each unique seed is trained once, in ascending order.
     """
     if len(seeds) < 2:
         raise ValueError("cross-seed stability needs at least 2 seeds")
@@ -553,27 +537,16 @@ def cross_seed_stability(
     train = train_cbow if architecture == "cbow" else train_skipgram
     unique = sorted(set(seeds))
 
-    def run(seed: int) -> tuple[int, EmbeddingSpace]:
+    spaces: dict[int, EmbeddingSpace] = {}
+    for seed in unique:
         try:
-            return seed, train(streams, replace(config, seed=seed))
+            spaces[seed] = train(streams, replace(config, seed=seed))
         except Exception as exc:
             exc.args = (f"[seed {seed}] {exc}",)
             raise
 
-    cap = min(_thread_cap(), len(unique))
-    if cap > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            spaces = dict(pool.map(run, unique))
-    else:
-        spaces = dict(run(s) for s in unique)
-
     vocab_tokens = spaces[unique[0]].vocab.tokens
-    tables = {
-        s: {w: nearest_neighbors(spaces[s], w, k, metric) for w in vocab_tokens}
-        for s in unique
-    }
+    tables = {s: neighbor_table(spaces[s], k, metric) for s in unique}
     per_word_sums = {w: 0.0 for w in vocab_tokens}
     per_pair: dict[str, float] = {}
     pairs = [

@@ -169,16 +169,18 @@ def cosine_similarity(a, b) -> float:
     """Cosine of the angle between two vectors, in [-1, 1].
 
     Zero vectors have no direction, so similarity against one is an error
-    rather than a silent 0.
+    rather than a silent 0. Each vector is first divided by its largest
+    magnitude, so tiny components cannot square into subnormals.
     """
     av, bv = _as_components(a), _as_components(b)
     _check_dims(av, bv)
-    na, nb = np.linalg.norm(av), np.linalg.norm(bv)
-    if na == 0.0:
+    sa, sb = np.abs(av).max(initial=0.0), np.abs(bv).max(initial=0.0)
+    if sa == 0.0:
         raise ZeroVectorError(a.word if isinstance(a, WordVector) else None)
-    if nb == 0.0:
+    if sb == 0.0:
         raise ZeroVectorError(b.word if isinstance(b, WordVector) else None)
-    return float(np.dot(av, bv) / (na * nb))
+    av, bv = av / sa, bv / sb
+    return float(np.dot(av, bv) / (np.linalg.norm(av) * np.linalg.norm(bv)))
 
 
 def vector_distance(a, b, metric: str = "euclidean") -> float:

@@ -1,12 +1,14 @@
 """End-to-end CLI behavior: pipelines, manifests, determinism, exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from driftbench.cli import main
+from driftbench.cli import build_parser, main
 
 from conftest import ROSE_TEXT
 
@@ -353,3 +355,195 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 1
+
+
+# ---------------------------------------------------------------------------
+# manifest completeness: equal manifests must mean equal bytes, so every
+# argument that can change an output must show up in the manifest.
+
+# Arguments that name input files.
+FILE_ARGS = {
+    "corpus", "model", "model_a", "model_b", "graph_a", "graph_b",
+    "base", "addition", "stoplist",
+}
+
+# Per command: a cheap valid argv, and for every other argument a second
+# valid value (None toggles a switch). Keys are flags, or the dest of a
+# positional argument. "{name}" fields are filled from the `artifacts`
+# fixture, and {tmp} is the test's own directory.
+MANIFEST_CASES = {
+    "stats": (
+        ["stats", "{corpus}"],
+        {"--stoplist": "{stoplist}", "--out": "{tmp}/s.json"},
+    ),
+    "build-count": (
+        ["build-count", "{corpus}", "--out", "{tmp}/c.cooc"],
+        {"--out": "{tmp}/c2.cooc", "--window": "3", "--min-count": "2",
+         "--max-size": "5", "--stoplist": "{stoplist}"},
+    ),
+    "neighbors": (
+        ["neighbors", "{cooc}", "water"],
+        {"word": "mill", "--k": "3", "--metric": "euclidean", "--ppmi": None,
+         "--format": "json", "--out": "{tmp}/n.tsv"},
+    ),
+    "diff": (
+        ["diff", "{cooc}", "{cooc_b}"],
+        {"--k": "3", "--metric": "euclidean", "--words": "mill,water", "--ppmi": None,
+         "--format": "csv", "--out": "{tmp}/d.json"},
+    ),
+    "train": (
+        ["train", "{corpus}", "--out", "{tmp}/m", "--seed", "1", "--dim", "4",
+         "--epochs", "1", "--window", "2"],
+        {"--out": "{tmp}/m2", "--seed": "2", "--dim": "5", "--window": "3",
+         "--epochs": "2", "--lr": "0.05", "--min-count": "2", "--objective": "neg:2",
+         "--stoplist": "{stoplist}", "--skipgram": None},
+    ),
+    "rotate": (
+        ["rotate", "{model}", "--out", "{tmp}/r.txt", "--seed", "1"],
+        {"--out": "{tmp}/r2.txt", "--seed": "2", "--style": "haar"},
+    ),
+    "align": (
+        ["align", "{model}", "{model_b}"],
+        {"--apply-to": "{tmp}/aligned.txt", "--out": "{tmp}/a.json"},
+    ),
+    "graph": (
+        ["graph", "{cooc}"],
+        {"--out": "{tmp}/g.tsv", "--min-weight": "2", "--graphml": None},
+    ),
+    "intersect": (
+        ["intersect", "{graph}", "{graph_b}"],
+        {"--out": "{tmp}/i.tsv"},
+    ),
+    "stein_hemingway": (
+        ["experiment", "stein_hemingway", "--base", "{corpus}", "--addition",
+         "{addition}", "--out", "{tmp}/sh", "--k", "3", "--words", "water"],
+        {"--base": "{other}", "--addition": "{other}", "--out": "{tmp}/sh2",
+         "--window": "3", "--k": "4", "--min-count": "2", "--words": "mill",
+         "--stoplist": "{stoplist}", "--metric": "euclidean"},
+    ),
+    "wiki_sep_style": (
+        ["experiment", "wiki_sep_style", "--base", "{corpus}", "--addition",
+         "{addition}", "--out", "{tmp}/w", "--seed", "1", "--dim", "4",
+         "--epochs", "1", "--window", "2", "--k", "3"],
+        {"--base": "{other}", "--addition": "{other}", "--out": "{tmp}/w2",
+         "--seed": "2", "--dim": "5", "--window": "3", "--epochs": "2",
+         "--lr": "0.05", "--min-count": "2", "--objective": "neg:2",
+         "--stoplist": "{stoplist}", "--skipgram": None, "--k": "4",
+         "--metric": "euclidean"},
+    ),
+    "seed_stability": (
+        ["experiment", "seed_stability", "--out", "{tmp}/ss", "--seed", "1",
+         "--sizes", "200", "--num-seeds", "2", "--dim", "4", "--epochs", "1",
+         "--k", "3"],
+        {"--out": "{tmp}/ss2", "--seed": "2", "--sizes": "300", "--num-seeds": "3",
+         "--k": "4", "--min-rel-freq": "0.01", "--metric": "euclidean",
+         "--dim": "5", "--window": "3", "--epochs": "2", "--lr": "0.1",
+         "--min-count": "2", "--objective": "softmax", "--stoplist": "{stoplist}",
+         "--skipgram": None},
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    d = tmp_path_factory.mktemp("artifacts")
+    paths = {
+        name: str(d / name)
+        for name in ("corpus", "addition", "other", "stoplist", "cooc", "cooc_b",
+                     "model", "model_b", "graph", "graph_b")
+    }
+    Path(paths["corpus"]).write_text(TRAIN_TEXT, encoding="utf-8")
+    Path(paths["addition"]).write_text(
+        "the glass stood on the counter of the mill kitchen near the window",
+        encoding="utf-8",
+    )
+    Path(paths["other"]).write_text(
+        "the dog slept by the mill door while the river ran and the water "
+        "turned the wheel",
+        encoding="utf-8",
+    )
+    Path(paths["stoplist"]).write_text("the\n", encoding="utf-8")
+    assert run("build-count", paths["corpus"], "--out", paths["cooc"]) == 0
+    assert run("build-count", paths["corpus"], "--out", paths["cooc_b"], "--window", 2) == 0
+    assert run(
+        "train", paths["corpus"], "--out", paths["model"],
+        "--seed", 1, "--dim", 4, "--epochs", 1, "--window", 2,
+    ) == 0
+    paths["model"] += ".txt"
+    assert run("rotate", paths["model"], "--seed", 1, "--out", paths["model_b"]) == 0
+    assert run("graph", paths["cooc"], "--out", paths["graph"]) == 0
+    assert run("graph", paths["cooc_b"], "--out", paths["graph_b"]) == 0
+    return paths
+
+
+def command_parser(words):
+    parser = build_parser()
+    for word in words:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[word]
+    return parser
+
+
+def run_for_manifest(argv, capsys) -> dict:
+    capsys.readouterr()
+    assert main(argv) == 0, argv
+    err = capsys.readouterr().err
+    if "--out" not in argv:
+        return json.loads(err)
+    out = argv[argv.index("--out") + 1]
+    if argv[0] == "experiment":
+        return json.loads((Path(out) / "manifest.json").read_text())
+    return json.loads(Path(out + ".manifest.json").read_text())
+
+
+@pytest.mark.parametrize("command", list(MANIFEST_CASES))
+def test_manifest_records_every_argument(command, artifacts, tmp_path, capsys):
+    template, variations = MANIFEST_CASES[command]
+    words = template[:2] if template[0] == "experiment" else template[:1]
+    actions = [a for a in command_parser(words)._actions if a.dest != "help"]
+    positionals = [a.dest for a in actions if not a.option_strings]
+    assert set(variations) == {
+        a.option_strings[0] if a.option_strings else a.dest
+        for a in actions
+        if a.option_strings or a.dest not in FILE_ARGS
+    }, "every argument needs a second value in MANIFEST_CASES"
+
+    def fill(argv):
+        return [t.format(tmp=tmp_path, **artifacts) for t in argv]
+
+    def vary(key, value):
+        argv = list(template)
+        if not key.startswith("--"):
+            argv[len(words) + positionals.index(key)] = value
+        elif key not in argv:
+            argv += [key] if value is None else [key, value]
+        elif value is None:
+            argv.remove(key)
+        else:
+            argv[argv.index(key) + 1] = value
+        return fill(argv)
+
+    files = set(artifacts.values())
+    base_argv = fill(template)
+    base = run_for_manifest(base_argv, capsys)
+    unrecorded, undigested = [], []
+    for key, value in [(None, None)] + list(variations.items()):
+        argv = base_argv if key is None else vary(key, value)
+        manifest = base if key is None else run_for_manifest(argv, capsys)
+        field = "seed" if key == "--seed" else "parameters"
+        if key is not None and manifest[field] == base[field]:
+            unrecorded.append(key)
+        undigested += [p for p in files.intersection(argv) if p not in manifest["inputs"]]
+    assert not unrecorded, f"changing these leaves the manifest equal: {unrecorded}"
+    assert not undigested, f"given but not digested: {sorted(set(undigested))}"
+
+    gone = {t: str(tmp_path / f"missing-{i}") for i, t in enumerate(base_argv) if t in files}
+    argv = [gone.get(t, t) for t in base_argv]
+    if "--stoplist" in variations:
+        gone["stoplist"] = str(tmp_path / "missing-stoplist")
+        argv += ["--stoplist", gone["stoplist"]]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    for path in gone.values():
+        assert path in err, f"{path} is not named as missing"

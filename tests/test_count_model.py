@@ -75,8 +75,6 @@ class TestWindowing:
     def test_radius_validation(self):
         with pytest.raises(ValueError):
             db.WindowConfig(radius=0)
-        with pytest.raises(ValueError):
-            db.WindowConfig(radius=5, cross_document=True)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 10))
