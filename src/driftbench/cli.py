@@ -320,8 +320,7 @@ def experiment_stein_hemingway(args) -> None:
         if word not in space_a or word not in space_b:
             tracked[word] = {"missing": True}
             continue
-        la = nearest_neighbors(space_a, word, args.k, args.metric)
-        lb = nearest_neighbors(space_b, word, args.k, args.metric)
+        la, lb = report.neighbor_lists(word)
         _write(outdir / f"{word}.base.tsv", la.to_tsv())
         _write(outdir / f"{word}.augmented.tsv", lb.to_tsv())
         tracked[word] = {
@@ -363,12 +362,15 @@ def experiment_seed_stability(args) -> None:
     if not sizes:
         raise DataError("no corpus sizes given")
     config, architecture, _ = _training(args)
+    stoplist = load_stoplist(args.stoplist) if args.stoplist else None
     seeds = [args.seed + i for i in range(args.num_seeds)]
     rows = []
     per_size = {}
     for size in sizes:
         min_count = max(args.min_count, round(args.min_rel_freq * size))
         stream = synthetic_corpus(size, seed=args.seed)
+        if stoplist:
+            stream = remove_stopwords(stream, stoplist)
         result = cross_seed_stability(
             [stream],
             replace(config, min_count=min_count),

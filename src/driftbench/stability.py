@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ from .errors import (
     UnknownWordError,
 )
 from .trainer import EmbeddingSpace, TrainingConfig, train_cbow, train_skipgram
-from .vector_space import NeighborList, VectorSpace, nearest_neighbors, neighbor_table
+from .vector_space import NeighborList, VectorSpace, _neighbor_lists, _top_k
 
 JACOBI_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
@@ -169,13 +169,6 @@ def _shared_tokens(a: VectorSpace, b: VectorSpace) -> list[str]:
     return [t for t in a.vocab.tokens if t in b.vocab]
 
 
-def _dense_rows(space: VectorSpace, tokens: Sequence[str]) -> np.ndarray:
-    idx = [space.vocab.index_of(t) for t in tokens]
-    if space.is_sparse:
-        return np.asarray(space.vectors[idx].todense(), dtype=np.float64)
-    return np.asarray(space.vectors[idx], dtype=np.float64)
-
-
 def procrustes_align(x: VectorSpace, y: VectorSpace) -> AlignmentResult:
     """Least-squares rotation of x onto y over their shared vocabulary.
 
@@ -192,8 +185,7 @@ def procrustes_align(x: VectorSpace, y: VectorSpace) -> AlignmentResult:
     shared = _shared_tokens(x, y)
     if not shared:
         raise DataError("no shared vocabulary to align on")
-    xm = _dense_rows(x, shared)
-    ym = _dense_rows(y, shared)
+    xm, ym = (s.dense_rows([s.vocab.index_of(t) for t in shared]) for s in (x, y))
     xc = xm - xm.mean(axis=0)
     yc = ym - ym.mean(axis=0)
     u, _, vt = jacobi_svd(xc.T @ yc)
@@ -233,75 +225,126 @@ class NeighborDiff:
     k_used: int
 
 
-def _top_tokens(nl: NeighborList, k: int) -> list[str]:
-    return [t for t in nl.tokens() if t != nl.query][:k]
+def _compare(queries: Sequence[str], a: np.ndarray, b: np.ndarray, k: int) -> list[NeighborDiff]:
+    """Compare each query's two rankings: rows of `a` and `b` are ids from
+    one numbering, best first, with the query itself already left out.
 
-
-def _effective_k(a: NeighborList, b: NeighborList, k: int) -> int:
+    Both rows are cut to k, or to the shorter list with a warning.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if a.query != b.query:
-        raise DataError(
-            f"neighbor lists answer different queries: {a.query!r} vs {b.query!r}"
-        )
-    available = min(
-        len([t for t in a.tokens() if t != a.query]),
-        len([t for t in b.tokens() if t != b.query]),
-    )
-    if available == 0:
-        raise DataError(f"empty neighbor list for {a.query!r}")
-    if available < k:
-        warnings.warn(
-            f"k={k} clamped to {available} (shortest list) for {a.query!r}",
-            stacklevel=3,
-        )
-        return available
-    return k
+    k_used = min(k, a.shape[1], b.shape[1])
+    if k_used == 0:
+        raise DataError(f"empty neighbor list for {queries[0]!r}")
+    if k_used < k:
+        for query in queries:
+            warnings.warn(
+                f"k={k} clamped to {k_used} (shortest list) for {query!r}",
+                stacklevel=3,
+            )
+    a, b = a[:, :k_used], b[:, :k_used]
+    shared, position = _match(a, b)
+    common = shared.sum(axis=1)
+    overlap = (common / k_used).tolist()
+    jaccard = (common / (2 * k_used - common)).tolist()
+    exact = (a == b).all(axis=1).tolist()
+    tau = _rank_agreement(shared, position).tolist()
+    return [
+        NeighborDiff(q, overlap[i], jaccard[i], exact[i],
+                     None if math.isnan(tau[i]) else tau[i], k_used)
+        for i, q in enumerate(queries)
+    ]
+
+
+def _match(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For every entry of `a`, whether its row of `b` holds it too, and where."""
+    n, k = a.shape
+    # offset each row's ids so that one sorted search serves all rows
+    offset = np.arange(n)[:, None] * (max(a.max(), b.max()) + 1)
+    flat_a, flat_b = (a + offset).ravel(), (b + offset).ravel()
+    order = np.argsort(flat_b)
+    at = order[np.searchsorted(flat_b, flat_a, sorter=order).clip(max=flat_b.size - 1)]
+    return (flat_b[at] == flat_a).reshape(n, k), (at % k).reshape(n, k)
+
+
+def _rank_agreement(shared: np.ndarray, position: np.ndarray) -> np.ndarray:
+    """Kendall tau-b of each ranking pair over the words both share; NaN
+    (undefined, never 0) below two shared words.
+
+    `position` is where the second ranking holds each shared word of the
+    first. Positions cannot tie, so tau-b is (pairs - 2 * discordant) /
+    sqrt(pairs) / sqrt(pairs): the float operations of scipy's kendalltau.
+    """
+    n, k = shared.shape
+    width = 1 << (k - 1).bit_length()
+    # shared words' positions in first-ranking order, then increasing pads
+    # above every position, which add no discordant pair
+    order = np.argsort(~shared, axis=1, kind="stable")
+    seq = np.broadcast_to(k + np.arange(width), (n, width)).copy()
+    found = np.take_along_axis(shared, order, axis=1)
+    seq[:, :k][found] = np.take_along_axis(position, order, axis=1)[found]
+    m = shared.sum(axis=1)
+    pairs = m * (m - 1) // 2
+    root = np.sqrt(np.maximum(pairs, 1))
+    tau = np.clip((pairs - 2 * _discordant(seq)) / root / root, -1.0, 1.0)
+    return np.where(m >= 2, tau, np.nan)
+
+
+def _discordant(seq: np.ndarray) -> np.ndarray:
+    """Out-of-order pairs in each row of distinct values (power-of-two
+    width), by merge sort: a right-run value's place in the merged run,
+    less its place in its own run, counts the left-run values below it."""
+    n, width = seq.shape
+    count = np.zeros(n, dtype=np.int64)
+    run = 1
+    while run < width:
+        pairs = seq.reshape(n, -1, 2 * run)
+        order = np.argsort(pairs, axis=2)
+        place = np.argsort(order, axis=2)[:, :, run:] - np.arange(run)
+        count += (run - place).sum(axis=(1, 2))
+        seq = np.take_along_axis(pairs, order, axis=2).reshape(n, width)
+        run *= 2
+    return count
 
 
 def overlap_at_k(a: NeighborList, b: NeighborList, k: int) -> float:
     """Fraction of shared words between the two top-k lists."""
-    k_eff = _effective_k(a, b, k)
-    sa, sb = set(_top_tokens(a, k_eff)), set(_top_tokens(b, k_eff))
-    return len(sa & sb) / k_eff
+    return diff_neighbor_lists(a, b, k).overlap_at_k
 
 
 def jaccard_at_k(a: NeighborList, b: NeighborList, k: int) -> float:
-    k_eff = _effective_k(a, b, k)
-    sa, sb = set(_top_tokens(a, k_eff)), set(_top_tokens(b, k_eff))
-    return len(sa & sb) / len(sa | sb)
-
-
-def _rank_agreement(tokens_a: list[str], tokens_b: list[str]) -> float | None:
-    """Kendall tau-b between the two rankings, restricted to shared words.
-
-    Undefined (None) when fewer than two words are shared; never coerced
-    to 0.
-    """
-    set_b = set(tokens_b)
-    common = [t for t in tokens_a if t in set_b]
-    if len(common) < 2:
-        return None
-    pos_b = {t: i for i, t in enumerate(tokens_b)}
-    ranks_a = list(range(len(common)))
-    ranks_b = [pos_b[t] for t in common]
-    tau = stats.kendalltau(ranks_a, ranks_b, variant="b").statistic
-    return None if np.isnan(tau) else float(tau)
+    return diff_neighbor_lists(a, b, k).jaccard_at_k
 
 
 def diff_neighbor_lists(a: NeighborList, b: NeighborList, k: int) -> NeighborDiff:
     """All comparison metrics between two ranked lists for the same query."""
-    k_eff = _effective_k(a, b, k)
-    ta, tb = _top_tokens(a, k_eff), _top_tokens(b, k_eff)
-    sa, sb = set(ta), set(tb)
-    return NeighborDiff(
-        word=a.query,
-        overlap_at_k=len(sa & sb) / k_eff,
-        jaccard_at_k=len(sa & sb) / len(sa | sb),
-        exact_order=ta == tb,
-        rank_agreement=_rank_agreement(ta, tb),
-        k_used=k_eff,
+    if a.query != b.query:
+        raise DataError(
+            f"neighbor lists answer different queries: {a.query!r} vs {b.query!r}"
+        )
+    ta, tb = ([t for t in nl.tokens() if t != nl.query] for nl in (a, b))
+    ids = {t: i for i, t in enumerate(dict.fromkeys(ta + tb))}
+    rows = [np.array([[ids[t] for t in tokens]], dtype=np.intp) for tokens in (ta, tb)]
+    return _compare([a.query], *rows, k)[0]
+
+
+def _ranked_diffs(model_a: VectorSpace, model_b: VectorSpace, words: list[str], k: int, metric: str):
+    """Compare the words' top-k lists in the two models.
+
+    Returns the diffs and, for each model, (model, ids, scores) with a row
+    per word.
+    """
+    ranked = []
+    for model in (model_a, model_b):
+        rows = np.array([model.vocab.index_of(w) for w in words], dtype=np.intp)
+        ranked.append((model, *_top_k(model, rows, k, metric, rows[:, None])))
+    # words only the second model knows get ids past the first's vocabulary
+    to_a = np.array(
+        [len(model_a) + i if (j := model_a.vocab.get(t)) is None else j
+         for i, t in enumerate(model_b.vocab.tokens)],
+        dtype=np.intp,
     )
+    return _compare(words, ranked[0][1], to_a[ranked[1][1]], k), tuple(ranked)
 
 
 def neighbor_diff(
@@ -320,9 +363,7 @@ def neighbor_diff(
         raise UnknownWordError(word, "the first model")
     if word not in space_b.vocab:
         raise UnknownWordError(word, "the second model")
-    la = nearest_neighbors(space_a, word, k, metric)
-    lb = nearest_neighbors(space_b, word, k, metric)
-    return diff_neighbor_lists(la, lb, k)
+    return _ranked_diffs(space_a, space_b, [word], k, metric)[0][0]
 
 
 @dataclass(frozen=True)
@@ -370,6 +411,16 @@ class StabilityReport:
     aggregates: dict
     frequency_correlation: float | None
     metadata: dict
+    # (model, ids, scores) for each model, a row per word of `diffs`
+    rankings: tuple = field(default=(), repr=False)
+
+    def neighbor_lists(self, word: str) -> tuple[NeighborList, ...]:
+        """The two ranked lists that the comparison of `word` was made from."""
+        i = list(self.diffs).index(word)
+        return tuple(
+            _neighbor_lists(model, [word], ids[i : i + 1], scores[i : i + 1], self.metadata["metric"])[0]
+            for model, ids, scores in self.rankings
+        )
 
     def to_json_dict(self) -> dict:
         per_word = {}
@@ -441,14 +492,11 @@ def stability_report(
     if not shared:
         raise DataError("models share no vocabulary")
     comparable = model_a.dim == model_b.dim
-    diffs: dict[str, NeighborDiff] = {}
-    disps: dict[str, Displacement] | None = {} if comparable else None
-    for word in shared:
-        la = nearest_neighbors(model_a, word, k, metric)
-        lb = nearest_neighbors(model_b, word, k, metric)
-        diffs[word] = diff_neighbor_lists(la, lb, k)
-        if comparable:
-            disps[word] = displacement(model_a, model_b, word)
+    compared, rankings = _ranked_diffs(model_a, model_b, shared, k, metric)
+    diffs = dict(zip(shared, compared))
+    disps: dict[str, Displacement] | None = None
+    if comparable:
+        disps = {word: displacement(model_a, model_b, word) for word in shared}
     overlaps = np.array([d.overlap_at_k for d in diffs.values()])
     jaccards = np.array([d.jaccard_at_k for d in diffs.values()])
     agreements = [d.rank_agreement for d in diffs.values() if d.rank_agreement is not None]
@@ -490,6 +538,7 @@ def stability_report(
         aggregates=aggregates,
         frequency_correlation=corr,
         metadata=metadata,
+        rankings=rankings,
     )
 
 
@@ -546,8 +595,9 @@ def cross_seed_stability(
             raise
 
     vocab_tokens = spaces[unique[0]].vocab.tokens
-    tables = {s: neighbor_table(spaces[s], k, metric) for s in unique}
-    per_word_sums = {w: 0.0 for w in vocab_tokens}
+    rows = np.arange(len(vocab_tokens))
+    ids = {s: _top_k(spaces[s], rows, k, metric, rows[:, None])[0] for s in unique}
+    per_word_sums = np.zeros(len(vocab_tokens))
     per_pair: dict[str, float] = {}
     pairs = [
         (seeds[i], seeds[j])
@@ -555,13 +605,11 @@ def cross_seed_stability(
         for j in range(i + 1, len(seeds))
     ]
     for sa, sb in pairs:
-        pair_sum = 0.0
-        for w in vocab_tokens:
-            value = overlap_at_k(tables[sa][w], tables[sb][w], k)
-            per_word_sums[w] += value
-            pair_sum += value
-        per_pair[f"{sa}-{sb}"] = pair_sum / len(vocab_tokens)
-    per_word = {w: total / len(pairs) for w, total in per_word_sums.items()}
+        values = np.array([d.overlap_at_k for d in _compare(vocab_tokens, ids[sa], ids[sb], k)])
+        per_word_sums += values
+        # a running total in word order: the bits of a float sum depend on its order
+        per_pair[f"{sa}-{sb}"] = float(np.cumsum(values)[-1]) / len(vocab_tokens)
+    per_word = dict(zip(vocab_tokens, (per_word_sums / len(pairs)).tolist()))
     return CrossSeedReport(
         seeds=tuple(seeds),
         k=k,

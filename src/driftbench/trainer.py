@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
+import zipfile
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -443,23 +444,29 @@ def save_checkpoint(space: EmbeddingSpace, path: str | Path) -> None:
             if space.output_weights is not None
             else np.empty((0, 0))
         ),
-        tokens=np.array(space.vocab.tokens, dtype=object),
+        tokens=np.array(space.vocab.tokens, dtype=str),
         frequencies=np.array(space.vocab.frequencies, dtype=np.int64),
         provenance=np.array(json.dumps(space.provenance)),
     )
 
 
 def load_checkpoint(path: str | Path) -> EmbeddingSpace:
-    with np.load(path, allow_pickle=True) as data:
-        if str(data["format"]) != CHECKPOINT_FORMAT:
-            raise FormatError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-        vocab = Vocabulary(
-            [str(t) for t in data["tokens"]], [int(f) for f in data["frequencies"]]
-        )
-        out = data["output_weights"]
-        return EmbeddingSpace(
-            vocab,
-            data["vectors"],
-            provenance=json.loads(str(data["provenance"])),
-            output_weights=None if out.size == 0 else out,
-        )
+    """Load a checkpoint. Pickled objects are never read, so a crafted file
+    cannot run code: an object array, like any malformed content, raises
+    FormatError."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            if str(data["format"]) != CHECKPOINT_FORMAT:
+                raise FormatError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+            vocab = Vocabulary(
+                [str(t) for t in data["tokens"]], [int(f) for f in data["frequencies"]]
+            )
+            out = data["output_weights"]
+            return EmbeddingSpace(
+                vocab,
+                data["vectors"],
+                provenance=json.loads(str(data["provenance"])),
+                output_weights=None if out.size == 0 else out,
+            )
+    except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise FormatError(f"{path}: malformed {CHECKPOINT_FORMAT} file: {exc}") from None

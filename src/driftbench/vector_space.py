@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -59,7 +59,7 @@ class VectorSpace:
         self.vocab = vocab
         self.vectors = vectors
         self.kind = kind
-        self._row_norms: np.ndarray | None = None
+        self._unit: tuple | None = None
         self._lex_rank: np.ndarray | None = None
 
     @property
@@ -76,22 +76,34 @@ class VectorSpace:
     def __len__(self) -> int:
         return len(self.vocab)
 
-    def dense_row(self, index: int) -> np.ndarray:
+    def dense_rows(self, indices) -> np.ndarray:
+        """Dense copies of the rows at `indices`, one per row of the result."""
         if self.is_sparse:
-            return np.asarray(self.vectors[index].todense()).ravel()
-        return np.array(self.vectors[index])
+            return self.vectors[indices].toarray()
+        return self.vectors[indices]
+
+    def dense_row(self, index: int) -> np.ndarray:
+        return self.dense_rows([index])[0]
 
     def vector(self, word: str) -> WordVector:
         return WordVector(word, self.dense_row(self.vocab.index_of(word)))
 
-    def row_norms(self) -> np.ndarray:
-        if self._row_norms is None:
+    def _unit_rows(self):
+        """The rows cosine ranking scores against, and their norms.
+
+        Rows are used as stored, except that a row whose squared norm
+        under- or overflows is divided by its largest magnitude first.
+        Cosine does not depend on a row's scale, so this changes no score;
+        it keeps a row of tiny components from getting norm 0.
+        """
+        if self._unit is None:
             if self.is_sparse:
                 sq = self.vectors.multiply(self.vectors).sum(axis=1)
-                self._row_norms = np.sqrt(np.asarray(sq).ravel())
+                norms = np.sqrt(np.asarray(sq).ravel())
             else:
-                self._row_norms = np.linalg.norm(self.vectors, axis=1)
-        return self._row_norms
+                norms = np.linalg.norm(self.vectors, axis=1)
+            self._unit = _rescale(self.vectors, norms)
+        return self._unit
 
     def lex_rank(self) -> np.ndarray:
         """Position of each index's token in lexicographic token order."""
@@ -194,27 +206,40 @@ def vector_distance(a, b, metric: str = "euclidean") -> float:
     raise ValueError(f"unknown distance metric {metric!r}")
 
 
+# Queries are scored a block at a time; a block's score matrix holds at most
+# this many float64 entries (1 MiB), whatever the vocabulary size.
+_BLOCK_ENTRIES = 1 << 17
+# A norm below this had squared components that lost precision to underflow.
+_MIN_NORM = np.sqrt(np.finfo(np.float64).tiny)
+
+
+def _rescale(rows, norms: np.ndarray):
+    """Rows and norms, with each row whose squared norm under- or overflowed
+    divided by its largest magnitude and its norm recomputed.
+
+    `rows` (dense or CSR) is copied only when some row changes; zero rows
+    keep norm 0.
+    """
+    bad = np.flatnonzero((norms < _MIN_NORM) | np.isinf(norms))
+    if bad.size == 0:
+        return rows, norms
+    rows, norms = rows.copy(), norms.copy()
+    for i in bad:
+        x = rows.data[rows.indptr[i] : rows.indptr[i + 1]] if sparse.issparse(rows) else rows[i]
+        if x.any():
+            x /= np.abs(x).max()
+            norms[i] = np.linalg.norm(x)
+    return rows, norms
+
+
 def _segment_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     csum = np.concatenate(([0.0], np.cumsum(values)))
     return csum[indptr[1:]] - csum[indptr[:-1]]
 
 
-def _rank_scores(space: VectorSpace, query: np.ndarray, metric: str) -> np.ndarray:
-    """Score of every row against the query: similarity, or negated distance."""
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    if metric == "cosine":
-        qnorm = np.linalg.norm(query)
-        if qnorm == 0.0:
-            raise ZeroVectorError()
-        norms = space.row_norms()
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise ZeroVectorError(space.vocab.token_at(int(zero[0])))
-        dots = np.asarray(space.vectors @ query).ravel()
-        return dots / (norms * qnorm)
-    if space.is_sparse:
-        m = space.vectors
+def _distance_scores(m, query: np.ndarray, metric: str) -> np.ndarray:
+    """Negated distance from the query to every row of m."""
+    if sparse.issparse(m):
         qs = query[m.indices]
         if metric == "euclidean":
             per_nz = (m.data - qs) ** 2 - qs**2
@@ -223,23 +248,97 @@ def _rank_scores(space: VectorSpace, query: np.ndarray, metric: str) -> np.ndarr
         per_nz = np.abs(m.data - qs) - np.abs(qs)
         d1 = _segment_sums(per_nz, m.indptr) + float(np.abs(query).sum())
         return -np.maximum(d1, 0.0)
-    diff = space.vectors - query
+    diff = m - query
     if metric == "euclidean":
         return -np.sqrt((diff**2).sum(axis=1))
     return -np.abs(diff).sum(axis=1)
 
 
-def _top_k(
-    space: VectorSpace, scores: np.ndarray, k: int, exclude_idx: Iterable[int]
-) -> list[tuple[str, float]]:
-    mask = np.ones(len(scores), dtype=bool)
-    for i in exclude_idx:
-        mask[i] = False
-    candidates = np.flatnonzero(mask)
-    order = np.lexsort((space.lex_rank()[candidates], -scores[candidates]))
-    chosen = candidates[order[:k]]
-    vocab = space.vocab
-    return [(vocab.token_at(int(i)), float(scores[i])) for i in chosen]
+def _block_scores(space: VectorSpace, queries: np.ndarray, metric: str) -> np.ndarray:
+    """Score of every row against each dense query: similarity, or negated distance."""
+    if metric != "cosine":
+        return np.array([_distance_scores(space.vectors, q, metric) for q in queries])
+    rows, norms = space._unit_rows()
+    queries, qnorms = _rescale(queries, np.sqrt([q @ q for q in queries]))
+    if space.is_sparse:
+        # csr_matvecs sums each row's entries in the order csr_matvec does
+        dots = (rows @ queries.T).T
+    else:
+        # a matrix product sums in another order than a matrix-vector product,
+        # and a query's scores must not depend on the block it is scored in
+        dots = np.array([rows @ q for q in queries])
+    return dots / (norms * qnorms[:, None])
+
+
+def _select(scores: np.ndarray, candidate: np.ndarray, k: int, lex_rank: np.ndarray):
+    """Ids and scores of the k best candidates of each row: score
+    descending, then token ascending.
+
+    Partitioning finds each row's k-th best score; only the candidates
+    that reach it, ties included, are sorted.
+    """
+    key = -scores
+    bounded = np.where(candidate & ~np.isnan(key), key, np.inf)
+    kth = np.partition(bounded, k - 1, axis=1)[:, k - 1 : k]
+    rows, cols = np.nonzero(candidate & (bounded <= kth))
+    order = np.lexsort((lex_rank[cols], key[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    keep = np.arange(len(rows)) - np.searchsorted(rows, rows) < k
+    rows, cols = rows[keep], cols[keep]
+    return cols.reshape(-1, k), scores[rows, cols].reshape(-1, k)
+
+
+def _top_k(space: VectorSpace, queries, k: int, metric: str, exclude):
+    """Top-k ids and scores of every query, best first; the one ranking kernel.
+
+    `queries` is a 1-d array of row indices of the space or a 2-d array of
+    non-zero query vectors. Row i of the 2-d `exclude` lists distinct ids
+    left out of query i's ranking (it may have no columns). Scores are
+    similarities, or negated distances; ties are broken by token. k is
+    clamped to the candidates left after exclusion. Returns two
+    (queries, k) arrays.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    queries = np.asarray(queries)
+    by_row = queries.ndim == 1
+    exclude = np.asarray(exclude, dtype=np.intp)
+    v = len(space)
+    if metric == "cosine":
+        norms = space._unit_rows()[1]
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            # a zero query is named before any other zero row
+            if by_row:
+                zero = np.concatenate([queries[norms[queries] == 0.0], zero])
+            raise ZeroVectorError(space.vocab.token_at(int(zero[0])))
+    k = min(k, v - exclude.shape[1])
+    ids = np.empty((len(queries), k), dtype=np.intp)
+    scores = np.empty(ids.shape)
+    if k == 0:
+        return ids, scores
+    step = max(1, _BLOCK_ENTRIES // v)
+    source = space._unit_rows()[0] if metric == "cosine" else space.vectors
+    for lo in range(0, len(queries), step):
+        block = queries[lo : lo + step]
+        if by_row:
+            block = source[block].toarray() if space.is_sparse else source[block]
+        candidate = np.ones((len(block), v), dtype=bool)
+        candidate[np.arange(len(block))[:, None], exclude[lo : lo + step]] = False
+        ids[lo : lo + step], scores[lo : lo + step] = _select(
+            _block_scores(space, block, metric), candidate, k, space.lex_rank()
+        )
+    return ids, scores
+
+
+def _neighbor_lists(space: VectorSpace, queries, ids, scores, metric: str) -> list[NeighborList]:
+    token = space.vocab.token_at
+    return [
+        NeighborList(query, tuple(zip(map(token, row.tolist()), s.tolist())), metric)
+        for query, row, s in zip(queries, ids, scores)
+    ]
 
 
 def nearest_neighbors(
@@ -256,15 +355,9 @@ def nearest_neighbors(
     returns the full ranking. Ordering is deterministic: score
     descending, then token ascending.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     idx = space.vocab.index_of(word)
-    query = space.dense_row(idx)
-    if metric == "cosine" and not query.any():
-        raise ZeroVectorError(word)
-    scores = _rank_scores(space, query, metric)
-    entries = _top_k(space, scores, k, () if include_self else (idx,))
-    return NeighborList(query=word, entries=tuple(entries), metric=metric)
+    ids, scores = _top_k(space, [idx], k, metric, [[] if include_self else [idx]])
+    return _neighbor_lists(space, [word], ids, scores, metric)[0]
 
 
 def neighbor_table(
@@ -272,7 +365,9 @@ def neighbor_table(
 ) -> dict[str, NeighborList]:
     """nearest_neighbors for many words at once (all of them by default)."""
     targets = space.vocab.tokens if words is None else list(words)
-    return {w: nearest_neighbors(space, w, k, metric) for w in targets}
+    rows = np.array([space.vocab.index_of(w) for w in targets], dtype=np.intp)
+    ids, scores = _top_k(space, rows, k, metric, rows[:, None])
+    return dict(zip(targets, _neighbor_lists(space, targets, ids, scores, metric)))
 
 
 def analogy(
@@ -289,13 +384,11 @@ def analogy(
     exclude_inputs is False (useful for checking the degenerate identity
     b - a + a = b).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     ia, ib, ic = (space.vocab.index_of(w) for w in (a, b, c))
     target = space.dense_row(ib) - space.dense_row(ia) + space.dense_row(ic)
+    query = f"{b} - {a} + {c}"
     if not target.any():
-        raise ZeroVectorError(f"{b} - {a} + {c}")
-    scores = _rank_scores(space, target, "cosine")
-    exclude = (ia, ib, ic) if exclude_inputs else ()
-    entries = _top_k(space, scores, k, exclude)
-    return NeighborList(query=f"{b} - {a} + {c}", entries=tuple(entries), metric="cosine")
+        raise ZeroVectorError(query)
+    exclude = sorted({ia, ib, ic}) if exclude_inputs else []
+    ids, scores = _top_k(space, target[None, :], k, "cosine", [exclude])
+    return _neighbor_lists(space, [query], ids, scores, "cosine")[0]

@@ -337,6 +337,22 @@ class TestExperiments:
         assert csv_lines[0] == "size,mean_overlap"
         assert len(csv_lines) == 3
 
+    def test_seed_stability_applies_stoplist(self, tmp_path):
+        stoplist = tmp_path / "stop.txt"
+        stoplist.write_text("w000\n", encoding="utf-8")
+        words = {}
+        for name, extra in (("plain", []), ("stopped", ["--stoplist", stoplist])):
+            outdir = tmp_path / name
+            code = run(
+                "experiment", "seed_stability", "--out", outdir, "--seed", 11,
+                "--sizes", "400", "--num-seeds", 2, "--dim", 4, "--epochs", 1, *extra,
+            )
+            assert code == 0
+            payload = json.loads((outdir / "seed_stability.json").read_text())
+            words[name] = set(payload["sizes"]["400"]["per_word_mean_overlap"])
+        assert "w000" in words["plain"]
+        assert "w000" not in words["stopped"]
+
 
 class TestEntryPoint:
     def test_module_invocation(self, rose_file):

@@ -6,6 +6,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy import sparse, stats
 
 import driftbench as db
 from driftbench.stability import _rank_agreement
@@ -81,8 +84,9 @@ class TestRankAgreement:
         assert db.diff_neighbor_lists(a, b, 4).rank_agreement == -1.0
 
     def test_fewer_than_two_common_is_undefined(self):
-        assert _rank_agreement(["a", "b"], ["a", "x"]) is None
-        assert _rank_agreement(["a"], ["a"]) is None
+        for a, b in ((["a", "b"], ["a", "x"]), (["a"], ["a"])):
+            diff = db.diff_neighbor_lists(make_list("q", a), make_list("q", b), len(a))
+            assert diff.rank_agreement is None
         a = make_list("q", ["a", "b", "c"])
         b = make_list("q", ["a", "x", "y"])
         diff = db.diff_neighbor_lists(a, b, 3)
@@ -95,6 +99,30 @@ class TestRankAgreement:
         assert diff.overlap_at_k == 0.0
         assert diff.jaccard_at_k == 0.0
         assert diff.rank_agreement is None
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_closed_form_matches_scipy_on_every_permutation(self, n):
+        perms = np.array(list(itertools.permutations(range(n))))
+        mine = _rank_agreement(np.ones(perms.shape, dtype=bool), perms)
+        ranks = np.arange(n)
+        theirs = [stats.kendalltau(ranks, p, variant="b").statistic for p in perms]
+        assert mine.tobytes() == np.array(theirs).tobytes()
+
+    @given(st.data())
+    def test_shared_subset_matches_scipy(self, data):
+        n = data.draw(st.integers(1, 50))
+        pool = [f"t{i}" for i in range(2 * n)]
+        ta = data.draw(st.permutations(pool))[:n]
+        tb = data.draw(st.permutations(pool))[:n]
+        common = [t for t in ta if t in set(tb)]
+        diff = db.diff_neighbor_lists(make_list("q", ta), make_list("q", tb), n)
+        if len(common) < 2:
+            assert diff.rank_agreement is None
+            return
+        expected = stats.kendalltau(
+            range(len(common)), [tb.index(t) for t in common], variant="b"
+        ).statistic
+        assert np.float64(diff.rank_agreement).tobytes() == np.float64(expected).tobytes()
 
 
 class TestNeighborDiffOnSpaces:
@@ -340,6 +368,24 @@ class TestStabilityReport:
         report = db.stability_report(table1_space, other, k=1)
         assert report.displacements is None
         assert "displacement" not in report.to_json_dict()["words"]["dog"]
+
+    @pytest.mark.filterwarnings("ignore:k=.*clamped")
+    @given(st.integers(2, 12), st.integers(0, 6), st.integers(1, 8), st.booleans(), st.integers(0, 10**6))
+    def test_matches_word_by_word_comparison(self, v, extra, k, sparse_b, seed):
+        rng = np.random.default_rng(seed)
+        a = dense_space([f"w{i}" for i in range(v)], rng.integers(-2, 3, (v, 3)) + 0.5)
+        b_tokens = [f"w{i}" for i in rng.permutation(v + extra)]
+        rows = rng.integers(0, 3, (v + extra, v + extra)).astype(float) + np.eye(v + extra)
+        b = db.VectorSpace(
+            db.Vocabulary(b_tokens, [1] * len(b_tokens)),
+            sparse.csr_matrix(rows) if sparse_b else rows,
+        )
+        report = db.stability_report(a, b, k=k)
+        for word, diff in report.diffs.items():
+            la = db.nearest_neighbors(a, word, k)
+            lb = db.nearest_neighbors(b, word, k)
+            assert report.neighbor_lists(word) == (la, lb)
+            assert diff == db.diff_neighbor_lists(la, lb, k)
 
     def test_disjoint_vocabulary_rejected(self, table1_space):
         other = dense_space(["x", "y"], [[1, 0], [0, 1]])

@@ -211,6 +211,28 @@ class TestPersistence:
         assert loaded.vocab.frequencies == emb.vocab.frequencies
         assert loaded.provenance["config"]["seed"] == 3
 
+    def test_checkpoint_with_object_array_rejected(self, tiny_stream, tmp_path):
+        emb = db.train_cbow([tiny_stream], small_config())
+        path = tmp_path / "crafted.npz"
+        np.savez(
+            path,
+            format=np.array(db.trainer.CHECKPOINT_FORMAT),
+            vectors=emb.vectors,
+            output_weights=emb.output_weights,
+            tokens=np.array(emb.vocab.tokens, dtype=object),
+            frequencies=np.array(emb.vocab.frequencies),
+            provenance=np.array("{}"),
+        )
+        with pytest.raises(db.errors.FormatError, match="malformed"):
+            db.load_checkpoint(path)
+
+    @pytest.mark.parametrize("content", [b"", b"not a zip archive", b"PK\x03\x04truncated"])
+    def test_malformed_checkpoint_rejected(self, tmp_path, content):
+        path = tmp_path / "bad.npz"
+        path.write_bytes(content)
+        with pytest.raises(db.errors.FormatError):
+            db.load_checkpoint(path)
+
     def test_malformed_text_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3 4\nword 1.0 2.0\n", encoding="utf-8")

@@ -2,11 +2,13 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy import sparse
 
 import driftbench as db
 
@@ -266,3 +268,110 @@ class TestAnalogy:
     def test_unknown_word(self, table1_space):
         with pytest.raises(db.UnknownWordError):
             db.analogy(table1_space, "dog", "cat", "unicorn", k=1)
+
+
+def old_rank_scores(space, query, metric):
+    """The per-word scoring that ranking used before the batched kernel."""
+    if metric == "cosine":
+        if space.is_sparse:
+            sq = space.vectors.multiply(space.vectors).sum(axis=1)
+            norms = np.sqrt(np.asarray(sq).ravel())
+        else:
+            norms = np.linalg.norm(space.vectors, axis=1)
+        dots = np.asarray(space.vectors @ query).ravel()
+        return dots / (norms * np.linalg.norm(query))
+    if space.is_sparse:
+        m = space.vectors
+        qs = query[m.indices]
+        csum = lambda v: np.concatenate(([0.0], np.cumsum(v)))  # noqa: E731
+        if metric == "euclidean":
+            c = csum((m.data - qs) ** 2 - qs**2)
+            d2 = c[m.indptr[1:]] - c[m.indptr[:-1]] + float(query @ query)
+            return -np.sqrt(np.maximum(d2, 0.0))
+        c = csum(np.abs(m.data - qs) - np.abs(qs))
+        d1 = c[m.indptr[1:]] - c[m.indptr[:-1]] + float(np.abs(query).sum())
+        return -np.maximum(d1, 0.0)
+    diff = space.vectors - query
+    if metric == "euclidean":
+        return -np.sqrt((diff**2).sum(axis=1))
+    return -np.abs(diff).sum(axis=1)
+
+
+def old_top_k(space, scores, k, exclude_idx):
+    """Full-lexsort selection: the oracle for the partial top-k."""
+    mask = np.ones(len(scores), dtype=bool)
+    for i in exclude_idx:
+        mask[i] = False
+    candidates = np.flatnonzero(mask)
+    order = np.lexsort((space.lex_rank()[candidates], -scores[candidates]))
+    chosen = candidates[order[:k]]
+    return [(space.vocab.token_at(int(i)), float(scores[i])) for i in chosen]
+
+
+def bits(entries):
+    return [(t, float(s).hex()) for t, s in entries]
+
+
+component = st.one_of(st.integers(-2, 2).map(float), st.floats(-10, 10, width=64))
+
+
+@st.composite
+def ranking_case(draw):
+    v = draw(st.integers(2, 9))
+    d = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(component, min_size=d, max_size=d), min_size=v, max_size=v))
+    for _ in range(draw(st.integers(0, 2))):  # duplicate rows make exact ties
+        rows[draw(st.integers(0, v - 1))] = list(rows[draw(st.integers(0, v - 1))])
+    matrix = np.array(rows)
+    if draw(st.booleans()):
+        matrix = sparse.csr_matrix(matrix)
+    space = db.VectorSpace(db.Vocabulary([f"t{i}" for i in range(v)], [1] * v), matrix)
+    return (
+        space,
+        draw(st.sampled_from(db.vector_space.METRICS)),
+        draw(st.integers(1, v + 1)),
+        draw(st.booleans()),
+        draw(st.integers(1, 40)),
+    )
+
+
+class TestRankingKernel:
+    @given(ranking_case())
+    def test_batch_single_and_oracle_agree_bitwise(self, case):
+        space, metric, k, include_self, block = case
+        tokens = space.vocab.tokens
+        if metric == "cosine" and not all(space.dense_row(i).any() for i in range(len(tokens))):
+            with pytest.raises(db.ZeroVectorError):
+                db.neighbor_table(space, k, metric)
+            return
+        rows = np.arange(len(tokens))
+        exclude = np.empty((len(tokens), 0), dtype=int) if include_self else rows[:, None]
+        with mock.patch.object(db.vector_space, "_BLOCK_ENTRIES", block):
+            ids, scores = db.vector_space._top_k(space, rows, k, metric, exclude)
+        # the old scoring squared tiny components into subnormals; it is the
+        # oracle only where no row's squared norm underflows
+        norms = [np.linalg.norm(space.dense_row(i)) for i in range(len(tokens))]
+        exact_oracle = metric != "cosine" or min(norms) >= db.vector_space._MIN_NORM
+        for i, word in enumerate(tokens):
+            single = db.nearest_neighbors(space, word, k, metric, include_self=include_self)
+            batch = [(tokens[j], s) for j, s in zip(ids[i], scores[i])]
+            assert bits(single.entries) == bits(batch)
+            if exact_oracle:
+                oracle = old_top_k(
+                    space,
+                    old_rank_scores(space, space.dense_row(i), metric),
+                    k,
+                    () if include_self else (i,),
+                )
+                assert bits(batch) == bits(oracle)
+
+    def test_subnormal_row_ranks_with_its_cosine(self):
+        rows = [[0.0, 1e-170], [1.0, 1.0], [1.0, 0.0]]
+        space = dense_space(["tiny", "diag", "x"], rows)
+        nl = db.nearest_neighbors(space, "tiny", 2)
+        assert nl.tokens() == ("diag", "x")
+        assert nl.entries[0][1] == pytest.approx(
+            db.cosine_similarity(rows[0], rows[1]), rel=1e-15
+        )
+        back = dict(db.nearest_neighbors(space, "diag", 2).entries)
+        assert back["tiny"] == pytest.approx(db.cosine_similarity(rows[1], rows[0]), rel=1e-15)
