@@ -9,7 +9,6 @@ be viewed as weighted word networks and intersected across speakers.
 from .corpus import (
     CorpusStats,
     Document,
-    TokenRules,
     TokenStream,
     Vocabulary,
     build_vocabulary,

@@ -10,6 +10,7 @@ require an explicit --seed rather than defaulting to a random one.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -21,6 +22,7 @@ from .corpus import (
     TokenStream,
     build_vocabulary,
     corpus_stats,
+    decode_utf8,
     load_stoplist,
     read_corpus,
     remove_stopwords,
@@ -34,9 +36,10 @@ from .count_model import (
     ppmi_transform,
     save_cooc,
 )
-from .errors import DataError, DriftbenchError, MissingInputError, NumericalError
+from .errors import DataError, DriftbenchError, FormatError, MissingInputError, NumericalError
 from .manifest import RunManifest, build_manifest
 from .stability import (
+    ROTATION_STYLES,
     apply_alignment,
     cross_seed_stability,
     procrustes_align,
@@ -116,9 +119,9 @@ def _corpus_streams(path: str, stoplist_path: str | None = None) -> list[TokenSt
 
 def _load_space(path: str, ppmi: bool = False) -> VectorSpace:
     """Load a model file, sniffing COOC v1 vs embedding text format."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         head = fh.readline()
-    if head.startswith("COOC"):
+    if head.startswith(b"COOC"):
         matrix = load_cooc(path)
         return ppmi_transform(matrix) if ppmi else matrix.to_space()
     if ppmi:
@@ -279,11 +282,15 @@ def cmd_graph(args) -> str:
     return graph_mod.export_graphml(g) if args.graphml else graph_mod.export_edge_list(g)
 
 
+def _read_graph(path: str) -> graph_mod.SemanticGraph:
+    try:
+        return graph_mod.import_edge_list(decode_utf8(Path(path).read_bytes(), path))
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
 def cmd_intersect(args) -> str:
-    graph_a, graph_b = (
-        graph_mod.import_edge_list(Path(path).read_text(encoding="utf-8"))
-        for path in (args.graph_a, args.graph_b)
-    )
+    graph_a, graph_b = (_read_graph(path) for path in (args.graph_a, args.graph_b))
     return graph_mod.export_edge_list(graph_mod.intersection(graph_a, graph_b))
 
 
@@ -410,7 +417,9 @@ def _add_training_flags(p):
     p.add_argument("--skipgram", action="store_true")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's argument parser, built once per process; callers must not change it."""
     parser = _Parser(prog="driftbench", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -460,9 +469,7 @@ def build_parser() -> _Parser:
     p.add_argument("model")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument(
-        "--style", choices=["signed_permutation", "haar"], default="signed_permutation"
-    )
+    p.add_argument("--style", choices=ROTATION_STYLES, default=ROTATION_STYLES[0])
     p.set_defaults(handler=cmd_rotate)
 
     p = sub.add_parser("align", help="orthogonal least-squares alignment")
@@ -523,11 +530,12 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # the parser is cached; look the handler up so that a rebinding of it here counts
+    handler = globals()[args.handler.__name__]
     try:
         manifest = _manifest(args, _inputs(args))
-        _emit(args, args.handler(args), manifest)
+        _emit(args, handler(args), manifest)
     except NumericalError as exc:
         print(f"driftbench: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -17,14 +17,6 @@ _TOKEN_RE = re.compile(r"[^\W_]+(?:['’-][^\W_]+)*", re.UNICODE)
 
 
 @dataclass(frozen=True)
-class TokenRules:
-    """Tokenization switches. Defaults give the pipeline's canonical behavior."""
-
-    lowercase: bool = True
-    joiners: str = "'’-"
-
-
-@dataclass(frozen=True)
 class Document:
     id: str
     text: str
@@ -41,7 +33,7 @@ class TokenStream:
         return len(self.tokens)
 
 
-def tokenize(text: str, rules: TokenRules = TokenRules(), doc_id: str = "") -> TokenStream:
+def tokenize(text: str, doc_id: str = "") -> TokenStream:
     """Split text into lowercase word tokens.
 
     Letters and digits form tokens; an apostrophe or hyphen survives only
@@ -49,18 +41,11 @@ def tokenize(text: str, rules: TokenRules = TokenRules(), doc_id: str = "") -> T
     separates. Lowercasing happens before extraction, so tokenizing the
     space-joined output reproduces it exactly.
     """
-    if rules.lowercase:
-        text = text.lower()
-    if rules.joiners == TokenRules.joiners:
-        pattern = _TOKEN_RE
-    else:
-        joiners = re.escape(rules.joiners)
-        pattern = re.compile(rf"[^\W_]+(?:[{joiners}][^\W_]+)*", re.UNICODE)
-    return TokenStream(doc_id=doc_id, tokens=tuple(pattern.findall(text)))
+    return TokenStream(doc_id=doc_id, tokens=tuple(_TOKEN_RE.findall(text.lower())))
 
 
-def tokenize_document(doc: Document, rules: TokenRules = TokenRules()) -> TokenStream:
-    return tokenize(doc.text, rules, doc_id=doc.id)
+def tokenize_document(doc: Document) -> TokenStream:
+    return tokenize(doc.text, doc_id=doc.id)
 
 
 def decode_utf8(data: bytes, source: str = "<bytes>") -> str:

@@ -10,8 +10,8 @@ from typing import Iterable
 import numpy as np
 from scipy import sparse
 
-from .corpus import TokenStream, Vocabulary
-from .errors import ConfigMismatchError, DataError, FormatError
+from .corpus import TokenStream, Vocabulary, decode_utf8
+from .errors import DataError, FormatError
 from .vector_space import VectorSpace, WordVector
 
 
@@ -71,7 +71,7 @@ class CooccurrenceMatrix:
 
     def to_space(self) -> VectorSpace:
         """View the raw count rows as vectors over context dimensions."""
-        return VectorSpace(self.vocab, self.counts.astype(np.float64), kind="counts")
+        return VectorSpace(self.vocab, self.counts.astype(np.float64))
 
 
 def _pair_keys(streams: Iterable[TokenStream], vocab: Vocabulary, radius: int) -> np.ndarray:
@@ -116,22 +116,15 @@ def count_cooccurrences(
 
 
 def augment_counts(
-    base: CooccurrenceMatrix,
-    new_streams: Iterable[TokenStream],
-    window: WindowConfig | None = None,
+    base: CooccurrenceMatrix, new_streams: Iterable[TokenStream]
 ) -> CooccurrenceMatrix:
     """Add new documents to an existing matrix.
 
     New word types are appended to the vocabulary, so existing indices are
     stable. Because windows never cross documents, the result equals a
     fresh count over the union of all streams under the extended
-    vocabulary.
+    vocabulary. The new documents are counted with the base's window.
     """
-    if window is not None and window != base.window:
-        raise ConfigMismatchError(
-            f"window mismatch: base uses radius {base.window.radius}, "
-            f"augmentation requested radius {window.radius}"
-        )
     new_streams = list(new_streams)
     extra: Counter[str] = Counter()
     for stream in new_streams:
@@ -166,7 +159,7 @@ def ppmi_transform(m: CooccurrenceMatrix) -> VectorSpace:
         (pmi[keep], (coo.row[keep], coo.col[keep])),
         shape=m.counts.shape,
     ).tocsr()
-    return VectorSpace(m.vocab, weighted, kind="ppmi")
+    return VectorSpace(m.vocab, weighted)
 
 
 def row_vector(source: CooccurrenceMatrix | VectorSpace, word: str) -> WordVector:
@@ -202,40 +195,46 @@ def save_cooc(m: CooccurrenceMatrix, path: str | Path) -> None:
 
 
 def load_cooc(path: str | Path) -> CooccurrenceMatrix:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    """Read a COOC v1 file; a malformed line raises FormatError naming it."""
+    lines = decode_utf8(Path(path).read_bytes(), str(path)).splitlines()
     if not lines or not lines[0].startswith(COOC_MAGIC):
-        raise FormatError(f"{path}: not a {COOC_MAGIC} file")
-    header = lines[0].split()
+        raise FormatError(f"{path}: line 1: not a {COOC_MAGIC} file")
+    number = 1
     try:
-        vsize, radius = int(header[2]), int(header[3])
-    except (IndexError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed header {lines[0]!r}") from exc
-    if len(lines) < 1 + vsize:
-        raise FormatError(f"{path}: truncated vocabulary block")
-    tokens: list[str] = [""] * vsize
-    freqs: list[int] = [0] * vsize
-    for line in lines[1 : 1 + vsize]:
-        idx_s, token, freq_s = line.split("\t")
-        tokens[int(idx_s)] = token
-        freqs[int(idx_s)] = int(freq_s)
-    vocab = Vocabulary(tokens, freqs)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[int] = []
-    for line in lines[1 + vsize :]:
-        if not line:
-            continue
-        t_s, c_s, v_s = line.split("\t")
-        t, c, v = int(t_s), int(c_s), int(v_s)
-        if t > c:
-            raise FormatError(f"{path}: triple {line!r} violates t <= c")
-        rows.append(t)
-        cols.append(c)
-        vals.append(v)
-        if t != c:
-            rows.append(c)
-            cols.append(t)
-            vals.append(v)
-    counts = sparse.coo_matrix((vals, (rows, cols)), shape=(vsize, vsize), dtype=np.int64)
-    return CooccurrenceMatrix(vocab, counts.tocsr(), WindowConfig(radius=radius))
+        vsize, radius = (int(field) for field in lines[0].split()[2:4])
+        window = WindowConfig(radius=radius)
+        if not 0 <= vsize < len(lines):
+            raise ValueError(f"{vsize} vocabulary lines do not fit the file")
+        tokens: list[str | None] = [None] * vsize
+        freqs = [0] * vsize
+        seen: set[str] = set()
+        for number, line in enumerate(lines[1 : 1 + vsize], start=2):
+            idx_s, token, freq_s = line.split("\t")
+            idx, freq = int(idx_s), int(freq_s)
+            if not 0 <= idx < vsize or tokens[idx] is not None:
+                raise ValueError(f"vocabulary index {idx} out of range or repeated")
+            if token in seen:
+                raise ValueError(f"token {token!r} repeated")
+            if freq < 1:
+                raise ValueError("frequency must be >= 1")
+            tokens[idx], freqs[idx] = token, freq
+            seen.add(token)
+        triples: list[int] = []
+        for number, line in enumerate(lines[1 + vsize :], start=2 + vsize):
+            if not line:
+                continue
+            t_s, c_s, v_s = line.split("\t")
+            t, c, v = int(t_s), int(c_s), int(v_s)
+            if not 0 <= t <= c < vsize:
+                raise ValueError(f"triple violates 0 <= t <= c < {vsize}")
+            if not 1 <= v < 1 << 63:
+                raise ValueError("count must be in [1, 2**63)")
+            triples += (t, c, v)
+    except ValueError as exc:
+        raise FormatError(f"{path}: line {number}: {exc}") from None
+    t, c, v = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    # the file holds t <= c; mirror the off-diagonal cells
+    off = t != c
+    cells = (np.concatenate([t, c[off]]), np.concatenate([c, t[off]]))
+    counts = sparse.coo_matrix((np.concatenate([v, v[off]]), cells), shape=(vsize, vsize))
+    return CooccurrenceMatrix(Vocabulary(tokens, freqs), counts.tocsr(), window)

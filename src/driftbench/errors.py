@@ -38,10 +38,6 @@ class DimensionMismatchError(DataError):
     """Two vectors or spaces have incompatible dimensions."""
 
 
-class ConfigMismatchError(DataError):
-    """Two artifacts were built under incompatible configurations."""
-
-
 class ZeroVectorError(DataError):
     """A similarity was requested against an all-zero vector."""
 

@@ -56,17 +56,6 @@ class SemanticGraph:
         key = (a, b) if a < b else (b, a)
         return self.edges.get(key)
 
-    def neighbors(self, token: str) -> list[tuple[str, int]]:
-        if token not in self.nodes:
-            raise UnknownWordError(token, "the graph")
-        out = []
-        for (a, b), w in self.edges.items():
-            if a == token:
-                out.append((b, w))
-            elif b == token:
-                out.append((a, w))
-        return sorted(out)
-
 
 def from_counts(m: CooccurrenceMatrix, min_weight: int = 1) -> SemanticGraph:
     """Build the co-occurrence graph, keeping edges with weight >= min_weight."""
@@ -200,28 +189,40 @@ def export_edge_list(g: SemanticGraph) -> str:
 
 
 def import_edge_list(text: str) -> SemanticGraph:
+    """Parse an edge list. Node lines come before the edges that use them; a
+    malformed line, or a node or edge given twice, raises FormatError naming it."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# nodes:"):
-        raise FormatError("edge list must start with a '# nodes:' header")
+        raise FormatError("line 1: edge list must start with a '# nodes:' header")
     nodes: dict[str, int] = {}
     edges: dict[tuple[str, str], int] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        if line.startswith(EDGE_LIST_NODE_PREFIX):
-            token, weight = line[len(EDGE_LIST_NODE_PREFIX) :].split("\t")
-            nodes[token] = int(weight)
-            continue
-        if line.startswith("#"):
-            continue
-        a, b, w = line.split("\t")
-        if a >= b:
-            raise FormatError(f"edge line {line!r} violates tokenA < tokenB")
-        edges[(a, b)] = int(w)
-    declared = int(lines[0].split(":", 1)[1])
+    number = 1
+    try:
+        declared = int(lines[0][len("# nodes:") :])
+        for number, line in enumerate(lines[1:], start=2):
+            if line.startswith(EDGE_LIST_NODE_PREFIX):
+                token, weight = line[len(EDGE_LIST_NODE_PREFIX) :].split("\t")
+                if token in nodes:
+                    raise ValueError(f"node {token!r} repeated")
+                nodes[token] = int(weight)
+                if nodes[token] < 0:
+                    raise ValueError("same-type count must be >= 0")
+            elif line and not line.startswith("#"):
+                a, b, w = line.split("\t")
+                if a >= b:
+                    raise ValueError("edge violates tokenA < tokenB")
+                if a not in nodes or b not in nodes:
+                    raise ValueError("edge to an undeclared node")
+                if (a, b) in edges:
+                    raise ValueError(f"edge ({a!r}, {b!r}) repeated")
+                edges[(a, b)] = int(w)
+                if edges[(a, b)] < 1:
+                    raise ValueError("edge weight must be >= 1")
+    except ValueError as exc:
+        raise FormatError(f"line {number}: {exc}") from None
     if declared != len(nodes):
         raise FormatError(
-            f"header declares {declared} nodes but {len(nodes)} node lines found"
+            f"line 1: header declares {declared} nodes but {len(nodes)} node lines found"
         )
     return SemanticGraph(nodes, edges)
 

@@ -22,9 +22,10 @@ from .errors import (
     DimensionMismatchError,
     NumericalError,
     UnknownWordError,
+    ZeroVectorError,
 )
 from .trainer import EmbeddingSpace, TrainingConfig, train_cbow, train_skipgram
-from .vector_space import NeighborList, VectorSpace, _neighbor_lists, _top_k
+from .vector_space import NeighborList, VectorSpace, _neighbor_lists, _top_k, cosine_similarity
 
 JACOBI_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
@@ -125,11 +126,7 @@ def random_signed_permutation(dim: int, rng: np.random.Generator) -> np.ndarray:
 ROTATION_STYLES = ("signed_permutation", "haar")
 
 
-def random_rotation(
-    space: VectorSpace,
-    seed: int,
-    style: str = "signed_permutation",
-) -> VectorSpace:
+def random_rotation(space: VectorSpace, seed: int, style: str = ROTATION_STYLES[0]) -> VectorSpace:
     """Apply one seeded rigid rotation about the origin to every vector.
 
     Sparse (count-derived) spaces are refused because rotation densifies
@@ -144,12 +141,7 @@ def random_rotation(
         q = random_signed_permutation(space.dim, rng)
     else:
         raise ValueError(f"unknown rotation style {style!r}")
-    rotated = space.vectors @ q
-    if isinstance(space, EmbeddingSpace):
-        provenance = dict(space.provenance)
-        provenance["rotation"] = {"seed": seed, "style": style}
-        return EmbeddingSpace(space.vocab, rotated, provenance=provenance)
-    return VectorSpace(space.vocab, rotated, kind=space.kind)
+    return VectorSpace(space.vocab, space.vectors @ q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,12 +195,7 @@ def apply_alignment(space: VectorSpace, result: AlignmentResult) -> VectorSpace:
     """Rotate every vector of `space` by the alignment rotation."""
     if space.is_sparse:
         raise DataError("cannot rotate a sparse count space; use a dense embedding")
-    rotated = space.vectors @ result.rotation
-    if isinstance(space, EmbeddingSpace):
-        provenance = dict(space.provenance)
-        provenance["aligned"] = {"residual": result.residual}
-        return EmbeddingSpace(space.vocab, rotated, provenance=provenance)
-    return VectorSpace(space.vocab, rotated, kind=space.kind)
+    return VectorSpace(space.vocab, space.vectors @ result.rotation)
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +381,11 @@ def displacement(
         )
     va = space_a.dense_row(space_a.vocab.index_of(word))
     vb = space_b.dense_row(space_b.vocab.index_of(word))
-    euclid = float(np.linalg.norm(va - vb))
-    na, nb = np.linalg.norm(va), np.linalg.norm(vb)
-    cos = float(va @ vb / (na * nb)) if na > 0 and nb > 0 else None
-    return Displacement(word=word, euclidean=euclid, cosine=cos, aligned=aligned)
+    try:
+        cos = cosine_similarity(va, vb)
+    except ZeroVectorError:
+        cos = None
+    return Displacement(word, float(np.linalg.norm(va - vb)), cos, aligned)
 
 
 # ---------------------------------------------------------------------------

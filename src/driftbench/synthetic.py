@@ -14,16 +14,16 @@ import numpy as np
 from .corpus import TokenStream
 
 DEFAULT_VOCAB_SIZE = 500
-DEFAULT_STRUCTURE_SEED = 774_001
+STRUCTURE_SEED = 774_001
 ZIPF_EXPONENT = 1.05
 PREFERRED_SUCCESSORS = 4
 PREFERENCE_BOOST = 60.0
 
 
-def _language(vocab_size: int, structure_seed: int) -> tuple[list[str], np.ndarray, np.ndarray]:
+def _language(vocab_size: int) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Word list, unigram CDF, and per-word transition CDF matrix."""
     words = [f"w{i:03d}" for i in range(vocab_size)]
-    rng = np.random.default_rng(structure_seed)
+    rng = np.random.default_rng(STRUCTURE_SEED)
     unigram = 1.0 / np.arange(1, vocab_size + 1) ** ZIPF_EXPONENT
     unigram /= unigram.sum()
     transition = np.tile(unigram, (vocab_size, 1))
@@ -35,20 +35,18 @@ def _language(vocab_size: int, structure_seed: int) -> tuple[list[str], np.ndarr
 
 
 def synthetic_corpus(
-    n_tokens: int,
-    seed: int,
-    vocab_size: int = DEFAULT_VOCAB_SIZE,
-    structure_seed: int = DEFAULT_STRUCTURE_SEED,
+    n_tokens: int, seed: int, vocab_size: int = DEFAULT_VOCAB_SIZE
 ) -> TokenStream:
     """Sample one document of n_tokens from the fixed bigram language.
 
-    The language is determined by structure_seed alone; `seed` only
-    drives the sampling, so corpora of different sizes drawn from the
-    same structure are realizations of one underlying distribution.
+    The language is determined by STRUCTURE_SEED and the vocabulary size
+    alone; `seed` only drives the sampling, so corpora of different sizes
+    drawn from the same structure are realizations of one underlying
+    distribution.
     """
     if n_tokens < 0:
         raise ValueError("n_tokens must be >= 0")
-    words, unigram_cdf, transition_cdf = _language(vocab_size, structure_seed)
+    words, unigram_cdf, transition_cdf = _language(vocab_size)
     rng = np.random.default_rng(seed)
     tokens: list[str] = []
     if n_tokens:

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import TokenStream, Vocabulary, build_vocabulary
+from .corpus import TokenStream, Vocabulary, build_vocabulary, decode_utf8
 from .errors import FormatError, NumericalError
 from .vector_space import VectorSpace
 
@@ -82,7 +82,7 @@ class EmbeddingSpace(VectorSpace):
         provenance: dict | None = None,
         output_weights: np.ndarray | None = None,
     ):
-        super().__init__(vocab, np.asarray(vectors, dtype=np.float64), kind="embedding")
+        super().__init__(vocab, vectors)
         self.provenance = dict(provenance or {})
         self.output_weights = output_weights
 
@@ -183,13 +183,9 @@ def _draw_negatives(
 
 
 def _sample_loss_grads(
-    state: ModelState,
-    ctx: np.ndarray,
-    target: int,
-    negatives: np.ndarray | None,
-    want_grads: bool = True,
+    state: ModelState, ctx: np.ndarray, target: int, negatives: np.ndarray | None
 ):
-    """Loss and (optionally) gradients for one training sample.
+    """Loss and gradients for one training sample.
 
     Returns (loss, grad_h, dscores, out_rows, h) where the output-layer
     gradient is dscores[:, None] * h over rows out_rows (all rows when
@@ -203,8 +199,6 @@ def _sample_loss_grads(
         exps = np.exp(scores)
         z = exps.sum()
         loss = float(np.log(z) - scores[target])
-        if not want_grads:
-            return loss, None, None, None, h
         dscores = exps / z
         dscores[target] -= 1.0
         grad_h = state.w_out.T @ dscores
@@ -212,8 +206,6 @@ def _sample_loss_grads(
     rows = np.concatenate(([target], negatives)).astype(np.int64)
     u = state.w_out[rows] @ h
     loss = float(_softplus(-u[0]) + _softplus(u[1:]).sum())
-    if not want_grads:
-        return loss, None, None, None, h
     p = 1.0 / (1.0 + np.exp(-u))
     dscores = p.copy()
     dscores[0] -= 1.0
@@ -293,29 +285,22 @@ def train_skipgram(streams: Sequence[TokenStream], config: TrainingConfig) -> Em
     return _run_training(streams, config, "skipgram")
 
 
-def training_loss(
-    state: ModelState,
-    batch: Sequence[tuple[np.ndarray, int]],
-    noise_seed: int = 0,
-) -> float:
+def training_loss(state: ModelState, batch: Sequence[tuple[np.ndarray, int]]) -> float:
     """Mean per-sample loss over a batch, without updating any weights.
 
     An empty batch has no defined loss; it is reported as 0.0 with a
-    warning. Negative-sampling losses draw their noise words from
-    `noise_seed`, so repeated calls agree.
+    warning. Negative-sampling losses draw their noise words from a
+    generator seeded with 0, so repeated calls agree.
     """
     if not batch:
         warnings.warn("training_loss over an empty batch; reporting 0.0", stacklevel=2)
         return 0.0
-    rng = np.random.default_rng(noise_seed)
+    rng = np.random.default_rng(0)
     kind, neg_k = state.objective
     total = 0.0
     for ctx, target in batch:
         negatives = _draw_negatives(state, neg_k, target, rng) if kind == "neg" else None
-        loss, _, _, _, _ = _sample_loss_grads(
-            state, np.asarray(ctx, dtype=np.int64), target, negatives, want_grads=False
-        )
-        total += loss
+        total += _sample_loss_grads(state, np.asarray(ctx, dtype=np.int64), target, negatives)[0]
     return total / len(batch)
 
 
@@ -324,14 +309,13 @@ def gradient_check(
     streams: Sequence[TokenStream],
     weight_samples: int = 24,
     architecture: str = "cbow",
-    batch_size: int = 4,
-    step: float = 1e-5,
     corruption: float = 0.0,
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Restricted to tiny models (dimension <= 16, vocabulary <= 50) so the
-    finite-difference sweep stays cheap. `corruption` scales the analytic
+    The batch is the corpus's first four samples and the difference step
+    is 1e-5. Restricted to tiny models (dimension <= 16, vocabulary <= 50)
+    so the finite-difference sweep stays cheap. `corruption` scales the analytic
     gradients and exists so tests can prove the check catches a broken
     backward pass.
     """
@@ -341,7 +325,7 @@ def gradient_check(
     state = init_state(streams, config, architecture)
     if len(state.vocab) > 50:
         raise ValueError("gradient_check requires vocabulary <= 50")
-    samples = list(iter_samples(state, streams, config.window_radius))[:batch_size]
+    samples = list(iter_samples(state, streams, config.window_radius))[:4]
     if not samples:
         raise ValueError("corpus yields no training samples")
     rng = np.random.default_rng(config.seed + 2)
@@ -354,8 +338,7 @@ def gradient_check(
     def batch_loss() -> float:
         total = 0.0
         for ctx, t, negs in frozen:
-            loss, _, _, _, _ = _sample_loss_grads(state, ctx, t, negs, want_grads=False)
-            total += loss
+            total += _sample_loss_grads(state, ctx, t, negs)[0]
         return total / len(frozen)
 
     grad_in = np.zeros_like(state.w_in)
@@ -373,6 +356,7 @@ def gradient_check(
         grad_in = grad_in * (1.0 + corruption)
         grad_out = grad_out * (1.0 + corruption)
 
+    step = 1e-5
     max_rel = 0.0
     for matrix, grads in ((state.w_in, grad_in), (state.w_out, grad_out)):
         flat_n = matrix.size
@@ -408,24 +392,35 @@ def save_embedding_text(space: EmbeddingSpace | VectorSpace, path: str | Path) -
 
 def load_embedding_text(path: str | Path) -> EmbeddingSpace:
     """Load the text format. Frequencies are not part of this format, so
-    the vocabulary carries placeholder frequencies of 1."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    the vocabulary carries placeholder frequencies of 1. A malformed line
+    raises FormatError naming it."""
+    text = decode_utf8(Path(path).read_bytes(), str(path))
+    lines = text.splitlines()
     if not lines:
         raise FormatError(f"{path}: empty embedding file")
+    number = 1
     try:
         vsize, dim = (int(x) for x in lines[0].split())
+        # a component takes two characters or more, so the file's size bounds the matrix
+        if not (0 <= vsize < len(lines) and dim >= 0 and vsize * dim <= len(text)):
+            raise ValueError(f"{vsize} vectors of {dim} components do not fit the file")
+        tokens: list[str] = []
+        seen: set[str] = set()
+        matrix = np.empty((vsize, dim), dtype=np.float64)
+        for number, line in enumerate(lines[1 : 1 + vsize], start=2):
+            token, *comps = line.split(" ")
+            if len(comps) != dim:
+                raise ValueError(f"{len(comps)} components, header says {dim}")
+            if token in seen:
+                raise ValueError(f"token {token!r} repeated")
+            matrix[number - 2] = [float(x) for x in comps]
+            tokens.append(token)
+            seen.add(token)
     except ValueError as exc:
-        raise FormatError(f"{path}: malformed header {lines[0]!r}") from exc
-    if len(lines) < 1 + vsize:
-        raise FormatError(f"{path}: expected {vsize} vector lines")
-    tokens: list[str] = []
-    matrix = np.empty((vsize, dim), dtype=np.float64)
-    for r, line in enumerate(lines[1 : 1 + vsize]):
-        parts = line.split(" ")
-        if len(parts) != dim + 1:
-            raise FormatError(f"{path}: line {r + 2} has {len(parts) - 1} components")
-        tokens.append(parts[0])
-        matrix[r] = [float(x) for x in parts[1:]]
+        raise FormatError(f"{path}: line {number}: {exc}") from None
+    nonfinite = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if nonfinite.size:
+        raise FormatError(f"{path}: line {nonfinite[0] + 2}: non-finite component")
     vocab = Vocabulary(tokens, [1] * vsize)
     return EmbeddingSpace(vocab, matrix, provenance={"source": str(path)})
 

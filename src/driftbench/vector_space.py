@@ -43,7 +43,7 @@ class VectorSpace:
     Spaces are immutable after construction; queries are read-only.
     """
 
-    def __init__(self, vocab: Vocabulary, vectors, kind: str = "vectors"):
+    def __init__(self, vocab: Vocabulary, vectors):
         if sparse.issparse(vectors):
             vectors = vectors.tocsr().astype(np.float64)
             finite = np.all(np.isfinite(vectors.data))
@@ -58,7 +58,6 @@ class VectorSpace:
             raise ValueError("non-finite entries in vector space")
         self.vocab = vocab
         self.vectors = vectors
-        self.kind = kind
         self._unit: tuple | None = None
         self._lex_rank: np.ndarray | None = None
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from driftbench import cli
 from driftbench.cli import build_parser, main
 
 from conftest import ROSE_TEXT
@@ -371,6 +372,95 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 1
+
+    def test_parser_is_built_once_and_handlers_are_looked_up(self, rose_file, monkeypatch, capsys):
+        assert build_parser() is build_parser()
+        calls = []
+        original = cli.cmd_stats
+
+        def wrapped(args):
+            calls.append(args.corpus)
+            return original(args)
+
+        monkeypatch.setattr(cli, "cmd_stats", wrapped)
+        assert run("stats", rose_file) == 0
+        assert calls == [str(rose_file)]
+
+
+# ---------------------------------------------------------------------------
+# malformed model files: every one exits 2 with the file and the line (or
+# byte offset) in the message, never with a traceback.
+
+ROSE_GRAPH = "# nodes: 2\n# node\ta\t0\n# node\tb\t0\n"
+ROSE_COOC = "COOC v1 2 10\n0\ta\t1\n1\tb\t1\n"
+
+
+@pytest.mark.parametrize(
+    "content, where",
+    [
+        ("# nodes: x\n", "line 1"),
+        ("# nodes: 3\n# node\ta\t0\n", "line 1"),
+        (ROSE_GRAPH + "a\tb\n", "line 4"),
+        (ROSE_GRAPH + "a\tc\t3\n", "line 4"),
+        (ROSE_GRAPH + "a\tb\t0\n", "line 4"),
+        (ROSE_GRAPH + "b\ta\t3\n", "line 4"),
+        (ROSE_GRAPH + "a\tb\t3\na\tb\t4\n", "line 5"),
+        ("# nodes: 2\n# node\ta\t0\n# node\ta\t1\n", "line 3"),
+        ("# nodes: 1\n# node\ta\t-1\n", "line 2"),
+        (ROSE_GRAPH.encode() + b"a\xff\tb\t3\n", "byte offset 34"),
+    ],
+    ids=["bad-header-count", "header-count-mismatch", "two-field-edge", "undeclared-node",
+         "zero-weight", "unordered-edge", "repeated-edge", "repeated-node",
+         "negative-self-weight", "invalid-utf8"],
+)
+def test_malformed_edge_list_exits_2(content, where, tmp_path, capsys):
+    bad, good = tmp_path / "bad.tsv", tmp_path / "good.tsv"
+    good.write_text(ROSE_GRAPH + "a\tb\t3\n", encoding="utf-8")
+    assert run("intersect", good, good) == 0
+    bad.write_bytes(content if isinstance(content, bytes) else content.encode())
+    capsys.readouterr()
+    assert run("intersect", good, bad) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: " in err and where in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "content, where",
+    [
+        (ROSE_COOC + "0\t1\n", "line 4"),
+        ("COOC v1 2 10\n5\ta\t1\n1\tb\t1\n", "line 2"),
+        (ROSE_COOC + "0\t7\t2\n", "line 4"),
+        (ROSE_COOC + "0\t1\t0\n", "line 4"),
+        (ROSE_COOC + "0\t1\t-2\n", "line 4"),
+        (ROSE_COOC + f"0\t1\t{1 << 63}\n", "line 4"),
+        ("COOC v1 2 10\n0\ta\t1\n0\tb\t1\n", "line 3"),
+        ("COOC v1 2 10\n0\ta\t1\n1\ta\t1\n", "line 3"),
+        ("COOC v1 2 10\n0\ta\t0\n1\tb\t1\n", "line 2"),
+        (ROSE_COOC + "1\t0\t2\n", "line 4"),
+        ("COOC v1 2 0\n0\ta\t1\n1\tb\t1\n", "line 1"),
+        ("2 2\na 1.0 0.5\nb nan 1.0\n", "line 3"),
+        ("2 2\na 1.0 0.5\nb 1.0 x\n", "line 3"),
+        ("2 2\na 1.0 0.5\nb 1.0\n", "line 3"),
+        ("2 2\na 1.0 0.5\na 1.0 1.0\n", "line 3"),
+        ("2 -2\na\nb\n", "line 1"),
+        ("2 100000000000000\na 1.0\nb 1.0\n", "line 1"),
+        (b"2 2\na 1.0 0.5\n\xc3 1.0 1.0\n", "byte offset 14"),
+    ],
+    ids=["two-field-triple", "vocab-index-out-of-range", "context-id-out-of-range",
+         "zero-count", "negative-count", "count-beyond-int64", "repeated-vocab-index",
+         "repeated-token", "zero-frequency", "lower-triangle", "zero-radius",
+         "nan-component", "non-numeric-component", "short-vector",
+         "repeated-embedding-token", "negative-dimension", "dimension-beyond-file",
+         "invalid-utf8"],
+)
+def test_malformed_model_exits_2(content, where, tmp_path, capsys):
+    bad = tmp_path / "bad.model"
+    bad.write_bytes(content if isinstance(content, bytes) else content.encode())
+    assert run("neighbors", bad, "a") == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: " in err and where in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

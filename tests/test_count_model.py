@@ -121,10 +121,6 @@ class TestAugmentation:
         assert set(out.vocab.tokens) == {"rose", "a", "is", "thorn", "and"}
         assert out.vocab.frequency("rose") == 5
 
-    def test_window_mismatch_rejected(self, rose_matrix):
-        with pytest.raises(db.errors.ConfigMismatchError):
-            db.augment_counts(rose_matrix, [], window=db.WindowConfig(radius=2))
-
     def test_additivity_many_random_pairs(self):
         rng = np.random.default_rng(23)
         window = db.WindowConfig(radius=5)

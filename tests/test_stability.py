@@ -155,6 +155,18 @@ class TestDisplacement:
         assert d.euclidean == 0.0
         assert d.cosine == pytest.approx(1.0)
 
+    def test_subnormal_vectors_have_the_cosine_of_cosine_similarity(self):
+        # squaring 1e-170 underflows to 0, so an unscaled cosine finds no direction
+        a = dense_space(["w"], [[0.0, 1e-170]])
+        b = dense_space(["w"], [[0.0, 2e-170]])
+        assert db.displacement(a, b, "w").cosine == 1.0
+
+    def test_zero_vector_has_no_cosine(self):
+        a = dense_space(["w"], [[0.0, 0.0]])
+        b = dense_space(["w"], [[0.0, 1.0]])
+        d = db.displacement(a, b, "w")
+        assert d.cosine is None and d.euclidean == 1.0
+
     def test_dimension_mismatch_points_to_alignment(self, table1_space):
         other = dense_space(["dog"], [[1.0, 2.0]])
         with pytest.raises(db.DimensionMismatchError, match="procrustes_align"):
