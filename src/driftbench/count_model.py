@@ -184,13 +184,11 @@ def save_cooc(m: CooccurrenceMatrix, path: str | Path) -> None:
     lines = [f"{COOC_MAGIC} {len(m.vocab)} {m.window.radius}"]
     for token, index, freq in m.vocab.items():
         lines.append(f"{index}\t{token}\t{freq}")
-    coo = m.counts.tocoo()
-    upper = sorted(
-        (int(r), int(c), int(v))
-        for r, c, v in zip(coo.row, coo.col, coo.data)
-        if r <= c
+    upper = sparse.triu(m.counts, format="coo")
+    lines.extend(
+        f"{r}\t{c}\t{v}"
+        for r, c, v in zip(upper.row.tolist(), upper.col.tolist(), upper.data.tolist())
     )
-    lines.extend(f"{r}\t{c}\t{v}" for r, c, v in upper)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -233,8 +231,11 @@ def load_cooc(path: str | Path) -> CooccurrenceMatrix:
     except ValueError as exc:
         raise FormatError(f"{path}: line {number}: {exc}") from None
     t, c, v = np.array(triples, dtype=np.int64).reshape(-1, 3).T
-    # the file holds t <= c; mirror the off-diagonal cells
-    off = t != c
-    cells = (np.concatenate([t, c[off]]), np.concatenate([c, t[off]]))
-    counts = sparse.coo_matrix((np.concatenate([v, v[off]]), cells), shape=(vsize, vsize))
-    return CooccurrenceMatrix(Vocabulary(tokens, freqs), counts.tocsr(), window)
+    firsts = np.unique(t * vsize + c, return_index=True)[1]  # each cell's first triple
+    if firsts.size < t.size:
+        first = int(np.setdiff1d(np.arange(t.size), firsts)[0])  # the earliest repeat
+        number = [n for n, line in enumerate(lines[1 + vsize :], start=2 + vsize) if line][first]
+        raise FormatError(f"{path}: line {number}: triple ({t[first]}, {c[first]}) repeated")
+    upper = sparse.coo_matrix((v, (t, c)), shape=(vsize, vsize)).tocsr()
+    counts = upper + sparse.triu(upper, k=1).T  # the file holds t <= c
+    return CooccurrenceMatrix(Vocabulary(tokens, freqs), counts, window)

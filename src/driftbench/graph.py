@@ -63,16 +63,15 @@ def from_counts(m: CooccurrenceMatrix, min_weight: int = 1) -> SemanticGraph:
         raise ValueError("min_weight must be >= 1")
     vocab = m.vocab
     nodes = {t: 0 for t in vocab.tokens}
-    coo = m.counts.tocoo()
+    upper = sparse.triu(m.counts, format="coo")
     edges: dict[tuple[str, str], int] = {}
-    for r, c, v in zip(coo.row, coo.col, coo.data):
+    for r, c, v in zip(upper.row.tolist(), upper.col.tolist(), upper.data.tolist()):
         if r == c:
-            nodes[vocab.token_at(int(r))] = int(v)
-        elif r < c:
-            if v >= min_weight:
-                ta, tb = vocab.token_at(int(r)), vocab.token_at(int(c))
-                key = (ta, tb) if ta < tb else (tb, ta)
-                edges[key] = int(v)
+            nodes[vocab.token_at(r)] = v
+        elif v >= min_weight:
+            ta, tb = vocab.token_at(r), vocab.token_at(c)
+            key = (ta, tb) if ta < tb else (tb, ta)
+            edges[key] = v
     return SemanticGraph(nodes, edges)
 
 

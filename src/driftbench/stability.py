@@ -39,9 +39,11 @@ def jacobi_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """SVD of a small dense matrix by one-sided Jacobi rotations.
 
     Columns of a working copy are pairwise rotated until mutually
-    orthogonal (relative off-diagonal dot below 1e-12, at most 100
-    sweeps); their norms are the singular values. Returns (u, s, vt) with
-    m = u @ diag(s) @ vt, singular values descending.
+    orthogonal (relative off-diagonal dot below 1e-12); their norms are
+    the singular values. The copy is scaled by a power of two (exactly) so
+    the dot products cannot underflow. Returns (u, s, vt) with
+    m = u @ diag(s) @ vt, singular values descending. Raises
+    NumericalError if JACOBI_MAX_SWEEPS sweeps do not converge.
     """
     a = np.asarray(m, dtype=np.float64).copy()
     if a.ndim != 2:
@@ -49,6 +51,8 @@ def jacobi_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n, d = a.shape
     if n < d:
         raise ValueError("jacobi_svd expects n >= d (pass the transpose)")
+    exponent = int(np.frexp(np.abs(a).max(initial=0.0))[1])
+    a = np.ldexp(a, -exponent)
     v = np.eye(d)
     for _ in range(JACOBI_MAX_SWEEPS):
         rotated = False
@@ -70,6 +74,8 @@ def jacobi_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 rotated = True
         if not rotated:
             break
+    else:
+        raise NumericalError(f"jacobi_svd did not converge in {JACOBI_MAX_SWEEPS} sweeps")
     sigma = np.linalg.norm(a, axis=0)
     order = np.argsort(-sigma, kind="stable")
     sigma = sigma[order]
@@ -81,7 +87,7 @@ def jacobi_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     u[:, nonzero] = a[:, nonzero] / sigma[nonzero]
     for j in np.flatnonzero(~nonzero):
         u[:, j] = _orthonormal_fill(u, j, n)
-    return u, sigma, v.T
+    return u, np.ldexp(sigma, exponent), v.T
 
 
 def _orthonormal_fill(u: np.ndarray, col: int, n: int) -> np.ndarray:

@@ -14,7 +14,8 @@ import hashlib
 import json
 import warnings
 import zipfile
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -131,53 +132,38 @@ def init_state(
     return ModelState(vocab, w_in, w_out, architecture, objective, cdf)
 
 
-def _cbow_samples(ids: np.ndarray, radius: int) -> Iterator[tuple[np.ndarray, int]]:
-    """(context indices, target index) pairs in surface order.
-
-    Out-of-vocabulary tokens occupy window positions, matching the count
-    model: the window is positional, and unknown tokens inside it simply
-    contribute nothing.
-    """
-    n = len(ids)
-    for i in range(n):
-        target = ids[i]
-        if target < 0:
-            continue
-        lo, hi = max(0, i - radius), min(n, i + radius + 1)
-        ctx = [int(ids[j]) for j in range(lo, hi) if j != i and ids[j] >= 0]
-        if ctx:
-            yield np.asarray(ctx, dtype=np.int64), int(target)
-
-
-def _skipgram_samples(ids: np.ndarray, radius: int) -> Iterator[tuple[np.ndarray, int]]:
-    """(input word, one context word) pairs; the input predicts each context word."""
-    n = len(ids)
-    for i in range(n):
-        center = ids[i]
-        if center < 0:
-            continue
-        lo, hi = max(0, i - radius), min(n, i + radius + 1)
-        for j in range(lo, hi):
-            if j != i and ids[j] >= 0:
-                yield np.asarray([int(center)], dtype=np.int64), int(ids[j])
-
-
 def iter_samples(
     state: ModelState, streams: Sequence[TokenStream], radius: int
 ) -> Iterator[tuple[np.ndarray, int]]:
-    gen = _cbow_samples if state.architecture == "cbow" else _skipgram_samples
+    """Training samples in surface order; windows never cross documents.
+
+    Out-of-vocabulary tokens occupy window positions, matching the count
+    model, but are dropped from the samples. CBOW yields (context, target)
+    per target with a non-empty context; skip-gram yields ([target], c) per
+    context word c.
+    """
+    cbow = state.architecture == "cbow"
     for stream in streams:
-        ids = np.asarray(state.vocab.index_sequence(stream.tokens), dtype=np.int64)
-        yield from gen(ids, radius)
-
-
-def _softplus(x: np.ndarray | float) -> np.ndarray | float:
-    return np.logaddexp(0.0, x)
+        ids = state.vocab.index_sequence(stream.tokens)
+        for i, target in enumerate(ids):
+            if target < 0:
+                continue
+            window = ids[max(0, i - radius) : i] + ids[i + 1 : i + radius + 1]
+            ctx = [c for c in window if c >= 0]
+            if not cbow:
+                for c in ctx:
+                    yield np.asarray([target], dtype=np.int64), c
+            elif ctx:
+                yield np.asarray(ctx, dtype=np.int64), target
 
 
 def _draw_negatives(
-    state: ModelState, k: int, target: int, rng: np.random.Generator
-) -> np.ndarray:
+    state: ModelState, target: int, rng: np.random.Generator
+) -> np.ndarray | None:
+    """Noise words for one sample; None under softmax, which draws none."""
+    kind, k = state.objective
+    if kind != "neg":
+        return None
     draws = np.searchsorted(state.noise_cdf, rng.random(k))
     return draws[draws != target]
 
@@ -205,9 +191,8 @@ def _sample_loss_grads(
         return loss, grad_h, dscores, None, h
     rows = np.concatenate(([target], negatives)).astype(np.int64)
     u = state.w_out[rows] @ h
-    loss = float(_softplus(-u[0]) + _softplus(u[1:]).sum())
-    p = 1.0 / (1.0 + np.exp(-u))
-    dscores = p.copy()
+    loss = float(np.logaddexp(0.0, -u[0]) + np.logaddexp(0.0, u[1:]).sum())
+    dscores = 1.0 / (1.0 + np.exp(-u))
     dscores[0] -= 1.0
     grad_h = dscores @ state.w_out[rows]
     return loss, grad_h, dscores, rows, h
@@ -238,24 +223,18 @@ def _run_training(
     per_epoch = sum(1 for _ in iter_samples(state, streams, config.window_radius))
     total = max(per_epoch * config.epochs, 1)
     kind, neg_k = state.objective
-    lr0 = config.learning_rate
     seen = 0
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
-        loss_sum, n = 0.0, 0
+        loss_sum = 0.0
         for ctx, target in iter_samples(state, streams, config.window_radius):
-            lr = lr0 * max(LR_FLOOR_FRACTION, 1.0 - seen / total)
-            negatives = (
-                _draw_negatives(state, neg_k, target, rng) if kind == "neg" else None
-            )
-            loss, grad_h, dscores, out_rows, h = _sample_loss_grads(
-                state, ctx, target, negatives
-            )
-            _apply_step(state, ctx, lr, grad_h, dscores, out_rows, h)
+            lr = config.learning_rate * max(LR_FLOOR_FRACTION, 1.0 - seen / total)
+            negatives = _draw_negatives(state, target, rng)
+            loss, *step = _sample_loss_grads(state, ctx, target, negatives)
+            _apply_step(state, ctx, lr, *step)
             loss_sum += loss
-            n += 1
             seen += 1
-        epoch_loss = loss_sum / max(n, 1)
+        epoch_loss = loss_sum / max(per_epoch, 1)
         if not np.isfinite(epoch_loss):
             raise NumericalError(
                 f"training diverged: non-finite loss in epoch {epoch + 1} "
@@ -296,12 +275,21 @@ def training_loss(state: ModelState, batch: Sequence[tuple[np.ndarray, int]]) ->
         warnings.warn("training_loss over an empty batch; reporting 0.0", stacklevel=2)
         return 0.0
     rng = np.random.default_rng(0)
-    kind, neg_k = state.objective
+    frozen = [
+        (np.asarray(ctx, dtype=np.int64), t, _draw_negatives(state, t, rng))
+        for ctx, t in batch
+    ]
+    return _batch_loss(state, frozen)
+
+
+def _batch_loss(
+    state: ModelState, frozen: Sequence[tuple[np.ndarray, int, np.ndarray | None]]
+) -> float:
+    """Mean loss over (context, target, negatives) samples with fixed noise."""
     total = 0.0
-    for ctx, target in batch:
-        negatives = _draw_negatives(state, neg_k, target, rng) if kind == "neg" else None
-        total += _sample_loss_grads(state, np.asarray(ctx, dtype=np.int64), target, negatives)[0]
-    return total / len(batch)
+    for ctx, t, negs in frozen:
+        total += _sample_loss_grads(state, ctx, t, negs)[0]
+    return total / len(frozen)
 
 
 def gradient_check(
@@ -325,52 +313,32 @@ def gradient_check(
     state = init_state(streams, config, architecture)
     if len(state.vocab) > 50:
         raise ValueError("gradient_check requires vocabulary <= 50")
-    samples = list(iter_samples(state, streams, config.window_radius))[:4]
-    if not samples:
-        raise ValueError("corpus yields no training samples")
     rng = np.random.default_rng(config.seed + 2)
-    kind, neg_k = state.objective
-    frozen = [
-        (ctx, t, _draw_negatives(state, neg_k, t, rng) if kind == "neg" else None)
-        for ctx, t in samples
-    ]
-
-    def batch_loss() -> float:
-        total = 0.0
-        for ctx, t, negs in frozen:
-            total += _sample_loss_grads(state, ctx, t, negs)[0]
-        return total / len(frozen)
-
-    grad_in = np.zeros_like(state.w_in)
-    grad_out = np.zeros_like(state.w_out)
+    samples = islice(iter_samples(state, streams, config.window_radius), 4)
+    frozen = [(ctx, t, _draw_negatives(state, t, rng)) for ctx, t in samples]
+    if not frozen:
+        raise ValueError("corpus yields no training samples")
+    # one SGD step at learning rate -1/batch from zero weights is the mean gradient
+    grads = replace(state, w_in=np.zeros_like(state.w_in), w_out=np.zeros_like(state.w_out))
+    lr = -(1.0 + corruption) / len(frozen)
     for ctx, t, negs in frozen:
-        _, grad_h, dscores, out_rows, h = _sample_loss_grads(state, ctx, t, negs)
-        if out_rows is None:
-            grad_out += dscores[:, None] * h[None, :]
-        else:
-            np.add.at(grad_out, out_rows, dscores[:, None] * h[None, :])
-        np.add.at(grad_in, ctx, grad_h / len(ctx))
-    grad_in /= len(frozen)
-    grad_out /= len(frozen)
-    if corruption:
-        grad_in = grad_in * (1.0 + corruption)
-        grad_out = grad_out * (1.0 + corruption)
+        _apply_step(grads, ctx, lr, *_sample_loss_grads(state, ctx, t, negs)[1:])
 
     step = 1e-5
     max_rel = 0.0
-    for matrix, grads in ((state.w_in, grad_in), (state.w_out, grad_out)):
+    for matrix, grad in ((state.w_in, grads.w_in), (state.w_out, grads.w_out)):
         flat_n = matrix.size
         picks = rng.choice(flat_n, size=min(weight_samples, flat_n), replace=False)
         for flat in picks:
             i, j = divmod(int(flat), matrix.shape[1])
             saved = matrix[i, j]
             matrix[i, j] = saved + step
-            up = batch_loss()
+            up = _batch_loss(state, frozen)
             matrix[i, j] = saved - step
-            down = batch_loss()
+            down = _batch_loss(state, frozen)
             matrix[i, j] = saved
             numeric = (up - down) / (2.0 * step)
-            analytic = grads[i, j]
+            analytic = grad[i, j]
             denom = max(abs(analytic) + abs(numeric), 1e-8)
             max_rel = max(max_rel, abs(analytic - numeric) / denom)
     return max_rel

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from driftbench import cli
+from driftbench import cli, stability
 from driftbench.cli import build_parser, main
 
 from conftest import ROSE_TEXT
@@ -219,6 +219,13 @@ class TestRotateAndAlign:
         payload = json.loads(capsys.readouterr().out)
         assert payload["residual"] < 1e-6
         assert not payload["underdetermined"]
+
+    def test_align_without_convergence_exits_3(self, model, tmp_path, capsys, monkeypatch):
+        rotated = tmp_path / "rot.txt"
+        run("rotate", model, "--seed", 5, "--out", rotated, "--style", "haar")
+        monkeypatch.setattr(stability, "JACOBI_MAX_SWEEPS", 1)
+        assert run("align", model, rotated) == 3
+        assert "did not converge" in capsys.readouterr().err
 
     def test_align_dimension_mismatch_exits_2(self, model, train_file, tmp_path, capsys):
         run(
@@ -439,6 +446,7 @@ def test_malformed_edge_list_exits_2(content, where, tmp_path, capsys):
         ("COOC v1 2 10\n0\ta\t0\n1\tb\t1\n", "line 2"),
         (ROSE_COOC + "1\t0\t2\n", "line 4"),
         ("COOC v1 2 0\n0\ta\t1\n1\tb\t1\n", "line 1"),
+        (ROSE_COOC + "0\t1\t3\n0\t0\t1\n\n0\t1\t2\n", "line 7"),
         ("2 2\na 1.0 0.5\nb nan 1.0\n", "line 3"),
         ("2 2\na 1.0 0.5\nb 1.0 x\n", "line 3"),
         ("2 2\na 1.0 0.5\nb 1.0\n", "line 3"),
@@ -449,7 +457,7 @@ def test_malformed_edge_list_exits_2(content, where, tmp_path, capsys):
     ],
     ids=["two-field-triple", "vocab-index-out-of-range", "context-id-out-of-range",
          "zero-count", "negative-count", "count-beyond-int64", "repeated-vocab-index",
-         "repeated-token", "zero-frequency", "lower-triangle", "zero-radius",
+         "repeated-token", "zero-frequency", "lower-triangle", "zero-radius", "repeated-triple",
          "nan-component", "non-numeric-component", "short-vector",
          "repeated-embedding-token", "negative-dimension", "dimension-beyond-file",
          "invalid-utf8"],

@@ -219,6 +219,19 @@ class TestJacobiSvd:
         assert np.allclose(s, 0)
         assert np.allclose(u.T @ u, np.eye(4), atol=1e-12)
 
+    def test_tiny_matrix_converges_without_underflow(self):
+        # column dot products of a 1e-160 matrix underflow unless it is rescaled
+        m = np.random.default_rng(6).standard_normal((6, 6)) * 1e-160
+        u, s, vt = db.jacobi_svd(m)
+        assert np.linalg.norm(u @ np.diag(s) @ vt - m) <= 1e-14 * np.linalg.norm(m)
+        assert np.allclose(u.T @ u, np.eye(6), atol=1e-12)
+        assert np.allclose(s / 1e-160, np.linalg.svd(m / 1e-160, compute_uv=False), rtol=1e-12)
+
+    def test_running_out_of_sweeps_raises(self, monkeypatch):
+        monkeypatch.setattr(db.stability, "JACOBI_MAX_SWEEPS", 1)
+        with pytest.raises(db.NumericalError, match="did not converge"):
+            db.jacobi_svd(np.random.default_rng(7).standard_normal((6, 6)))
+
 
 class TestProcrustes:
     def test_self_alignment_is_identity(self):

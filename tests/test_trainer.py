@@ -1,11 +1,15 @@
 """Training determinism, loss behavior, gradient fidelity, persistence."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import driftbench as db
+from driftbench import trainer
 from driftbench.trainer import iter_samples
 
 TINY_TEXT = (
@@ -183,6 +187,85 @@ class TestSampling:
         first_ctx = [state.vocab.token_at(int(i)) for i in samples[0][0]]
         assert state.vocab.token_at(samples[0][1]) == "b"
         assert first_ctx == ["a"]
+
+
+# The per-architecture generators that `iter_samples` replaced, kept as the
+# reference for its sample stream.
+def _reference_cbow(ids, radius):
+    n = len(ids)
+    for i in range(n):
+        target = ids[i]
+        if target < 0:
+            continue
+        lo, hi = max(0, i - radius), min(n, i + radius + 1)
+        ctx = [int(ids[j]) for j in range(lo, hi) if j != i and ids[j] >= 0]
+        if ctx:
+            yield np.asarray(ctx, dtype=np.int64), int(target)
+
+
+def _reference_skipgram(ids, radius):
+    n = len(ids)
+    for i in range(n):
+        center = ids[i]
+        if center < 0:
+            continue
+        lo, hi = max(0, i - radius), min(n, i + radius + 1)
+        for j in range(lo, hi):
+            if j != i and ids[j] >= 0:
+                yield np.asarray([int(center)], dtype=np.int64), int(ids[j])
+
+
+def reference_iter_samples(state, streams, radius):
+    gen = _reference_cbow if state.architecture == "cbow" else _reference_skipgram
+    for stream in streams:
+        ids = np.asarray(state.vocab.index_sequence(stream.tokens), dtype=np.int64)
+        yield from gen(ids, radius)
+
+
+@st.composite
+def training_corpora(draw):
+    """Several documents, always including an empty and a one-token one."""
+    word = st.sampled_from("abcdefgh")
+    docs = draw(st.lists(st.lists(word, max_size=25), min_size=1, max_size=4))
+    docs.insert(draw(st.integers(0, len(docs))), [])
+    docs.insert(draw(st.integers(0, len(docs))), [draw(word)])
+    min_count = draw(st.integers(1, 3))  # rarer words become OOV positions
+    assume(max(Counter(t for doc in docs for t in doc).values()) >= min_count)
+    streams = [db.TokenStream(f"d{i}", tuple(doc)) for i, doc in enumerate(docs)]
+    return streams, min_count
+
+
+class TestSampleStreamOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        training_corpora(),
+        st.integers(1, 6),
+        st.sampled_from(["cbow", "skipgram"]),
+        st.sampled_from(["softmax", "neg:2"]),
+    )
+    def test_matches_reference_generators(self, corpus, radius, architecture, objective):
+        streams, min_count = corpus
+        cfg = small_config(
+            dimension=4, window_radius=radius, epochs=1, min_count=min_count, objective=objective
+        )
+        state = db.init_state(streams, cfg, architecture)
+        got = list(iter_samples(state, streams, radius))
+        want = list(reference_iter_samples(state, streams, radius))
+        assert len(got) == len(want)
+        for (ctx, target), (ref_ctx, ref_target) in zip(got, want):
+            assert ctx.dtype == ref_ctx.dtype == np.int64
+            assert np.array_equal(ctx, ref_ctx)
+            assert type(target) is type(ref_target) is int
+            assert target == ref_target
+
+        train = db.train_cbow if architecture == "cbow" else db.train_skipgram
+        emb = train(streams, cfg)
+        assert emb.provenance["samples_per_epoch"] == len(got)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trainer, "iter_samples", reference_iter_samples)
+            ref = train(streams, cfg)
+        assert np.array_equal(emb.vectors, ref.vectors)
+        assert np.array_equal(emb.output_weights, ref.output_weights)
 
 
 class TestPersistence:

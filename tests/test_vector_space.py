@@ -66,11 +66,12 @@ class TestCosine:
 
     @given(finite_vec, st.floats(1e-3, 1e3))
     @example([0.0, 5.7e-155], 2**-8)
+    @example([-1.0, -1.0], 1.0)  # w is the zero vector, which has no cosine
     def test_scale_invariance(self, a, lam):
         v = np.array(a)
-        if np.linalg.norm(v) == 0 or np.linalg.norm(lam * v) == 0:
+        w = v[::-1] + 1.0
+        if np.linalg.norm(v) == 0 or np.linalg.norm(lam * v) == 0 or np.linalg.norm(w) == 0:
             return
-        w = v[::-1].copy() + 1.0
         assert db.cosine_similarity(lam * v, w) == pytest.approx(
             db.cosine_similarity(v, w), abs=1e-12
         )
