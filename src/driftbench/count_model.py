@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -10,7 +11,7 @@ from typing import Iterable
 import numpy as np
 from scipy import sparse
 
-from .corpus import TokenStream, Vocabulary, decode_utf8
+from .corpus import TokenStream, Vocabulary, _bulk_table, _lf_lines_only, decode_utf8
 from .errors import DataError, FormatError
 from .vector_space import VectorSpace, WordVector
 
@@ -182,19 +183,72 @@ def save_cooc(m: CooccurrenceMatrix, path: str | Path) -> None:
     t <= c; the lower triangle is reconstructed on load.
     """
     lines = [f"{COOC_MAGIC} {len(m.vocab)} {m.window.radius}"]
-    for token, index, freq in m.vocab.items():
-        lines.append(f"{index}\t{token}\t{freq}")
+    lines += [f"{index}\t{token}\t{freq}" for token, index, freq in m.vocab.items()]
     upper = sparse.triu(m.counts, format="coo")
-    lines.extend(
-        f"{r}\t{c}\t{v}"
-        for r, c, v in zip(upper.row.tolist(), upper.col.tolist(), upper.data.tolist())
-    )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    triples = np.column_stack((upper.row, upper.col, upper.data)).ravel().tolist()
+    text = "\n".join(lines) + "\n" + "%d\t%d\t%d\n" * upper.nnz % tuple(triples)
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def load_cooc(path: str | Path) -> CooccurrenceMatrix:
-    """Read a COOC v1 file; a malformed line raises FormatError naming it."""
-    lines = decode_utf8(Path(path).read_bytes(), str(path)).splitlines()
+    """Read a COOC v1 file; a malformed line raises FormatError naming it.
+
+    A file as save_cooc writes it is parsed in bulk. Any other file, and
+    any file that fails a bulk check, goes through the per-line reader,
+    which words every error.
+    """
+    text = decode_utf8(Path(path).read_bytes(), str(path))
+    m = _parse_cooc_bulk(text)
+    return m if m is not None else _parse_cooc_lines(text, path)
+
+
+_COUNT_ALPHABET = b"0123456789\t\n"
+
+
+def _parse_cooc_bulk(text: str) -> CooccurrenceMatrix | None:
+    """The matrix of a canonical COOC file, or None for the per-line reader.
+
+    Canonical means a `COOC v1 <vocab> <radius>` header, LF line breaks,
+    vocabulary lines in index order and triples in strictly increasing
+    (t, c) order, made of digits, TAB and LF only.
+    """
+    header, _, rest = text.partition("\n")
+    match = re.fullmatch(r"COOC v1 ([0-9]+) ([0-9]+)", header)
+    if match is None:
+        return None
+    vsize, radius = int(match[1]), int(match[2])
+    if not 0 < vsize < len(text) or radius < 1:
+        return None
+    *vocab_lines, section = rest.split("\n", vsize)
+    if len(vocab_lines) != vsize or not _lf_lines_only(text):
+        return None
+    rows = [line.split("\t") for line in vocab_lines]
+    if set(map(len, rows)) != {3}:
+        return None
+    indices, tokens, freq_fields = zip(*rows)
+    if indices != tuple(map(str, range(vsize))) or len(set(tokens)) != vsize:
+        return None
+    try:
+        freqs = list(map(int, freq_fields))
+    except ValueError:
+        return None
+    if min(freqs) < 1:
+        return None
+    triples = _bulk_table(section, _COUNT_ALPHABET, np.int64, "\t", 3)
+    if triples is None:
+        return None
+    t, c, v = triples.T
+    if not (t <= c).all() or (c >= vsize).any() or (v < 1).any():
+        return None
+    if (np.diff(t * vsize + c) <= 0).any():  # out of order, or repeated
+        return None
+    return _cooc_matrix(tokens, freqs, WindowConfig(radius), t, c, v)
+
+
+def _parse_cooc_lines(text: str, path: str | Path) -> CooccurrenceMatrix:
+    """The per-line COOC reader: accepts every valid file and names the first
+    bad line of an invalid one."""
+    lines = text.splitlines()
     if not lines or not lines[0].startswith(COOC_MAGIC):
         raise FormatError(f"{path}: line 1: not a {COOC_MAGIC} file")
     number = 1
@@ -236,6 +290,12 @@ def load_cooc(path: str | Path) -> CooccurrenceMatrix:
         first = int(np.setdiff1d(np.arange(t.size), firsts)[0])  # the earliest repeat
         number = [n for n, line in enumerate(lines[1 + vsize :], start=2 + vsize) if line][first]
         raise FormatError(f"{path}: line {number}: triple ({t[first]}, {c[first]}) repeated")
+    return _cooc_matrix(tokens, freqs, window, t, c, v)
+
+
+def _cooc_matrix(tokens, freqs, window: WindowConfig, t, c, v) -> CooccurrenceMatrix:
+    """The matrix of valid upper-triangle triples (t <= c, each cell once)."""
+    vsize = len(tokens)
     upper = sparse.coo_matrix((v, (t, c)), shape=(vsize, vsize)).tocsr()
     counts = upper + sparse.triu(upper, k=1).T  # the file holds t <= c
     return CooccurrenceMatrix(Vocabulary(tokens, freqs), counts, window)

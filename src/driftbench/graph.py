@@ -9,13 +9,14 @@ attributes carry exactly the information of the count matrix.
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 import numpy as np
 from scipy import sparse
 
-from .corpus import Vocabulary
+from .corpus import Vocabulary, _lf_lines_only
 from .count_model import CooccurrenceMatrix, WindowConfig
 from .errors import FormatError, UnknownWordError
 
@@ -189,7 +190,59 @@ def export_edge_list(g: SemanticGraph) -> str:
 
 def import_edge_list(text: str) -> SemanticGraph:
     """Parse an edge list. Node lines come before the edges that use them; a
-    malformed line, or a node or edge given twice, raises FormatError naming it."""
+    malformed line, or a node or edge given twice, raises FormatError naming it.
+
+    A list as export_edge_list writes it is parsed in bulk. Any other list,
+    and any list that fails a bulk check, goes through the per-line reader,
+    which words every error.
+    """
+    g = _import_edge_list_bulk(text)
+    return g if g is not None else _import_edge_list_lines(text)
+
+
+def _import_edge_list_bulk(text: str) -> SemanticGraph | None:
+    """The graph of a canonical edge list, or None for the per-line reader.
+
+    Canonical means the `# nodes: N` header, then exactly N node lines, then
+    edge lines, each line three TAB-separated fields ended by LF.
+    """
+    header, _, body = text.partition("\n")
+    match = re.fullmatch("# nodes: ([0-9]+)", header)
+    if match is None or not body.endswith("\n") or not _lf_lines_only(body):
+        return None
+    declared = int(match[1])
+    if declared > len(body):
+        return None
+    data = np.frombuffer(body.encode(), dtype=np.uint8)
+    separators = data[(data == 9) | (data == 10)]
+    if separators.size % 3 or (separators.reshape(-1, 3) != (9, 9, 10)).any():
+        return None  # a line without exactly two TABs
+    edge_lines = body.split("\n", declared)[-1]
+    if edge_lines.startswith("#") or "\n#" in edge_lines:
+        return None  # a node line or comment among the edges
+    fields = body.replace("\n", "\t").split("\t")
+    firsts, seconds = fields[0:-1:3], fields[1::3]
+    if firsts[:declared] != [EDGE_LIST_NODE_PREFIX[:-1]] * declared:
+        return None
+    try:
+        weights = list(map(int, fields[2::3]))
+    except ValueError:
+        return None
+    nodes = dict(zip(seconds[:declared], weights[:declared]))
+    edges = dict(zip(zip(firsts[declared:], seconds[declared:]), weights[declared:]))
+    if len(nodes) != declared or len(edges) != len(weights) - declared:
+        return None  # a repeated node or edge
+    if min(weights[:declared], default=0) < 0:
+        return None
+    try:
+        return SemanticGraph(nodes, edges)  # checks edge order, weights and nodes
+    except ValueError:
+        return None
+
+
+def _import_edge_list_lines(text: str) -> SemanticGraph:
+    """The per-line edge-list reader: accepts every valid list and names the
+    first bad line of an invalid one."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# nodes:"):
         raise FormatError("line 1: edge list must start with a '# nodes:' header")

@@ -9,6 +9,8 @@ scale effects can be studied without shipping any licensed text.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .corpus import TokenStream
@@ -20,9 +22,13 @@ PREFERRED_SUCCESSORS = 4
 PREFERENCE_BOOST = 60.0
 
 
-def _language(vocab_size: int) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Word list, unigram CDF, and per-word transition CDF matrix."""
-    words = [f"w{i:03d}" for i in range(vocab_size)]
+@functools.lru_cache(maxsize=1)
+def _language(vocab_size: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Word list, unigram CDF, and per-word transition CDF matrix.
+
+    Cached for the last vocabulary size, so the arrays are read-only.
+    """
+    words = tuple(f"w{i:03d}" for i in range(vocab_size))
     rng = np.random.default_rng(STRUCTURE_SEED)
     unigram = 1.0 / np.arange(1, vocab_size + 1) ** ZIPF_EXPONENT
     unigram /= unigram.sum()
@@ -31,7 +37,9 @@ def _language(vocab_size: int) -> tuple[list[str], np.ndarray, np.ndarray]:
         preferred = rng.choice(vocab_size, size=PREFERRED_SUCCESSORS, replace=False, p=unigram)
         transition[i, preferred] *= PREFERENCE_BOOST
     transition /= transition.sum(axis=1, keepdims=True)
-    return words, np.cumsum(unigram), np.cumsum(transition, axis=1)
+    unigram_cdf, transition_cdf = np.cumsum(unigram), np.cumsum(transition, axis=1)
+    unigram_cdf.flags.writeable = transition_cdf.flags.writeable = False
+    return words, unigram_cdf, transition_cdf
 
 
 def synthetic_corpus(

@@ -11,9 +11,10 @@ flow from one seeded generator, and the loop is single-threaded.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import re
 import warnings
-import zipfile
 from dataclasses import dataclass, asdict, replace
 from itertools import islice
 from pathlib import Path
@@ -21,7 +22,14 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import TokenStream, Vocabulary, build_vocabulary, decode_utf8
+from .corpus import (
+    TokenStream,
+    Vocabulary,
+    _bulk_table,
+    _lf_lines_only,
+    build_vocabulary,
+    decode_utf8,
+)
 from .errors import FormatError, NumericalError
 from .vector_space import VectorSpace
 
@@ -352,17 +360,61 @@ def save_embedding_text(space: EmbeddingSpace | VectorSpace, path: str | Path) -
     """
     rows = np.asarray(space.vectors, dtype=np.float64)
     lines = [f"{len(space.vocab)} {space.dim}"]
-    for token, index, _ in space.vocab.items():
-        comps = " ".join(repr(float(x)) for x in rows[index])
-        lines.append(f"{token} {comps}")
+    lines += [
+        f"{token} {' '.join(map(repr, row.tolist()))}"
+        for token, row in zip(space.vocab.tokens, rows)
+    ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def load_embedding_text(path: str | Path) -> EmbeddingSpace:
     """Load the text format. Frequencies are not part of this format, so
-    the vocabulary carries placeholder frequencies of 1. A malformed line
-    raises FormatError naming it."""
+    the vocabulary carries placeholder frequencies of 1. A malformed line,
+    or a non-empty line after the header's count of rows, raises
+    FormatError naming it.
+
+    A file as save_embedding_text writes it is parsed in bulk. Any other
+    file, and any file that fails a bulk check, goes through the per-line
+    reader, which words every error.
+    """
     text = decode_utf8(Path(path).read_bytes(), str(path))
+    space = _parse_embedding_bulk(text, path)
+    return space if space is not None else _parse_embedding_lines(text, path)
+
+
+# the characters repr(float) writes for a finite component, the separator and LF
+_COMPONENT_ALPHABET = b"0123456789.e+- \n"
+
+
+def _parse_embedding_bulk(text: str, path: str | Path) -> EmbeddingSpace | None:
+    """The space of a canonical embedding file, or None for the per-line reader.
+
+    Canonical means a `<vocab> <dim>` header with both sizes above 0, LF line
+    breaks, exactly one row per word and finite components.
+    """
+    header, _, body = text.partition("\n")
+    match = re.fullmatch("([0-9]+) ([0-9]+)", header)
+    if match is None or not _lf_lines_only(body):
+        return None
+    vsize, dim = int(match[1]), int(match[2])
+    if not 0 < vsize * dim <= len(body):
+        return None
+    rows = body.split("\n")
+    if len(rows) != vsize + 1 or rows[-1]:
+        return None
+    tokens, _, components = zip(*(row.partition(" ") for row in rows[:-1]))
+    matrix = _bulk_table("\n".join(components), _COMPONENT_ALPHABET, np.float64, " ", dim)
+    if matrix is None or len(matrix) != vsize or not np.isfinite(matrix).all():
+        return None
+    if len(set(tokens)) != vsize:
+        return None
+    vocab = Vocabulary(tokens, [1] * vsize)
+    return EmbeddingSpace(vocab, matrix, provenance={"source": str(path)})
+
+
+def _parse_embedding_lines(text: str, path: str | Path) -> EmbeddingSpace:
+    """The per-line embedding reader: accepts every valid file and names the
+    first bad line of an invalid one."""
     lines = text.splitlines()
     if not lines:
         raise FormatError(f"{path}: empty embedding file")
@@ -389,6 +441,9 @@ def load_embedding_text(path: str | Path) -> EmbeddingSpace:
     nonfinite = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if nonfinite.size:
         raise FormatError(f"{path}: line {nonfinite[0] + 2}: non-finite component")
+    for number, line in enumerate(lines[1 + vsize :], start=2 + vsize):
+        if line:
+            raise FormatError(f"{path}: line {number}: more rows than the header's {vsize}")
     vocab = Vocabulary(tokens, [1] * vsize)
     return EmbeddingSpace(vocab, matrix, provenance={"source": str(path)})
 
@@ -416,20 +471,23 @@ def save_checkpoint(space: EmbeddingSpace, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> EmbeddingSpace:
     """Load a checkpoint. Pickled objects are never read, so a crafted file
     cannot run code: an object array, like any malformed content, raises
-    FormatError."""
+    FormatError. A file that cannot be read raises OSError."""
+    data = Path(path).read_bytes()
     try:
-        with np.load(path, allow_pickle=False) as data:
-            if str(data["format"]) != CHECKPOINT_FORMAT:
-                raise FormatError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+        with np.load(io.BytesIO(data), allow_pickle=False) as arrays:
+            fmt = str(arrays["format"])
             vocab = Vocabulary(
-                [str(t) for t in data["tokens"]], [int(f) for f in data["frequencies"]]
+                [str(t) for t in arrays["tokens"]], [int(f) for f in arrays["frequencies"]]
             )
-            out = data["output_weights"]
-            return EmbeddingSpace(
+            out = arrays["output_weights"]
+            space = EmbeddingSpace(
                 vocab,
-                data["vectors"],
-                provenance=json.loads(str(data["provenance"])),
+                arrays["vectors"],
+                provenance=json.loads(str(arrays["provenance"])),
                 output_weights=None if out.size == 0 else out,
             )
-    except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+    except Exception as exc:  # zip, npy and json parsers raise many kinds on corrupt bytes
         raise FormatError(f"{path}: malformed {CHECKPOINT_FORMAT} file: {exc}") from None
+    if fmt != CHECKPOINT_FORMAT:
+        raise FormatError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+    return space

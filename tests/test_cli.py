@@ -454,13 +454,14 @@ def test_malformed_edge_list_exits_2(content, where, tmp_path, capsys):
         ("2 -2\na\nb\n", "line 1"),
         ("2 100000000000000\na 1.0\nb 1.0\n", "line 1"),
         (b"2 2\na 1.0 0.5\n\xc3 1.0 1.0\n", "byte offset 14"),
+        ("2 2\na 1.0 0.5\nb 0.5 1.0\nc 1.0 1.0\ngarbage here\n", "line 4"),
     ],
     ids=["two-field-triple", "vocab-index-out-of-range", "context-id-out-of-range",
          "zero-count", "negative-count", "count-beyond-int64", "repeated-vocab-index",
          "repeated-token", "zero-frequency", "lower-triangle", "zero-radius", "repeated-triple",
          "nan-component", "non-numeric-component", "short-vector",
          "repeated-embedding-token", "negative-dimension", "dimension-beyond-file",
-         "invalid-utf8"],
+         "invalid-utf8", "extra-embedding-row"],
 )
 def test_malformed_model_exits_2(content, where, tmp_path, capsys):
     bad = tmp_path / "bad.model"

@@ -1,0 +1,329 @@
+"""The bulk text readers against the per-line readers they stand in front of.
+
+Each loader parses a canonical file in bulk and hands anything else to its
+per-line reader, which words every error. Here hypothesis feeds all four
+loaders arbitrary bytes and near-valid mutations of files saved from small
+random models. A text loader must return the per-line reader's object or
+raise its exact error; a checkpoint may raise nothing but FormatError.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import driftbench as db
+from driftbench import count_model, graph, trainer
+from driftbench.corpus import decode_utf8
+from driftbench.errors import EncodingError, FormatError
+
+FUZZ = settings(max_examples=200, deadline=None)
+# how a test case is made: mostly near-valid mutations of a saved file
+FORMS = st.sampled_from(["canonical", "bytes"] + ["mutated"] * 4)
+
+WORDS = ["a", "b", "rose", "is", "café", "ß", "x-y", "don't", "7", "e1"]
+
+# fields that int() or float() read differently from numpy, or not at all
+ODD_FIELDS = [
+    "+5", " 5", "5 ", "1_0", "١", "1e400", "-1e400", "nan", "inf", "", "0", "-1",
+    "-0", "1.0", ".5", "5.", "-0.0", "1e5", "0x10", "9223372036854775807",
+    "9223372036854775808", "00012",
+]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("formats")
+
+
+@st.composite
+def count_models(draw):
+    tokens = draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=40))
+    stream = db.TokenStream("d", tuple(tokens))
+    vocab = db.build_vocabulary([stream])
+    window = db.WindowConfig(radius=draw(st.integers(1, 4)))
+    return db.count_cooccurrences([stream], vocab, window)
+
+
+components = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 1e22, 0.1]
+)
+
+
+@st.composite
+def embedding_spaces(draw):
+    words = draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=5, unique=True))
+    dim = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(components, min_size=dim, max_size=dim),
+                         min_size=len(words), max_size=len(words)))
+    return db.VectorSpace(db.Vocabulary(words, [1] * len(words)), np.array(rows))
+
+
+@st.composite
+def mutated(draw, text, sep):
+    """`text` with one to three edits to its fields, lines or line ends."""
+    lines = text.split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.sampled_from(range(len(lines))))
+        fields = lines[i].split(sep)
+        j, k = draw(st.lists(st.sampled_from(range(len(fields))), min_size=2, max_size=2))
+        edit = draw(st.sampled_from([
+            "drop-field", "double-field", "swap-fields", "odd-field", "trailing-tab",
+            "drop-line", "double-line", "swap-lines", "blank-line", "crlf", "crlf-all",
+            "truncate",
+        ]))
+        if edit == "drop-field":
+            del fields[j]
+        elif edit == "double-field":
+            fields.insert(j, fields[j])
+        elif edit == "swap-fields":
+            fields[j], fields[k] = fields[k], fields[j]
+        elif edit == "odd-field":
+            fields[j] = draw(st.sampled_from(ODD_FIELDS))
+        elif edit == "trailing-tab":
+            fields[-1] += "\t"
+        elif edit == "crlf":
+            fields[-1] += "\r"
+        if edit == "drop-line":
+            del lines[i]
+        elif edit == "double-line":
+            lines.insert(i, lines[i])
+        elif edit == "swap-lines":
+            m = draw(st.sampled_from(range(len(lines))))
+            lines[i], lines[m] = lines[m], lines[i]
+        elif edit == "blank-line":
+            lines.insert(i, "")
+        elif edit == "crlf-all":
+            lines = [line + "\r" for line in lines]
+        elif edit == "truncate":
+            joined = "\n".join(lines)
+            lines = joined[: draw(st.integers(0, len(joined)))].split("\n")
+        else:
+            lines[i] = sep.join(fields)
+        if not lines:
+            lines = [""]
+    return "\n".join(lines)
+
+
+def decoded(path) -> str:
+    return decode_utf8(path.read_bytes(), str(path))
+
+
+# per format: the loader and the per-line reader it falls back to
+LOADERS = {
+    "cooc": (count_model.load_cooc,
+             lambda p: count_model._parse_cooc_lines(decoded(p), p)),
+    "embedding": (trainer.load_embedding_text,
+                  lambda p: trainer._parse_embedding_lines(decoded(p), p)),
+    "edges": (lambda p: graph.import_edge_list(decoded(p)),
+              lambda p: graph._import_edge_list_lines(decoded(p))),
+}
+
+
+def outcome(load, path):
+    """What a loader does with a file: its result, or its error's type and text."""
+    try:
+        return "ok", load(path)
+    except (FormatError, EncodingError) as exc:
+        return type(exc), str(exc)
+
+
+def same_cooc(a, b) -> bool:
+    return (
+        a.vocab == b.vocab
+        and a.window == b.window
+        and a.total == b.total
+        and a.counts.dtype == b.counts.dtype
+        and a.counts.shape == b.counts.shape
+        and all(np.array_equal(getattr(a.counts, f), getattr(b.counts, f))
+                for f in ("indptr", "indices", "data"))
+    )
+
+
+def same_space(a, b) -> bool:
+    return (
+        a.vocab == b.vocab
+        and a.vectors.dtype == b.vectors.dtype
+        and a.vectors.shape == b.vectors.shape
+        and a.vectors.tobytes() == b.vectors.tobytes()
+        and a.provenance == b.provenance
+        and a.output_weights is None and b.output_weights is None
+    )
+
+
+def same_graph(a, b) -> bool:
+    return (
+        list(a.nodes.items()) == list(b.nodes.items())
+        and list(a.edges.items()) == list(b.edges.items())
+        and all(type(w) is int for w in [*a.nodes.values(), *a.edges.values()])
+    )
+
+
+SAME = {"cooc": same_cooc, "embedding": same_space, "edges": same_graph}
+
+
+def check(kind: str, path, content: bytes) -> None:
+    """The loader returns what the per-line reader returns, or raises its error."""
+    path.write_bytes(content)
+    load, reference = LOADERS[kind]
+    got, expected = outcome(load, path), outcome(reference, path)
+    if expected[0] == "ok":
+        assert got[0] == "ok", got
+        assert SAME[kind](got[1], expected[1])
+    else:
+        assert got == expected
+
+
+COOC = "COOC v1 3 2\n0\ta\t3\n1\tcafé\t2\n2\tb\t1\n0\t0\t2\n0\t1\t4\n1\t2\t1\n"
+EMBEDDING = "3 2\na 0.5 -1.0\ncafé 1e-05 2.0\nb -0.0 3.0\n"
+EDGES = "# nodes: 3\n# node\ta\t0\n# node\tb\t2\n# node\tcafé\t0\na\tb\t3\na\tcafé\t1\n"
+
+# files that a bulk check must send to the per-line reader, valid or not
+NEAR_VALID = {
+    "cooc": [
+        COOC,
+        COOC + "0\t1\t4\n",  # repeated triple
+        COOC.replace("0\t1\t4\n1\t2\t1\n", "1\t2\t1\n0\t1\t4\n"),  # unordered, valid
+        COOC.replace("0\t1\t4\n", "0\t1\t4\n\n"),
+        COOC.replace("1\tcafé\t2\n2\tb\t1\n", "2\tb\t1\n1\tcafé\t2\n"),
+        COOC.replace("café", "caf\x85é"),
+        COOC.replace("café", "ca\x1cfé"),
+        COOC.replace("COOC v1 3 2", "COOC v1 3 2 extra"),
+        COOC.replace("COOC v1 3 2", "COOC v1 3 0"),
+        COOC.replace("COOC v1 3 2", "COOC v1 99999999999999999999 2"),
+        COOC.replace("\n", "\r\n"),
+        COOC.rstrip("\n"),
+        COOC.replace("\t4\n", "\t4\t\n"),
+        *(COOC.replace("\t4\n", f"\t{count}\n") for count in ODD_FIELDS),
+        *(COOC.replace("0\t1\t4", f"{t}\t1\t4") for t in ["+0", " 0", "٠", "3"]),
+        COOC.replace("\ta\t3", "\ta\t0"),
+        COOC.replace("\ta\t3", "\ta\t1_0"),
+        COOC.replace("\tb\t1", "\ta\t1"),
+    ],
+    "embedding": [
+        EMBEDDING,
+        EMBEDDING + "c 1.0 1.0\ngarbage here\n",  # rows past the header's count
+        EMBEDDING + "\n\n",
+        EMBEDDING.rstrip("\n"),
+        EMBEDDING.replace("\n", "\r\n"),
+        EMBEDDING.replace("café", "caf\u2028é"),
+        EMBEDDING.replace("\nb ", "\na "),
+        EMBEDDING.replace("0.5 ", "0.5  "),
+        EMBEDDING.replace("-1.0\n", "-1.0 \n"),
+        EMBEDDING.replace("-1.0\n", "\n"),
+        EMBEDDING.replace("-1.0\n", "-1.0\n\n"),
+        EMBEDDING.replace("3 2", "3 2 "),
+        EMBEDDING.replace("3 2", "2 2"),
+        "1 99999999999999999999\na\n",
+        "1 9999999999\na \n",
+        *(EMBEDDING.replace("0.5", value) for value in ODD_FIELDS + ["1e-400", "-1e400", "e5"]),
+    ],
+    "edges": [
+        EDGES,
+        EDGES.replace("a\tb\t3\n", "# note\na\tb\t3\n"),  # a comment among the edges, valid
+        EDGES.replace("# nodes: 3", "# nodes: 4") + "# node\td\t0\n",  # a late node, valid
+        EDGES + "# node\td\t0\n",
+        EDGES + "a\tb\t3\n",
+        EDGES + "b\ta\t3\n",
+        EDGES + "a\td\t3\n",
+        EDGES.replace("# node\tb\t2\n", "# node\tb\t2\n# node\tb\t2\n"),
+        EDGES.replace("# nodes: 3", "# nodes: 2"),
+        EDGES.replace("# nodes: 3", "# nodes:3"),
+        EDGES.replace("# nodes: 3", "# nodes: 99999999999999999999"),
+        EDGES.replace("# nodes: 3", "# nodes: 9999999999"),
+        EDGES.rstrip("\n"),
+        EDGES + "x",
+        EDGES.replace("# nodes: 3", "# nodes: 4\n# node\t#x\t0") + "#x\ta\t3\n",  # a comment
+        EDGES.replace("\n", "\r\n"),
+        EDGES.replace("café", "caf\x1cé"),
+        EDGES.replace("a\tb\t3", "a\tb\t3\t"),
+        *(EDGES.replace("a\tb\t3", f"a\tb\t{w}") for w in ODD_FIELDS),
+        *(EDGES.replace("\tb\t2", f"\tb\t{w}") for w in ["-1", "+2", "1_0"]),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "kind, content",
+    [pytest.param(kind, text, id=f"{kind}-{i}")
+     for kind, texts in NEAR_VALID.items() for i, text in enumerate(texts)],
+)
+def test_near_valid_file_loads_like_per_line_reader(workdir, kind, content):
+    check(kind, workdir / f"near.{kind}", content.encode())
+
+
+def test_saved_files_take_the_bulk_path(workdir):
+    assert count_model._parse_cooc_bulk(COOC) is not None
+    assert trainer._parse_embedding_bulk(EMBEDDING, "x") is not None
+    assert graph._import_edge_list_bulk(EDGES) is not None
+
+
+def case(data, text: str, form: str, sep: str) -> bytes:
+    """The saved text itself, a near-valid mutation of it, or arbitrary bytes
+    after a prefix of it."""
+    if form == "mutated":
+        return data.draw(mutated(text, sep)).encode()
+    if form == "bytes":
+        return text.encode()[: data.draw(st.integers(0, 40))] + data.draw(st.binary(max_size=60))
+    return text.encode()
+
+
+def saved(path, save, model) -> str:
+    save(model, path)
+    return path.read_text(encoding="utf-8")
+
+
+class TestFuzz:
+    @FUZZ
+    @given(model=count_models(), form=FORMS, data=st.data())
+    def test_cooc(self, workdir, model, form, data):
+        text = saved(workdir / "saved.cooc", count_model.save_cooc, model)
+        if form == "canonical":
+            assert count_model._parse_cooc_bulk(text) is not None
+        check("cooc", workdir / "m.cooc", case(data, text, form, "\t"))
+
+    @FUZZ
+    @given(space=embedding_spaces(), form=FORMS, data=st.data())
+    def test_embedding_text(self, workdir, space, form, data):
+        text = saved(workdir / "saved.txt", trainer.save_embedding_text, space)
+        if form == "canonical":
+            assert trainer._parse_embedding_bulk(text, "x") is not None
+        check("embedding", workdir / "v.txt", case(data, text, form, " "))
+
+    @FUZZ
+    @given(model=count_models(), min_weight=st.integers(1, 3), form=FORMS, data=st.data())
+    def test_edge_list(self, workdir, model, min_weight, form, data):
+        text = graph.export_edge_list(graph.from_counts(model, min_weight=min_weight))
+        if form == "canonical":
+            assert graph._import_edge_list_bulk(text) is not None
+        check("edges", workdir / "g.tsv", case(data, text, form, "\t"))
+
+
+class TestCheckpoint:
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        vocab = db.Vocabulary(["a", "café", "c"], [3, 2, 1])
+        space = trainer.EmbeddingSpace(vocab, np.arange(6.0).reshape(3, 2),
+                                       provenance={"seed": 1}, output_weights=np.ones((3, 2)))
+        path = tmp_path_factory.mktemp("ckpt") / "model.npz"
+        trainer.save_checkpoint(space, path)
+        return path.read_bytes()
+
+    @FUZZ
+    @given(edits=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)), max_size=3),
+           cut=st.integers(0, 1 << 16), junk=st.binary(max_size=40), data=st.data())
+    def test_corrupt_bytes_raise_only_format_error(self, workdir, checkpoint, edits, cut, junk,
+                                                   data):
+        content = bytearray(checkpoint)
+        for offset, value in edits:
+            content[offset % len(content)] = value
+        if data.draw(st.booleans()):
+            content = content[: cut % (len(content) + 1)]
+        if data.draw(st.booleans()):
+            content = junk
+        path = workdir / "c.npz"
+        path.write_bytes(bytes(content))
+        try:
+            trainer.load_checkpoint(path)
+        except FormatError:
+            pass

@@ -316,6 +316,31 @@ class TestPersistence:
         with pytest.raises(db.errors.FormatError):
             db.load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "field, offset, value",
+        [
+            ("directory", 8, 0x01),  # the general-purpose flags: encrypted
+            ("directory", 8, 0x20),  # the general-purpose flags: compressed patched data
+            ("directory", 10, 99),  # an unknown compression method
+            ("end", 19, 0xFF),  # the central directory's offset points before the file
+        ],
+        ids=["encrypted", "patched-data", "unknown-compression", "directory-offset"],
+    )
+    def test_corrupted_checkpoint_raises_format_error(self, tiny_stream, tmp_path, field,
+                                                      offset, value):
+        path = tmp_path / "model.npz"
+        db.save_checkpoint(db.train_cbow([tiny_stream], small_config(epochs=1)), path)
+        data = bytearray(path.read_bytes())
+        signature = {"directory": b"PK\x01\x02", "end": b"PK\x05\x06"}[field]
+        data[data.find(signature) + offset] = value
+        path.write_bytes(bytes(data))
+        with pytest.raises(db.errors.FormatError, match="malformed"):
+            db.load_checkpoint(path)
+
+    def test_missing_checkpoint_is_an_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            db.load_checkpoint(tmp_path / "absent.npz")
+
     def test_malformed_text_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3 4\nword 1.0 2.0\n", encoding="utf-8")
