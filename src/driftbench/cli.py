@@ -55,6 +55,7 @@ from .trainer import (
     save_embedding_text,
     train_cbow,
     train_skipgram,
+    training_kernel,
 )
 from .vector_space import VectorSpace, nearest_neighbors
 
@@ -106,6 +107,9 @@ INPUT_ARGS = (
 
 # Parsed attributes that are not run parameters; `seed` has its own field.
 _NOT_PARAMETERS = ("handler", "subcommand", "experiment", "seed")
+
+# Commands that train, whose manifest names the training kernel.
+TRAINING_COMMANDS = ("train", "experiment.wiki_sep_style", "experiment.seed_stability")
 
 
 def _corpus_streams(path: str, stoplist_path: str | None = None) -> list[TokenStream]:
@@ -184,6 +188,7 @@ def _manifest(args, inputs: list[str]) -> RunManifest:
         parameters,
         inputs,
         seed=getattr(args, "seed", None),
+        kernel=training_kernel() if subcommand in TRAINING_COMMANDS else None,
     )
 
 

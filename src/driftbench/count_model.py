@@ -249,7 +249,7 @@ def _parse_cooc_lines(text: str, path: str | Path) -> CooccurrenceMatrix:
     """The per-line COOC reader: accepts every valid file and names the first
     bad line of an invalid one."""
     lines = text.splitlines()
-    if not lines or not lines[0].startswith(COOC_MAGIC):
+    if not lines or lines[0].split()[:2] != COOC_MAGIC.split():
         raise FormatError(f"{path}: line 1: not a {COOC_MAGIC} file")
     number = 1
     try:

@@ -1,7 +1,8 @@
 """Run manifests: everything needed to reproduce a command's outputs.
 
 Two runs whose manifests agree on all fields except the timestamp produce
-byte-identical outputs.
+byte-identical outputs. Commands that train name the training kernel, whose
+last bits differ from the numpy step's.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ class RunManifest:
     parameters: dict
     inputs: dict[str, str]
     seed: int | None
+    kernel: str | None = None  # set by commands that train
     tool: str = TOOL_NAME
     version: str = TOOL_VERSION
     timestamp: str = field(
@@ -56,6 +58,8 @@ class RunManifest:
             "seed": self.seed,
             "timestamp": self.timestamp,
         }
+        if self.kernel is not None:
+            payload["kernel"] = self.kernel
         return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
@@ -64,10 +68,11 @@ def build_manifest(
     parameters: dict,
     input_paths: list[str | Path],
     seed: int | None = None,
+    kernel: str | None = None,
 ) -> RunManifest:
     inputs: dict[str, str] = {}
     for p in input_paths:
         inputs.update(_digest_tree(Path(p)))
     return RunManifest(
-        subcommand=subcommand, parameters=parameters, inputs=inputs, seed=seed
+        subcommand=subcommand, parameters=parameters, inputs=inputs, seed=seed, kernel=kernel
     )

@@ -6,14 +6,27 @@ the embedding. Training is plain stochastic gradient descent over
 (context, target) pairs scanned in document order, fully deterministic for
 a fixed seed: weight initialization, sample order, and noise draws all
 flow from one seeded generator, and the loop is single-threaded.
+
+The epoch loop runs in a small C kernel (`_sgd.c`), compiled on first use
+with the system C compiler and loaded through ctypes. Where it cannot be
+built or loaded, the numpy step below trains instead; it is also the
+reference the kernel is tested against. Their weights differ only in the
+last few bits, so the provenance names the kernel that trained.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import io
 import json
+import os
+import platform
 import re
+import shutil
+import subprocess
+import tempfile
 import warnings
 from dataclasses import dataclass, asdict, replace
 from itertools import islice
@@ -36,6 +49,9 @@ from .vector_space import VectorSpace
 SOFTMAX_VOCAB_LIMIT = 20_000
 LR_FLOOR_FRACTION = 1e-4
 NOISE_POWER = 0.75
+# samples whose noise words are drawn at once; bounds the noise buffer to
+# this many times k ids, plus one position's samples
+NOISE_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -222,26 +238,73 @@ def _apply_step(
     np.subtract.at(state.w_in, ctx, (lr / len(ctx)) * grad_h)
 
 
+def _window_ids(state: ModelState, streams: Sequence[TokenStream], radius: int) -> np.ndarray:
+    """Every document's vocabulary ids, with `radius` -1 (out-of-vocabulary)
+    positions before each document and after the last, so that each token's
+    window is in bounds and never reaches into another document."""
+    pad = np.full(radius, -1, dtype=np.int64)
+    parts = [pad]
+    for stream in streams:
+        parts += [np.array(state.vocab.index_sequence(stream.tokens), dtype=np.int64), pad]
+    return np.concatenate(parts)
+
+
+def _samples_at(ids: np.ndarray, radius: int, architecture: str) -> np.ndarray:
+    """The samples `iter_samples` yields at each position of `_window_ids`.
+
+    A CBOW position yields one when its token and some context word are in
+    the vocabulary; a skip-gram position yields one per in-vocabulary context
+    word of an in-vocabulary token.
+    """
+    known = ids >= 0
+    before = np.concatenate(([0], np.cumsum(known)))  # known positions before each index
+    n, width = len(ids), 2 * radius + 1
+    context = np.zeros(n, dtype=np.int64)
+    context[radius : n - radius] = before[width:] - before[: n - width + 1] - known[radius : n - radius]
+    if architecture == "cbow":
+        return (known & (context > 0)).astype(np.int64)
+    return np.where(known, context, 0)
+
+
+def _numpy_epoch(
+    state: ModelState,
+    streams: Sequence[TokenStream],
+    config: TrainingConfig,
+    rng: np.random.Generator,
+    seen: int,
+    total: int,
+) -> float:
+    """One epoch of the numpy step; returns the sum of the sample losses."""
+    loss_sum = 0.0
+    for ctx, target in iter_samples(state, streams, config.window_radius):
+        lr = config.learning_rate * max(LR_FLOOR_FRACTION, 1.0 - seen / total)
+        negatives = _draw_negatives(state, target, rng)
+        loss, *step = _sample_loss_grads(state, ctx, target, negatives)
+        _apply_step(state, ctx, lr, *step)
+        loss_sum += loss
+        seen += 1
+    return loss_sum
+
+
 def _run_training(
     streams: Sequence[TokenStream], config: TrainingConfig, architecture: str
 ) -> EmbeddingSpace:
     streams = list(streams)
     state = init_state(streams, config, architecture)
     rng = np.random.default_rng(config.seed + 1)  # noise draws, separate from init
-    per_epoch = sum(1 for _ in iter_samples(state, streams, config.window_radius))
+    ids = _window_ids(state, streams, config.window_radius)
+    counts = _samples_at(ids, config.window_radius, architecture)
+    per_epoch = int(counts.sum())
     total = max(per_epoch * config.epochs, 1)
+    kernel = _kernel()
     kind, neg_k = state.objective
-    seen = 0
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
-        loss_sum = 0.0
-        for ctx, target in iter_samples(state, streams, config.window_radius):
-            lr = config.learning_rate * max(LR_FLOOR_FRACTION, 1.0 - seen / total)
-            negatives = _draw_negatives(state, target, rng)
-            loss, *step = _sample_loss_grads(state, ctx, target, negatives)
-            _apply_step(state, ctx, lr, *step)
-            loss_sum += loss
-            seen += 1
+        seen = epoch * per_epoch
+        if kernel is None:
+            loss_sum = _numpy_epoch(state, streams, config, rng, seen, total)
+        else:
+            loss_sum = kernel.epoch(state, ids, counts, config, rng, seen, total)
         epoch_loss = loss_sum / max(per_epoch, 1)
         if not np.isfinite(epoch_loss):
             raise NumericalError(
@@ -256,6 +319,7 @@ def _run_training(
         "corpus_digest": corpus_digest(streams),
         "epoch_losses": epoch_losses,
         "samples_per_epoch": per_epoch,
+        "kernel": "numpy" if kernel is None else kernel.name,
     }
     return EmbeddingSpace(
         state.vocab, state.w_in, provenance=provenance, output_weights=state.w_out
@@ -350,6 +414,136 @@ def gradient_check(
             denom = max(abs(analytic) + abs(numeric), 1e-8)
             max_rel = max(max_rel, abs(analytic - numeric) / denom)
     return max_rel
+
+
+# ---------------------------------------------------------------------------
+# the compiled epoch kernel
+
+_KERNEL_SOURCE = Path(__file__).with_name("_sgd.c")
+# no -march=native and no fast-math: sums stay sequential and bits reproducible
+_KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_P = ctypes.c_void_p
+_I = ctypes.c_int64
+
+
+class _Kernel:
+    """The loaded `_sgd.c` epoch function and the name the provenance gives it."""
+
+    def __init__(self, library: ctypes.CDLL, name: str):
+        fn = library.driftbench_sgd
+        fn.argtypes = [_P, _P, _I, _I, _P, _I, _I, _I, ctypes.c_int32, _P, _I,
+                       ctypes.c_double, ctypes.c_double, _I, _I,
+                       ctypes.POINTER(ctypes.c_double)]
+        fn.restype = ctypes.c_int
+        self._fn = fn
+        self._library = library  # keeps the library loaded while the function is used
+        self.name = name
+
+    def epoch(
+        self,
+        state: ModelState,
+        ids: np.ndarray,
+        counts: np.ndarray,
+        config: TrainingConfig,
+        rng: np.random.Generator,
+        seen: int,
+        total: int,
+    ) -> float:
+        """One epoch over `_window_ids` in C; returns the sum of the sample losses.
+
+        Noise words are drawn per chunk of about NOISE_CHUNK samples with one
+        `rng.random` call. The generator's doubles come out in order, so they
+        are the numpy path's per-sample draws.
+        """
+        v, d = len(state.vocab), config.dimension
+        for w in (state.w_in, state.w_out):
+            if w.shape != (v, d) or w.dtype != np.float64 or not w.flags.c_contiguous:
+                raise ValueError("weights must be C-contiguous float64 of shape (vocabulary, dimension)")
+        if ids.dtype != np.int64 or not ids.flags.c_contiguous or ids.max(initial=-1) >= v:
+            raise ValueError("window ids must be C-contiguous int64 vocabulary ids")
+        k = state.objective[1]
+        radius = config.window_radius
+        before = np.concatenate(([0], np.cumsum(counts)))  # samples before each position
+        cuts = np.arange(NOISE_CHUNK, before[-1], NOISE_CHUNK) if k else []  # softmax: one call
+        bounds = [radius, *np.searchsorted(before, cuts, side="right"), len(ids) - radius]
+        loss_sum = ctypes.c_double(0.0)
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            samples = int(before[stop] - before[start])
+            if samples == 0:
+                continue
+            noise = np.zeros(0, dtype=np.int64)  # softmax draws none
+            if k:
+                draws = rng.random(samples * k)
+                noise = np.searchsorted(state.noise_cdf, draws).astype(np.int64, copy=False)
+            status = self._fn(
+                state.w_in.ctypes.data, state.w_out.ctypes.data, v, d,
+                ids.ctypes.data, int(start), int(stop), radius,
+                state.architecture == "skipgram", noise.ctypes.data, k,
+                config.learning_rate, LR_FLOOR_FRACTION, seen, total, ctypes.byref(loss_sum),
+            )
+            if status != 0:
+                raise MemoryError("training kernel could not allocate its scratch memory")
+            seen += samples
+        return loss_sum.value
+
+
+def training_kernel() -> str:
+    """The kernel that trains in this process: 'c:<source hash>' or 'numpy'."""
+    kernel = _kernel()
+    return "numpy" if kernel is None else kernel.name
+
+
+def _compiler() -> str | None:
+    return shutil.which("cc") or shutil.which("gcc")
+
+
+@functools.cache
+def _kernel() -> _Kernel | None:
+    """The compiled epoch kernel, cached in the package's __pycache__; None
+    when it cannot be built or loaded here, and the numpy step trains."""
+    return _load_kernel(Path(__file__).parent / "__pycache__")
+
+
+def _load_kernel(cache_dir: Path) -> _Kernel | None:
+    """Load the kernel built for this source, flags and machine from
+    cache_dir, building it first when it is missing or does not load."""
+    try:
+        source = _KERNEL_SOURCE.read_bytes()
+    except OSError:
+        return None
+    build = hashlib.sha256(
+        b"\0".join([source, " ".join(_KERNEL_FLAGS).encode(), platform.machine().encode(),
+                    platform.system().encode()])
+    ).hexdigest()[:16]
+    name = "c:" + hashlib.sha256(source).hexdigest()[:12]
+    path = cache_dir / f"_sgd-{build}.so"
+    try:
+        return _Kernel(ctypes.CDLL(str(path)), name)
+    except (OSError, AttributeError):  # missing, or not a loadable build of this source
+        pass
+    compiler = _compiler()
+    if compiler is None:
+        return None
+    try:
+        try:
+            cache_dir.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".sgd-", suffix=".so")
+        except OSError:  # not writable: build in a private directory
+            path = Path(tempfile.mkdtemp(prefix="driftbench-")) / path.name
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".sgd-", suffix=".so")
+        os.close(fd)
+        try:
+            subprocess.run(
+                [compiler, *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE), "-lm"],
+                check=True, capture_output=True, timeout=120,
+            )
+            os.replace(tmp, path)  # another process may be building the same file
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        return _Kernel(ctypes.CDLL(str(path)), name)
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        return None
 
 
 def save_embedding_text(space: EmbeddingSpace | VectorSpace, path: str | Path) -> None:

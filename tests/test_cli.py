@@ -455,13 +455,15 @@ def test_malformed_edge_list_exits_2(content, where, tmp_path, capsys):
         ("2 100000000000000\na 1.0\nb 1.0\n", "line 1"),
         (b"2 2\na 1.0 0.5\n\xc3 1.0 1.0\n", "byte offset 14"),
         ("2 2\na 1.0 0.5\nb 0.5 1.0\nc 1.0 1.0\ngarbage here\n", "line 4"),
+        ("COOC v12 2 10\n0\ta\t1\n1\tb\t1\n", "line 1: not a COOC v1 file"),
+        ("COOC v1x 2 10\n0\ta\t1\n1\tb\t1\n", "line 1: not a COOC v1 file"),
     ],
     ids=["two-field-triple", "vocab-index-out-of-range", "context-id-out-of-range",
          "zero-count", "negative-count", "count-beyond-int64", "repeated-vocab-index",
          "repeated-token", "zero-frequency", "lower-triangle", "zero-radius", "repeated-triple",
          "nan-component", "non-numeric-component", "short-vector",
          "repeated-embedding-token", "negative-dimension", "dimension-beyond-file",
-         "invalid-utf8", "extra-embedding-row"],
+         "invalid-utf8", "extra-embedding-row", "cooc-version-v12", "cooc-version-v1x"],
 )
 def test_malformed_model_exits_2(content, where, tmp_path, capsys):
     bad = tmp_path / "bad.model"
@@ -662,3 +664,65 @@ def test_manifest_records_every_argument(command, artifacts, tmp_path, capsys):
     err = capsys.readouterr().err
     for path in gone.values():
         assert path in err, f"{path} is not named as missing"
+
+
+# ---------------------------------------------------------------------------
+# the training kernel: runs with the same kernel repeat byte for byte, and
+# the manifest tells a C-kernel run from a numpy-step run
+
+TRAINING_RUNS = {
+    "train": (
+        ["train", "{corpus}", "--out", "m", "--seed", "1", "--dim", "4", "--epochs", "2",
+         "--window", "2", "--objective", "neg:2"],
+        ["m.txt", "m.npz"],
+        "m.manifest.json",
+    ),
+    "wiki_sep_style": (
+        ["experiment", "wiki_sep_style", "--base", "{corpus}", "--addition", "{addition}",
+         "--out", "w", "--seed", "1", "--dim", "4", "--epochs", "1", "--window", "2",
+         "--k", "3"],
+        ["w/base.txt", "w/augmented.txt", "w/report.json", "w/report.csv"],
+        "w/manifest.json",
+    ),
+    "seed_stability": (
+        ["experiment", "seed_stability", "--out", "ss", "--seed", "1", "--sizes", "200",
+         "--num-seeds", "2", "--dim", "4", "--epochs", "1", "--k", "3"],
+        ["ss/seed_stability.json", "ss/seed_stability.csv"],
+        "ss/manifest.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(TRAINING_RUNS))
+def test_manifest_names_the_training_kernel(command, artifacts, tmp_path, monkeypatch):
+    from driftbench import trainer
+
+    kernel = trainer._kernel()
+    if kernel is None:
+        pytest.skip("the C training kernel does not build here")
+    template, outputs, manifest_name = TRAINING_RUNS[command]
+    argv = [t.format(**artifacts) for t in template]
+
+    def run_in(name: str) -> tuple[dict, list[bytes]]:
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)  # the same relative --out in every run
+        assert main(argv) == 0
+        manifest = json.loads(Path(manifest_name).read_text(encoding="utf-8"))
+        del manifest["timestamp"]
+        return manifest, [Path(out).read_bytes() for out in outputs]
+
+    first, first_bytes = run_in("kernel-1")
+    second, second_bytes = run_in("kernel-2")
+    assert first == second
+    assert first_bytes == second_bytes
+    assert first["kernel"] == kernel.name
+    monkeypatch.setattr(trainer, "_kernel", lambda: None)
+    fallback, _ = run_in("numpy")
+    assert fallback["kernel"] == "numpy"
+    assert fallback != first
+    assert fallback | {"kernel": kernel.name} == first  # the kernel is all that differs
+
+
+def test_manifest_of_a_command_that_does_not_train_names_no_kernel(rose_file, tmp_path):
+    assert run("stats", rose_file, "--out", tmp_path / "s.json") == 0
+    assert "kernel" not in json.loads((tmp_path / "s.json.manifest.json").read_text())

@@ -199,6 +199,8 @@ NEAR_VALID = {
         COOC.replace("\ta\t3", "\ta\t0"),
         COOC.replace("\ta\t3", "\ta\t1_0"),
         COOC.replace("\tb\t1", "\ta\t1"),
+        COOC.replace("COOC v1 3 2", "COOC v12 3 2"),  # another version
+        COOC.replace("COOC v1 3 2", "COOC v1x 3 2"),
     ],
     "embedding": [
         EMBEDDING,

@@ -1,6 +1,10 @@
 """Training determinism, loss behavior, gradient fidelity, persistence."""
 
+import hashlib
 import math
+import platform
+import re
+import tempfile
 from collections import Counter
 
 import numpy as np
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 
 import driftbench as db
 from driftbench import trainer
+from driftbench.synthetic import synthetic_corpus
 from driftbench.trainer import iter_samples
 
 TINY_TEXT = (
@@ -259,13 +264,181 @@ class TestSampleStreamOracle:
             assert target == ref_target
 
         train = db.train_cbow if architecture == "cbow" else db.train_skipgram
-        emb = train(streams, cfg)
-        assert emb.provenance["samples_per_epoch"] == len(got)
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trainer, "_kernel", lambda: None)  # the numpy step reads iter_samples
+            emb = train(streams, cfg)
+            assert emb.provenance["samples_per_epoch"] == len(got)
             mp.setattr(trainer, "iter_samples", reference_iter_samples)
             ref = train(streams, cfg)
         assert np.array_equal(emb.vectors, ref.vectors)
         assert np.array_equal(emb.output_weights, ref.output_weights)
+
+
+class TestSampleCount:
+    @settings(max_examples=80, deadline=None)
+    @given(training_corpora(), st.integers(1, 6), st.sampled_from(["cbow", "skipgram"]))
+    def test_count_matches_generator(self, corpus, radius, architecture):
+        streams, min_count = corpus
+        cfg = small_config(dimension=1, window_radius=radius, min_count=min_count)
+        state = db.init_state(streams, cfg, architecture)
+        ids = trainer._window_ids(state, streams, radius)
+        counts = trainer._samples_at(ids, radius, architecture)
+        assert counts.sum() == len(list(iter_samples(state, streams, radius)))
+        assert len(ids) == radius + sum(len(s.tokens) + radius for s in streams)
+        assert not counts[ids < 0].any()
+
+
+# ---------------------------------------------------------------------------
+# the compiled epoch kernel and its numpy fallback
+
+
+@pytest.fixture
+def numpy_step(monkeypatch):
+    """Train with the numpy step, as where the C kernel cannot be built."""
+    monkeypatch.setattr(trainer, "_kernel", lambda: None)
+
+
+@pytest.fixture
+def kernel():
+    built = trainer._kernel()
+    if built is None:
+        pytest.skip("the C training kernel does not build here")
+    return built
+
+
+class TestNumpyStepDeterminism(TestDeterminism):
+    """TestDeterminism and the divergence check again, on the numpy step."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy(self, numpy_step):
+        pass
+
+    test_divergence_aborts_with_diagnostics = TestLoss.test_divergence_aborts_with_diagnostics
+
+    def test_provenance_names_numpy(self, tiny_stream):
+        emb = db.train_cbow([tiny_stream], small_config())
+        assert emb.provenance["kernel"] == trainer.training_kernel() == "numpy"
+
+
+def oracle_streams():
+    """Documents of a synthetic language, one empty and one of a single word;
+    with min_count 2 the words seen once leave out-of-vocabulary gaps."""
+    tokens = synthetic_corpus(300, seed=11, vocab_size=60).tokens
+    cuts = [("a", 0, 150), ("empty", 150, 150), ("b", 150, 260), ("one", 260, 261), ("c", 261, 300)]
+    return [db.TokenStream(name, tokens[lo:hi]) for name, lo, hi in cuts]
+
+
+class TestKernel:
+    def test_provenance_names_the_kernel(self, kernel, tiny_stream):
+        emb = db.train_cbow([tiny_stream], small_config())
+        assert emb.provenance["kernel"] == trainer.training_kernel() == kernel.name
+        assert re.fullmatch("c:[0-9a-f]{12}", kernel.name)
+
+    @pytest.mark.parametrize("epochs", [1, 2, 3])
+    @pytest.mark.parametrize("radius", [1, 2, 5])
+    @pytest.mark.parametrize("objective", ["softmax", "neg:1", "neg:5"])
+    @pytest.mark.parametrize("architecture", ["cbow", "skipgram"])
+    def test_matches_numpy_step(self, kernel, monkeypatch, architecture, objective, radius,
+                                epochs):
+        streams = oracle_streams()
+        cfg = small_config(dimension=12, window_radius=radius, epochs=epochs, min_count=2,
+                           objective=objective)
+        train = db.train_cbow if architecture == "cbow" else db.train_skipgram
+        got = train(streams, cfg)
+        monkeypatch.setattr(trainer, "_kernel", lambda: None)
+        want = train(streams, cfg)
+        assert (got.provenance["kernel"], want.provenance["kernel"]) == (kernel.name, "numpy")
+        assert got.provenance["samples_per_epoch"] == want.provenance["samples_per_epoch"]
+        np.testing.assert_allclose(got.vectors, want.vectors, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(got.output_weights, want.output_weights, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(got.provenance["epoch_losses"],
+                                   want.provenance["epoch_losses"], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    @pytest.mark.parametrize("architecture", ["cbow", "skipgram"])
+    def test_noise_chunk_size_leaves_bits_unchanged(self, kernel, monkeypatch, architecture,
+                                                    chunk):
+        cfg = small_config(dimension=6, window_radius=3, epochs=2, min_count=2, objective="neg:3")
+        train = db.train_cbow if architecture == "cbow" else db.train_skipgram
+        whole = train(oracle_streams(), cfg)
+        monkeypatch.setattr(trainer, "NOISE_CHUNK", chunk)
+        chunked = train(oracle_streams(), cfg)
+        assert np.array_equal(whole.vectors, chunked.vectors)
+        assert np.array_equal(whole.output_weights, chunked.output_weights)
+        assert whole.provenance["epoch_losses"] == chunked.provenance["epoch_losses"]
+
+
+class TestKernelBuild:
+    def test_no_compiler_trains_on_numpy_step(self, tiny_stream, tmp_path, monkeypatch):
+        monkeypatch.setattr(trainer, "_compiler", lambda: None)
+        monkeypatch.setattr(trainer, "_kernel", lambda: trainer._load_kernel(tmp_path))
+        emb = db.train_cbow([tiny_stream], small_config())
+        assert emb.provenance["kernel"] == trainer.training_kernel() == "numpy"
+        assert np.isfinite(emb.vectors).all()
+        assert emb.provenance["epoch_losses"][-1] < emb.provenance["epoch_losses"][0]
+
+    def test_compile_error_returns_none(self, kernel, tmp_path, monkeypatch):
+        source = tmp_path / "_sgd.c"
+        source.write_text("this is not C\n", encoding="utf-8")
+        monkeypatch.setattr(trainer, "_KERNEL_SOURCE", source)
+        assert trainer._load_kernel(tmp_path / "cache") is None
+        assert not list((tmp_path / "cache").iterdir())  # no temporary file is left behind
+
+    def test_garbage_at_the_cache_path_is_rebuilt(self, kernel, tiny_stream, tmp_path,
+                                                 monkeypatch):
+        assert trainer._load_kernel(tmp_path / "first") is not None
+        (library,) = (tmp_path / "first").glob("_sgd-*.so")
+        garbage = tmp_path / "second" / library.name
+        garbage.parent.mkdir()
+        garbage.write_bytes(b"not a shared library")
+        rebuilt = trainer._load_kernel(garbage.parent)
+        assert rebuilt is not None and rebuilt.name == kernel.name
+        assert garbage.read_bytes() == library.read_bytes()
+        cached = db.train_cbow([tiny_stream], small_config())
+        monkeypatch.setattr(trainer, "_kernel", lambda: rebuilt)
+        again = db.train_cbow([tiny_stream], small_config())
+        assert np.array_equal(cached.vectors, again.vectors)
+
+    def test_unwritable_cache_builds_in_a_private_directory(self, kernel, tmp_path,
+                                                            monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        blocker = tmp_path / "a-file"
+        blocker.write_bytes(b"")
+        built = trainer._load_kernel(blocker / "cache")  # a directory cannot be made there
+        assert built is not None and built.name == kernel.name
+        assert len(list(tmp_path.glob("driftbench-*/_sgd-*.so"))) == 1
+
+
+# sha256 of vectors + output weights trained by the numpy step: dimension 16,
+# seed 7, r=3, 2 epochs, on synthetic_corpus(3000, seed=5, vocab_size=300)
+# plus tests/data/cafe_story.txt. BLAS kernels differ in their last bits
+# between builds and CPUs, so these hold for the build that recorded them.
+NUMPY_STEP_DIGESTS = {
+    ("cbow", "softmax", 1): "558f528772681e191e6ee8f8058c2f1efbe2f96b4f26f64d8dc87eda7b98065e",
+    ("cbow", "softmax", 3): "a72def6bf298eb2f78e5fa122b50495bc546b46ff959006f6a36614c59eb348a",
+    ("cbow", "neg:5", 1): "1590e8903224108923671489990734360a52dd43f66ab1aa71ca364947cae633",
+    ("cbow", "neg:5", 3): "6d7ff80cb499d887c557204798b06b9c910597f282d33f90e726cde20d1c5669",
+    ("skipgram", "softmax", 1): "21ab5df7956b594e20803176c61de2c5edd5be83e6cd8732d451f6edaca6b6e2",
+    ("skipgram", "softmax", 3): "6b533d032be9599aaeb9faf19f1017e8150af9aaa146a43cee7c077abd7008a4",
+    ("skipgram", "neg:5", 1): "fa0eba9260e2321ad741ba627ca92c7ad4447a603fc99f043137c753049bcc47",
+    ("skipgram", "neg:5", 3): "9d8ebf75250a6d8270fe473eb586c78c80e90e064f0bd4f6fc8f148f9c42b347",
+}
+
+
+@pytest.mark.skipif(
+    (np.__version__, platform.machine()) != ("2.4.6", "x86_64"),
+    reason="the digests were recorded with numpy 2.4.6 (OpenBLAS) on x86-64",
+)
+@pytest.mark.parametrize("case", list(NUMPY_STEP_DIGESTS), ids=lambda c: "-".join(map(str, c)))
+def test_numpy_step_bits_unchanged(case, numpy_step, cafe_text):
+    architecture, objective, min_count = case
+    streams = [synthetic_corpus(3000, seed=5, vocab_size=300), db.tokenize(cafe_text)]
+    cfg = db.TrainingConfig(seed=7, dimension=16, window_radius=3, epochs=2,
+                            min_count=min_count, objective=objective)
+    train = db.train_cbow if architecture == "cbow" else db.train_skipgram
+    emb = train(streams, cfg)
+    digest = hashlib.sha256(emb.vectors.tobytes() + emb.output_weights.tobytes()).hexdigest()
+    assert digest == NUMPY_STEP_DIGESTS[case]
 
 
 class TestPersistence:
