@@ -1,24 +1,11 @@
-/* One CBOW or skip-gram SGD pass over a range of window positions.
- *
- * This is the per-sample loop of trainer._sample_loss_grads and
- * trainer._apply_step in C, in the style of word2vec.c (Mikolov et al.
- * 2013): one sample at a time, over noise words drawn beforehand. Every
- * step does its arithmetic in the same order as the numpy path, except
- * that dot products and sums run sequentially where numpy calls BLAS or
- * sums pairwise, so weights agree with it to the last few bits. Build it
- * with -ffp-contract=off and without fast-math so that every run of the
- * same build gives the same bits.
- *
- * `ids` holds every document's vocabulary ids (-1 for out-of-vocabulary
- * tokens) with `radius` -1 entries before each document and after the
- * last, so ids[p - radius .. p + radius] is in bounds for every token and
- * windows never cross documents. Positions start..stop-1 are trained, in
- * order; a CBOW sample is one in-vocabulary target with a non-empty
- * in-vocabulary context, a skip-gram sample is one (target, context word)
- * pair, and each sample takes the next k ids of `noise` (none under
- * softmax, k == 0), dropping those equal to its target.
- *
- * Returns 0, or -1 when scratch memory cannot be allocated.
+/* The two loops of driftbench that numpy cannot batch: an SGD epoch of
+ * the trainer (driftbench_sgd) and the sweeps of the Jacobi SVD
+ * (driftbench_jacobi). Each does its arithmetic in the same order as the
+ * numpy path it replaces, except that dot products and sums run
+ * sequentially where numpy calls BLAS or sums pairwise, so results agree
+ * with it to the last few bits. Build it with -ffp-contract=off and
+ * without fast-math so that every run of the same build gives the same
+ * bits.
  */
 
 #include <math.h>
@@ -149,6 +136,23 @@ static double step(model *m, const int64_t *ctx, int64_t n, int64_t target,
     return loss;
 }
 
+/* One CBOW or skip-gram SGD pass over a range of window positions.
+ *
+ * This is the per-sample loop of trainer._sample_loss_grads and
+ * trainer._apply_step in C, in the style of word2vec.c (Mikolov et al.
+ * 2013): one sample at a time, over noise words drawn beforehand.
+ *
+ * `ids` holds every document's vocabulary ids (-1 for out-of-vocabulary
+ * tokens) with `radius` -1 entries before each document and after the
+ * last, so ids[p - radius .. p + radius] is in bounds for every token and
+ * windows never cross documents. Positions start..stop-1 are trained, in
+ * order; a CBOW sample is one in-vocabulary target with a non-empty
+ * in-vocabulary context, a skip-gram sample is one (target, context word)
+ * pair, and each sample takes the next k ids of `noise` (none under
+ * softmax, k == 0), dropping those equal to its target.
+ *
+ * Returns 0, or -1 when scratch memory cannot be allocated.
+ */
 int driftbench_sgd(double *w_in, double *w_out, int64_t vocab, int64_t dim,
                    const int64_t *ids, int64_t start, int64_t stop,
                    int64_t radius, int32_t skipgram,
@@ -203,4 +207,69 @@ int driftbench_sgd(double *w_in, double *w_out, int64_t vocab, int64_t dim,
     free(buf);
     free(m.rows);
     return 0;
+}
+
+/* x, y = c*x - s*y, s*x + c*y elementwise; two elements per step so that
+ * the compiler can pair them in one vector instruction */
+static void rotate(double *restrict x, double *restrict y, int64_t len, double c, double s)
+{
+    int64_t i;
+    for (i = 0; i + 2 <= len; i += 2) {
+        double x0 = x[i], x1 = x[i + 1], y0 = y[i], y1 = y[i + 1];
+        x[i] = c * x0 - s * y0;
+        x[i + 1] = c * x1 - s * y1;
+        y[i] = s * x0 + c * y0;
+        y[i + 1] = s * x1 + c * y1;
+    }
+    for (; i < len; i++) {
+        double x0 = x[i], y0 = y[i];
+        x[i] = c * x0 - s * y0;
+        y[i] = s * x0 + c * y0;
+    }
+}
+
+/* The sweeps of stability.jacobi_svd: one-sided Jacobi rotations
+ * (Hestenes 1958) of the columns of a, accumulated into v, in cyclic
+ * order by rows (p < q), until a sweep rotates no pair.
+ *
+ * `at` is a transposed: d rows of n, so each column of a is a contiguous
+ * row; `vt` is v transposed, d rows of d. A pair is skipped when
+ * |apq| <= tol * sqrt(app * aqq) or when app * aqq underflows to 0; apq,
+ * app and aqq come from one pass over the two columns, each a sequential
+ * sum in index order.
+ *
+ * Returns the number of sweeps done, the last one rotating nothing, or -1
+ * when each of max_sweeps sweeps rotated some pair.
+ */
+int driftbench_jacobi(double *at, double *vt, int64_t n, int64_t d,
+                      double tol, int64_t max_sweeps)
+{
+    int64_t sweep, p, q, i;
+
+    for (sweep = 1; sweep <= max_sweeps; sweep++) {
+        int rotated = 0;
+        for (p = 0; p < d - 1; p++) {
+            for (q = p + 1; q < d; q++) {
+                double *ap = at + p * n, *aq = at + q * n;
+                double *vp = vt + p * d, *vq = vt + q * d;
+                double apq = 0.0, app = 0.0, aqq = 0.0, theta, c, s;
+                for (i = 0; i < n; i++) {
+                    apq += ap[i] * aq[i];
+                    app += ap[i] * ap[i];
+                    aqq += aq[i] * aq[i];
+                }
+                if (fabs(apq) <= tol * sqrt(app * aqq) || app * aqq == 0.0)
+                    continue;
+                theta = 0.5 * atan2(2.0 * apq, aqq - app);
+                c = cos(theta);
+                s = sin(theta);
+                rotate(ap, aq, n, c, s);
+                rotate(vp, vq, d, c, s);
+                rotated = 1;
+            }
+        }
+        if (!rotated)
+            return (int)sweep;
+    }
+    return -1;
 }

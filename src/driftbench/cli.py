@@ -108,8 +108,9 @@ INPUT_ARGS = (
 # Parsed attributes that are not run parameters; `seed` has its own field.
 _NOT_PARAMETERS = ("handler", "subcommand", "experiment", "seed")
 
-# Commands that train, whose manifest names the training kernel.
-TRAINING_COMMANDS = ("train", "experiment.wiki_sep_style", "experiment.seed_stability")
+# Commands that train or run the Jacobi SVD, whose bytes depend on the
+# compiled kernel, so their manifest names it.
+KERNEL_COMMANDS = ("train", "experiment.wiki_sep_style", "experiment.seed_stability", "align")
 
 
 def _corpus_streams(path: str, stoplist_path: str | None = None) -> list[TokenStream]:
@@ -188,7 +189,7 @@ def _manifest(args, inputs: list[str]) -> RunManifest:
         parameters,
         inputs,
         seed=getattr(args, "seed", None),
-        kernel=training_kernel() if subcommand in TRAINING_COMMANDS else None,
+        kernel=training_kernel() if subcommand in KERNEL_COMMANDS else None,
     )
 
 

@@ -24,6 +24,7 @@ from .errors import (
     UnknownWordError,
     ZeroVectorError,
 )
+from . import trainer
 from .trainer import EmbeddingSpace, TrainingConfig, train_cbow, train_skipgram
 from .vector_space import NeighborList, VectorSpace, _neighbor_lists, _top_k, cosine_similarity
 
@@ -41,9 +42,11 @@ def jacobi_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Columns of a working copy are pairwise rotated until mutually
     orthogonal (relative off-diagonal dot below 1e-12); their norms are
     the singular values. The copy is scaled by a power of two (exactly) so
-    the dot products cannot underflow. Returns (u, s, vt) with
-    m = u @ diag(s) @ vt, singular values descending. Raises
-    NumericalError if JACOBI_MAX_SWEEPS sweeps do not converge.
+    the dot products cannot underflow. The sweeps run in the compiled
+    kernel (`trainer._kernel()`) where it is built and in numpy otherwise;
+    the two differ in the last bits of their dot products. Returns
+    (u, s, vt) with m = u @ diag(s) @ vt, singular values descending.
+    Raises NumericalError if JACOBI_MAX_SWEEPS sweeps do not converge.
     """
     a = np.asarray(m, dtype=np.float64).copy()
     if a.ndim != 2:
@@ -53,28 +56,14 @@ def jacobi_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("jacobi_svd expects n >= d (pass the transpose)")
     exponent = int(np.frexp(np.abs(a).max(initial=0.0))[1])
     a = np.ldexp(a, -exponent)
-    v = np.eye(d)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        rotated = False
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = float(a[:, p] @ a[:, q])
-                app = float(a[:, p] @ a[:, p])
-                aqq = float(a[:, q] @ a[:, q])
-                if abs(apq) <= JACOBI_TOL * math.sqrt(app * aqq):
-                    continue
-                theta = 0.5 * math.atan2(2.0 * apq, aqq - app)
-                c, s = math.cos(theta), math.sin(theta)
-                col_p = c * a[:, p] - s * a[:, q]
-                col_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = col_p, col_q
-                vec_p = c * v[:, p] - s * v[:, q]
-                vec_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = vec_p, vec_q
-                rotated = True
-        if not rotated:
-            break
+    kernel = trainer._kernel()
+    if kernel is None:
+        v = _numpy_sweeps(a)
     else:
+        at, vt = np.ascontiguousarray(a.T), np.eye(d)
+        converged = kernel.jacobi(at, vt, JACOBI_TOL, JACOBI_MAX_SWEEPS) >= 0
+        a, v = at.T, (vt.T if converged else None)
+    if v is None:
         raise NumericalError(f"jacobi_svd did not converge in {JACOBI_MAX_SWEEPS} sweeps")
     sigma = np.linalg.norm(a, axis=0)
     order = np.argsort(-sigma, kind="stable")
@@ -88,6 +77,38 @@ def jacobi_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for j in np.flatnonzero(~nonzero):
         u[:, j] = _orthonormal_fill(u, j, n)
     return u, np.ldexp(sigma, exponent), v.T
+
+
+def _numpy_sweeps(a: np.ndarray) -> np.ndarray | None:
+    """The Jacobi sweeps in numpy, where no kernel is built, and the oracle
+    the kernel is tested against: rotates the columns of `a` in place and
+    returns the accumulated rotations v, or None without convergence."""
+    d = a.shape[1]
+    v = np.eye(d)
+    for _ in range(JACOBI_MAX_SWEEPS):
+        rotated = False
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                apq = float(a[:, p] @ a[:, q])
+                app = float(a[:, p] @ a[:, p])
+                aqq = float(a[:, q] @ a[:, q])
+                # app * aqq underflows to 0 only when one column's norm is
+                # below about 1e-81 of the largest entry: u replaces that
+                # column, and rotating it would never converge
+                if abs(apq) <= JACOBI_TOL * math.sqrt(app * aqq) or app * aqq == 0.0:
+                    continue
+                theta = 0.5 * math.atan2(2.0 * apq, aqq - app)
+                c, s = math.cos(theta), math.sin(theta)
+                col_p = c * a[:, p] - s * a[:, q]
+                col_q = s * a[:, p] + c * a[:, q]
+                a[:, p], a[:, q] = col_p, col_q
+                vec_p = c * v[:, p] - s * v[:, q]
+                vec_q = s * v[:, p] + c * v[:, q]
+                v[:, p], v[:, q] = vec_p, vec_q
+                rotated = True
+        if not rotated:
+            return v
+    return None
 
 
 def _orthonormal_fill(u: np.ndarray, col: int, n: int) -> np.ndarray:

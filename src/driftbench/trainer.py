@@ -7,11 +7,12 @@ the embedding. Training is plain stochastic gradient descent over
 a fixed seed: weight initialization, sample order, and noise draws all
 flow from one seeded generator, and the loop is single-threaded.
 
-The epoch loop runs in a small C kernel (`_sgd.c`), compiled on first use
-with the system C compiler and loaded through ctypes. Where it cannot be
-built or loaded, the numpy step below trains instead; it is also the
-reference the kernel is tested against. Their weights differ only in the
-last few bits, so the provenance names the kernel that trained.
+The epoch loop runs in a small C kernel (`_kernel.c`, which also holds the
+sweeps of `stability.jacobi_svd`), compiled on first use with the system C
+compiler and loaded through ctypes. Where it cannot be built or loaded, the
+numpy step below trains instead; it is also the reference the kernel is
+tested against. Their weights differ only in the last few bits, so the
+provenance names the kernel that trained.
 """
 
 from __future__ import annotations
@@ -417,9 +418,9 @@ def gradient_check(
 
 
 # ---------------------------------------------------------------------------
-# the compiled epoch kernel
+# the compiled kernel: the SGD epoch and the Jacobi sweeps
 
-_KERNEL_SOURCE = Path(__file__).with_name("_sgd.c")
+_KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 # no -march=native and no fast-math: sums stay sequential and bits reproducible
 _KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _P = ctypes.c_void_p
@@ -427,7 +428,7 @@ _I = ctypes.c_int64
 
 
 class _Kernel:
-    """The loaded `_sgd.c` epoch function and the name the provenance gives it."""
+    """The loaded `_kernel.c` functions and the name the provenance gives them."""
 
     def __init__(self, library: ctypes.CDLL, name: str):
         fn = library.driftbench_sgd
@@ -436,6 +437,10 @@ class _Kernel:
                        ctypes.POINTER(ctypes.c_double)]
         fn.restype = ctypes.c_int
         self._fn = fn
+        sweeps = library.driftbench_jacobi
+        sweeps.argtypes = [_P, _P, _I, _I, ctypes.c_double, _I]
+        sweeps.restype = ctypes.c_int
+        self._jacobi = sweeps
         self._library = library  # keeps the library loaded while the function is used
         self.name = name
 
@@ -486,9 +491,20 @@ class _Kernel:
             seen += samples
         return loss_sum.value
 
+    def jacobi(self, at: np.ndarray, vt: np.ndarray, tol: float, max_sweeps: int) -> int:
+        """The sweeps of `stability.jacobi_svd` in C, on the transposed working
+        copy `at` (d x n) and rotations `vt` (d x d), both rotated in place.
+        Returns the sweeps done, or -1 when max_sweeps did not converge."""
+        d, n = at.shape
+        for x, shape in ((at, (d, n)), (vt, (d, d))):
+            if x.shape != shape or x.dtype != np.float64 or not x.flags.c_contiguous:
+                raise ValueError("Jacobi arrays must be C-contiguous float64 of shapes (d, n), (d, d)")
+        return self._jacobi(at.ctypes.data, vt.ctypes.data, n, d, tol, max_sweeps)
+
 
 def training_kernel() -> str:
-    """The kernel that trains in this process: 'c:<source hash>' or 'numpy'."""
+    """The kernel that trains and runs the Jacobi sweeps in this process:
+    'c:<source hash>' or 'numpy'."""
     kernel = _kernel()
     return "numpy" if kernel is None else kernel.name
 
@@ -499,8 +515,8 @@ def _compiler() -> str | None:
 
 @functools.cache
 def _kernel() -> _Kernel | None:
-    """The compiled epoch kernel, cached in the package's __pycache__; None
-    when it cannot be built or loaded here, and the numpy step trains."""
+    """The compiled kernel, cached in the package's __pycache__; None when it
+    cannot be built or loaded here, and the numpy paths run instead."""
     return _load_kernel(Path(__file__).parent / "__pycache__")
 
 
@@ -516,7 +532,7 @@ def _load_kernel(cache_dir: Path) -> _Kernel | None:
                     platform.system().encode()])
     ).hexdigest()[:16]
     name = "c:" + hashlib.sha256(source).hexdigest()[:12]
-    path = cache_dir / f"_sgd-{build}.so"
+    path = cache_dir / f"_kernel-{build}.so"
     try:
         return _Kernel(ctypes.CDLL(str(path)), name)
     except (OSError, AttributeError):  # missing, or not a loadable build of this source
@@ -527,10 +543,10 @@ def _load_kernel(cache_dir: Path) -> _Kernel | None:
     try:
         try:
             cache_dir.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".sgd-", suffix=".so")
+            fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".kernel-", suffix=".so")
         except OSError:  # not writable: build in a private directory
             path = Path(tempfile.mkdtemp(prefix="driftbench-")) / path.name
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".sgd-", suffix=".so")
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".kernel-", suffix=".so")
         os.close(fd)
         try:
             subprocess.run(
@@ -541,9 +557,16 @@ def _load_kernel(cache_dir: Path) -> _Kernel | None:
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
-        return _Kernel(ctypes.CDLL(str(path)), name)
+        kernel = _Kernel(ctypes.CDLL(str(path)), name)
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
+    for stale in [*path.parent.glob("_sgd-*.so"), *path.parent.glob("_kernel-*.so")]:
+        if stale != path:  # builds of older sources or flags
+            try:
+                stale.unlink()
+            except OSError:
+                pass
+    return kernel
 
 
 def save_embedding_text(space: EmbeddingSpace | VectorSpace, path: str | Path) -> None:

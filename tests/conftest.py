@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import driftbench as db
+from driftbench import trainer
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -95,3 +96,18 @@ def table1_space():
 @pytest.fixture
 def cafe_text():
     return (DATA_DIR / "cafe_story.txt").read_text(encoding="utf-8")
+
+
+@pytest.fixture
+def numpy_step(monkeypatch):
+    """Run the numpy training step and Jacobi sweeps, as where the C kernel
+    cannot be built."""
+    monkeypatch.setattr(trainer, "_kernel", lambda: None)
+
+
+@pytest.fixture
+def kernel():
+    built = trainer._kernel()
+    if built is None:
+        pytest.skip("the C kernel does not build here")
+    return built

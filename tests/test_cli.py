@@ -240,6 +240,17 @@ class TestRotateAndAlign:
         assert run("rotate", cooc, "--seed", 1, "--out", tmp_path / "r.txt") == 2
 
 
+class TestAlignOnNumpySweeps:
+    """The non-convergence exit again, on the numpy Jacobi sweeps."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy(self, numpy_step):
+        pass
+
+    model = TestRotateAndAlign.model
+    test_align_without_convergence_exits_3 = TestRotateAndAlign.test_align_without_convergence_exits_3
+
+
 class TestGraphCommands:
     @pytest.fixture
     def cooc(self, rose_file, tmp_path):
@@ -667,10 +678,10 @@ def test_manifest_records_every_argument(command, artifacts, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# the training kernel: runs with the same kernel repeat byte for byte, and
-# the manifest tells a C-kernel run from a numpy-step run
+# the compiled kernel: runs with the same kernel repeat byte for byte, and
+# the manifest tells a C-kernel run from a numpy run
 
-TRAINING_RUNS = {
+KERNEL_RUNS = {
     "train": (
         ["train", "{corpus}", "--out", "m", "--seed", "1", "--dim", "4", "--epochs", "2",
          "--window", "2", "--objective", "neg:2"],
@@ -690,17 +701,22 @@ TRAINING_RUNS = {
         ["ss/seed_stability.json", "ss/seed_stability.csv"],
         "ss/manifest.json",
     ),
+    "align": (
+        ["align", "{model}", "{model_b}", "--apply-to", "aligned.txt", "--out", "align.json"],
+        ["align.json", "aligned.txt"],
+        "align.json.manifest.json",
+    ),
 }
 
 
-@pytest.mark.parametrize("command", list(TRAINING_RUNS))
+@pytest.mark.parametrize("command", list(KERNEL_RUNS))
 def test_manifest_names_the_training_kernel(command, artifacts, tmp_path, monkeypatch):
     from driftbench import trainer
 
     kernel = trainer._kernel()
     if kernel is None:
-        pytest.skip("the C training kernel does not build here")
-    template, outputs, manifest_name = TRAINING_RUNS[command]
+        pytest.skip("the C kernel does not build here")
+    template, outputs, manifest_name = KERNEL_RUNS[command]
     argv = [t.format(**artifacts) for t in template]
 
     def run_in(name: str) -> tuple[dict, list[bytes]]:

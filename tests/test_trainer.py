@@ -292,20 +292,6 @@ class TestSampleCount:
 # the compiled epoch kernel and its numpy fallback
 
 
-@pytest.fixture
-def numpy_step(monkeypatch):
-    """Train with the numpy step, as where the C kernel cannot be built."""
-    monkeypatch.setattr(trainer, "_kernel", lambda: None)
-
-
-@pytest.fixture
-def kernel():
-    built = trainer._kernel()
-    if built is None:
-        pytest.skip("the C training kernel does not build here")
-    return built
-
-
 class TestNumpyStepDeterminism(TestDeterminism):
     """TestDeterminism and the divergence check again, on the numpy step."""
 
@@ -378,7 +364,7 @@ class TestKernelBuild:
         assert emb.provenance["epoch_losses"][-1] < emb.provenance["epoch_losses"][0]
 
     def test_compile_error_returns_none(self, kernel, tmp_path, monkeypatch):
-        source = tmp_path / "_sgd.c"
+        source = tmp_path / "_kernel.c"
         source.write_text("this is not C\n", encoding="utf-8")
         monkeypatch.setattr(trainer, "_KERNEL_SOURCE", source)
         assert trainer._load_kernel(tmp_path / "cache") is None
@@ -387,7 +373,7 @@ class TestKernelBuild:
     def test_garbage_at_the_cache_path_is_rebuilt(self, kernel, tiny_stream, tmp_path,
                                                  monkeypatch):
         assert trainer._load_kernel(tmp_path / "first") is not None
-        (library,) = (tmp_path / "first").glob("_sgd-*.so")
+        (library,) = (tmp_path / "first").glob("_kernel-*.so")
         garbage = tmp_path / "second" / library.name
         garbage.parent.mkdir()
         garbage.write_bytes(b"not a shared library")
@@ -406,7 +392,23 @@ class TestKernelBuild:
         blocker.write_bytes(b"")
         built = trainer._load_kernel(blocker / "cache")  # a directory cannot be made there
         assert built is not None and built.name == kernel.name
-        assert len(list(tmp_path.glob("driftbench-*/_sgd-*.so"))) == 1
+        assert len(list(tmp_path.glob("driftbench-*/_kernel-*.so"))) == 1
+
+    def test_a_new_build_removes_the_stale_ones(self, kernel, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "_sgd-0123456789abcdef.so").write_bytes(b"a build of the old source name")
+        (cache / "other.so").write_bytes(b"not a kernel build")
+        assert trainer._load_kernel(cache) is not None
+        (first,) = cache.glob("_kernel-*.so")
+        source = tmp_path / "_kernel.c"
+        source.write_bytes(trainer._KERNEL_SOURCE.read_bytes() + b"\n/* another source */\n")
+        monkeypatch.setattr(trainer, "_KERNEL_SOURCE", source)
+        newer = trainer._load_kernel(cache)
+        assert newer is not None and newer.name != kernel.name
+        (second,) = cache.glob("_kernel-*.so")
+        assert second != first
+        assert sorted(p.name for p in cache.iterdir()) == sorted([second.name, "other.so"])
 
 
 # sha256 of vectors + output weights trained by the numpy step: dimension 16,
