@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -196,11 +197,6 @@ class Vocabulary:
         for i, (t, f) in enumerate(zip(self._tokens, self._freq)):
             yield t, i, f
 
-    def index_sequence(self, tokens: Iterable[str]) -> list[int]:
-        """Map tokens to indices, -1 for out-of-vocabulary tokens."""
-        get = self._index.get
-        return [get(t, -1) for t in tokens]
-
     def extended(self, extra_counts: Counter[str]) -> "Vocabulary":
         """Return a vocabulary with frequencies updated and new types appended.
 
@@ -250,6 +246,22 @@ def build_vocabulary(
     if max_size is not None:
         kept = kept[:max_size]
     return Vocabulary([t for t, _ in kept], [c for _, c in kept])
+
+
+def _window_ids(streams: Iterable[TokenStream], vocab: Vocabulary, radius: int) -> np.ndarray:
+    """Every document's vocabulary ids (-1 out of vocabulary) with `radius`
+    -1 positions before each document and after the last: the window
+    ids[p - radius : p + radius + 1] of each token stays inside its document.
+    Counting and training both walk this array."""
+    streams = list(streams)
+    ids = np.full(radius + sum(len(s.tokens) + radius for s in streams), -1, dtype=np.int64)
+    get, oov = vocab._index.get, itertools.repeat(-1)
+    start = radius
+    for stream in streams:
+        n = len(stream.tokens)
+        ids[start : start + n] = np.fromiter(map(get, stream.tokens, oov), np.int64, n)
+        start += n + radius
+    return ids
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from typing import Iterable
 import numpy as np
 from scipy import sparse
 
-from .corpus import TokenStream, Vocabulary, _bulk_table, _lf_lines_only, decode_utf8
+from .corpus import TokenStream, Vocabulary, _bulk_table, _lf_lines_only, _window_ids, decode_utf8
 from .errors import DataError, FormatError
 from .vector_space import VectorSpace, WordVector
 
@@ -75,20 +75,14 @@ class CooccurrenceMatrix:
         return VectorSpace(self.vocab, self.counts.astype(np.float64))
 
 
-def _pair_keys(streams: Iterable[TokenStream], vocab: Vocabulary, radius: int) -> np.ndarray:
-    """Encoded (earlier, later) index pairs for every in-window position pair."""
-    vsize = len(vocab)
-    chunks: list[np.ndarray] = []
-    for stream in streams:
-        ids = np.asarray(vocab.index_sequence(stream.tokens), dtype=np.int64)
-        n = ids.size
-        for d in range(1, min(radius, n - 1) + 1):
-            a, b = ids[:-d], ids[d:]
-            m = (a >= 0) & (b >= 0)
-            if m.any():
-                chunks.append(a[m] * vsize + b[m])
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
+def _pair_keys(ids: np.ndarray, vsize: int, radius: int) -> np.ndarray:
+    """Encoded (earlier, later) index pairs for every in-window position pair
+    of `corpus._window_ids`, whose -1 entries pair with nothing."""
+    chunks = []
+    for d in range(1, radius + 1):
+        a, b = ids[:-d], ids[d:]
+        m = (a >= 0) & (b >= 0)
+        chunks.append(a[m] * vsize + b[m])
     return np.concatenate(chunks)
 
 
@@ -104,7 +98,7 @@ def count_cooccurrences(
     counts. Windows never cross document boundaries.
     """
     vsize = len(vocab)
-    keys = _pair_keys(streams, vocab, window.radius)
+    keys = _pair_keys(_window_ids(streams, vocab, window.radius), vsize, window.radius)
     if keys.size:
         uniq, cnt = np.unique(keys, return_counts=True)
         forward = sparse.coo_matrix(

@@ -48,7 +48,7 @@ def jacobi_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (u, s, vt) with m = u @ diag(s) @ vt, singular values descending.
     Raises NumericalError if JACOBI_MAX_SWEEPS sweeps do not converge.
     """
-    a = np.asarray(m, dtype=np.float64).copy()
+    a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("jacobi_svd expects a 2-d matrix")
     n, d = a.shape
@@ -57,14 +57,11 @@ def jacobi_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     exponent = int(np.frexp(np.abs(a).max(initial=0.0))[1])
     a = np.ldexp(a, -exponent)
     kernel = trainer._kernel()
-    if kernel is None:
-        v = _numpy_sweeps(a)
-    else:
-        at, vt = np.ascontiguousarray(a.T), np.eye(d)
-        converged = kernel.jacobi(at, vt, JACOBI_TOL, JACOBI_MAX_SWEEPS) >= 0
-        a, v = at.T, (vt.T if converged else None)
-    if v is None:
+    sweeps = _numpy_sweeps if kernel is None else kernel.jacobi
+    at, vt = np.ascontiguousarray(a.T), np.eye(d)
+    if sweeps(at, vt, JACOBI_TOL, JACOBI_MAX_SWEEPS) < 0:
         raise NumericalError(f"jacobi_svd did not converge in {JACOBI_MAX_SWEEPS} sweeps")
+    a, v = at.T, vt.T
     sigma = np.linalg.norm(a, axis=0)
     order = np.argsort(-sigma, kind="stable")
     sigma = sigma[order]
@@ -79,36 +76,36 @@ def jacobi_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, np.ldexp(sigma, exponent), v.T
 
 
-def _numpy_sweeps(a: np.ndarray) -> np.ndarray | None:
-    """The Jacobi sweeps in numpy, where no kernel is built, and the oracle
-    the kernel is tested against: rotates the columns of `a` in place and
-    returns the accumulated rotations v, or None without convergence."""
-    d = a.shape[1]
-    v = np.eye(d)
-    for _ in range(JACOBI_MAX_SWEEPS):
+def _numpy_sweeps(at: np.ndarray, vt: np.ndarray, tol: float, max_sweeps: int) -> int:
+    """The sweeps of `trainer._Kernel.jacobi` in numpy, where no kernel is
+    built, and the oracle the kernel is tested against: rotates the columns
+    of a, the rows of `at`, in place and accumulates the rotations in `vt`.
+    Returns the sweeps done, or -1 when max_sweeps did not converge."""
+    d = at.shape[0]
+    for sweep in range(1, max_sweeps + 1):
         rotated = False
         for p in range(d - 1):
             for q in range(p + 1, d):
-                apq = float(a[:, p] @ a[:, q])
-                app = float(a[:, p] @ a[:, p])
-                aqq = float(a[:, q] @ a[:, q])
+                apq = float(at[p] @ at[q])
+                app = float(at[p] @ at[p])
+                aqq = float(at[q] @ at[q])
                 # app * aqq underflows to 0 only when one column's norm is
                 # below about 1e-81 of the largest entry: u replaces that
                 # column, and rotating it would never converge
-                if abs(apq) <= JACOBI_TOL * math.sqrt(app * aqq) or app * aqq == 0.0:
+                if abs(apq) <= tol * math.sqrt(app * aqq) or app * aqq == 0.0:
                     continue
                 theta = 0.5 * math.atan2(2.0 * apq, aqq - app)
                 c, s = math.cos(theta), math.sin(theta)
-                col_p = c * a[:, p] - s * a[:, q]
-                col_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = col_p, col_q
-                vec_p = c * v[:, p] - s * v[:, q]
-                vec_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = vec_p, vec_q
+                col_p = c * at[p] - s * at[q]
+                col_q = s * at[p] + c * at[q]
+                at[p], at[q] = col_p, col_q
+                vec_p = c * vt[p] - s * vt[q]
+                vec_q = s * vt[p] + c * vt[q]
+                vt[p], vt[q] = vec_p, vec_q
                 rotated = True
         if not rotated:
-            return v
-    return None
+            return sweep
+    return -1
 
 
 def _orthonormal_fill(u: np.ndarray, col: int, n: int) -> np.ndarray:

@@ -7,12 +7,12 @@ the embedding. Training is plain stochastic gradient descent over
 a fixed seed: weight initialization, sample order, and noise draws all
 flow from one seeded generator, and the loop is single-threaded.
 
-The epoch loop runs in a small C kernel (`_kernel.c`, which also holds the
-sweeps of `stability.jacobi_svd`), compiled on first use with the system C
-compiler and loaded through ctypes. Where it cannot be built or loaded, the
-numpy step below trains instead; it is also the reference the kernel is
-tested against. Their weights differ only in the last few bits, so the
-provenance names the kernel that trained.
+One function (`_epoch`) plans every epoch and hands each chunk to a step:
+the SGD loop of a small C kernel (`_kernel.c`, which also holds the sweeps
+of `stability.jacobi_svd`), compiled on first use with the system C compiler
+and loaded through ctypes, or, where that cannot be built or loaded, the
+numpy step, which is also the reference the kernel is tested against. Their
+weights differ only in the last few bits, so the provenance names the kernel.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .corpus import (
     Vocabulary,
     _bulk_table,
     _lf_lines_only,
+    _window_ids,
     build_vocabulary,
     decode_utf8,
 )
@@ -167,19 +168,24 @@ def iter_samples(
     per target with a non-empty context; skip-gram yields ([target], c) per
     context word c.
     """
-    cbow = state.architecture == "cbow"
-    for stream in streams:
-        ids = state.vocab.index_sequence(stream.tokens)
-        for i, target in enumerate(ids):
-            if target < 0:
-                continue
-            window = ids[max(0, i - radius) : i] + ids[i + 1 : i + radius + 1]
-            ctx = [c for c in window if c >= 0]
-            if not cbow:
-                for c in ctx:
-                    yield np.asarray([target], dtype=np.int64), c
-            elif ctx:
-                yield np.asarray(ctx, dtype=np.int64), target
+    ids = _window_ids(streams, state.vocab, radius)
+    return _samples(ids, radius, state.architecture, radius, len(ids) - radius)
+
+
+def _samples(ids: np.ndarray, radius: int, architecture: str, start: int, stop: int):
+    """The samples of `iter_samples` at positions start..stop-1 of `_window_ids`."""
+    ids = ids[start - radius : stop + radius].tolist()
+    cbow = architecture == "cbow"
+    for i in range(radius, radius + stop - start):
+        target = ids[i]
+        if target < 0:
+            continue
+        ctx = [c for c in ids[i - radius : i] + ids[i + 1 : i + radius + 1] if c >= 0]
+        if not cbow:
+            for c in ctx:
+                yield np.asarray([target], dtype=np.int64), c
+        elif ctx:
+            yield np.asarray(ctx, dtype=np.int64), target
 
 
 def _draw_negatives(
@@ -239,17 +245,6 @@ def _apply_step(
     np.subtract.at(state.w_in, ctx, (lr / len(ctx)) * grad_h)
 
 
-def _window_ids(state: ModelState, streams: Sequence[TokenStream], radius: int) -> np.ndarray:
-    """Every document's vocabulary ids, with `radius` -1 (out-of-vocabulary)
-    positions before each document and after the last, so that each token's
-    window is in bounds and never reaches into another document."""
-    pad = np.full(radius, -1, dtype=np.int64)
-    parts = [pad]
-    for stream in streams:
-        parts += [np.array(state.vocab.index_sequence(stream.tokens), dtype=np.int64), pad]
-    return np.concatenate(parts)
-
-
 def _samples_at(ids: np.ndarray, radius: int, architecture: str) -> np.ndarray:
     """The samples `iter_samples` yields at each position of `_window_ids`.
 
@@ -267,23 +262,47 @@ def _samples_at(ids: np.ndarray, radius: int, architecture: str) -> np.ndarray:
     return np.where(known, context, 0)
 
 
-def _numpy_epoch(
-    state: ModelState,
-    streams: Sequence[TokenStream],
-    config: TrainingConfig,
-    rng: np.random.Generator,
-    seen: int,
-    total: int,
-) -> float:
-    """One epoch of the numpy step; returns the sum of the sample losses."""
+def _numpy_sgd(state: ModelState, ids: np.ndarray, config: TrainingConfig, total: int):
+    """The numpy SGD step over `_window_ids` for `_epoch`: the fallback where
+    the C kernel is not built, and the reference it is tested against."""
+    radius, k = config.window_radius, state.objective[1]
+
+    def step(start: int, stop: int, noise: np.ndarray, seen: int, loss_sum: float) -> float:
+        for i, (ctx, target) in enumerate(_samples(ids, radius, state.architecture, start, stop)):
+            lr = config.learning_rate * max(LR_FLOOR_FRACTION, 1.0 - (seen + i) / total)
+            negatives = noise[i * k : (i + 1) * k]  # none under softmax
+            loss, *grads = _sample_loss_grads(state, ctx, target, negatives[negatives != target])
+            _apply_step(state, ctx, lr, *grads)
+            loss_sum += loss
+        return loss_sum
+
+    return step
+
+
+def _epoch(step, state: ModelState, counts: np.ndarray, radius: int,
+           rng: np.random.Generator, seen: int) -> float:
+    """One epoch over `_window_ids`, whose positions hold `counts` samples;
+    returns the sum of the sample losses. The positions are cut into chunks of
+    about NOISE_CHUNK samples (one under softmax, which draws no noise). Each
+    chunk draws its noise words with one `rng.random` call, which gives
+    `_draw_negatives`' per-sample draws in order. step(start, stop, noise, seen,
+    loss_sum) trains positions start..stop-1 and returns loss_sum plus their
+    losses, so the loss is one sequential sum."""
+    k = state.objective[1]
+    before = np.concatenate(([0], np.cumsum(counts)))  # samples before each position
+    cuts = np.arange(NOISE_CHUNK, before[-1], NOISE_CHUNK) if k else []
+    bounds = [radius, *np.searchsorted(before, cuts, side="right"), len(counts) - radius]
     loss_sum = 0.0
-    for ctx, target in iter_samples(state, streams, config.window_radius):
-        lr = config.learning_rate * max(LR_FLOOR_FRACTION, 1.0 - seen / total)
-        negatives = _draw_negatives(state, target, rng)
-        loss, *step = _sample_loss_grads(state, ctx, target, negatives)
-        _apply_step(state, ctx, lr, *step)
-        loss_sum += loss
-        seen += 1
+    noise = np.zeros(0, dtype=np.int64)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        samples = int(before[stop] - before[start])
+        if samples == 0:
+            continue
+        if k:
+            draws = rng.random(samples * k)
+            noise = np.searchsorted(state.noise_cdf, draws).astype(np.int64, copy=False)
+        loss_sum = step(int(start), int(stop), noise, seen, loss_sum)
+        seen += samples
     return loss_sum
 
 
@@ -293,19 +312,16 @@ def _run_training(
     streams = list(streams)
     state = init_state(streams, config, architecture)
     rng = np.random.default_rng(config.seed + 1)  # noise draws, separate from init
-    ids = _window_ids(state, streams, config.window_radius)
+    ids = _window_ids(streams, state.vocab, config.window_radius)
     counts = _samples_at(ids, config.window_radius, architecture)
     per_epoch = int(counts.sum())
     total = max(per_epoch * config.epochs, 1)
     kernel = _kernel()
+    step = (_numpy_sgd if kernel is None else kernel.sgd)(state, ids, config, total)
     kind, neg_k = state.objective
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
-        seen = epoch * per_epoch
-        if kernel is None:
-            loss_sum = _numpy_epoch(state, streams, config, rng, seen, total)
-        else:
-            loss_sum = kernel.epoch(state, ids, counts, config, rng, seen, total)
+        loss_sum = _epoch(step, state, counts, config.window_radius, rng, epoch * per_epoch)
         epoch_loss = loss_sum / max(per_epoch, 1)
         if not np.isfinite(epoch_loss):
             raise NumericalError(
@@ -431,65 +447,42 @@ class _Kernel:
     """The loaded `_kernel.c` functions and the name the provenance gives them."""
 
     def __init__(self, library: ctypes.CDLL, name: str):
-        fn = library.driftbench_sgd
-        fn.argtypes = [_P, _P, _I, _I, _P, _I, _I, _I, ctypes.c_int32, _P, _I,
-                       ctypes.c_double, ctypes.c_double, _I, _I,
-                       ctypes.POINTER(ctypes.c_double)]
-        fn.restype = ctypes.c_int
-        self._fn = fn
+        sgd = library.driftbench_sgd
+        sgd.argtypes = [_P, _P, _I, _I, _P, _I, _I, _I, ctypes.c_int32, _P, _I,
+                        ctypes.c_double, ctypes.c_double, _I, _I,
+                        ctypes.POINTER(ctypes.c_double)]
+        sgd.restype = ctypes.c_int
+        self._sgd = sgd
         sweeps = library.driftbench_jacobi
         sweeps.argtypes = [_P, _P, _I, _I, ctypes.c_double, _I]
         sweeps.restype = ctypes.c_int
         self._jacobi = sweeps
-        self._library = library  # keeps the library loaded while the function is used
+        self._library = library  # keeps the library loaded while its functions are used
         self.name = name
 
-    def epoch(
-        self,
-        state: ModelState,
-        ids: np.ndarray,
-        counts: np.ndarray,
-        config: TrainingConfig,
-        rng: np.random.Generator,
-        seen: int,
-        total: int,
-    ) -> float:
-        """One epoch over `_window_ids` in C; returns the sum of the sample losses.
-
-        Noise words are drawn per chunk of about NOISE_CHUNK samples with one
-        `rng.random` call. The generator's doubles come out in order, so they
-        are the numpy path's per-sample draws.
-        """
+    def sgd(self, state: ModelState, ids: np.ndarray, config: TrainingConfig, total: int):
+        """The SGD step of `_numpy_sgd` in C: checks the arguments once and
+        returns the step, which calls `driftbench_sgd`."""
         v, d = len(state.vocab), config.dimension
         for w in (state.w_in, state.w_out):
             if w.shape != (v, d) or w.dtype != np.float64 or not w.flags.c_contiguous:
                 raise ValueError("weights must be C-contiguous float64 of shape (vocabulary, dimension)")
         if ids.dtype != np.int64 or not ids.flags.c_contiguous or ids.max(initial=-1) >= v:
             raise ValueError("window ids must be C-contiguous int64 vocabulary ids")
-        k = state.objective[1]
-        radius = config.window_radius
-        before = np.concatenate(([0], np.cumsum(counts)))  # samples before each position
-        cuts = np.arange(NOISE_CHUNK, before[-1], NOISE_CHUNK) if k else []  # softmax: one call
-        bounds = [radius, *np.searchsorted(before, cuts, side="right"), len(ids) - radius]
-        loss_sum = ctypes.c_double(0.0)
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            samples = int(before[stop] - before[start])
-            if samples == 0:
-                continue
-            noise = np.zeros(0, dtype=np.int64)  # softmax draws none
-            if k:
-                draws = rng.random(samples * k)
-                noise = np.searchsorted(state.noise_cdf, draws).astype(np.int64, copy=False)
-            status = self._fn(
-                state.w_in.ctypes.data, state.w_out.ctypes.data, v, d,
-                ids.ctypes.data, int(start), int(stop), radius,
-                state.architecture == "skipgram", noise.ctypes.data, k,
-                config.learning_rate, LR_FLOOR_FRACTION, seen, total, ctypes.byref(loss_sum),
+        k, skipgram = state.objective[1], state.architecture == "skipgram"
+
+        def step(start: int, stop: int, noise: np.ndarray, seen: int, loss_sum: float) -> float:
+            out = ctypes.c_double(loss_sum)
+            status = self._sgd(
+                state.w_in.ctypes.data, state.w_out.ctypes.data, v, d, ids.ctypes.data,
+                start, stop, config.window_radius, skipgram, noise.ctypes.data, k,
+                config.learning_rate, LR_FLOOR_FRACTION, seen, total, ctypes.byref(out),
             )
             if status != 0:
                 raise MemoryError("training kernel could not allocate its scratch memory")
-            seen += samples
-        return loss_sum.value
+            return out.value
+
+        return step
 
     def jacobi(self, at: np.ndarray, vt: np.ndarray, tol: float, max_sweeps: int) -> int:
         """The sweeps of `stability.jacobi_svd` in C, on the transposed working
@@ -544,7 +537,7 @@ def _load_kernel(cache_dir: Path) -> _Kernel | None:
         try:
             cache_dir.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".kernel-", suffix=".so")
-        except OSError:  # not writable: build in a private directory
+        except OSError:  # not writable: build in a private directory, removed below
             path = Path(tempfile.mkdtemp(prefix="driftbench-")) / path.name
             fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".kernel-", suffix=".so")
         os.close(fd)
@@ -560,6 +553,9 @@ def _load_kernel(cache_dir: Path) -> _Kernel | None:
         kernel = _Kernel(ctypes.CDLL(str(path)), name)
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
+    finally:
+        if path.parent != cache_dir:  # a loaded library stays mapped without its file
+            shutil.rmtree(path.parent, ignore_errors=True)
     for stale in [*path.parent.glob("_sgd-*.so"), *path.parent.glob("_kernel-*.so")]:
         if stale != path:  # builds of older sources or flags
             try:

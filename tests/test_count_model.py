@@ -77,12 +77,22 @@ class TestWindowing:
             db.WindowConfig(radius=0)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 10))
-    def test_matches_brute_force_on_random_corpora(self, seed, radius):
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 10),
+        st.lists(st.sampled_from(["empty", "short", "long"]), min_size=1, max_size=6),
+        st.integers(1, 3),
+    )
+    def test_matches_brute_force_on_random_corpora(self, seed, radius, kinds, min_count):
+        # empty documents, documents shorter than the radius, and (min_count
+        # above 1) out-of-vocabulary tokens holding window positions
         rng = np.random.default_rng(seed)
-        streams = random_streams(rng, n_streams=3, max_tokens=120, vocab_size=12)
+        longest = {"empty": 0, "short": radius - 1, "long": 120}
+        streams = [
+            random_streams(rng, 1, max_tokens=longest[kind], vocab_size=12)[0] for kind in kinds
+        ]
         try:
-            vocab = db.build_vocabulary(streams)
+            vocab = db.build_vocabulary(streams, min_count=min_count)
         except db.EmptyVocabularyError:
             return
         m = db.count_cooccurrences([s for s in streams], vocab, db.WindowConfig(radius=radius))

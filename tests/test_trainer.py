@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import driftbench as db
 from driftbench import trainer
+from driftbench.corpus import _window_ids
 from driftbench.synthetic import synthetic_corpus
 from driftbench.trainer import iter_samples
 
@@ -223,8 +224,30 @@ def _reference_skipgram(ids, radius):
 def reference_iter_samples(state, streams, radius):
     gen = _reference_cbow if state.architecture == "cbow" else _reference_skipgram
     for stream in streams:
-        ids = np.asarray(state.vocab.index_sequence(stream.tokens), dtype=np.int64)
+        ids = np.asarray([state.vocab.get(t) if t in state.vocab else -1 for t in stream.tokens],
+                         dtype=np.int64)
         yield from gen(ids, radius)
+
+
+def reference_training(streams, cfg, architecture):
+    """The numpy training loop as it was before `trainer._epoch` planned every
+    epoch: the reference generators' samples, each drawing its own noise."""
+    state = db.init_state(streams, cfg, architecture)
+    rng = np.random.default_rng(cfg.seed + 1)
+    samples = list(reference_iter_samples(state, streams, cfg.window_radius))
+    total = max(len(samples) * cfg.epochs, 1)
+    seen, losses = 0, []
+    for _ in range(cfg.epochs):
+        loss_sum = 0.0
+        for ctx, target in samples:
+            lr = cfg.learning_rate * max(trainer.LR_FLOOR_FRACTION, 1.0 - seen / total)
+            negatives = trainer._draw_negatives(state, target, rng)
+            loss, *step = trainer._sample_loss_grads(state, ctx, target, negatives)
+            trainer._apply_step(state, ctx, lr, *step)
+            loss_sum += loss
+            seen += 1
+        losses.append(loss_sum / max(len(samples), 1))
+    return state, samples, losses
 
 
 @st.composite
@@ -247,11 +270,12 @@ class TestSampleStreamOracle:
         st.integers(1, 6),
         st.sampled_from(["cbow", "skipgram"]),
         st.sampled_from(["softmax", "neg:2"]),
+        st.sampled_from([1, 3, trainer.NOISE_CHUNK]),
     )
-    def test_matches_reference_generators(self, corpus, radius, architecture, objective):
+    def test_matches_reference_generators(self, corpus, radius, architecture, objective, chunk):
         streams, min_count = corpus
         cfg = small_config(
-            dimension=4, window_radius=radius, epochs=1, min_count=min_count, objective=objective
+            dimension=4, window_radius=radius, epochs=2, min_count=min_count, objective=objective
         )
         state = db.init_state(streams, cfg, architecture)
         got = list(iter_samples(state, streams, radius))
@@ -263,15 +287,18 @@ class TestSampleStreamOracle:
             assert type(target) is type(ref_target) is int
             assert target == ref_target
 
+        # the numpy step, in chunks of `chunk` samples, against the reference
+        # generators' samples trained one by one
         train = db.train_cbow if architecture == "cbow" else db.train_skipgram
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(trainer, "_kernel", lambda: None)  # the numpy step reads iter_samples
+            mp.setattr(trainer, "_kernel", lambda: None)
+            mp.setattr(trainer, "NOISE_CHUNK", chunk)
             emb = train(streams, cfg)
-            assert emb.provenance["samples_per_epoch"] == len(got)
-            mp.setattr(trainer, "iter_samples", reference_iter_samples)
-            ref = train(streams, cfg)
-        assert np.array_equal(emb.vectors, ref.vectors)
-        assert np.array_equal(emb.output_weights, ref.output_weights)
+        ref, samples, losses = reference_training(streams, cfg, architecture)
+        assert emb.provenance["samples_per_epoch"] == len(samples)
+        assert emb.provenance["epoch_losses"] == losses
+        assert np.array_equal(emb.vectors, ref.w_in)
+        assert np.array_equal(emb.output_weights, ref.w_out)
 
 
 class TestSampleCount:
@@ -281,7 +308,7 @@ class TestSampleCount:
         streams, min_count = corpus
         cfg = small_config(dimension=1, window_radius=radius, min_count=min_count)
         state = db.init_state(streams, cfg, architecture)
-        ids = trainer._window_ids(state, streams, radius)
+        ids = _window_ids(streams, state.vocab, radius)
         counts = trainer._samples_at(ids, radius, architecture)
         assert counts.sum() == len(list(iter_samples(state, streams, radius)))
         assert len(ids) == radius + sum(len(s.tokens) + radius for s in streams)
@@ -292,8 +319,30 @@ class TestSampleCount:
 # the compiled epoch kernel and its numpy fallback
 
 
+def oracle_streams():
+    """Documents of a synthetic language, one empty and one of a single word;
+    with min_count 2 the words seen once leave out-of-vocabulary gaps."""
+    tokens = synthetic_corpus(300, seed=11, vocab_size=60).tokens
+    cuts = [("a", 0, 150), ("empty", 150, 150), ("b", 150, 260), ("one", 260, 261), ("c", 261, 300)]
+    return [db.TokenStream(name, tokens[lo:hi]) for name, lo, hi in cuts]
+
+
+def assert_noise_chunk_size_leaves_bits_unchanged(monkeypatch, architecture, chunk):
+    """Cutting an epoch into chunks of `chunk` samples, each drawing its noise
+    at once, trains the same bits as one chunk per epoch."""
+    cfg = small_config(dimension=6, window_radius=3, epochs=2, min_count=2, objective="neg:3")
+    train = db.train_cbow if architecture == "cbow" else db.train_skipgram
+    whole = train(oracle_streams(), cfg)
+    monkeypatch.setattr(trainer, "NOISE_CHUNK", chunk)
+    chunked = train(oracle_streams(), cfg)
+    assert np.array_equal(whole.vectors, chunked.vectors)
+    assert np.array_equal(whole.output_weights, chunked.output_weights)
+    assert whole.provenance["epoch_losses"] == chunked.provenance["epoch_losses"]
+
+
 class TestNumpyStepDeterminism(TestDeterminism):
-    """TestDeterminism and the divergence check again, on the numpy step."""
+    """TestDeterminism, the divergence check and the noise-chunk check again,
+    on the numpy step."""
 
     @pytest.fixture(autouse=True)
     def _numpy(self, numpy_step):
@@ -305,13 +354,10 @@ class TestNumpyStepDeterminism(TestDeterminism):
         emb = db.train_cbow([tiny_stream], small_config())
         assert emb.provenance["kernel"] == trainer.training_kernel() == "numpy"
 
-
-def oracle_streams():
-    """Documents of a synthetic language, one empty and one of a single word;
-    with min_count 2 the words seen once leave out-of-vocabulary gaps."""
-    tokens = synthetic_corpus(300, seed=11, vocab_size=60).tokens
-    cuts = [("a", 0, 150), ("empty", 150, 150), ("b", 150, 260), ("one", 260, 261), ("c", 261, 300)]
-    return [db.TokenStream(name, tokens[lo:hi]) for name, lo, hi in cuts]
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    @pytest.mark.parametrize("architecture", ["cbow", "skipgram"])
+    def test_noise_chunk_size_leaves_bits_unchanged(self, monkeypatch, architecture, chunk):
+        assert_noise_chunk_size_leaves_bits_unchanged(monkeypatch, architecture, chunk)
 
 
 class TestKernel:
@@ -344,14 +390,7 @@ class TestKernel:
     @pytest.mark.parametrize("architecture", ["cbow", "skipgram"])
     def test_noise_chunk_size_leaves_bits_unchanged(self, kernel, monkeypatch, architecture,
                                                     chunk):
-        cfg = small_config(dimension=6, window_radius=3, epochs=2, min_count=2, objective="neg:3")
-        train = db.train_cbow if architecture == "cbow" else db.train_skipgram
-        whole = train(oracle_streams(), cfg)
-        monkeypatch.setattr(trainer, "NOISE_CHUNK", chunk)
-        chunked = train(oracle_streams(), cfg)
-        assert np.array_equal(whole.vectors, chunked.vectors)
-        assert np.array_equal(whole.output_weights, chunked.output_weights)
-        assert whole.provenance["epoch_losses"] == chunked.provenance["epoch_losses"]
+        assert_noise_chunk_size_leaves_bits_unchanged(monkeypatch, architecture, chunk)
 
 
 class TestKernelBuild:
@@ -385,14 +424,20 @@ class TestKernelBuild:
         again = db.train_cbow([tiny_stream], small_config())
         assert np.array_equal(cached.vectors, again.vectors)
 
-    def test_unwritable_cache_builds_in_a_private_directory(self, kernel, tmp_path,
-                                                            monkeypatch):
+    def test_unwritable_cache_builds_in_a_private_directory(self, kernel, tiny_stream,
+                                                            tmp_path, monkeypatch):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         blocker = tmp_path / "a-file"
         blocker.write_bytes(b"")
         built = trainer._load_kernel(blocker / "cache")  # a directory cannot be made there
         assert built is not None and built.name == kernel.name
-        assert len(list(tmp_path.glob("driftbench-*/_kernel-*.so"))) == 1
+        assert not list(tmp_path.glob("driftbench-*"))  # removed once the library loaded
+        cached = db.train_cbow([tiny_stream], small_config())
+        monkeypatch.setattr(trainer, "_kernel", lambda: built)
+        again = db.train_cbow([tiny_stream], small_config())
+        assert again.provenance["kernel"] == kernel.name
+        assert np.array_equal(cached.vectors, again.vectors)
+        assert np.array_equal(cached.output_weights, again.output_weights)
 
     def test_a_new_build_removes_the_stale_ones(self, kernel, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
