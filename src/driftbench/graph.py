@@ -4,76 +4,200 @@ Nodes are word types; an edge weight is the co-occurrence count of the
 pair. Same-type co-occurrence is kept as a node attribute instead of a
 self-loop so path costs stay clean. Together the edges and node
 attributes carry exactly the information of the count matrix.
+
+A graph is stored as arrays over node ids. The tokens are sorted in
+Python's code-point order and a node's id is its position there, so id
+order is token order: walking the upper-triangular weight matrix row by
+row visits the edges in sorted (a, b) order, and a tuple of ids sorts like
+the tuple of its tokens.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
+from types import MappingProxyType
 from xml.sax.saxutils import escape
 
 import numpy as np
 from scipy import sparse
 
-from .corpus import Vocabulary, _lf_lines_only
+from .corpus import _OTHER_LINE_BREAKS, Vocabulary, _lf_lines_only
 from .count_model import CooccurrenceMatrix, WindowConfig
 from .errors import FormatError, UnknownWordError
+
+_INT64_MAX = (1 << 63) - 1
 
 
 class SemanticGraph:
     """Immutable weighted word graph.
 
-    `nodes` maps token -> same-type co-occurrence count (0 if none);
-    `edges` maps (a, b) with a < b -> positive weight.
+    `tokens` holds the nodes in sorted order; a node's id is its index
+    there. `self_weights[i]` is node i's same-type co-occurrence count (0 if
+    none). `weights` is an upper-triangular int64 CSR matrix holding the
+    weight of edge (tokens[i], tokens[j]), i < j, at [i, j].
+
+    `nodes` (token -> same-type count) and `edges` ((a, b) with a < b ->
+    positive weight) are read-only mapping views of the same arrays.
     """
 
     def __init__(
         self,
-        nodes: dict[str, int],
-        edges: dict[tuple[str, str], int],
+        nodes: Mapping[str, int],
+        edges: Mapping[tuple[str, str], int],
     ):
-        for (a, b), w in edges.items():
+        firsts, seconds = zip(*edges) if edges else ((), ())
+        try:
+            tokens, self_weights, rows, cols = _arrays(nodes, firsts, seconds)
+            weights = np.fromiter(edges.values(), np.int64, len(edges))
+        except OverflowError:
+            raise ValueError("weights must be below 2**63") from None
+        if (self_weights < 0).any():
+            token = tokens[int((self_weights < 0).argmax())]
+            raise ValueError(f"node {token!r} has negative same-type count {nodes[token]}")
+        bad = (rows < 0) | (cols < 0) | (rows >= cols) | (weights <= 0)
+        if bad.any():
+            k = int(bad.argmax())
+            a, b, w = firsts[k], seconds[k], int(weights[k])
             if a >= b:
                 raise ValueError(f"edge key ({a!r}, {b!r}) must be ordered a < b")
             if w <= 0:
                 raise ValueError(f"edge ({a!r}, {b!r}) has non-positive weight {w}")
-            if a not in nodes or b not in nodes:
-                raise ValueError(f"edge ({a!r}, {b!r}) references a missing node")
-        self.nodes = dict(nodes)
-        self.edges = dict(edges)
+            raise ValueError(f"edge ({a!r}, {b!r}) references a missing node")
+        self._set(tokens, self_weights, _upper(len(tokens), rows, cols, weights))
+
+    @classmethod
+    def _of(cls, tokens, self_weights: np.ndarray, weights: sparse.csr_matrix):
+        """A graph of arrays that already hold its invariants."""
+        g = cls.__new__(cls)
+        g._set(tokens, self_weights, weights)
+        return g
+
+    def _set(self, tokens, self_weights, weights) -> None:
+        self.tokens: tuple[str, ...] = tuple(tokens)
+        self.self_weights: np.ndarray = self_weights
+        self.weights: sparse.csr_matrix = weights
+        for array in (self_weights, weights.data, weights.indices, weights.indptr):
+            array.flags.writeable = False
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return dict(zip(self.tokens, range(len(self.tokens))))
+
+    @cached_property
+    def nodes(self) -> Mapping[str, int]:
+        return MappingProxyType(dict(zip(self.tokens, self.self_weights.tolist())))
+
+    @property
+    def edges(self) -> Mapping[tuple[str, str], int]:
+        return _EdgeView(self)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SemanticGraph)
-            and self.nodes == other.nodes
-            and self.edges == other.edges
+            and self.tokens == other.tokens
+            and np.array_equal(self.self_weights, other.self_weights)
+            and all(
+                np.array_equal(getattr(self.weights, f), getattr(other.weights, f))
+                for f in ("indptr", "indices", "data")
+            )
         )
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.tokens)
 
     def edge_weight(self, a: str, b: str) -> int | None:
-        key = (a, b) if a < b else (b, a)
-        return self.edges.get(key)
+        i, j = sorted((self._index.get(a, -1), self._index.get(b, -1)))
+        if i < 0:
+            return None
+        w = self.weights
+        start, end = w.indptr[i], w.indptr[i + 1]
+        k = start + int(np.searchsorted(w.indices[start:end], j))
+        return int(w.data[k]) if k < end and w.indices[k] == j else None
+
+    def _triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row ids, column ids and weights of the edges in sorted order."""
+        w = self.weights
+        rows = np.repeat(np.arange(len(self.tokens)), np.diff(w.indptr))
+        return rows, w.indices, w.data
+
+    @cached_property
+    def _adjacency(self) -> tuple[list[int], list[int], list[float]]:
+        """Both directions of every edge as CSR lists, with step cost 1/weight."""
+        both = self.weights + self.weights.T
+        return both.indptr.tolist(), both.indices.tolist(), (1.0 / both.data).tolist()
+
+
+class _EdgeView(Mapping):
+    """(a, b) -> weight over a graph's CSR, in sorted key order."""
+
+    def __init__(self, g: SemanticGraph):
+        self._g = g
+
+    def __len__(self) -> int:
+        return self._g.weights.nnz
+
+    def __iter__(self):
+        rows, cols, _ = self._g._triples()
+        tokens = self._g.tokens
+        return zip(map(tokens.__getitem__, rows.tolist()), map(tokens.__getitem__, cols.tolist()))
+
+    def __getitem__(self, key: tuple[str, str]) -> int:
+        try:
+            a, b = key
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        w = self._g.edge_weight(a, b) if a < b else None
+        if w is None:
+            raise KeyError(key)
+        return w
+
+
+def _arrays(nodes: Mapping[str, int], firsts, seconds):
+    """The sorted tokens of `nodes`, their same-type counts, and the ids of the
+    edge ends named in `firsts` and `seconds` (-1 for a token not in `nodes`)."""
+    tokens = sorted(nodes)
+    index = dict(zip(tokens, range(len(tokens))))
+    return (
+        tokens,
+        np.fromiter(map(nodes.__getitem__, tokens), np.int64, len(tokens)),
+        np.fromiter(map(index.get, firsts, repeat(-1)), np.int64, len(firsts)),
+        np.fromiter(map(index.get, seconds, repeat(-1)), np.int64, len(seconds)),
+    )
+
+
+def _upper(n: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> sparse.csr_matrix:
+    """The n x n CSR matrix of distinct edges (rows[k], cols[k]), in any order."""
+    order = np.argsort(rows * n + cols)  # keys are distinct, so any sort will do
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return sparse.csr_matrix(
+        (weights[order], cols[order], indptr), shape=(n, n), dtype=np.int64
+    )
 
 
 def from_counts(m: CooccurrenceMatrix, min_weight: int = 1) -> SemanticGraph:
     """Build the co-occurrence graph, keeping edges with weight >= min_weight."""
     if min_weight < 1:
         raise ValueError("min_weight must be >= 1")
-    vocab = m.vocab
-    nodes = {t: 0 for t in vocab.tokens}
-    upper = sparse.triu(m.counts, format="coo")
-    edges: dict[tuple[str, str], int] = {}
-    for r, c, v in zip(upper.row.tolist(), upper.col.tolist(), upper.data.tolist()):
-        if r == c:
-            nodes[vocab.token_at(r)] = v
-        elif v >= min_weight:
-            ta, tb = vocab.token_at(r), vocab.token_at(c)
-            key = (ta, tb) if ta < tb else (tb, ta)
-            edges[key] = v
-    return SemanticGraph(nodes, edges)
+    vocab_tokens = m.vocab.tokens
+    n = len(vocab_tokens)
+    order = sorted(range(n), key=vocab_tokens.__getitem__)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    counts = m.counts.tocoo()
+    rows, cols, data = rank[counts.row], rank[counts.col], counts.data
+    self_weights = np.zeros(n, dtype=np.int64)
+    diagonal = rows == cols
+    self_weights[rows[diagonal]] = data[diagonal]
+    keep = (rows < cols) & (data >= min_weight)
+    weights = _upper(n, rows[keep], cols[keep], data[keep])
+    return SemanticGraph._of(map(vocab_tokens.__getitem__, order), self_weights, weights)
 
 
 def to_counts(
@@ -82,53 +206,57 @@ def to_counts(
     """Rebuild the count matrix from a graph built at min_weight 1.
 
     Inverse of from_counts given the original vocabulary and window; with
-    min_weight 1 the round trip is exact.
+    min_weight 1 the round trip is exact. Every node must be in `vocab`.
     """
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[int] = []
-    for token, self_weight in g.nodes.items():
-        if self_weight > 0:
-            i = vocab.index_of(token)
-            rows.append(i)
-            cols.append(i)
-            vals.append(self_weight)
-    for (a, b), w in g.edges.items():
-        ia, ib = vocab.index_of(a), vocab.index_of(b)
-        rows.extend((ia, ib))
-        cols.extend((ib, ia))
-        vals.extend((w, w))
+    ids = np.fromiter(map(vocab.index_of, g.tokens), np.int64, len(g))
+    rows, cols, data = g._triples()
+    rows, cols = ids[rows], ids[cols]
+    diagonal = np.flatnonzero(g.self_weights)
+    same = ids[diagonal]
     counts = sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(len(vocab), len(vocab)), dtype=np.int64
+        (
+            np.concatenate((g.self_weights[diagonal], data, data)),
+            (np.concatenate((same, rows, cols)), np.concatenate((same, cols, rows))),
+        ),
+        shape=(len(vocab), len(vocab)),
+        dtype=np.int64,
     )
     return CooccurrenceMatrix(vocab, counts.tocsr(), window)
 
 
 def intersection(ga: SemanticGraph, gb: SemanticGraph) -> SemanticGraph:
     """Common ground of two graphs: shared nodes, shared edges, min weights."""
-    nodes = {
-        t: min(wa, gb.nodes[t]) for t, wa in ga.nodes.items() if t in gb.nodes
-    }
-    edges = {
-        key: min(wa, gb.edges[key])
-        for key, wa in ga.edges.items()
-        if key in gb.edges
-    }
-    return SemanticGraph(nodes, edges)
+    in_b = np.fromiter(map(gb._index.get, ga.tokens, repeat(-1)), np.int64, len(ga))
+    ids_a = np.flatnonzero(in_b >= 0)
+    ids_b = in_b[ids_a]  # increasing too: both token lists are sorted
+    wa = ga.weights[ids_a][:, ids_a]
+    wb = gb.weights[ids_b][:, ids_b]
+    return SemanticGraph._of(
+        map(ga.tokens.__getitem__, ids_a.tolist()),
+        np.minimum(ga.self_weights[ids_a], gb.self_weights[ids_b]),
+        wa.minimum(wb),  # an edge missing from either side gives 0, which is not stored
+    )
 
 
 def degree_ranking(g: SemanticGraph, top: int | None = None) -> list[tuple[str, int]]:
     """Nodes by total incident edge weight, descending; ties lexicographic.
 
     Same-type counts are node attributes, not edges, so they do not
-    contribute to the degree.
+    contribute to the degree. `top` keeps the first `top` nodes.
     """
-    totals = {t: 0 for t in g.nodes}
-    for (a, b), w in g.edges.items():
-        totals[a] += w
-        totals[b] += w
-    ranked = sorted(totals.items(), key=lambda tw: (-tw[1], tw[0]))
-    return ranked[:top] if top is not None else ranked
+    if top is not None and top < 0:
+        raise ValueError("top must be >= 0")
+    rows, cols, data = g._triples()
+    if data.size and int(data.max()) > _INT64_MAX // data.size:
+        data = data.astype(object)  # a degree could pass 2**63: sum exact ints
+    degree = np.zeros(len(g), dtype=data.dtype)
+    np.add.at(degree, rows, data)
+    np.add.at(degree, cols, data)
+    ranked = np.argsort(-degree, kind="stable")[:top]  # stable: ties in id order
+    return list(zip(map(g.tokens.__getitem__, ranked.tolist()), degree[ranked].tolist()))
+
+
+_UNREACHED = (math.inf, ())
 
 
 @dataclass(frozen=True)
@@ -145,31 +273,48 @@ def shortest_path(g: SemanticGraph, a: str, b: str) -> SemanticPath | None:
     words are in different components.
     """
     for token in (a, b):
-        if token not in g.nodes:
+        if token not in g._index:
             raise UnknownWordError(token, "the graph")
     if a == b:
         return SemanticPath(tokens=(a,), cost=0.0)
-    adjacency: dict[str, list[tuple[str, int]]] = {t: [] for t in g.nodes}
-    for (x, y), w in g.edges.items():
-        adjacency[x].append((y, w))
-        adjacency[y].append((x, w))
-    heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (a,))]
-    settled: set[str] = set()
+    indptr, neighbors, steps = g._adjacency
+    source, target = g._index[a], g._index[b]
+    start: tuple[float, tuple[int, ...]] = (0.0, (source,))
+    heap = [start]
+    queued = {source: start}  # the best (cost, path) pushed per node
+    settled: set[int] = set()
     while heap:
         cost, path = heapq.heappop(heap)
         node = path[-1]
         if node in settled:
             continue
         settled.add(node)
-        if node == b:
-            return SemanticPath(tokens=path, cost=cost)
-        for neighbor, weight in adjacency[node]:
+        if node == target:
+            return SemanticPath(tokens=tuple(map(g.tokens.__getitem__, path)), cost=cost)
+        first, end = indptr[node], indptr[node + 1]
+        for neighbor, step in zip(neighbors[first:end], steps[first:end]):
             if neighbor not in settled:
-                heapq.heappush(heap, (cost + 1.0 / weight, path + (neighbor,)))
+                best = queued.get(neighbor, _UNREACHED)
+                if cost + step <= best[0]:  # a dearer route cannot win
+                    entry = (cost + step, path + (neighbor,))
+                    if entry < best:
+                        queued[neighbor] = entry
+                        heapq.heappush(heap, entry)
     return None
 
 
 EDGE_LIST_NODE_PREFIX = "# node\t"
+
+# a token the edge-list reader would take for a comment, or split
+_EDGE_LIST_UNSAFE = re.compile(f"\\A#|[\t\n{_OTHER_LINE_BREAKS}]")
+# the characters that XML 1.0's Char production leaves out
+_XML_UNSAFE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _refuse(tokens, unsafe: re.Pattern, why: str) -> None:
+    token = next(filter(unsafe.search, tokens), None)
+    if token is not None:
+        raise FormatError(f"token {token!r} {why}")
 
 
 def export_edge_list(g: SemanticGraph) -> str:
@@ -177,34 +322,41 @@ def export_edge_list(g: SemanticGraph) -> str:
 
     The comment header carries the node count and one `# node` line per
     node with its same-type count, so isolated nodes survive a round
-    trip. Data lines are sorted; an empty graph exports the count header
-    only.
+    trip. Node and data lines are sorted; an empty graph exports the count
+    header only. A token that starts with '#' or holds a TAB or a line
+    break cannot be read back, so it raises FormatError.
     """
-    lines = [f"# nodes: {len(g.nodes)}"]
-    for token in sorted(g.nodes):
-        lines.append(f"{EDGE_LIST_NODE_PREFIX}{token}\t{g.nodes[token]}")
-    for (a, b), w in sorted(g.edges.items()):
-        lines.append(f"{a}\t{b}\t{w}")
-    return "\n".join(lines) + "\n"
+    _refuse(
+        g.tokens, _EDGE_LIST_UNSAFE,
+        "cannot be written to an edge list: it starts with '#' or holds a TAB or line break",
+    )
+    names = np.array(g.tokens, dtype=object)
+    rows, cols, data = g._triples()
+    return (
+        f"# nodes: {len(g)}\n"
+        + _format_rows(EDGE_LIST_NODE_PREFIX + "%s\t%d\n", g.tokens, g.self_weights.tolist())
+        + _format_rows("%s\t%s\t%d\n", names[rows].tolist(), names[cols].tolist(), data.tolist())
+    )
 
 
 def import_edge_list(text: str) -> SemanticGraph:
     """Parse an edge list. Node lines come before the edges that use them; a
     malformed line, or a node or edge given twice, raises FormatError naming it.
 
-    A list as export_edge_list writes it is parsed in bulk. Any other list,
-    and any list that fails a bulk check, goes through the per-line reader,
-    which words every error.
+    A list with the `# nodes: N` header, then N node lines, then edge lines,
+    is parsed in bulk. Any other list, and any list that fails a bulk check,
+    goes through the per-line reader, which words every error.
     """
     g = _import_edge_list_bulk(text)
     return g if g is not None else _import_edge_list_lines(text)
 
 
 def _import_edge_list_bulk(text: str) -> SemanticGraph | None:
-    """The graph of a canonical edge list, or None for the per-line reader.
+    """The graph of a list in bulk form, or None for the per-line reader.
 
-    Canonical means the `# nodes: N` header, then exactly N node lines, then
-    edge lines, each line three TAB-separated fields ended by LF.
+    Bulk form means the `# nodes: N` header, then exactly N node lines, then
+    edge lines, each line three TAB-separated fields ended by LF. The node
+    lines may come in any order among themselves, and so may the edge lines.
     """
     header, _, body = text.partition("\n")
     match = re.fullmatch("# nodes: ([0-9]+)", header)
@@ -225,19 +377,20 @@ def _import_edge_list_bulk(text: str) -> SemanticGraph | None:
     if firsts[:declared] != [EDGE_LIST_NODE_PREFIX[:-1]] * declared:
         return None
     try:
-        weights = list(map(int, fields[2::3]))
-    except ValueError:
+        weights = np.fromiter(map(int, fields[2::3]), np.int64, len(firsts))
+    except (ValueError, OverflowError):
         return None
-    nodes = dict(zip(seconds[:declared], weights[:declared]))
-    edges = dict(zip(zip(firsts[declared:], seconds[declared:]), weights[declared:]))
-    if len(nodes) != declared or len(edges) != len(weights) - declared:
-        return None  # a repeated node or edge
-    if min(weights[:declared], default=0) < 0:
-        return None
-    try:
-        return SemanticGraph(nodes, edges)  # checks edge order, weights and nodes
-    except ValueError:
-        return None
+    nodes = dict(zip(seconds[:declared], weights[:declared].tolist()))
+    tokens, self_weights, rows, cols = _arrays(nodes, firsts[declared:], seconds[declared:])
+    weights = weights[declared:]
+    if len(tokens) != declared or (self_weights < 0).any() or (weights < 1).any():
+        return None  # a repeated node, or a weight out of range
+    if (rows < 0).any() or (cols < 0).any() or (rows >= cols).any():
+        return None  # an edge to an undeclared node, or out of a < b order
+    keys = np.sort(rows * declared + cols)
+    if (keys[1:] == keys[:-1]).any():
+        return None  # a repeated edge
+    return SemanticGraph._of(tokens, self_weights, _upper(declared, rows, cols, weights))
 
 
 def _import_edge_list_lines(text: str) -> SemanticGraph:
@@ -247,7 +400,10 @@ def _import_edge_list_lines(text: str) -> SemanticGraph:
     if not lines or not lines[0].startswith("# nodes:"):
         raise FormatError("line 1: edge list must start with a '# nodes:' header")
     nodes: dict[str, int] = {}
-    edges: dict[tuple[str, str], int] = {}
+    firsts: list[str] = []
+    seconds: list[str] = []
+    weights: list[int] = []
+    seen: set[tuple[str, str]] = set()
     number = 1
     try:
         declared = int(lines[0][len("# nodes:") :])
@@ -257,47 +413,69 @@ def _import_edge_list_lines(text: str) -> SemanticGraph:
                 if token in nodes:
                     raise ValueError(f"node {token!r} repeated")
                 nodes[token] = int(weight)
-                if nodes[token] < 0:
-                    raise ValueError("same-type count must be >= 0")
+                if not 0 <= nodes[token] <= _INT64_MAX:
+                    raise ValueError("same-type count must be in [0, 2**63)")
             elif line and not line.startswith("#"):
                 a, b, w = line.split("\t")
                 if a >= b:
                     raise ValueError("edge violates tokenA < tokenB")
                 if a not in nodes or b not in nodes:
                     raise ValueError("edge to an undeclared node")
-                if (a, b) in edges:
+                if (a, b) in seen:
                     raise ValueError(f"edge ({a!r}, {b!r}) repeated")
-                edges[(a, b)] = int(w)
-                if edges[(a, b)] < 1:
-                    raise ValueError("edge weight must be >= 1")
+                seen.add((a, b))
+                weights.append(int(w))
+                if not 1 <= weights[-1] <= _INT64_MAX:
+                    raise ValueError("edge weight must be in [1, 2**63)")
+                firsts.append(a)
+                seconds.append(b)
     except ValueError as exc:
         raise FormatError(f"line {number}: {exc}") from None
     if declared != len(nodes):
         raise FormatError(
             f"line 1: header declares {declared} nodes but {len(nodes)} node lines found"
         )
-    return SemanticGraph(nodes, edges)
+    tokens, self_weights, rows, cols = _arrays(nodes, firsts, seconds)
+    weights = np.array(weights, dtype=np.int64)
+    return SemanticGraph._of(tokens, self_weights, _upper(len(tokens), rows, cols, weights))
+
+
+_ATTRIBUTE_ENTITIES = {'"': "&quot;", "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
 
 
 def export_graphml(g: SemanticGraph) -> str:
-    """GraphML rendering with edge weights and same-type counts."""
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
-        '  <key id="w" for="edge" attr.name="weight" attr.type="long"/>',
-        '  <key id="sw" for="node" attr.name="self_weight" attr.type="long"/>',
-        '  <graph edgedefault="undirected">',
-    ]
-    for token in sorted(g.nodes):
-        et = escape(token, {'"': "&quot;"})
-        out.append(
-            f'    <node id="{et}"><data key="sw">{g.nodes[token]}</data></node>'
+    """GraphML rendering with edge weights and same-type counts.
+
+    A token holding a character that XML 1.0 cannot carry raises
+    FormatError.
+    """
+    _refuse(g.tokens, _XML_UNSAFE, "cannot be written to GraphML: XML 1.0 cannot carry it")
+    names = np.array([escape(token, _ATTRIBUTE_ENTITIES) for token in g.tokens], dtype=object)
+    rows, cols, data = g._triples()
+    return (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
+        '  <key id="w" for="edge" attr.name="weight" attr.type="long"/>\n'
+        '  <key id="sw" for="node" attr.name="self_weight" attr.type="long"/>\n'
+        '  <graph edgedefault="undirected">\n'
+        + _format_rows(
+            '    <node id="%s"><data key="sw">%d</data></node>\n',
+            names.tolist(),
+            g.self_weights.tolist(),
         )
-    for (a, b), w in sorted(g.edges.items()):
-        ea = escape(a, {'"': "&quot;"})
-        eb = escape(b, {'"': "&quot;"})
-        out.append(
-            f'    <edge source="{ea}" target="{eb}"><data key="w">{w}</data></edge>'
+        + _format_rows(
+            '    <edge source="%s" target="%s"><data key="w">%d</data></edge>\n',
+            names[rows].tolist(),
+            names[cols].tolist(),
+            data.tolist(),
         )
-    out.extend(["  </graph>", "</graphml>"])
-    return "\n".join(out) + "\n"
+        + "  </graph>\n</graphml>\n"
+    )
+
+
+def _format_rows(template: str, *columns: list) -> str:
+    """`template` once per row, filled from equal-length columns in one % call."""
+    cells = [None] * (len(columns) * len(columns[0]))
+    for k, column in enumerate(columns):
+        cells[k :: len(columns)] = column
+    return template * len(columns[0]) % tuple(cells)

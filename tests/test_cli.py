@@ -281,6 +281,25 @@ class TestGraphCommands:
         assert run("graph", cooc, "--graphml") == 0
         assert capsys.readouterr().out.startswith("<?xml")
 
+    @pytest.mark.parametrize("token, flags", [("#x", []), ("a\x01", ["--graphml"])])
+    def test_graph_refuses_a_token_its_format_cannot_carry(self, token, flags, tmp_path, capsys):
+        cooc = tmp_path / "odd.cooc"
+        cooc.write_text(
+            f"COOC v1 3 2\n0\t{token}\t2\n1\tb\t2\n2\tc\t2\n0\t1\t2\n0\t2\t2\n1\t2\t2\n",
+            encoding="utf-8",
+        )
+        assert run("graph", cooc, *flags, "--out", tmp_path / "g.out") == 2
+        err = capsys.readouterr().err
+        assert repr(token) in err and "Traceback" not in err
+        assert not (tmp_path / "g.out").exists()
+
+    def test_intersect_refuses_a_comment_token(self, tmp_path, capsys):
+        listing = tmp_path / "g.tsv"
+        listing.write_text("# nodes: 2\n# node\t#x\t0\n# node\tb\t1\n", encoding="utf-8")
+        assert run("intersect", listing, listing) == 2
+        err = capsys.readouterr().err
+        assert "'#x'" in err and "Traceback" not in err
+
 
 class TestExperiments:
     def test_stein_hemingway_wiring(self, tmp_path, capsys, cafe_text):
