@@ -1,16 +1,19 @@
-/* The two loops of driftbench that numpy cannot batch: an SGD epoch of
- * the trainer (driftbench_sgd) and the sweeps of the Jacobi SVD
- * (driftbench_jacobi). Each does its arithmetic in the same order as the
- * numpy path it replaces, except that dot products and sums run
- * sequentially where numpy calls BLAS or sums pairwise, so results agree
- * with it to the last few bits. Build it with -ffp-contract=off and
- * without fast-math so that every run of the same build gives the same
- * bits.
+/* The loops of driftbench that numpy cannot batch: an SGD epoch of the
+ * trainer (driftbench_sgd), the sweeps of the Jacobi SVD
+ * (driftbench_jacobi), and the writer and reader of the embedding text
+ * format (driftbench_format, driftbench_parse). The first two do their
+ * arithmetic in the same order as the numpy path they replace, except
+ * that dot products and sums run sequentially where numpy calls BLAS or
+ * sums pairwise, so results agree with it to the last few bits. The text
+ * functions give the same bytes and values as repr() and float(). Build
+ * it with -ffp-contract=off and without fast-math so that every run of
+ * the same build gives the same bits.
  */
 
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* numpy's logaddexp(0.0, y), branch for branch */
 static double logaddexp0(double y)
@@ -270,6 +273,272 @@ int driftbench_jacobi(double *at, double *vt, int64_t n, int64_t d,
         }
         if (!rotated)
             return (int)sweep;
+    }
+    return -1;
+}
+
+/* ---------------------------------------------------------------------
+ * embedding text: shortest round-trip formatting and parsing
+ */
+
+/* Ryu's 125-bit multipliers (Adams 2018, "Ryu: fast float-to-string
+ * conversion", PLDI), as (low, high) 64-bit pairs: RYU_INV_ROWS inverse
+ * powers floor(2^(bitlength(5^i) - 1 + 125) / 5^i) + 1, then 326 powers
+ * 5^i scaled to 125 bits. kernel.py computes them with exact integers and
+ * passes them to driftbench_format. */
+#define RYU_BITS 125
+#define RYU_INV_ROWS 342
+
+typedef unsigned __int128 u128;
+
+/* ceil(log2(5^e)) for 1 <= e <= 3528, and 1 for e == 0 */
+static int32_t pow5bits(int32_t e) { return (int32_t)(((uint32_t)e * 1217359) >> 19) + 1; }
+/* floor(log10(2^e)) for 0 <= e <= 1650 */
+static int32_t log10pow2(int32_t e) { return (int32_t)(((uint32_t)e * 78913) >> 18); }
+/* floor(log10(5^e)) for 0 <= e <= 2620 */
+static int32_t log10pow5(int32_t e) { return (int32_t)(((uint32_t)e * 732923) >> 20); }
+
+static int multiple_of_pow5(uint64_t v, int32_t p)
+{
+    int32_t count = 0;
+    while (v % 5 == 0) {
+        v /= 5;
+        count++;
+    }
+    return count >= p;
+}
+
+static int multiple_of_pow2(uint64_t v, int32_t p) { return (v & ((1ull << p) - 1)) == 0; }
+
+/* (m * mul) >> j for a 55-bit m, a 125-bit mul and j >= 64 */
+static uint64_t mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
+{
+    u128 low = (u128)m * mul[0], high = (u128)m * mul[1];
+    return (uint64_t)(((low >> 64) + high) >> (j - 64));
+}
+
+/* The shortest decimal digits*10^exponent that reads back as the double
+ * with this mantissa and biased exponent (not zero, not inf or nan); of
+ * several, the closest, ties to even: Ryu's d2d. */
+static uint64_t shortest(uint64_t mantissa, uint32_t biased, const uint64_t *table,
+                         int32_t *exponent)
+{
+    const int even = mantissa % 2 == 0;
+    int32_t e2, e10, removed = 0;
+    uint64_t m2, mv, vr, vp, vm, output;
+    uint32_t mm_shift = mantissa != 0 || biased <= 1;
+    int vm_zeros = 0, vr_zeros = 0;
+    uint8_t last = 0;
+
+    if (biased == 0) {
+        e2 = 1 - 1023 - 52 - 2;
+        m2 = mantissa;
+    } else {
+        e2 = (int32_t)biased - 1023 - 52 - 2;
+        m2 = (1ull << 52) | mantissa;
+    }
+    mv = 4 * m2;
+    /* the interval of decimals that read back: (vm, vp), ends included
+     * when the mantissa is even (round-half-even reading) */
+    if (e2 >= 0) {
+        const int32_t q = log10pow2(e2) - (e2 > 3);
+        const int32_t j = -e2 + q + RYU_BITS + pow5bits(q) - 1;
+        const uint64_t *mul = table + 2 * q;
+        e10 = q;
+        vr = mul_shift(mv, mul, j);
+        vp = mul_shift(mv + 2, mul, j);
+        vm = mul_shift(mv - 1 - mm_shift, mul, j);
+        if (q <= 21) {
+            if (mv % 5 == 0)
+                vr_zeros = multiple_of_pow5(mv, q);
+            else if (even)
+                vm_zeros = multiple_of_pow5(mv - 1 - mm_shift, q);
+            else
+                vp -= multiple_of_pow5(mv + 2, q);
+        }
+    } else {
+        const int32_t q = log10pow5(-e2) - (-e2 > 1);
+        const int32_t i = -e2 - q;
+        const int32_t j = q - (pow5bits(i) - RYU_BITS);
+        const uint64_t *mul = table + 2 * (RYU_INV_ROWS + i);
+        e10 = q + e2;
+        vr = mul_shift(mv, mul, j);
+        vp = mul_shift(mv + 2, mul, j);
+        vm = mul_shift(mv - 1 - mm_shift, mul, j);
+        if (q <= 1) {
+            vr_zeros = 1;
+            if (even)
+                vm_zeros = mm_shift == 1;
+            else
+                vp--;
+        } else if (q < 63) {
+            vr_zeros = multiple_of_pow2(mv, q);
+        }
+    }
+    /* drop digits while the interval still holds a shorter decimal */
+    while (vp / 10 > vm / 10) {
+        vm_zeros &= vm % 10 == 0;
+        vr_zeros &= last == 0;
+        last = (uint8_t)(vr % 10);
+        vr /= 10;
+        vp /= 10;
+        vm /= 10;
+        removed++;
+    }
+    if (vm_zeros) {
+        while (vm % 10 == 0) {
+            vr_zeros &= last == 0;
+            last = (uint8_t)(vr % 10);
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            removed++;
+        }
+    }
+    if (vr_zeros && last == 5 && vr % 2 == 0)
+        last = 4;  /* exactly halfway: round to even */
+    output = vr + ((vr == vm && (!even || !vm_zeros)) || last >= 5);
+    *exponent = e10 + removed;
+    return output;
+}
+
+/* Writes repr(x) at out and returns the end: positional for decimal
+ * exponents -4 <= e < 16, else d.ddde+XX, with ".0" on integral values. */
+static char *format_double(double x, const uint64_t *table, char *out)
+{
+    uint64_t bits, output;
+    uint32_t biased;
+    int32_t exponent, n = 0, point, i;
+    char digits[20];
+
+    memcpy(&bits, &x, sizeof bits);
+    biased = (uint32_t)(bits >> 52) & 0x7ff;
+    if (biased == 0x7ff && (bits << 12) != 0) {
+        memcpy(out, "nan", 3);
+        return out + 3;
+    }
+    if (bits >> 63)
+        *out++ = '-';
+    if (biased == 0x7ff) {
+        memcpy(out, "inf", 3);
+        return out + 3;
+    }
+    if ((bits << 1) == 0) {
+        memcpy(out, "0.0", 3);
+        return out + 3;
+    }
+    output = shortest(bits & ((1ull << 52) - 1), biased, table, &exponent);
+    for (; output % 10 == 0; output /= 10)
+        exponent++;
+    for (; output; output /= 10)
+        digits[n++] = (char)('0' + output % 10);  /* least significant first */
+    point = exponent + n;  /* x = 0.digits * 10^point */
+    if (point < -3 || point > 16) {
+        *out++ = digits[n - 1];
+        if (n > 1) {
+            *out++ = '.';
+            for (i = n - 2; i >= 0; i--)
+                *out++ = digits[i];
+        }
+        *out++ = 'e';
+        *out++ = point - 1 < 0 ? '-' : '+';
+        exponent = abs(point - 1);
+        if (exponent >= 100)
+            *out++ = (char)('0' + exponent / 100);
+        *out++ = (char)('0' + exponent / 10 % 10);
+        *out++ = (char)('0' + exponent % 10);
+    } else if (point <= 0) {
+        *out++ = '0';
+        *out++ = '.';
+        for (i = point; i < 0; i++)
+            *out++ = '0';
+        for (i = n - 1; i >= 0; i--)
+            *out++ = digits[i];
+    } else {
+        for (i = n - 1; i >= 0; i--) {
+            if (n - 1 - i == point)
+                *out++ = '.';
+            *out++ = digits[i];
+        }
+        if (point >= n) {
+            for (i = n; i < point; i++)
+                *out++ = '0';
+            *out++ = '.';
+            *out++ = '0';
+        }
+    }
+    return out;
+}
+
+/* The body of an embedding text file: per row, the next token of
+ * `tokens` (each ends with LF, which no token holds), a space, and the
+ * row's `cols` components as repr() writes them, separated by spaces and
+ * ended by LF. `out` must hold the tokens plus 25 bytes per component.
+ * Returns the number of bytes written. */
+int64_t driftbench_format(const double *x, int64_t rows, int64_t cols,
+                          const char *tokens, const uint64_t *table, char *out)
+{
+    char *start = out;
+    int64_t r, c;
+
+    for (r = 0; r < rows; r++) {
+        while (*tokens != '\n')
+            *out++ = *tokens++;
+        tokens++;
+        *out++ = ' ';
+        for (c = 0; c < cols; c++) {
+            if (c > 0)
+                *out++ = ' ';
+            out = format_double(*x++, table, out);
+        }
+        *out++ = '\n';
+    }
+    return out - start;
+}
+
+/* the characters repr() writes for a finite component, the only ones a
+ * field may hold, so that strtod reads no hex, inf or nan and no leading
+ * space */
+static int number_char(char c)
+{
+    return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == '+' || c == '-';
+}
+
+/* Parses the body of an embedding text file into `out` (rows x cols):
+ * per row, a token up to the first space, then `cols` fields, each a
+ * decimal number that strtod reads to a finite value and that ends on a
+ * space, or on LF for the row's last. The caller checks that cols >= 1
+ * and that the body ends with LF and holds `rows` lines. Returns -1, or the byte offset of
+ * the first field (or token) that breaks this layout; a caller reads that
+ * file some other way, so a field strtod reads differently from float()
+ * (another locale's decimal point, or an overflow) costs time, not
+ * correctness. */
+int64_t driftbench_parse(const char *body, int64_t rows, int64_t cols, double *out)
+{
+    const char *p = body;
+    int64_t r, c;
+
+    for (r = 0; r < rows; r++) {
+        const char *row = p;
+        while (*p != ' ') {
+            if (*p == '\n')
+                return row - body;
+            p++;
+        }
+        for (c = 0; c < cols; c++) {
+            const char *field = ++p;
+            char *end;
+            double v;
+            while (number_char(*p))
+                p++;
+            if (p == field || *p != (c + 1 < cols ? ' ' : '\n'))
+                return field - body;
+            v = strtod(field, &end);
+            if (end != p || !isfinite(v))
+                return field - body;
+            *out++ = v;
+        }
+        p++;
     }
     return -1;
 }

@@ -1,0 +1,188 @@
+"""The compiled kernel: build, load and ctypes bindings of `_kernel.c`.
+
+One small C file holds the loops that numpy cannot batch: the SGD epoch of
+the trainer, the sweeps of `stability.jacobi_svd`, and the writer and
+reader of the embedding text format. `get()` compiles it on first use with
+the system C compiler and caches the library; where it cannot be built or
+loaded, `get()` returns None and each caller runs its numpy or Python path,
+which is also the reference the kernel is tested against.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SOURCE = Path(__file__).with_name("_kernel.c")
+# no -march=native and no fast-math: sums stay sequential and bits reproducible
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# the widest component repr() writes ('-2.2250738585072014e-308'), plus its separator
+_COMPONENT_BYTES = 25
+_P = ctypes.c_void_p
+_I = ctypes.c_int64
+
+
+def _ryu_table() -> np.ndarray:
+    """The multipliers `driftbench_format` reads, from exact integers: 342
+    inverse powers floor(2**(bitlength(5**i) - 1 + 125) / 5**i) + 1, then 326
+    powers 5**i scaled to 125 bits, each as a (low, high) pair of uint64."""
+    inverses = [(1 << (5**i).bit_length() - 1 + 125) // 5**i + 1 for i in range(342)]
+    powers = [(5**i << 125) >> (5**i).bit_length() for i in range(326)]
+    mask = (1 << 64) - 1
+    return np.array([(x & mask, x >> 64) for x in inverses + powers], dtype=np.uint64)
+
+
+def _bind(library: ctypes.CDLL, name: str, restype, *argtypes):
+    function = getattr(library, name)
+    function.argtypes = argtypes
+    function.restype = restype
+    return function
+
+
+class Kernel:
+    """The loaded `_kernel.c` functions and the name the provenance gives them."""
+
+    def __init__(self, library: ctypes.CDLL, name: str):
+        self._sgd = _bind(library, "driftbench_sgd", ctypes.c_int,
+                          _P, _P, _I, _I, _P, _I, _I, _I, ctypes.c_int32, _P, _I,
+                          ctypes.c_double, ctypes.c_double, _I, _I,
+                          ctypes.POINTER(ctypes.c_double))
+        self._jacobi = _bind(library, "driftbench_jacobi", ctypes.c_int,
+                             _P, _P, _I, _I, ctypes.c_double, _I)
+        self._format = _bind(library, "driftbench_format", _I, _P, _I, _I, ctypes.c_char_p, _P, _P)
+        self._parse = _bind(library, "driftbench_parse", _I, ctypes.c_char_p, _I, _I, _P)
+        self._table = _ryu_table()
+        self._library = library  # keeps the library loaded while its functions are used
+        self.name = name
+
+    def sgd(self, w_in: np.ndarray, w_out: np.ndarray, ids: np.ndarray, radius: int,
+            skipgram: bool, k: int, learning_rate: float, lr_floor: float, total: int):
+        """The SGD step of `trainer._numpy_sgd` in C: checks the arguments once
+        and returns the step, which calls `driftbench_sgd`."""
+        v, d = w_in.shape
+        for w in (w_in, w_out):
+            if w.shape != (v, d) or w.dtype != np.float64 or not w.flags.c_contiguous:
+                raise ValueError("weights must be C-contiguous float64 of shape (vocabulary, dimension)")
+        if ids.dtype != np.int64 or not ids.flags.c_contiguous or ids.max(initial=-1) >= v:
+            raise ValueError("window ids must be C-contiguous int64 vocabulary ids")
+
+        def step(start: int, stop: int, noise: np.ndarray, seen: int, loss_sum: float) -> float:
+            out = ctypes.c_double(loss_sum)
+            status = self._sgd(
+                w_in.ctypes.data, w_out.ctypes.data, v, d, ids.ctypes.data, start, stop,
+                radius, skipgram, noise.ctypes.data, k, learning_rate, lr_floor, seen, total,
+                ctypes.byref(out),
+            )
+            if status != 0:
+                raise MemoryError("training kernel could not allocate its scratch memory")
+            return out.value
+
+        return step
+
+    def jacobi(self, at: np.ndarray, vt: np.ndarray, tol: float, max_sweeps: int) -> int:
+        """The sweeps of `stability.jacobi_svd` in C, on the transposed working
+        copy `at` (d x n) and rotations `vt` (d x d), both rotated in place.
+        Returns the sweeps done, or -1 when max_sweeps did not converge."""
+        d, n = at.shape
+        for x, shape in ((at, (d, n)), (vt, (d, d))):
+            if x.shape != shape or x.dtype != np.float64 or not x.flags.c_contiguous:
+                raise ValueError("Jacobi arrays must be C-contiguous float64 of shapes (d, n), (d, d)")
+        return self._jacobi(at.ctypes.data, vt.ctypes.data, n, d, tol, max_sweeps)
+
+    def format_rows(self, tokens: bytes, rows: np.ndarray) -> memoryview:
+        """The embedding text body: per row, its token, a space, the row's
+        components as repr() writes them, separated by spaces, and LF.
+        `tokens` holds one UTF-8 token per row, each ended by LF, which no
+        token may hold."""
+        if rows.ndim != 2 or rows.dtype != np.float64 or not rows.flags.c_contiguous:
+            raise ValueError("rows must be a C-contiguous 2-d float64 array")
+        if tokens.count(b"\n") != len(rows):
+            raise ValueError("tokens must hold one LF-ended token per row")
+        # a row of no components still takes a space
+        out = np.empty(len(tokens) + len(rows) + rows.size * _COMPONENT_BYTES, dtype=np.uint8)
+        size = self._format(rows.ctypes.data, rows.shape[0], rows.shape[1], tokens,
+                            self._table.ctypes.data, out.ctypes.data)
+        return out.data[:size]
+
+    def parse_rows(self, body: bytes, rows: int, cols: int) -> tuple[np.ndarray, int]:
+        """The (rows, cols) components of an embedding text body of `rows`
+        LF-ended lines, each a token, a space and `cols` space-separated
+        fields, as float() reads them, and -1; or, when a field does not fit
+        that layout, is not a decimal number as repr() writes it, or reads as
+        non-finite, the byte offset of the first such field."""
+        if cols < 1 or body.count(b"\n") != rows or not body.endswith(b"\n"):
+            raise ValueError("body must hold one LF-ended line per row, of at least one field")
+        out = np.empty((rows, cols), dtype=np.float64)
+        return out, self._parse(body, rows, cols, out.ctypes.data)
+
+
+def compiler() -> str | None:
+    return shutil.which("cc") or shutil.which("gcc")
+
+
+@functools.cache
+def get() -> Kernel | None:
+    """The compiled kernel, cached in the package's __pycache__; None when it
+    cannot be built or loaded here, and the numpy paths run instead."""
+    return load(Path(__file__).parent / "__pycache__")
+
+
+def load(cache_dir: Path) -> Kernel | None:
+    """Load the kernel built for this source, flags and machine from
+    cache_dir, building it first when it is missing or does not load."""
+    try:
+        source = SOURCE.read_bytes()
+    except OSError:
+        return None
+    build = hashlib.sha256(
+        b"\0".join([source, " ".join(FLAGS).encode(), platform.machine().encode(),
+                    platform.system().encode()])
+    ).hexdigest()[:16]
+    name = "c:" + hashlib.sha256(source).hexdigest()[:12]
+    path = cache_dir / f"_kernel-{build}.so"
+    try:
+        return Kernel(ctypes.CDLL(str(path)), name)
+    except (OSError, AttributeError):  # missing, or not a loadable build of this source
+        pass
+    cc = compiler()
+    if cc is None:
+        return None
+    try:
+        try:
+            cache_dir.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".kernel-", suffix=".so")
+        except OSError:  # not writable: build in a private directory, removed below
+            path = Path(tempfile.mkdtemp(prefix="driftbench-")) / path.name
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".kernel-", suffix=".so")
+        os.close(fd)
+        try:
+            subprocess.run(
+                [cc, *FLAGS, "-o", tmp, str(SOURCE), "-lm"],
+                check=True, capture_output=True, timeout=120,
+            )
+            os.replace(tmp, path)  # another process may be building the same file
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        kernel = Kernel(ctypes.CDLL(str(path)), name)
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        return None
+    finally:
+        if path.parent != cache_dir:  # a loaded library stays mapped without its file
+            shutil.rmtree(path.parent, ignore_errors=True)
+    for stale in [*path.parent.glob("_sgd-*.so"), *path.parent.glob("_kernel-*.so")]:
+        if stale != path:  # builds of older sources or flags
+            try:
+                stale.unlink()
+            except OSError:
+                pass
+    return kernel

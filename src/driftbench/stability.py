@@ -24,7 +24,7 @@ from .errors import (
     UnknownWordError,
     ZeroVectorError,
 )
-from . import trainer
+from . import kernel
 from .trainer import EmbeddingSpace, TrainingConfig, train_cbow, train_skipgram
 from .vector_space import NeighborList, VectorSpace, _neighbor_lists, _top_k, cosine_similarity
 
@@ -43,7 +43,7 @@ def jacobi_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     orthogonal (relative off-diagonal dot below 1e-12); their norms are
     the singular values. The copy is scaled by a power of two (exactly) so
     the dot products cannot underflow. The sweeps run in the compiled
-    kernel (`trainer._kernel()`) where it is built and in numpy otherwise;
+    kernel (`kernel.get()`) where it is built and in numpy otherwise;
     the two differ in the last bits of their dot products. Returns
     (u, s, vt) with m = u @ diag(s) @ vt, singular values descending.
     Raises NumericalError if JACOBI_MAX_SWEEPS sweeps do not converge.
@@ -56,8 +56,8 @@ def jacobi_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("jacobi_svd expects n >= d (pass the transpose)")
     exponent = int(np.frexp(np.abs(a).max(initial=0.0))[1])
     a = np.ldexp(a, -exponent)
-    kernel = trainer._kernel()
-    sweeps = _numpy_sweeps if kernel is None else kernel.jacobi
+    built = kernel.get()
+    sweeps = _numpy_sweeps if built is None else built.jacobi
     at, vt = np.ascontiguousarray(a.T), np.eye(d)
     if sweeps(at, vt, JACOBI_TOL, JACOBI_MAX_SWEEPS) < 0:
         raise NumericalError(f"jacobi_svd did not converge in {JACOBI_MAX_SWEEPS} sweeps")
@@ -77,7 +77,7 @@ def jacobi_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _numpy_sweeps(at: np.ndarray, vt: np.ndarray, tol: float, max_sweeps: int) -> int:
-    """The sweeps of `trainer._Kernel.jacobi` in numpy, where no kernel is
+    """The sweeps of `kernel.Kernel.jacobi` in numpy, where no kernel is
     built, and the oracle the kernel is tested against: rotates the columns
     of a, the rows of `at`, in place and accumulates the rotations in `vt`.
     Returns the sweeps done, or -1 when max_sweeps did not converge."""

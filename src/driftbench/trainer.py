@@ -8,26 +8,18 @@ a fixed seed: weight initialization, sample order, and noise draws all
 flow from one seeded generator, and the loop is single-threaded.
 
 One function (`_epoch`) plans every epoch and hands each chunk to a step:
-the SGD loop of a small C kernel (`_kernel.c`, which also holds the sweeps
-of `stability.jacobi_svd`), compiled on first use with the system C compiler
-and loaded through ctypes, or, where that cannot be built or loaded, the
-numpy step, which is also the reference the kernel is tested against. Their
-weights differ only in the last few bits, so the provenance names the kernel.
+the SGD loop of the compiled kernel (`kernel.get()`), or, where that cannot
+be built or loaded, the numpy step, which is also the reference the kernel
+is tested against. Their weights differ only in the last few bits, so the
+provenance names the kernel.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import hashlib
 import io
 import json
-import os
-import platform
 import re
-import shutil
-import subprocess
-import tempfile
 import warnings
 from dataclasses import dataclass, asdict, replace
 from itertools import islice
@@ -36,7 +28,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import kernel
 from .corpus import (
+    _OTHER_LINE_BREAKS,
     TokenStream,
     Vocabulary,
     _bulk_table,
@@ -316,8 +310,13 @@ def _run_training(
     counts = _samples_at(ids, config.window_radius, architecture)
     per_epoch = int(counts.sum())
     total = max(per_epoch * config.epochs, 1)
-    kernel = _kernel()
-    step = (_numpy_sgd if kernel is None else kernel.sgd)(state, ids, config, total)
+    built = kernel.get()
+    if built is None:
+        step = _numpy_sgd(state, ids, config, total)
+    else:
+        step = built.sgd(state.w_in, state.w_out, ids, config.window_radius,
+                         architecture == "skipgram", state.objective[1],
+                         config.learning_rate, LR_FLOOR_FRACTION, total)
     kind, neg_k = state.objective
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
@@ -336,7 +335,7 @@ def _run_training(
         "corpus_digest": corpus_digest(streams),
         "epoch_losses": epoch_losses,
         "samples_per_epoch": per_epoch,
-        "kernel": "numpy" if kernel is None else kernel.name,
+        "kernel": training_kernel(),
     }
     return EmbeddingSpace(
         state.vocab, state.w_in, provenance=provenance, output_weights=state.w_out
@@ -433,151 +432,42 @@ def gradient_check(
     return max_rel
 
 
-# ---------------------------------------------------------------------------
-# the compiled kernel: the SGD epoch and the Jacobi sweeps
-
-_KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
-# no -march=native and no fast-math: sums stay sequential and bits reproducible
-_KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-_P = ctypes.c_void_p
-_I = ctypes.c_int64
-
-
-class _Kernel:
-    """The loaded `_kernel.c` functions and the name the provenance gives them."""
-
-    def __init__(self, library: ctypes.CDLL, name: str):
-        sgd = library.driftbench_sgd
-        sgd.argtypes = [_P, _P, _I, _I, _P, _I, _I, _I, ctypes.c_int32, _P, _I,
-                        ctypes.c_double, ctypes.c_double, _I, _I,
-                        ctypes.POINTER(ctypes.c_double)]
-        sgd.restype = ctypes.c_int
-        self._sgd = sgd
-        sweeps = library.driftbench_jacobi
-        sweeps.argtypes = [_P, _P, _I, _I, ctypes.c_double, _I]
-        sweeps.restype = ctypes.c_int
-        self._jacobi = sweeps
-        self._library = library  # keeps the library loaded while its functions are used
-        self.name = name
-
-    def sgd(self, state: ModelState, ids: np.ndarray, config: TrainingConfig, total: int):
-        """The SGD step of `_numpy_sgd` in C: checks the arguments once and
-        returns the step, which calls `driftbench_sgd`."""
-        v, d = len(state.vocab), config.dimension
-        for w in (state.w_in, state.w_out):
-            if w.shape != (v, d) or w.dtype != np.float64 or not w.flags.c_contiguous:
-                raise ValueError("weights must be C-contiguous float64 of shape (vocabulary, dimension)")
-        if ids.dtype != np.int64 or not ids.flags.c_contiguous or ids.max(initial=-1) >= v:
-            raise ValueError("window ids must be C-contiguous int64 vocabulary ids")
-        k, skipgram = state.objective[1], state.architecture == "skipgram"
-
-        def step(start: int, stop: int, noise: np.ndarray, seen: int, loss_sum: float) -> float:
-            out = ctypes.c_double(loss_sum)
-            status = self._sgd(
-                state.w_in.ctypes.data, state.w_out.ctypes.data, v, d, ids.ctypes.data,
-                start, stop, config.window_radius, skipgram, noise.ctypes.data, k,
-                config.learning_rate, LR_FLOOR_FRACTION, seen, total, ctypes.byref(out),
-            )
-            if status != 0:
-                raise MemoryError("training kernel could not allocate its scratch memory")
-            return out.value
-
-        return step
-
-    def jacobi(self, at: np.ndarray, vt: np.ndarray, tol: float, max_sweeps: int) -> int:
-        """The sweeps of `stability.jacobi_svd` in C, on the transposed working
-        copy `at` (d x n) and rotations `vt` (d x d), both rotated in place.
-        Returns the sweeps done, or -1 when max_sweeps did not converge."""
-        d, n = at.shape
-        for x, shape in ((at, (d, n)), (vt, (d, d))):
-            if x.shape != shape or x.dtype != np.float64 or not x.flags.c_contiguous:
-                raise ValueError("Jacobi arrays must be C-contiguous float64 of shapes (d, n), (d, d)")
-        return self._jacobi(at.ctypes.data, vt.ctypes.data, n, d, tol, max_sweeps)
-
-
 def training_kernel() -> str:
-    """The kernel that trains and runs the Jacobi sweeps in this process:
-    'c:<source hash>' or 'numpy'."""
-    kernel = _kernel()
-    return "numpy" if kernel is None else kernel.name
+    """What trains and runs the Jacobi sweeps in this process: the compiled
+    kernel, 'c:<source hash>', or 'numpy:<version>' where it is not built."""
+    built = kernel.get()
+    return f"numpy:{np.__version__}" if built is None else built.name
 
 
-def _compiler() -> str | None:
-    return shutil.which("cc") or shutil.which("gcc")
-
-
-@functools.cache
-def _kernel() -> _Kernel | None:
-    """The compiled kernel, cached in the package's __pycache__; None when it
-    cannot be built or loaded here, and the numpy paths run instead."""
-    return _load_kernel(Path(__file__).parent / "__pycache__")
-
-
-def _load_kernel(cache_dir: Path) -> _Kernel | None:
-    """Load the kernel built for this source, flags and machine from
-    cache_dir, building it first when it is missing or does not load."""
-    try:
-        source = _KERNEL_SOURCE.read_bytes()
-    except OSError:
-        return None
-    build = hashlib.sha256(
-        b"\0".join([source, " ".join(_KERNEL_FLAGS).encode(), platform.machine().encode(),
-                    platform.system().encode()])
-    ).hexdigest()[:16]
-    name = "c:" + hashlib.sha256(source).hexdigest()[:12]
-    path = cache_dir / f"_kernel-{build}.so"
-    try:
-        return _Kernel(ctypes.CDLL(str(path)), name)
-    except (OSError, AttributeError):  # missing, or not a loadable build of this source
-        pass
-    compiler = _compiler()
-    if compiler is None:
-        return None
-    try:
-        try:
-            cache_dir.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".kernel-", suffix=".so")
-        except OSError:  # not writable: build in a private directory, removed below
-            path = Path(tempfile.mkdtemp(prefix="driftbench-")) / path.name
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".kernel-", suffix=".so")
-        os.close(fd)
-        try:
-            subprocess.run(
-                [compiler, *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE), "-lm"],
-                check=True, capture_output=True, timeout=120,
-            )
-            os.replace(tmp, path)  # another process may be building the same file
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-        kernel = _Kernel(ctypes.CDLL(str(path)), name)
-    except (OSError, AttributeError, subprocess.SubprocessError):
-        return None
-    finally:
-        if path.parent != cache_dir:  # a loaded library stays mapped without its file
-            shutil.rmtree(path.parent, ignore_errors=True)
-    for stale in [*path.parent.glob("_sgd-*.so"), *path.parent.glob("_kernel-*.so")]:
-        if stale != path:  # builds of older sources or flags
-            try:
-                stale.unlink()
-            except OSError:
-                pass
-    return kernel
+# a token that the embedding reader would not read back: empty, or holding
+# its field separator or a line break
+_EMBEDDING_UNSAFE = re.compile(f"\\A\\Z|[ \n{_OTHER_LINE_BREAKS}]")
 
 
 def save_embedding_text(space: EmbeddingSpace | VectorSpace, path: str | Path) -> None:
     """Plain-text vectors: `<vocab> <dim>` header, then one word per line.
 
-    Components are written with shortest round-trip precision, so saving
-    and reloading is exact and identical runs produce identical bytes.
+    Components are written with shortest round-trip precision, the bytes of
+    repr(), so saving and reloading is exact and identical runs produce
+    identical bytes. The compiled kernel writes them where it is built. A
+    token that the reader could not read back (empty, or holding a space or
+    a line break) raises ValueError naming it, before any byte is written.
     """
-    rows = np.asarray(space.vectors, dtype=np.float64)
-    lines = [f"{len(space.vocab)} {space.dim}"]
-    lines += [
-        f"{token} {' '.join(map(repr, row.tolist()))}"
-        for token, row in zip(space.vocab.tokens, rows)
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    tokens = space.vocab.tokens
+    unsafe = next(filter(_EMBEDDING_UNSAFE.search, tokens), None)
+    if unsafe is not None:
+        raise ValueError(f"token {unsafe!r} cannot be written as embedding text: "
+                         "it is empty or holds a space or a line break")
+    rows = np.ascontiguousarray(space.vectors, dtype=np.float64)
+    built = kernel.get()
+    if built is None:
+        body = "".join(f"{token} {' '.join(map(repr, row.tolist()))}\n"
+                       for token, row in zip(tokens, rows)).encode()
+    else:
+        body = built.format_rows("\n".join([*tokens, ""]).encode(), rows)
+    with open(path, "wb") as out:
+        out.write(f"{len(space.vocab)} {space.dim}\n".encode())
+        out.write(body)
 
 
 def load_embedding_text(path: str | Path) -> EmbeddingSpace:
@@ -603,7 +493,8 @@ def _parse_embedding_bulk(text: str, path: str | Path) -> EmbeddingSpace | None:
     """The space of a canonical embedding file, or None for the per-line reader.
 
     Canonical means a `<vocab> <dim>` header with both sizes above 0, LF line
-    breaks, exactly one row per word and finite components.
+    breaks, exactly one row per word and finite components. The compiled
+    kernel parses the components where it is built, and numpy otherwise.
     """
     header, _, body = text.partition("\n")
     match = re.fullmatch("([0-9]+) ([0-9]+)", header)
@@ -616,11 +507,17 @@ def _parse_embedding_bulk(text: str, path: str | Path) -> EmbeddingSpace | None:
     if len(rows) != vsize + 1 or rows[-1]:
         return None
     tokens, _, components = zip(*(row.partition(" ") for row in rows[:-1]))
-    matrix = _bulk_table("\n".join(components), _COMPONENT_ALPHABET, np.float64, " ", dim)
-    if matrix is None or len(matrix) != vsize or not np.isfinite(matrix).all():
-        return None
     if len(set(tokens)) != vsize:
         return None
+    built = kernel.get()
+    if built is not None:
+        matrix, bad = built.parse_rows(body.encode(), vsize, dim)
+        if bad >= 0:
+            return None
+    else:
+        matrix = _bulk_table("\n".join(components), _COMPONENT_ALPHABET, np.float64, " ", dim)
+        if matrix is None or len(matrix) != vsize or not np.isfinite(matrix).all():
+            return None
     vocab = Vocabulary(tokens, [1] * vsize)
     return EmbeddingSpace(vocab, matrix, provenance={"source": str(path)})
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import driftbench as db
-from driftbench import trainer
+from driftbench import kernel as kernel_module
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -100,14 +100,14 @@ def cafe_text():
 
 @pytest.fixture
 def numpy_step(monkeypatch):
-    """Run the numpy training step and Jacobi sweeps, as where the C kernel
-    cannot be built."""
-    monkeypatch.setattr(trainer, "_kernel", lambda: None)
+    """Run the numpy training step, the numpy Jacobi sweeps and the Python
+    embedding text I/O, as where the C kernel cannot be built."""
+    monkeypatch.setattr(kernel_module, "get", lambda: None)
 
 
 @pytest.fixture
 def kernel():
-    built = trainer._kernel()
+    built = kernel_module.get()
     if built is None:
         pytest.skip("the C kernel does not build here")
     return built

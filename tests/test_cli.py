@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from driftbench import cli, stability
@@ -730,9 +731,9 @@ KERNEL_RUNS = {
 
 @pytest.mark.parametrize("command", list(KERNEL_RUNS))
 def test_manifest_names_the_training_kernel(command, artifacts, tmp_path, monkeypatch):
-    from driftbench import trainer
+    from driftbench import kernel as kernel_module
 
-    kernel = trainer._kernel()
+    kernel = kernel_module.get()
     if kernel is None:
         pytest.skip("the C kernel does not build here")
     template, outputs, manifest_name = KERNEL_RUNS[command]
@@ -751,9 +752,9 @@ def test_manifest_names_the_training_kernel(command, artifacts, tmp_path, monkey
     assert first == second
     assert first_bytes == second_bytes
     assert first["kernel"] == kernel.name
-    monkeypatch.setattr(trainer, "_kernel", lambda: None)
+    monkeypatch.setattr(kernel_module, "get", lambda: None)
     fallback, _ = run_in("numpy")
-    assert fallback["kernel"] == "numpy"
+    assert fallback["kernel"] == f"numpy:{np.__version__}"
     assert fallback != first
     assert fallback | {"kernel": kernel.name} == first  # the kernel is all that differs
 

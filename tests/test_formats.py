@@ -7,6 +7,8 @@ random models. A text loader must return the per-line reader's object or
 raise its exact error; a checkpoint may raise nothing but FormatError.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 import driftbench as db
 from driftbench import count_model, graph, trainer
+from driftbench import kernel as kernel_module
 from driftbench.corpus import decode_utf8
 from driftbench.errors import EncodingError, FormatError
 
@@ -254,6 +257,15 @@ def test_near_valid_file_loads_like_per_line_reader(workdir, kind, content):
     check(kind, workdir / f"near.{kind}", content.encode())
 
 
+@pytest.mark.parametrize(
+    "content",
+    [pytest.param(text, id=f"embedding-{i}") for i, text in enumerate(NEAR_VALID["embedding"])],
+)
+def test_near_valid_embedding_loads_like_per_line_reader_without_kernel(workdir, numpy_step,
+                                                                        content):
+    check("embedding", workdir / "near-numpy.txt", content.encode())
+
+
 def test_saved_files_take_the_bulk_path(workdir):
     assert count_model._parse_cooc_bulk(COOC) is not None
     assert trainer._parse_embedding_bulk(EMBEDDING, "x") is not None
@@ -275,6 +287,13 @@ def saved(path, save, model) -> str:
     return path.read_text(encoding="utf-8")
 
 
+def check_embedding_text(workdir, space, form, data):
+    text = saved(workdir / "saved.txt", trainer.save_embedding_text, space)
+    if form == "canonical":
+        assert trainer._parse_embedding_bulk(text, "x") is not None
+    check("embedding", workdir / "v.txt", case(data, text, form, " "))
+
+
 class TestFuzz:
     @FUZZ
     @given(model=count_models(), form=FORMS, data=st.data())
@@ -287,10 +306,7 @@ class TestFuzz:
     @FUZZ
     @given(space=embedding_spaces(), form=FORMS, data=st.data())
     def test_embedding_text(self, workdir, space, form, data):
-        text = saved(workdir / "saved.txt", trainer.save_embedding_text, space)
-        if form == "canonical":
-            assert trainer._parse_embedding_bulk(text, "x") is not None
-        check("embedding", workdir / "v.txt", case(data, text, form, " "))
+        check_embedding_text(workdir, space, form, data)
 
     @FUZZ
     @given(model=count_models(), min_weight=st.integers(1, 3), form=FORMS, data=st.data())
@@ -299,6 +315,38 @@ class TestFuzz:
         if form == "canonical":
             assert graph._import_edge_list_bulk(text) is not None
         check("edges", workdir / "g.tsv", case(data, text, form, "\t"))
+
+
+class TestFuzzWithoutKernel:
+    """The embedding fuzz test again, on the repr() writer and the numpy reader."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _numpy(self):  # class-scoped, as hypothesis requires; numpy_step is per test
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel_module, "get", lambda: None)
+            yield
+
+    @FUZZ
+    @given(space=embedding_spaces(), form=FORMS, data=st.data())
+    def test_embedding_text(self, workdir, space, form, data):
+        check_embedding_text(workdir, space, form, data)
+
+
+@pytest.mark.parametrize("with_kernel", [True, False], ids=["kernel", "fallback"])
+@pytest.mark.parametrize("token", ["", "a b", " ", "a\nb", "a\r", "\x0bx", "x\x1c", "\x85",
+                                   "a\u2028", "\u2029b"])
+def test_embedding_text_refuses_a_token_it_cannot_read_back(workdir, monkeypatch, with_kernel,
+                                                            token):
+    if not with_kernel:
+        monkeypatch.setattr(kernel_module, "get", lambda: None)
+    elif kernel_module.get() is None:
+        pytest.skip("the C kernel does not build here")
+    space = db.VectorSpace(db.Vocabulary(["a", token], [1, 1]), np.ones((2, 2)))
+    path = workdir / "unsafe-token.txt"
+    path.unlink(missing_ok=True)
+    with pytest.raises(ValueError, match=f"token {re.escape(repr(token))} cannot be written"):
+        trainer.save_embedding_text(space, path)
+    assert not path.exists()
 
 
 class TestCheckpoint:

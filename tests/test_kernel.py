@@ -1,0 +1,172 @@
+"""The embedding text functions of the compiled kernel against their oracles.
+
+The writer must print each component as repr() does, byte for byte, and
+the reader must read each field as float() does, bit for bit, or refuse it
+so that the caller falls back to the per-line reader. Hypothesis draws the
+components from random 64-bit patterns and the edges of the formats.
+"""
+
+import math
+import struct
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import driftbench as db
+from driftbench import kernel as kernel_module
+from driftbench.corpus import _OTHER_LINE_BREAKS
+
+ORACLE = settings(max_examples=400, deadline=None,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+TINY, HUGE = sys.float_info.min, sys.float_info.max
+# where repr() changes layout, or the shortest digits are hardest to find
+EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, TINY, float(np.nextafter(TINY, 0.0)), HUGE, -HUGE,
+    *(float(f"1e{k}") for k in range(-323, 309)),
+    *(2.0**k for k in range(-1074, 1024)),
+    *(float(np.nextafter(x, toward)) for x in (1e-4, 1e16)
+      for toward in (0.0, math.inf)),
+    *(float(np.nextafter(np.nextafter(x, toward), toward)) for x in (1e-4, 1e16)
+      for toward in (0.0, math.inf)),
+    9007199254740993.0, 123456789012345678.0, 0.1, 0.3, 1.0, 1e22, 1e23, 5e-310,
+]
+components = (
+    st.integers(0, 2**64 - 1).map(from_bits).filter(math.isfinite)
+    | st.builds(lambda sign, mantissa: from_bits(sign << 63 | mantissa),  # subnormal
+                st.integers(0, 1), st.integers(1, 2**52 - 1))
+    | st.sampled_from(EDGES)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.integers(-(2**60), 2**60).map(float)
+)
+
+
+def formatted(kernel, tokens, rows) -> bytes:
+    blob = "".join(t + "\n" for t in tokens).encode()
+    return bytes(kernel.format_rows(blob, np.asarray(rows, dtype=np.float64)))
+
+
+def reference(tokens, rows) -> bytes:
+    return "".join(f"{t} {' '.join(map(repr, row))}\n" for t, row in zip(tokens, rows)).encode()
+
+
+class TestWriter:
+    def test_edges_print_as_repr(self, kernel):
+        values = [*EDGES, *(-x for x in EDGES), math.inf, -math.inf, math.nan]
+        assert formatted(kernel, ["t"], [values]) == reference(["t"], [values])
+
+    @ORACLE
+    @given(row=st.lists(components, min_size=1, max_size=64))
+    def test_prints_as_repr(self, kernel, row):
+        assert formatted(kernel, ["t"], [row]) == reference(["t"], [row])
+
+    @ORACLE
+    @given(tokens=st.lists(st.text(st.characters(blacklist_characters=" \n" + _OTHER_LINE_BREAKS,
+                                                 blacklist_categories=["Cs"]),
+                                   min_size=1, max_size=6),
+                           max_size=5, unique=True),
+           dim=st.integers(0, 4), data=st.data())
+    def test_rows_and_tokens(self, kernel, tokens, dim, data):
+        rows = data.draw(st.lists(st.lists(components, min_size=dim, max_size=dim),
+                                  min_size=len(tokens), max_size=len(tokens)))
+        matrix = np.array(rows, dtype=np.float64).reshape(len(tokens), dim)
+        assert formatted(kernel, tokens, matrix) == reference(tokens, rows)
+
+    def test_refuses_what_it_cannot_take(self, kernel):
+        with pytest.raises(ValueError, match="one LF-ended token per row"):
+            kernel.format_rows(b"a\n", np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            kernel.format_rows(b"a\nb\n", np.zeros((3, 2)).T)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            kernel.format_rows(b"a\nb\n", np.zeros((2, 3), dtype=np.float32))
+
+
+# repr's digits, float's whole decimal grammar in repr's alphabet, and more
+# digits or larger exponents than any repr
+fields = (
+    components.map(repr)
+    | st.text(alphabet="0123456789.e+-", max_size=12)
+    | st.builds("{}{}.{}e{}".format, st.sampled_from(["", "-", "+"]),
+                st.text(alphabet="0123456789", max_size=30),
+                st.text(alphabet="0123456789", max_size=30), st.integers(-420, 420))
+)
+
+
+def read_by_float(field: str) -> float | None:
+    try:
+        value = float(field)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+class TestReader:
+    @ORACLE
+    @given(row=st.lists(fields, min_size=1, max_size=8))
+    def test_reads_as_float(self, kernel, row):
+        """A field in repr's alphabet is read exactly when float() reads it as
+        a finite number, and to the same bits; otherwise the reader points at
+        the first field it refuses."""
+        body = f"t {' '.join(row)}\n".encode()
+        matrix, bad = kernel.parse_rows(body, 1, len(row))
+        values = [read_by_float(field) for field in row]
+        if None in values:
+            first = values.index(None)
+            assert bad == len("t ") + sum(len(f) + 1 for f in row[:first])
+        else:
+            assert bad == -1
+            assert matrix.tobytes() == np.array([values]).tobytes()
+
+    @pytest.mark.parametrize("field", ["1E5", "1_0", "inf", "-inf", "nan", "0x10", "١",
+                                       " 1", "", "1e400", "-1e400", "1e"])
+    def test_refuses_fields_outside_reprs_grammar(self, kernel, field):
+        assert kernel.parse_rows(f"a 0.5 {field}\n".encode(), 1, 2)[1] == len("a 0.5 ")
+
+    @pytest.mark.parametrize("body, offset", [
+        ("a 1.0\nb\n", 6),  # a row with no space
+        ("a 1.0\nb 2.0 3.0\n", 8),  # more fields than columns
+        ("a 1.0\nb 2.0  \n", 8),
+    ])
+    def test_points_at_the_first_bad_field(self, kernel, body, offset):
+        assert kernel.parse_rows(body.encode(), 2, 1)[1] == offset
+
+    def test_reads_many_rows(self, kernel):
+        body = b"a 0.5 -1.0\ncaf\xc3\xa9 1e-05 2.0\nb -0.0 3.0\n"
+        matrix, bad = kernel.parse_rows(body, 3, 2)
+        assert bad == -1
+        assert matrix.tobytes() == np.array([[0.5, -1.0], [1e-05, 2.0], [-0.0, 3.0]]).tobytes()
+
+    def test_refuses_what_it_cannot_take(self, kernel):
+        with pytest.raises(ValueError, match="one LF-ended line per row"):
+            kernel.parse_rows(b"a 1.0\n", 2, 1)
+        with pytest.raises(ValueError, match="at least one field"):
+            kernel.parse_rows(b"a \n", 1, 0)
+        with pytest.raises(ValueError, match="one LF-ended line per row"):
+            kernel.parse_rows(b"a 1.0\nb 2.0", 1, 1)
+
+
+@ORACLE
+@given(rows=st.integers(1, 5).flatmap(
+    lambda dim: st.lists(st.lists(components, min_size=dim, max_size=dim), min_size=1,
+                         max_size=6)))
+def test_saves_the_same_bytes_on_both_paths(kernel, tmp_path_factory, rows):
+    tokens = [f"w{i}" for i in range(len(rows))]
+    space = db.VectorSpace(db.Vocabulary(tokens, [1] * len(rows)), np.array(rows))
+    path = tmp_path_factory.getbasetemp() / "both-paths.txt"
+    db.save_embedding_text(space, path)
+    compiled = path.read_bytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel_module, "get", lambda: None)
+        db.save_embedding_text(space, path)
+        fallback = path.read_bytes()
+        assert db.load_embedding_text(path).vectors.tobytes() == space.vectors.tobytes()
+    assert compiled == fallback
+    assert db.load_embedding_text(path).vectors.tobytes() == space.vectors.tobytes()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import sparse, stats
 
 import driftbench as db
-from driftbench import trainer
+from driftbench import kernel as kernel_module
 from driftbench.stability import _rank_agreement
 
 from conftest import dense_space
@@ -286,7 +286,7 @@ def on_both_paths(fn, *args):
     """fn(*args) with the C Jacobi sweeps, then with the numpy sweeps."""
     got = fn(*args)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trainer, "_kernel", lambda: None)
+        mp.setattr(kernel_module, "get", lambda: None)
         want = fn(*args)
     return got, want
 

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import driftbench as db
+from driftbench import kernel as kernel_module
 from driftbench import trainer
 from driftbench.corpus import _window_ids
 from driftbench.synthetic import synthetic_corpus
@@ -291,7 +292,7 @@ class TestSampleStreamOracle:
         # generators' samples trained one by one
         train = db.train_cbow if architecture == "cbow" else db.train_skipgram
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(trainer, "_kernel", lambda: None)
+            mp.setattr(kernel_module, "get", lambda: None)
             mp.setattr(trainer, "NOISE_CHUNK", chunk)
             emb = train(streams, cfg)
         ref, samples, losses = reference_training(streams, cfg, architecture)
@@ -352,7 +353,7 @@ class TestNumpyStepDeterminism(TestDeterminism):
 
     def test_provenance_names_numpy(self, tiny_stream):
         emb = db.train_cbow([tiny_stream], small_config())
-        assert emb.provenance["kernel"] == trainer.training_kernel() == "numpy"
+        assert emb.provenance["kernel"] == trainer.training_kernel() == f"numpy:{np.__version__}"
 
     @pytest.mark.parametrize("chunk", [1, 7, 100])
     @pytest.mark.parametrize("architecture", ["cbow", "skipgram"])
@@ -377,9 +378,10 @@ class TestKernel:
                            objective=objective)
         train = db.train_cbow if architecture == "cbow" else db.train_skipgram
         got = train(streams, cfg)
-        monkeypatch.setattr(trainer, "_kernel", lambda: None)
+        monkeypatch.setattr(kernel_module, "get", lambda: None)
         want = train(streams, cfg)
-        assert (got.provenance["kernel"], want.provenance["kernel"]) == (kernel.name, "numpy")
+        assert (got.provenance["kernel"], want.provenance["kernel"]) == (
+            kernel.name, f"numpy:{np.__version__}")
         assert got.provenance["samples_per_epoch"] == want.provenance["samples_per_epoch"]
         np.testing.assert_allclose(got.vectors, want.vectors, rtol=1e-9, atol=0)
         np.testing.assert_allclose(got.output_weights, want.output_weights, rtol=1e-9, atol=0)
@@ -395,32 +397,32 @@ class TestKernel:
 
 class TestKernelBuild:
     def test_no_compiler_trains_on_numpy_step(self, tiny_stream, tmp_path, monkeypatch):
-        monkeypatch.setattr(trainer, "_compiler", lambda: None)
-        monkeypatch.setattr(trainer, "_kernel", lambda: trainer._load_kernel(tmp_path))
+        monkeypatch.setattr(kernel_module, "compiler", lambda: None)
+        monkeypatch.setattr(kernel_module, "get", lambda: kernel_module.load(tmp_path))
         emb = db.train_cbow([tiny_stream], small_config())
-        assert emb.provenance["kernel"] == trainer.training_kernel() == "numpy"
+        assert emb.provenance["kernel"] == trainer.training_kernel() == f"numpy:{np.__version__}"
         assert np.isfinite(emb.vectors).all()
         assert emb.provenance["epoch_losses"][-1] < emb.provenance["epoch_losses"][0]
 
     def test_compile_error_returns_none(self, kernel, tmp_path, monkeypatch):
         source = tmp_path / "_kernel.c"
         source.write_text("this is not C\n", encoding="utf-8")
-        monkeypatch.setattr(trainer, "_KERNEL_SOURCE", source)
-        assert trainer._load_kernel(tmp_path / "cache") is None
+        monkeypatch.setattr(kernel_module, "SOURCE", source)
+        assert kernel_module.load(tmp_path / "cache") is None
         assert not list((tmp_path / "cache").iterdir())  # no temporary file is left behind
 
     def test_garbage_at_the_cache_path_is_rebuilt(self, kernel, tiny_stream, tmp_path,
                                                  monkeypatch):
-        assert trainer._load_kernel(tmp_path / "first") is not None
+        assert kernel_module.load(tmp_path / "first") is not None
         (library,) = (tmp_path / "first").glob("_kernel-*.so")
         garbage = tmp_path / "second" / library.name
         garbage.parent.mkdir()
         garbage.write_bytes(b"not a shared library")
-        rebuilt = trainer._load_kernel(garbage.parent)
+        rebuilt = kernel_module.load(garbage.parent)
         assert rebuilt is not None and rebuilt.name == kernel.name
         assert garbage.read_bytes() == library.read_bytes()
         cached = db.train_cbow([tiny_stream], small_config())
-        monkeypatch.setattr(trainer, "_kernel", lambda: rebuilt)
+        monkeypatch.setattr(kernel_module, "get", lambda: rebuilt)
         again = db.train_cbow([tiny_stream], small_config())
         assert np.array_equal(cached.vectors, again.vectors)
 
@@ -429,11 +431,11 @@ class TestKernelBuild:
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         blocker = tmp_path / "a-file"
         blocker.write_bytes(b"")
-        built = trainer._load_kernel(blocker / "cache")  # a directory cannot be made there
+        built = kernel_module.load(blocker / "cache")  # a directory cannot be made there
         assert built is not None and built.name == kernel.name
         assert not list(tmp_path.glob("driftbench-*"))  # removed once the library loaded
         cached = db.train_cbow([tiny_stream], small_config())
-        monkeypatch.setattr(trainer, "_kernel", lambda: built)
+        monkeypatch.setattr(kernel_module, "get", lambda: built)
         again = db.train_cbow([tiny_stream], small_config())
         assert again.provenance["kernel"] == kernel.name
         assert np.array_equal(cached.vectors, again.vectors)
@@ -444,12 +446,12 @@ class TestKernelBuild:
         cache.mkdir()
         (cache / "_sgd-0123456789abcdef.so").write_bytes(b"a build of the old source name")
         (cache / "other.so").write_bytes(b"not a kernel build")
-        assert trainer._load_kernel(cache) is not None
+        assert kernel_module.load(cache) is not None
         (first,) = cache.glob("_kernel-*.so")
         source = tmp_path / "_kernel.c"
-        source.write_bytes(trainer._KERNEL_SOURCE.read_bytes() + b"\n/* another source */\n")
-        monkeypatch.setattr(trainer, "_KERNEL_SOURCE", source)
-        newer = trainer._load_kernel(cache)
+        source.write_bytes(kernel_module.SOURCE.read_bytes() + b"\n/* another source */\n")
+        monkeypatch.setattr(kernel_module, "SOURCE", source)
+        newer = kernel_module.load(cache)
         assert newer is not None and newer.name != kernel.name
         (second,) = cache.glob("_kernel-*.so")
         assert second != first
