@@ -1,11 +1,13 @@
 /* The loops of driftbench that numpy cannot batch: an SGD epoch of the
  * trainer (driftbench_sgd), the sweeps of the Jacobi SVD
  * (driftbench_jacobi), and the writer and reader of the embedding text
- * format (driftbench_format, driftbench_parse). The first two do their
+ * format (driftbench_format, driftbench_parse), and the reader of the
+ * integer columns of the COOC and edge-list formats
+ * (driftbench_parse_ints). The first two do their
  * arithmetic in the same order as the numpy path they replace, except
  * that dot products and sums run sequentially where numpy calls BLAS or
  * sums pairwise, so results agree with it to the last few bits. The text
- * functions give the same bytes and values as repr() and float(). Build
+ * functions give the same bytes and values as repr(), float() and int(). Build
  * it with -ffp-contract=off and without fast-math so that every run of
  * the same build gives the same bits.
  */
@@ -541,4 +543,46 @@ int64_t driftbench_parse(const char *body, int64_t rows, int64_t cols, double *o
         p++;
     }
     return -1;
+}
+
+/* Parses `rows` lines of `cols` TAB-separated fields, each line ended by
+ * LF, from the `size` bytes at `body`. The first `skip` fields of a line
+ * may hold any bytes but TAB and LF and are not read; each other field is
+ * a decimal integer below 2**63, written with digits alone, and goes to
+ * `out` (rows x (cols - skip)), as int() reads it. Returns -1, or the
+ * byte offset of the first field that is empty (and not skipped), holds
+ * another character, reaches 2**63, or does not end exactly on TAB (LF
+ * for a line's last field): so a blank line, a missing final LF or a line
+ * with too few fields is refused at its first field that breaks the
+ * layout, and bytes after the last line at their start. */
+int64_t driftbench_parse_ints(const char *body, int64_t size, int64_t rows, int64_t cols,
+                              int64_t skip, int64_t *out)
+{
+    const char *p = body, *end = body + size;
+    int64_t r, c;
+
+    for (r = 0; r < rows; r++) {
+        for (c = 0; c < cols; c++) {
+            const char *field = p;
+            if (c < skip) {
+                while (p < end && *p != '\t' && *p != '\n')
+                    p++;
+            } else {
+                uint64_t v = 0;
+                for (; p < end && *p >= '0' && *p <= '9'; p++) {
+                    uint64_t digit = (uint64_t)(*p - '0');
+                    if (v > (UINT64_C(0x7fffffffffffffff) - digit) / 10)
+                        return field - body;
+                    v = v * 10 + digit;
+                }
+                if (p == field)
+                    return field - body;
+                *out++ = (int64_t)v;
+            }
+            if (p == end || *p != (c + 1 < cols ? '\t' : '\n'))
+                return field - body;
+            p++;
+        }
+    }
+    return p == end ? -1 : p - body;
 }

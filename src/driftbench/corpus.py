@@ -18,6 +18,11 @@ from .errors import EncodingError, EmptyVocabularyError, UnknownWordError
 # typographic) and hyphens are kept only between such runs. Underscore is a
 # separator (it is markup in plain-text ebooks, not a word character).
 _TOKEN_RE = re.compile(r"[^\W_]+(?:['’-][^\W_]+)*", re.UNICODE)
+# On ASCII text _TOKEN_RE's letters and digits are [a-z0-9] after lowercasing.
+# This table lowercases A-Z, keeps [a-z0-9'-] and maps every other byte to a
+# space, so that splitting the result gives the runs a token can come from.
+_ASCII_KEPT = b"abcdefghijklmnopqrstuvwxyz0123456789'-"
+_ASCII_WORDS = bytes(c + 32 if 65 <= c <= 90 else c if c in _ASCII_KEPT else 32 for c in range(256))
 
 
 @dataclass(frozen=True)
@@ -44,8 +49,24 @@ def tokenize(text: str, doc_id: str = "") -> TokenStream:
     between two such runs ("common-sense", "don't"). Everything else
     separates. Lowercasing happens before extraction, so tokenizing the
     space-joined output reproduces it exactly.
+
+    _TOKEN_RE defines the tokens. ASCII text takes a faster path with the
+    same result: one translate keeps the runs of [a-z0-9'-], and only a run
+    holding an apostrophe or hyphen goes through the regex, which cannot
+    match across the separators between runs.
     """
-    return TokenStream(doc_id=doc_id, tokens=tuple(_TOKEN_RE.findall(text.lower())))
+    if not text.isascii():
+        return TokenStream(doc_id=doc_id, tokens=tuple(_TOKEN_RE.findall(text.lower())))
+    runs = text.encode().translate(_ASCII_WORDS).decode()
+    if "'" not in runs and "-" not in runs:
+        return TokenStream(doc_id=doc_id, tokens=tuple(runs.split()))
+    tokens: list[str] = []
+    for run in runs.split():
+        if run.isalnum():
+            tokens.append(run)
+        else:
+            tokens += _TOKEN_RE.findall(run)
+    return TokenStream(doc_id=doc_id, tokens=tuple(tokens))
 
 
 def tokenize_document(doc: Document) -> TokenStream:

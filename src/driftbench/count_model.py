@@ -11,7 +11,16 @@ from typing import Iterable
 import numpy as np
 from scipy import sparse
 
-from .corpus import TokenStream, Vocabulary, _bulk_table, _lf_lines_only, _window_ids, decode_utf8
+from . import kernel
+from .corpus import (
+    _OTHER_LINE_BREAKS,
+    TokenStream,
+    Vocabulary,
+    _bulk_table,
+    _lf_lines_only,
+    _window_ids,
+    decode_utf8,
+)
 from .errors import DataError, FormatError
 from .vector_space import VectorSpace, WordVector
 
@@ -167,6 +176,9 @@ def row_vector(source: CooccurrenceMatrix | VectorSpace, word: str) -> WordVecto
 
 
 COOC_MAGIC = "COOC v1"
+# a token that the COOC reader would not read back: one holding its field
+# separator or a line break, or a lone surrogate, which UTF-8 cannot encode
+_COOC_UNSAFE = re.compile(f"[\t\n{_OTHER_LINE_BREAKS}\ud800-\udfff]")
 
 
 def save_cooc(m: CooccurrenceMatrix, path: str | Path) -> None:
@@ -174,8 +186,14 @@ def save_cooc(m: CooccurrenceMatrix, path: str | Path) -> None:
 
     Header `COOC v1 <vocab_size> <radius>`, one `index<TAB>token<TAB>freq`
     line per vocabulary entry, then `t<TAB>c<TAB>count` triples with
-    t <= c; the lower triangle is reconstructed on load.
+    t <= c; the lower triangle is reconstructed on load. A token that the
+    reader could not read back (holding a TAB, a line break or a lone
+    surrogate) raises ValueError naming it, before any byte is written.
     """
+    unsafe = next(filter(_COOC_UNSAFE.search, m.vocab.tokens), None)
+    if unsafe is not None:
+        raise ValueError(f"token {unsafe!r} cannot be written to a COOC file: "
+                         "it holds a TAB, a line break or a lone surrogate")
     lines = [f"{COOC_MAGIC} {len(m.vocab)} {m.window.radius}"]
     lines += [f"{index}\t{token}\t{freq}" for token, index, freq in m.vocab.items()]
     upper = sparse.triu(m.counts, format="coo")
@@ -204,7 +222,8 @@ def _parse_cooc_bulk(text: str) -> CooccurrenceMatrix | None:
 
     Canonical means a `COOC v1 <vocab> <radius>` header, LF line breaks,
     vocabulary lines in index order and triples in strictly increasing
-    (t, c) order, made of digits, TAB and LF only.
+    (t, c) order, made of digits, TAB and LF only. The compiled kernel
+    parses the triples where it is built, and numpy otherwise.
     """
     header, _, rest = text.partition("\n")
     match = re.fullmatch(r"COOC v1 ([0-9]+) ([0-9]+)", header)
@@ -228,9 +247,16 @@ def _parse_cooc_bulk(text: str) -> CooccurrenceMatrix | None:
         return None
     if min(freqs) < 1:
         return None
-    triples = _bulk_table(section, _COUNT_ALPHABET, np.int64, "\t", 3)
-    if triples is None:
-        return None
+    built = kernel.get()
+    if built is not None:
+        data = section.encode()
+        triples, bad = built.parse_ints(data, data.count(b"\n"), 3, 0)
+        if bad >= 0:
+            return None
+    else:
+        triples = _bulk_table(section, _COUNT_ALPHABET, np.int64, "\t", 3)
+        if triples is None:
+            return None
     t, c, v = triples.T
     if not (t <= c).all() or (c >= vsize).any() or (v < 1).any():
         return None

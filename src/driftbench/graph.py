@@ -27,6 +27,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 from scipy import sparse
 
+from . import kernel
 from .corpus import _OTHER_LINE_BREAKS, Vocabulary, _lf_lines_only
 from .count_model import CooccurrenceMatrix, WindowConfig
 from .errors import FormatError, UnknownWordError
@@ -357,6 +358,7 @@ def _import_edge_list_bulk(text: str) -> SemanticGraph | None:
     Bulk form means the `# nodes: N` header, then exactly N node lines, then
     edge lines, each line three TAB-separated fields ended by LF. The node
     lines may come in any order among themselves, and so may the edge lines.
+    The compiled kernel parses the counts and weights where it is built.
     """
     header, _, body = text.partition("\n")
     match = re.fullmatch("# nodes: ([0-9]+)", header)
@@ -365,20 +367,28 @@ def _import_edge_list_bulk(text: str) -> SemanticGraph | None:
     declared = int(match[1])
     if declared > len(body):
         return None
-    data = np.frombuffer(body.encode(), dtype=np.uint8)
-    separators = data[(data == 9) | (data == 10)]
-    if separators.size % 3 or (separators.reshape(-1, 3) != (9, 9, 10)).any():
-        return None  # a line without exactly two TABs
+    data = body.encode()
+    fields = body.replace("\n", "\t").split("\t")
+    built = kernel.get()
+    if built is not None:
+        weights, bad = built.parse_ints(data, data.count(b"\n"), 3, 2)
+        if bad >= 0:
+            return None  # a line without exactly two TABs, or a count not in plain digits < 2**63
+        weights = weights[:, 0]
+    else:
+        chars = np.frombuffer(data, dtype=np.uint8)
+        separators = chars[(chars == 9) | (chars == 10)]
+        if separators.size % 3 or (separators.reshape(-1, 3) != (9, 9, 10)).any():
+            return None  # a line without exactly two TABs
+        try:
+            weights = np.fromiter(map(int, fields[2::3]), np.int64, len(fields) // 3)
+        except (ValueError, OverflowError):
+            return None
     edge_lines = body.split("\n", declared)[-1]
     if edge_lines.startswith("#") or "\n#" in edge_lines:
         return None  # a node line or comment among the edges
-    fields = body.replace("\n", "\t").split("\t")
     firsts, seconds = fields[0:-1:3], fields[1::3]
     if firsts[:declared] != [EDGE_LIST_NODE_PREFIX[:-1]] * declared:
-        return None
-    try:
-        weights = np.fromiter(map(int, fields[2::3]), np.int64, len(firsts))
-    except (ValueError, OverflowError):
         return None
     nodes = dict(zip(seconds[:declared], weights[:declared].tolist()))
     tokens, self_weights, rows, cols = _arrays(nodes, firsts[declared:], seconds[declared:])

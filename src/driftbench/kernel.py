@@ -1,8 +1,9 @@
 """The compiled kernel: build, load and ctypes bindings of `_kernel.c`.
 
 One small C file holds the loops that numpy cannot batch: the SGD epoch of
-the trainer, the sweeps of `stability.jacobi_svd`, and the writer and
-reader of the embedding text format. `get()` compiles it on first use with
+the trainer, the sweeps of `stability.jacobi_svd`, the writer and reader
+of the embedding text format, and the reader of the integer columns of the
+COOC and edge-list formats. `get()` compiles it on first use with
 the system C compiler and caches the library; where it cannot be built or
 loaded, `get()` returns None and each caller runs its numpy or Python path,
 which is also the reference the kernel is tested against.
@@ -60,6 +61,8 @@ class Kernel:
                              _P, _P, _I, _I, ctypes.c_double, _I)
         self._format = _bind(library, "driftbench_format", _I, _P, _I, _I, ctypes.c_char_p, _P, _P)
         self._parse = _bind(library, "driftbench_parse", _I, ctypes.c_char_p, _I, _I, _P)
+        self._parse_ints = _bind(library, "driftbench_parse_ints", _I,
+                                 ctypes.c_char_p, _I, _I, _I, _I, _P)
         self._table = _ryu_table()
         self._library = library  # keeps the library loaded while its functions are used
         self.name = name
@@ -123,6 +126,18 @@ class Kernel:
             raise ValueError("body must hold one LF-ended line per row, of at least one field")
         out = np.empty((rows, cols), dtype=np.float64)
         return out, self._parse(body, rows, cols, out.ctypes.data)
+
+    def parse_ints(self, body: bytes, rows: int, cols: int, skip: int) -> tuple[np.ndarray, int]:
+        """The (rows, cols - skip) int64 array of a body of `rows` LF-ended
+        lines of `cols` TAB-separated fields, the first `skip` of which it
+        passes over, as int() reads the others, and -1; or, when a field
+        does not fit that layout or is not a decimal integer in [0, 2**63)
+        written with digits alone, the byte offset of the first such field
+        (or of any bytes after the last line)."""
+        if not 0 <= skip < cols or rows < 0:
+            raise ValueError("need rows >= 0 and 0 <= skip < cols")
+        out = np.empty((rows, cols - skip), dtype=np.int64)
+        return out, self._parse_ints(body, len(body), rows, cols, skip, out.ctypes.data)
 
 
 def compiler() -> str | None:

@@ -506,18 +506,19 @@ def _parse_embedding_bulk(text: str, path: str | Path) -> EmbeddingSpace | None:
     rows = body.split("\n")
     if len(rows) != vsize + 1 or rows[-1]:
         return None
-    tokens, _, components = zip(*(row.partition(" ") for row in rows[:-1]))
-    if len(set(tokens)) != vsize:
-        return None
     built = kernel.get()
     if built is not None:
+        tokens = [row.partition(" ")[0] for row in rows[:-1]]
         matrix, bad = built.parse_rows(body.encode(), vsize, dim)
         if bad >= 0:
             return None
     else:
+        tokens, _, components = zip(*(row.partition(" ") for row in rows[:-1]))
         matrix = _bulk_table("\n".join(components), _COMPONENT_ALPHABET, np.float64, " ", dim)
         if matrix is None or len(matrix) != vsize or not np.isfinite(matrix).all():
             return None
+    if len(set(tokens)) != vsize:
+        return None
     vocab = Vocabulary(tokens, [1] * vsize)
     return EmbeddingSpace(vocab, matrix, provenance={"source": str(path)})
 

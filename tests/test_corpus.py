@@ -1,13 +1,52 @@
 """Tokenization, vocabulary construction, and corpus statistics."""
 
+import string
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import driftbench as db
-from driftbench.corpus import decode_utf8
+from driftbench import corpus
+from driftbench.corpus import _TOKEN_RE, decode_utf8
 
-from conftest import ROSE_TEXT
+from conftest import DATA_DIR, ROSE_TEXT
+
+# every class of character the tokenizer treats apart: letters of both cases,
+# digits, the joiners (the typographic apostrophe is not ASCII), underscore,
+# all ASCII whitespace (str.split() also splits at \x1c-\x1f), punctuation,
+# NUL, DEL, and non-ASCII letters, digits and spaces
+ASCII_ALPHABET = (
+    string.ascii_letters + string.digits + "'-_" + string.punctuation
+    + " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x00\x7f"
+)
+ALPHABET = ASCII_ALPHABET + "’éÉßİı١\u00a0\u2028\u3000ﬁ"
+texts = (
+    st.text(alphabet=st.sampled_from(ASCII_ALPHABET), max_size=120)
+    | st.text(alphabet=st.sampled_from("aB9'-_ \x1c"), max_size=40)
+    | st.text(alphabet=st.sampled_from(ALPHABET), max_size=120)
+)
+
+
+def regex_tokens(text: str) -> tuple[str, ...]:
+    """The definition of the tokens, which the ASCII path must reproduce."""
+    return tuple(_TOKEN_RE.findall(text.lower()))
+
+
+def corpus_text(name: str) -> str:
+    """`cafe_story.txt`; a synthetic speaker corpus laid out as the benchmark
+    writes it; or prose-like text from the same seed, with capitals, joiners
+    and punctuation."""
+    if name == "cafe_story":
+        return (DATA_DIR / "cafe_story.txt").read_text(encoding="utf-8")
+    stream = db.synthetic_corpus(5000, seed=11, vocab_size=300)
+    if name == "speaker":
+        return "\n".join(" ".join(stream.tokens[i:i + 20]) for i in range(0, 5000, 20)) + "\n"
+    rng = np.random.default_rng(11)
+    glue = ["", " ", " ", " ", "-", "'", "--", " '", "' ", ", ", ". ", "_", "\t", "\r\n"]
+    words = [w.capitalize() if rng.random() < 0.2 else w for w in stream.tokens]
+    return "".join(w + glue[i] for w, i in zip(words, rng.integers(0, len(glue), 5000)))
 
 
 class TestTokenize:
@@ -57,6 +96,37 @@ class TestTokenize:
         once = db.tokenize(text).tokens
         again = db.tokenize(" ".join(once)).tokens
         assert once == again
+
+    @given(texts)
+    @settings(max_examples=500)
+    def test_equals_the_regex(self, text):
+        assert db.tokenize(text).tokens == regex_tokens(text)
+
+    @pytest.mark.parametrize("name", ["cafe_story", "speaker", "prose"])
+    def test_equals_the_regex_on_corpora(self, name):
+        text = corpus_text(name)
+        assert text.isascii()
+        tokens = db.tokenize(text).tokens
+        assert len(tokens) > 1000
+        assert tokens == regex_tokens(text)
+
+    def test_ascii_text_takes_the_translate_path(self, monkeypatch):
+        """Only a run that holds a joiner reaches the regex."""
+        seen = []
+
+        class Recorder:
+            def findall(self, text):
+                seen.append(text)
+                return _TOKEN_RE.findall(text)
+
+        monkeypatch.setattr(corpus, "_TOKEN_RE", Recorder())
+        assert db.tokenize("Don't stop--the Well-Known 'x' ends.").tokens == (
+            "don't", "stop", "the", "well-known", "x", "ends",
+        )
+        assert seen == ["don't", "stop--the", "well-known", "'x'"]
+        seen.clear()
+        assert db.tokenize("Café’s menu").tokens == ("café’s", "menu")
+        assert seen == ["café’s menu"]
 
     @given(st.text(max_size=100))
     def test_tokens_lowercase_nonempty_no_whitespace(self, text):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import driftbench as db
 from driftbench import count_model, graph, trainer
@@ -244,8 +245,22 @@ NEAR_VALID = {
         EDGES.replace("a\tb\t3", "a\tb\t3\t"),
         *(EDGES.replace("a\tb\t3", f"a\tb\t{w}") for w in ODD_FIELDS),
         *(EDGES.replace("\tb\t2", f"\tb\t{w}") for w in ["-1", "+2", "1_0"]),
+        EDGES.replace("a\tb\t3", "a\tb\t00000000000000000003"),  # int() reads 3
+        EDGES.replace("\tb\t2", "\tb\t9223372036854775808"),
+        EDGES.replace("a\tb\t3\n", "a\tb\t3\n\n"),  # a blank line among the edges, valid
+        EDGES.replace("a\tb\t3", "a\tb\t3\x00"),
+        EDGES.replace("a\tb\t3", "a\tb3"),
+        EDGES.replace("\tcafé\t0", "\tcafé0"),
     ],
 }
+NEAR_VALID["cooc"] += [
+    COOC.replace("\t4\n", "\t00000000000000000004\n"),  # int() reads 4
+    COOC.replace("0\t0\t2", "0\t0\t2\x00"),
+    COOC.replace("0\t0\t2", "0\t00\t2"),
+    COOC.replace("0\t0\t2", "0\t0\t9223372036854775808"),
+    COOC.replace("0\t1\t4", "0\t1 4"),
+    COOC.replace("0\t1\t4", "0\t1"),
+]
 
 
 @pytest.mark.parametrize(
@@ -264,6 +279,16 @@ def test_near_valid_file_loads_like_per_line_reader(workdir, kind, content):
 def test_near_valid_embedding_loads_like_per_line_reader_without_kernel(workdir, numpy_step,
                                                                         content):
     check("embedding", workdir / "near-numpy.txt", content.encode())
+
+
+@pytest.mark.parametrize(
+    "kind, content",
+    [pytest.param(kind, text, id=f"{kind}-{i}")
+     for kind in ("cooc", "edges") for i, text in enumerate(NEAR_VALID[kind])],
+)
+def test_near_valid_count_file_loads_like_per_line_reader_without_kernel(workdir, numpy_step,
+                                                                         kind, content):
+    check(kind, workdir / f"near-numpy.{kind}", content.encode())
 
 
 def test_saved_files_take_the_bulk_path(workdir):
@@ -287,6 +312,13 @@ def saved(path, save, model) -> str:
     return path.read_text(encoding="utf-8")
 
 
+def check_cooc(workdir, model, form, data):
+    text = saved(workdir / "saved.cooc", count_model.save_cooc, model)
+    if form == "canonical":
+        assert count_model._parse_cooc_bulk(text) is not None
+    check("cooc", workdir / "m.cooc", case(data, text, form, "\t"))
+
+
 def check_embedding_text(workdir, space, form, data):
     text = saved(workdir / "saved.txt", trainer.save_embedding_text, space)
     if form == "canonical":
@@ -294,14 +326,18 @@ def check_embedding_text(workdir, space, form, data):
     check("embedding", workdir / "v.txt", case(data, text, form, " "))
 
 
+def check_edge_list(workdir, model, min_weight, form, data):
+    text = graph.export_edge_list(graph.from_counts(model, min_weight=min_weight))
+    if form == "canonical":
+        assert graph._import_edge_list_bulk(text) is not None
+    check("edges", workdir / "g.tsv", case(data, text, form, "\t"))
+
+
 class TestFuzz:
     @FUZZ
     @given(model=count_models(), form=FORMS, data=st.data())
     def test_cooc(self, workdir, model, form, data):
-        text = saved(workdir / "saved.cooc", count_model.save_cooc, model)
-        if form == "canonical":
-            assert count_model._parse_cooc_bulk(text) is not None
-        check("cooc", workdir / "m.cooc", case(data, text, form, "\t"))
+        check_cooc(workdir, model, form, data)
 
     @FUZZ
     @given(space=embedding_spaces(), form=FORMS, data=st.data())
@@ -311,14 +347,11 @@ class TestFuzz:
     @FUZZ
     @given(model=count_models(), min_weight=st.integers(1, 3), form=FORMS, data=st.data())
     def test_edge_list(self, workdir, model, min_weight, form, data):
-        text = graph.export_edge_list(graph.from_counts(model, min_weight=min_weight))
-        if form == "canonical":
-            assert graph._import_edge_list_bulk(text) is not None
-        check("edges", workdir / "g.tsv", case(data, text, form, "\t"))
+        check_edge_list(workdir, model, min_weight, form, data)
 
 
 class TestFuzzWithoutKernel:
-    """The embedding fuzz test again, on the repr() writer and the numpy reader."""
+    """The fuzz tests again, on the repr() writer and the numpy and int() readers."""
 
     @pytest.fixture(autouse=True, scope="class")
     def _numpy(self):  # class-scoped, as hypothesis requires; numpy_step is per test
@@ -327,9 +360,19 @@ class TestFuzzWithoutKernel:
             yield
 
     @FUZZ
+    @given(model=count_models(), form=FORMS, data=st.data())
+    def test_cooc(self, workdir, model, form, data):
+        check_cooc(workdir, model, form, data)
+
+    @FUZZ
     @given(space=embedding_spaces(), form=FORMS, data=st.data())
     def test_embedding_text(self, workdir, space, form, data):
         check_embedding_text(workdir, space, form, data)
+
+    @FUZZ
+    @given(model=count_models(), min_weight=st.integers(1, 3), form=FORMS, data=st.data())
+    def test_edge_list(self, workdir, model, min_weight, form, data):
+        check_edge_list(workdir, model, min_weight, form, data)
 
 
 @pytest.mark.parametrize("with_kernel", [True, False], ids=["kernel", "fallback"])
@@ -347,6 +390,28 @@ def test_embedding_text_refuses_a_token_it_cannot_read_back(workdir, monkeypatch
     with pytest.raises(ValueError, match=f"token {re.escape(repr(token))} cannot be written"):
         trainer.save_embedding_text(space, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("token", ["a\tb", "\t", "a\nb", "a\r", "\x0bx", "x\x0c", "x\x1c",
+                                   "\x1d", "\x1e", "\x85", "a\u2028", "\u2029b", "a\ud800"])
+def test_cooc_refuses_a_token_it_cannot_read_back(workdir, token):
+    vocab = db.Vocabulary(["a", token], [1, 1])
+    counts = sparse.csr_matrix(np.array([[0, 1], [1, 0]]))
+    model = count_model.CooccurrenceMatrix(vocab, counts, db.WindowConfig(2))
+    path = workdir / "unsafe-token.cooc"
+    path.write_bytes(b"kept")
+    with pytest.raises(ValueError, match=f"token {re.escape(repr(token))} cannot be written"):
+        count_model.save_cooc(model, path)
+    assert path.read_bytes() == b"kept"
+
+
+def test_cooc_reads_back_the_tokens_it_writes(workdir):
+    tokens = ["", " ", "a b", "#x", "\x00", "\x1f", "café", "\U0001f600"]
+    vocab = db.Vocabulary(tokens, [1] * len(tokens))
+    counts = sparse.csr_matrix(np.ones((len(tokens), len(tokens)), dtype=np.int64))
+    model = count_model.CooccurrenceMatrix(vocab, counts, db.WindowConfig(2))
+    count_model.save_cooc(model, workdir / "tokens.cooc")
+    assert count_model.load_cooc(workdir / "tokens.cooc").same_counts(model)
 
 
 class TestCheckpoint:

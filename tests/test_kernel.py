@@ -1,9 +1,11 @@
-"""The embedding text functions of the compiled kernel against their oracles.
+"""The text functions of the compiled kernel against their oracles.
 
 The writer must print each component as repr() does, byte for byte, and
 the reader must read each field as float() does, bit for bit, or refuse it
-so that the caller falls back to the per-line reader. Hypothesis draws the
-components from random 64-bit patterns and the edges of the formats.
+so that the caller falls back to the per-line reader. The integer reader
+must read each field as int() does, or refuse it the same way. Hypothesis
+draws the components from random 64-bit patterns and the edges of the
+formats.
 """
 
 import math
@@ -170,3 +172,99 @@ def test_saves_the_same_bytes_on_both_paths(kernel, tmp_path_factory, rows):
         assert db.load_embedding_text(path).vectors.tobytes() == space.vectors.tobytes()
     assert compiled == fallback
     assert db.load_embedding_text(path).vectors.tobytes() == space.vectors.tobytes()
+
+
+INT64_LIMIT = 2**63
+# int()'s own grammar in an alphabet around the digits: signs, underscores,
+# spaces, non-ASCII digits
+int_fields = (
+    st.integers(0, INT64_LIMIT - 1).map(str)
+    | st.integers(INT64_LIMIT, 10**21).map(str)
+    | st.builds("{}{}".format, st.text(alphabet="0", max_size=3), st.integers(0, 10**20))
+    | st.text(alphabet="0123456789+-_ ١\x00", max_size=6)
+)
+
+
+def read_by_int(field: str) -> int | None:
+    """What the reader must give for a field: int()'s value where int() reads
+    plain ASCII digits below 2**63, else a refusal."""
+    if not (field.isascii() and field.isdigit()) or int(field) >= INT64_LIMIT:
+        return None
+    return int(field)
+
+
+class TestIntReader:
+    @ORACLE
+    @given(rows=st.lists(st.lists(int_fields, min_size=3, max_size=3), min_size=1, max_size=5))
+    def test_reads_as_int(self, kernel, rows):
+        """Every field that int() reads as an integer in [0, 2**63) written with
+        ASCII digits is read to int()'s value; the reader points at the first
+        other field."""
+        body = "".join("\t".join(row) + "\n" for row in rows).encode()
+        matrix, bad = kernel.parse_ints(body, len(rows), 3, 0)
+        values = [read_by_int(field) for row in rows for field in row]
+        if None in values:
+            first = values.index(None)
+            fields = [field for row in rows for field in row]
+            assert bad == sum(len(f) + 1 for f in fields[:first])
+        else:
+            assert bad == -1
+            assert matrix.tolist() == [values[i:i + 3] for i in range(0, len(values), 3)]
+
+    @ORACLE
+    @given(values=st.lists(st.integers(0, INT64_LIMIT - 1), min_size=1, max_size=50))
+    def test_reads_every_int64(self, kernel, values):
+        body = "".join(f"{v}\n" for v in values).encode()
+        matrix, bad = kernel.parse_ints(body, len(values), 1, 0)
+        assert bad == -1
+        assert matrix[:, 0].tolist() == values
+
+    def test_edges_of_the_range(self, kernel):
+        fields = ["0", "00", "1", "9223372036854775807", "09223372036854775807",
+                  "00000000000000000000000000042"]
+        matrix, bad = kernel.parse_ints("\t".join(fields).encode() + b"\n", 1, len(fields), 0)
+        assert bad == -1
+        assert matrix.tolist() == [[int(field) for field in fields]]
+
+    @pytest.mark.parametrize("field", ["9223372036854775808", "18446744073709551616",
+                                       "10000000000000000000", "99999999999999999999",
+                                       "+1", "-1", "", " 1", "1 ", "1_0", "١", "0x1", "1.0",
+                                       "1e3", "\x001"])
+    def test_refuses_a_field_int64_or_its_digits_cannot_carry(self, kernel, field):
+        assert kernel.parse_ints(f"7\t{field}\t8\n".encode(), 1, 3, 0)[1] == len("7\t")
+
+    @pytest.mark.parametrize("body, rows, offset", [
+        (b"1\t2\t3\n4\t5\t6", 2, 10),  # no final LF: the last field does not end on LF
+        (b"1\t2\t3\n4\t5\t6\n7", 2, 12),  # bytes after the last line
+        (b"1\t2\t3\n\n4\t5\t6\n", 3, 6),  # a blank line
+        (b"1\t2\t3\n4\t5\n", 2, 8),  # a line with too few fields
+        (b"1\t2\t3\n4\t5\t6\t\n", 2, 10),  # a trailing TAB
+        (b"1\t2\t3\n4 5\t6\n", 2, 6),  # another separator
+        (b"1\t2\t3\r\n", 1, 4),  # CRLF
+        (b"1\t2\t3\n", 2, 6),  # fewer lines than rows
+        (b"", 1, 0),
+    ])
+    def test_points_at_the_first_bad_field(self, kernel, body, rows, offset):
+        assert kernel.parse_ints(body, rows, 3, 0)[1] == offset
+
+    def test_skips_the_leading_fields(self, kernel):
+        body = "# node\tcafé\t0\n# node\t\t12\na\tb\t9223372036854775807\n".encode()
+        matrix, bad = kernel.parse_ints(body, 3, 3, 2)
+        assert bad == -1
+        assert matrix.tolist() == [[0], [12], [2**63 - 1]]
+        # a skipped field holds anything but TAB and LF, so a line needs both TABs
+        assert kernel.parse_ints(b"a\tb\t1\nab1\n", 2, 3, 2)[1] == len("a\tb\t1\n")
+        assert kernel.parse_ints(b"ab\nc\td\t1\n", 2, 3, 2)[1] == 0  # LF ends a skipped field
+        assert kernel.parse_ints(b"a\tb\nc\t1\n", 2, 3, 2)[1] == len("a\t")
+        assert kernel.parse_ints(b"a\tb\t1\na\tb1\n", 2, 3, 2)[1] == len("a\tb\t1\na\t")
+        assert kernel.parse_ints(b"a\tb\t1\na\tb\t-1\n", 2, 3, 2)[1] == len("a\tb\t1\na\tb\t")
+
+    def test_reads_no_rows(self, kernel):
+        matrix, bad = kernel.parse_ints(b"", 0, 3, 0)
+        assert bad == -1 and matrix.shape == (0, 3)
+        assert kernel.parse_ints(b"1\t2\t3\n", 0, 3, 0)[1] == 0
+
+    def test_refuses_what_it_cannot_take(self, kernel):
+        for rows, cols, skip in [(1, 3, 3), (1, 3, -1), (1, 0, 0), (-1, 3, 0)]:
+            with pytest.raises(ValueError, match="0 <= skip < cols"):
+                kernel.parse_ints(b"1\t2\t3\n", rows, cols, skip)
