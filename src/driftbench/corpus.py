@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import itertools
 import re
 from collections import Counter
@@ -90,33 +89,6 @@ _OTHER_LINE_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 def _lf_lines_only(text: str) -> bool:
     """True when the text breaks lines at LF and nowhere else."""
     return not any(brk in text for brk in _OTHER_LINE_BREAKS)
-
-
-def _bulk_table(
-    section: str, alphabet: bytes, dtype: type, delimiter: str, columns: int
-) -> np.ndarray | None:
-    """Parse LF-separated rows of `columns` numbers in one numpy call.
-
-    Returns None, for the caller's per-line reader to take over, when the
-    section holds a character outside `alphabet` (which keeps it to text that
-    numpy and Python's int() or float() read alike), when numpy rejects a
-    field, or when a row has the wrong number of fields. Blank lines are
-    skipped.
-    """
-    if not section.isascii():
-        return None
-    data = section.encode()
-    if data.translate(None, alphabet):
-        return None
-    if not section.strip("\n"):
-        return np.empty((0, columns), dtype=dtype)
-    try:
-        table = np.loadtxt(
-            io.BytesIO(data), dtype=dtype, delimiter=delimiter, comments=None, ndmin=2
-        )
-    except ValueError:
-        return None
-    return table if table.shape[1] == columns else None
 
 
 def read_document(path: str | Path) -> Document:

@@ -16,7 +16,6 @@ from .corpus import (
     _OTHER_LINE_BREAKS,
     TokenStream,
     Vocabulary,
-    _bulk_table,
     _lf_lines_only,
     _window_ids,
     decode_utf8,
@@ -205,16 +204,14 @@ def save_cooc(m: CooccurrenceMatrix, path: str | Path) -> None:
 def load_cooc(path: str | Path) -> CooccurrenceMatrix:
     """Read a COOC v1 file; a malformed line raises FormatError naming it.
 
-    A file as save_cooc writes it is parsed in bulk. Any other file, and
-    any file that fails a bulk check, goes through the per-line reader,
-    which words every error.
+    Where the compiled kernel is built, a file as save_cooc writes it is
+    parsed in bulk. Any other file, any file that fails a bulk check, and
+    every file without the kernel goes through the per-line reader, which
+    words every error.
     """
     text = decode_utf8(Path(path).read_bytes(), str(path))
     m = _parse_cooc_bulk(text)
     return m if m is not None else _parse_cooc_lines(text, path)
-
-
-_COUNT_ALPHABET = b"0123456789\t\n"
 
 
 def _parse_cooc_bulk(text: str) -> CooccurrenceMatrix | None:
@@ -222,9 +219,12 @@ def _parse_cooc_bulk(text: str) -> CooccurrenceMatrix | None:
 
     Canonical means a `COOC v1 <vocab> <radius>` header, LF line breaks,
     vocabulary lines in index order and triples in strictly increasing
-    (t, c) order, made of digits, TAB and LF only. The compiled kernel
-    parses the triples where it is built, and numpy otherwise.
+    (t, c) order, made of digits, TAB and LF only. Read where the compiled
+    kernel is built; without it, every file goes to the per-line reader.
     """
+    built = kernel.get()
+    if built is None:
+        return None
     header, _, rest = text.partition("\n")
     match = re.fullmatch(r"COOC v1 ([0-9]+) ([0-9]+)", header)
     if match is None:
@@ -247,16 +247,10 @@ def _parse_cooc_bulk(text: str) -> CooccurrenceMatrix | None:
         return None
     if min(freqs) < 1:
         return None
-    built = kernel.get()
-    if built is not None:
-        data = section.encode()
-        triples, bad = built.parse_ints(data, data.count(b"\n"), 3, 0)
-        if bad >= 0:
-            return None
-    else:
-        triples = _bulk_table(section, _COUNT_ALPHABET, np.int64, "\t", 3)
-        if triples is None:
-            return None
+    data = section.encode()
+    triples, bad = built.parse_ints(data, data.count(b"\n"), 3, 0)
+    if bad >= 0:
+        return None
     t, c, v = triples.T
     if not (t <= c).all() or (c >= vsize).any() or (v < 1).any():
         return None

@@ -344,9 +344,10 @@ def import_edge_list(text: str) -> SemanticGraph:
     """Parse an edge list. Node lines come before the edges that use them; a
     malformed line, or a node or edge given twice, raises FormatError naming it.
 
-    A list with the `# nodes: N` header, then N node lines, then edge lines,
-    is parsed in bulk. Any other list, and any list that fails a bulk check,
-    goes through the per-line reader, which words every error.
+    Where the compiled kernel is built, a list with the `# nodes: N`
+    header, then N node lines, then edge lines, is parsed in bulk. Any other
+    list, any list that fails a bulk check, and every list without the
+    kernel goes through the per-line reader, which words every error.
     """
     g = _import_edge_list_bulk(text)
     return g if g is not None else _import_edge_list_lines(text)
@@ -358,8 +359,12 @@ def _import_edge_list_bulk(text: str) -> SemanticGraph | None:
     Bulk form means the `# nodes: N` header, then exactly N node lines, then
     edge lines, each line three TAB-separated fields ended by LF. The node
     lines may come in any order among themselves, and so may the edge lines.
-    The compiled kernel parses the counts and weights where it is built.
+    Read where the compiled kernel is built; without it, every list goes to
+    the per-line reader.
     """
+    built = kernel.get()
+    if built is None:
+        return None
     header, _, body = text.partition("\n")
     match = re.fullmatch("# nodes: ([0-9]+)", header)
     if match is None or not body.endswith("\n") or not _lf_lines_only(body):
@@ -368,22 +373,11 @@ def _import_edge_list_bulk(text: str) -> SemanticGraph | None:
     if declared > len(body):
         return None
     data = body.encode()
+    weights, bad = built.parse_ints(data, data.count(b"\n"), 3, 2)
+    if bad >= 0:
+        return None  # a line without exactly two TABs, or a count not in plain digits < 2**63
+    weights = weights[:, 0]
     fields = body.replace("\n", "\t").split("\t")
-    built = kernel.get()
-    if built is not None:
-        weights, bad = built.parse_ints(data, data.count(b"\n"), 3, 2)
-        if bad >= 0:
-            return None  # a line without exactly two TABs, or a count not in plain digits < 2**63
-        weights = weights[:, 0]
-    else:
-        chars = np.frombuffer(data, dtype=np.uint8)
-        separators = chars[(chars == 9) | (chars == 10)]
-        if separators.size % 3 or (separators.reshape(-1, 3) != (9, 9, 10)).any():
-            return None  # a line without exactly two TABs
-        try:
-            weights = np.fromiter(map(int, fields[2::3]), np.int64, len(fields) // 3)
-        except (ValueError, OverflowError):
-            return None
     edge_lines = body.split("\n", declared)[-1]
     if edge_lines.startswith("#") or "\n#" in edge_lines:
         return None  # a node line or comment among the edges

@@ -5,8 +5,10 @@ the trainer, the sweeps of `stability.jacobi_svd`, the writer and reader
 of the embedding text format, and the reader of the integer columns of the
 COOC and edge-list formats. `get()` compiles it on first use with
 the system C compiler and caches the library; where it cannot be built or
-loaded, `get()` returns None and each caller runs its numpy or Python path,
-which is also the reference the kernel is tested against.
+loaded, `get()` returns None and each caller runs its fallback: the numpy
+step and sweeps, the repr() writer, and, for each text loader, its per-line
+reader (kernel, else per-line reader). The fallbacks, with float() and int()
+for the parsers, are the references the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -147,7 +149,8 @@ def compiler() -> str | None:
 @functools.cache
 def get() -> Kernel | None:
     """The compiled kernel, cached in the package's __pycache__; None when it
-    cannot be built or loaded here, and the numpy paths run instead."""
+    cannot be built or loaded here, and the numpy, repr() and per-line paths
+    run instead."""
     return load(Path(__file__).parent / "__pycache__")
 
 

@@ -33,7 +33,6 @@ from .corpus import (
     _OTHER_LINE_BREAKS,
     TokenStream,
     Vocabulary,
-    _bulk_table,
     _lf_lines_only,
     _window_ids,
     build_vocabulary,
@@ -476,8 +475,9 @@ def load_embedding_text(path: str | Path) -> EmbeddingSpace:
     or a non-empty line after the header's count of rows, raises
     FormatError naming it.
 
-    A file as save_embedding_text writes it is parsed in bulk. Any other
-    file, and any file that fails a bulk check, goes through the per-line
+    Where the compiled kernel is built, a file as save_embedding_text
+    writes it is parsed in bulk. Any other file, any file that fails a bulk
+    check, and every file without the kernel goes through the per-line
     reader, which words every error.
     """
     text = decode_utf8(Path(path).read_bytes(), str(path))
@@ -485,17 +485,17 @@ def load_embedding_text(path: str | Path) -> EmbeddingSpace:
     return space if space is not None else _parse_embedding_lines(text, path)
 
 
-# the characters repr(float) writes for a finite component, the separator and LF
-_COMPONENT_ALPHABET = b"0123456789.e+- \n"
-
-
 def _parse_embedding_bulk(text: str, path: str | Path) -> EmbeddingSpace | None:
     """The space of a canonical embedding file, or None for the per-line reader.
 
     Canonical means a `<vocab> <dim>` header with both sizes above 0, LF line
-    breaks, exactly one row per word and finite components. The compiled
-    kernel parses the components where it is built, and numpy otherwise.
+    breaks, exactly one row per word and finite components. Read where the
+    compiled kernel is built; without it, every file goes to the per-line
+    reader.
     """
+    built = kernel.get()
+    if built is None:
+        return None
     header, _, body = text.partition("\n")
     match = re.fullmatch("([0-9]+) ([0-9]+)", header)
     if match is None or not _lf_lines_only(body):
@@ -506,17 +506,10 @@ def _parse_embedding_bulk(text: str, path: str | Path) -> EmbeddingSpace | None:
     rows = body.split("\n")
     if len(rows) != vsize + 1 or rows[-1]:
         return None
-    built = kernel.get()
-    if built is not None:
-        tokens = [row.partition(" ")[0] for row in rows[:-1]]
-        matrix, bad = built.parse_rows(body.encode(), vsize, dim)
-        if bad >= 0:
-            return None
-    else:
-        tokens, _, components = zip(*(row.partition(" ") for row in rows[:-1]))
-        matrix = _bulk_table("\n".join(components), _COMPONENT_ALPHABET, np.float64, " ", dim)
-        if matrix is None or len(matrix) != vsize or not np.isfinite(matrix).all():
-            return None
+    matrix, bad = built.parse_rows(body.encode(), vsize, dim)
+    if bad >= 0:
+        return None
+    tokens = [row.partition(" ")[0] for row in rows[:-1]]
     if len(set(tokens)) != vsize:
         return None
     vocab = Vocabulary(tokens, [1] * vsize)

@@ -1,9 +1,10 @@
 """The bulk text readers against the per-line readers they stand in front of.
 
-Each loader parses a canonical file in bulk and hands anything else to its
-per-line reader, which words every error. Here hypothesis feeds all four
-loaders arbitrary bytes and near-valid mutations of files saved from small
-random models. A text loader must return the per-line reader's object or
+Where the kernel is built, each loader parses a canonical file in bulk and
+hands anything else to its per-line reader, which words every error; without
+the kernel, the per-line reader reads every file. Here hypothesis feeds all
+four loaders arbitrary bytes and near-valid mutations of files saved from
+small random models. A text loader must return the per-line reader's object or
 raise its exact error; a checkpoint may raise nothing but FormatError.
 """
 
@@ -27,7 +28,7 @@ FORMS = st.sampled_from(["canonical", "bytes"] + ["mutated"] * 4)
 
 WORDS = ["a", "b", "rose", "is", "café", "ß", "x-y", "don't", "7", "e1"]
 
-# fields that int() or float() read differently from numpy, or not at all
+# fields that a bulk reader must refuse, or read as int() or float() does
 ODD_FIELDS = [
     "+5", " 5", "5 ", "1_0", "١", "1e400", "-1e400", "nan", "inf", "", "0", "-1",
     "-0", "1.0", ".5", "5.", "-0.0", "1e5", "0x10", "9223372036854775807",
@@ -165,6 +166,17 @@ def same_graph(a, b) -> bool:
 
 SAME = {"cooc": same_cooc, "embedding": same_space, "edges": same_graph}
 
+# per format: the bulk reader in front of the per-line reader
+BULK = {
+    "cooc": count_model._parse_cooc_bulk,
+    "embedding": lambda text: trainer._parse_embedding_bulk(text, "x"),
+    "edges": graph._import_edge_list_bulk,
+}
+
+
+def bulk_reads(kind: str, text: str) -> bool:
+    return BULK[kind](text) is not None
+
 
 def check(kind: str, path, content: bytes) -> None:
     """The loader returns what the per-line reader returns, or raises its error."""
@@ -272,12 +284,14 @@ def test_near_valid_file_loads_like_per_line_reader(workdir, kind, content):
     check(kind, workdir / f"near.{kind}", content.encode())
 
 
+# without the kernel no bulk reader runs, not even on a canonical file
 @pytest.mark.parametrize(
     "content",
     [pytest.param(text, id=f"embedding-{i}") for i, text in enumerate(NEAR_VALID["embedding"])],
 )
 def test_near_valid_embedding_loads_like_per_line_reader_without_kernel(workdir, numpy_step,
                                                                         content):
+    assert not bulk_reads("embedding", content)
     check("embedding", workdir / "near-numpy.txt", content.encode())
 
 
@@ -288,13 +302,14 @@ def test_near_valid_embedding_loads_like_per_line_reader_without_kernel(workdir,
 )
 def test_near_valid_count_file_loads_like_per_line_reader_without_kernel(workdir, numpy_step,
                                                                          kind, content):
+    assert not bulk_reads(kind, content)
     check(kind, workdir / f"near-numpy.{kind}", content.encode())
 
 
-def test_saved_files_take_the_bulk_path(workdir):
-    assert count_model._parse_cooc_bulk(COOC) is not None
-    assert trainer._parse_embedding_bulk(EMBEDDING, "x") is not None
-    assert graph._import_edge_list_bulk(EDGES) is not None
+def test_saved_files_take_the_bulk_path():
+    built = kernel_module.get() is not None
+    assert [bulk_reads("cooc", COOC), bulk_reads("embedding", EMBEDDING),
+            bulk_reads("edges", EDGES)] == [built] * 3
 
 
 def case(data, text: str, form: str, sep: str) -> bytes:
@@ -315,21 +330,21 @@ def saved(path, save, model) -> str:
 def check_cooc(workdir, model, form, data):
     text = saved(workdir / "saved.cooc", count_model.save_cooc, model)
     if form == "canonical":
-        assert count_model._parse_cooc_bulk(text) is not None
+        assert bulk_reads("cooc", text) == (kernel_module.get() is not None)
     check("cooc", workdir / "m.cooc", case(data, text, form, "\t"))
 
 
 def check_embedding_text(workdir, space, form, data):
     text = saved(workdir / "saved.txt", trainer.save_embedding_text, space)
     if form == "canonical":
-        assert trainer._parse_embedding_bulk(text, "x") is not None
+        assert bulk_reads("embedding", text) == (kernel_module.get() is not None)
     check("embedding", workdir / "v.txt", case(data, text, form, " "))
 
 
 def check_edge_list(workdir, model, min_weight, form, data):
     text = graph.export_edge_list(graph.from_counts(model, min_weight=min_weight))
     if form == "canonical":
-        assert graph._import_edge_list_bulk(text) is not None
+        assert bulk_reads("edges", text) == (kernel_module.get() is not None)
     check("edges", workdir / "g.tsv", case(data, text, form, "\t"))
 
 
@@ -351,7 +366,7 @@ class TestFuzz:
 
 
 class TestFuzzWithoutKernel:
-    """The fuzz tests again, on the repr() writer and the numpy and int() readers."""
+    """The embedding fuzz test again, on the repr() writer and the per-line reader."""
 
     @pytest.fixture(autouse=True, scope="class")
     def _numpy(self):  # class-scoped, as hypothesis requires; numpy_step is per test
@@ -360,19 +375,9 @@ class TestFuzzWithoutKernel:
             yield
 
     @FUZZ
-    @given(model=count_models(), form=FORMS, data=st.data())
-    def test_cooc(self, workdir, model, form, data):
-        check_cooc(workdir, model, form, data)
-
-    @FUZZ
     @given(space=embedding_spaces(), form=FORMS, data=st.data())
     def test_embedding_text(self, workdir, space, form, data):
         check_embedding_text(workdir, space, form, data)
-
-    @FUZZ
-    @given(model=count_models(), min_weight=st.integers(1, 3), form=FORMS, data=st.data())
-    def test_edge_list(self, workdir, model, min_weight, form, data):
-        check_edge_list(workdir, model, min_weight, form, data)
 
 
 @pytest.mark.parametrize("with_kernel", [True, False], ids=["kernel", "fallback"])

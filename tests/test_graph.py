@@ -13,6 +13,7 @@ from scipy import sparse
 
 import driftbench as db
 from driftbench import graph
+from driftbench import kernel as kernel_module
 
 from conftest import random_streams
 
@@ -248,7 +249,7 @@ class TestEdgeListFormat:
         root = ET.fromstring(db.export_graphml(g))
         assert [n.get("id") for n in root.iter(f"{ns}node")] == sorted(tokens)
 
-    def test_node_lines_out_of_order_take_the_bulk_path(self):
+    def test_node_lines_out_of_order_take_the_bulk_path(self, kernel):
         text = (
             "# nodes: 4\n# node\tz\u00fc\t0\n# node\tb\t2\n# node\t\u00e9t\u00e9\t5\n# node\ta\t0\n"
             "b\tz\u00fc\t3\na\tb\t1\na\t\u00e9t\u00e9\t7\n"
@@ -471,5 +472,6 @@ class TestOracle:
         node_lines = data.draw(st.permutations(node_lines))
         edge_lines = data.draw(st.permutations(edge_lines))
         shuffled = f"# nodes: {len(nodes)}\n" + "".join(node_lines + edge_lines)
-        assert graph._import_edge_list_bulk(shuffled) == g
+        if kernel_module.get() is not None:
+            assert graph._import_edge_list_bulk(shuffled) == g
         assert graph._import_edge_list_lines(shuffled) == g
