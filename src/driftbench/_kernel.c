@@ -498,51 +498,176 @@ int64_t driftbench_format(const double *x, int64_t rows, int64_t cols,
     return out - start;
 }
 
-/* the characters repr() writes for a finite component, the only ones a
- * field may hold, so that strtod reads no hex, inf or nan and no leading
- * space */
-static int number_char(char c)
+/* Eisel-Lemire (Lemire 2021, "Number parsing at a gigabyte per second",
+ * Software: Practice and Experience 51(8)): the double nearest w * 10^q
+ * for a w of 19 digits or fewer, from one or two 64x64->128-bit products
+ * with a 128-bit power of five. The table holds, as (low, high) 64-bit
+ * pairs, 5^q for EL_MIN_Q <= q <= EL_MAX_Q, scaled so that bit 127 is
+ * set: truncated, except floor + 1 for -27 <= q < 0. kernel.py computes
+ * it with exact integers and passes it to driftbench_parse. */
+#define EL_MIN_Q (-342)
+#define EL_MAX_Q 308
+#define EL_DIGITS 19
+
+/* Sets *value to w * 10^q (w != 0, EL_MIN_Q <= q <= EL_MAX_Q) rounded to
+ * nearest, ties to even, and returns 1; or returns 0 where it does not
+ * decide: a subnormal or infinite result, or a product whose truncated
+ * bits leave the rounding open. */
+static int eisel_lemire(uint64_t w, int32_t q, const uint64_t *powers, double *value)
 {
-    return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == '+' || c == '-';
+    const uint64_t *power = powers + 2 * (q - EL_MIN_Q);
+    const int lz = __builtin_clzll(w);
+    uint64_t high, low, mantissa, bits;
+    int32_t exponent;
+    int upper;
+    u128 product;
+
+    w <<= lz;
+    product = (u128)w * power[1];
+    high = (uint64_t)(product >> 64);
+    low = (uint64_t)product;
+    /* the result needs the top 55 bits (53, a rounding bit and one the
+     * product may lack); when the 9 below them are all ones, a carry from
+     * the low half of the power may reach them */
+    if ((high & 0x1ff) == 0x1ff) {
+        uint64_t second = (uint64_t)(((u128)w * power[0]) >> 64);
+        low += second;
+        high += low < second;
+        if (low == UINT64_MAX && (q < -27 || q > 55))
+            return 0;  /* outside these q the power itself is inexact */
+    }
+    upper = (int)(high >> 63);
+    mantissa = high >> (upper + 9);  /* 54 bits: the double's 53 and a rounding bit */
+    /* biased: floor(q log2(10)) (217706 / 2^16 is log2(10)) plus the
+     * product's top bit, less the normalising shift */
+    exponent = ((217706 * q) >> 16) + 63 + upper - lz + 1023;
+    if (exponent <= 0)
+        return 0;
+    /* exactly halfway (possible only for -4 <= q <= 23): round to even */
+    if (low <= 1 && q >= -4 && q <= 23 && (mantissa & 3) == 1
+        && mantissa << (upper + 9) == high)
+        mantissa &= ~(uint64_t)1;
+    mantissa += mantissa & 1;
+    mantissa >>= 1;
+    if (mantissa >> 53) {  /* rounding carried into a new bit */
+        mantissa >>= 1;
+        exponent++;
+    }
+    if (exponent >= 0x7ff)
+        return 0;
+    bits = (uint64_t)exponent << 52 | (mantissa & ((1ull << 52) - 1));
+    memcpy(value, &bits, sizeof bits);
+    return 1;
 }
 
-/* Parses the body of an embedding text file into `out` (rows x cols):
- * per row, a token up to the first space, then `cols` fields, each a
- * decimal number that strtod reads to a finite value and that ends on a
- * space, or on LF for the row's last. The caller checks that cols >= 1
- * and that the body ends with LF and holds `rows` lines. Returns -1, or the byte offset of
- * the first field (or token) that breaks this layout; a caller reads that
- * file some other way, so a field strtod reads differently from float()
- * (another locale's decimal point, or an overflow) costs time, not
- * correctness. */
-int64_t driftbench_parse(const char *body, int64_t rows, int64_t cols, double *out)
+static int is_digit(char c) { return c >= '0' && c <= '9'; }
+
+/* Reads the field at p, before end, into *value as float() reads it, and
+ * returns the field's end, which holds sep; or returns NULL when the field
+ * does not end on sep, is not a decimal [+-]?(D+(.D*)?|.D+)(e[+-]?D+)? (so
+ * no 'E', hex, inf or nan, and no space) or reads as non-finite. Eisel-
+ * Lemire decides all but a field of more than 19 significant digits, a
+ * subnormal or overflowing one and an open rounding; strtod reads those,
+ * where the check on sep keeps it inside the buffer. A field that strtod
+ * reads differently from float() (another locale's decimal point) is
+ * refused, so it costs time, not correctness. */
+static const char *read_field(const char *p, const char *end, char sep,
+                              const uint64_t *powers, double *value)
 {
-    const char *p = body;
+    const char *field = p, *digits;
+    uint64_t w = 0;
+    int64_t significant = 0, q = 0, e = 0;
+    int negative = 0, any;
+
+    if (p < end && (*p == '-' || *p == '+'))
+        negative = *p++ == '-';
+    digits = p;
+    while (p < end && *p == '0')
+        p++;
+    for (; p < end && is_digit(*p); p++, significant++)
+        w = 10 * w + (uint64_t)(*p - '0');
+    any = p > digits;
+    if (p < end && *p == '.') {
+        const char *fraction = ++p;
+        if (significant == 0)  /* zeros after the point lead too */
+            while (p < end && *p == '0')
+                p++;
+        for (; p < end && is_digit(*p); p++, significant++)
+            w = 10 * w + (uint64_t)(*p - '0');
+        q = -(p - fraction);
+        any |= p > fraction;
+    }
+    if (!any)
+        return NULL;
+    if (p < end && *p == 'e') {
+        int minus = 0;
+        p++;
+        if (p < end && (*p == '-' || *p == '+'))
+            minus = *p++ == '-';
+        if (p == end || !is_digit(*p))
+            return NULL;
+        for (; p < end && is_digit(*p); p++)
+            if (e < INT64_C(100000000000000000))  /* beyond any field's length */
+                e = 10 * e + (*p - '0');
+        q += minus ? -e : e;
+    }
+    if (p == end || *p != sep)
+        return NULL;
+    if (significant <= EL_DIGITS) {
+        if (w == 0 || q < EL_MIN_Q) {  /* below half the least subnormal */
+            *value = negative ? -0.0 : 0.0;
+            return p;
+        }
+        if (q > EL_MAX_Q)
+            return NULL;
+        if (eisel_lemire(w, (int32_t)q, powers, value)) {
+            if (negative)
+                *value = -*value;
+            return p;
+        }
+    }
+    {
+        char *stop;
+        *value = strtod(field, &stop);
+        return stop == p && isfinite(*value) ? p : NULL;
+    }
+}
+
+/* Parses the `size` bytes at `body`, the body of an embedding text file,
+ * into `out` (rows x cols, cols >= 1): `rows` lines, each a token of one
+ * byte or more up to the first space, then `cols` fields as read_field
+ * reads them, separated by spaces and ended by LF. Writes each token,
+ * ended by LF, to `tokens` (which must hold `size` bytes) and their length
+ * to *token_bytes. Returns -1, or the byte offset of the first token or
+ * field that breaks this layout, or of any bytes after the last line; a
+ * caller reads that file some other way. */
+int64_t driftbench_parse(const char *body, int64_t size, int64_t rows, int64_t cols,
+                         const uint64_t *powers, double *out, char *tokens,
+                         int64_t *token_bytes)
+{
+    const char *p = body, *end = body + size;
+    char *t = tokens;
     int64_t r, c;
 
     for (r = 0; r < rows; r++) {
         const char *row = p;
-        while (*p != ' ') {
-            if (*p == '\n')
-                return row - body;
+        while (p < end && *p != ' ' && *p != '\n')
             p++;
-        }
+        if (p == row || p == end || *p != ' ')
+            return row - body;
+        memcpy(t, row, (size_t)(p - row));
+        t += p - row;
+        *t++ = '\n';
         for (c = 0; c < cols; c++) {
-            const char *field = ++p;
-            char *end;
-            double v;
-            while (number_char(*p))
-                p++;
-            if (p == field || *p != (c + 1 < cols ? ' ' : '\n'))
+            const char *field = p + 1;
+            p = read_field(field, end, c + 1 < cols ? ' ' : '\n', powers, out++);
+            if (p == NULL)
                 return field - body;
-            v = strtod(field, &end);
-            if (end != p || !isfinite(v))
-                return field - body;
-            *out++ = v;
         }
         p++;
     }
-    return -1;
+    *token_bytes = t - tokens;
+    return p == end ? -1 : p - body;
 }
 
 /* Parses `rows` lines of `cols` TAB-separated fields, each line ended by

@@ -3,7 +3,11 @@
 One small C file holds the loops that numpy cannot batch: the SGD epoch of
 the trainer, the sweeps of `stability.jacobi_svd`, the writer and reader
 of the embedding text format, and the reader of the integer columns of the
-COOC and edge-list formats. `get()` compiles it on first use with
+COOC and edge-list formats. The embedding writer formats components with
+Ryu and the reader parses them with Eisel-Lemire, each from a table of
+powers of five that this module computes with exact integers; the reader
+leaves to the C library's strtod only the fields Eisel-Lemire does not
+decide. `get()` compiles it on first use with
 the system C compiler and caches the library; where it cannot be built or
 loaded, `get()` returns None and each caller runs its fallback: the numpy
 step and sweeps, the repr() writer, and, for each text loader, its per-line
@@ -44,6 +48,25 @@ def _ryu_table() -> np.ndarray:
     return np.array([(x & mask, x >> 64) for x in inverses + powers], dtype=np.uint64)
 
 
+def _eisel_lemire_table() -> np.ndarray:
+    """The powers `driftbench_parse` reads, from exact integers: 5**q for
+    -342 <= q <= 308 scaled to 128 bits with bit 127 set, each as a (low,
+    high) pair of uint64. Lemire's table: truncated, except floor + 1 for
+    -27 <= q < 0, where 5**-q fits in 64 bits."""
+    scaled = []
+    for q in range(-342, 309):
+        if q >= 0:
+            power = 5**q
+            scaled.append(power << 128 >> power.bit_length())
+        elif q >= -27:
+            scaled.append((1 << (5**-q).bit_length() + 127) // 5**-q + 1)
+        else:
+            value = (1 << 2 * (5**-q).bit_length() + 128) // 5**-q + 1
+            scaled.append(value >> value.bit_length() - 128)
+    mask = (1 << 64) - 1
+    return np.array([(x & mask, x >> 64) for x in scaled], dtype=np.uint64)
+
+
 def _bind(library: ctypes.CDLL, name: str, restype, *argtypes):
     function = getattr(library, name)
     function.argtypes = argtypes
@@ -62,10 +85,12 @@ class Kernel:
         self._jacobi = _bind(library, "driftbench_jacobi", ctypes.c_int,
                              _P, _P, _I, _I, ctypes.c_double, _I)
         self._format = _bind(library, "driftbench_format", _I, _P, _I, _I, ctypes.c_char_p, _P, _P)
-        self._parse = _bind(library, "driftbench_parse", _I, ctypes.c_char_p, _I, _I, _P)
+        self._parse = _bind(library, "driftbench_parse", _I, _P, _I, _I, _I, _P, _P, _P,
+                            ctypes.POINTER(_I))
         self._parse_ints = _bind(library, "driftbench_parse_ints", _I,
                                  ctypes.c_char_p, _I, _I, _I, _I, _P)
         self._table = _ryu_table()
+        self._powers = _eisel_lemire_table()
         self._library = library  # keeps the library loaded while its functions are used
         self.name = name
 
@@ -118,16 +143,25 @@ class Kernel:
                             self._table.ctypes.data, out.ctypes.data)
         return out.data[:size]
 
-    def parse_rows(self, body: bytes, rows: int, cols: int) -> tuple[np.ndarray, int]:
-        """The (rows, cols) components of an embedding text body of `rows`
-        LF-ended lines, each a token, a space and `cols` space-separated
-        fields, as float() reads them, and -1; or, when a field does not fit
-        that layout, is not a decimal number as repr() writes it, or reads as
-        non-finite, the byte offset of the first such field."""
-        if cols < 1 or body.count(b"\n") != rows or not body.endswith(b"\n"):
-            raise ValueError("body must hold one LF-ended line per row, of at least one field")
+    def parse_rows(self, body, rows: int, cols: int) -> tuple[np.ndarray, int, bytes]:
+        """Reads an embedding text body, any bytes-like object, in one pass:
+        `rows` LF-ended lines, each a non-empty token, a space and `cols`
+        space-separated fields. Returns (components, bad, tokens): the
+        (rows, cols) components as float() reads them, -1 and the rows'
+        tokens, each ended by LF. Where a token is empty, a line breaks that
+        layout, a field is not a decimal number as repr() writes it or reads
+        as non-finite, or bytes follow the last line, bad is the byte offset
+        of the first such token, field or byte. It reads no byte past the
+        body; the caller bounds rows * cols."""
+        if cols < 1 or rows < 0:
+            raise ValueError("need rows >= 0 and at least one field per row")
+        data = np.frombuffer(body, dtype=np.uint8)
         out = np.empty((rows, cols), dtype=np.float64)
-        return out, self._parse(body, rows, cols, out.ctypes.data)
+        tokens = np.empty(len(data), dtype=np.uint8)  # tokens take no more than the body
+        size = _I()
+        bad = self._parse(data.ctypes.data, len(data), rows, cols, self._powers.ctypes.data,
+                          out.ctypes.data, tokens.ctypes.data, ctypes.byref(size))
+        return out, bad, tokens[:size.value].tobytes()
 
     def parse_ints(self, body: bytes, rows: int, cols: int, skip: int) -> tuple[np.ndarray, int]:
         """The (rows, cols - skip) int64 array of a body of `rows` LF-ended

@@ -480,36 +480,41 @@ def load_embedding_text(path: str | Path) -> EmbeddingSpace:
     check, and every file without the kernel goes through the per-line
     reader, which words every error.
     """
-    text = decode_utf8(Path(path).read_bytes(), str(path))
-    space = _parse_embedding_bulk(text, path)
-    return space if space is not None else _parse_embedding_lines(text, path)
+    data = Path(path).read_bytes()
+    space = _parse_embedding_bulk(data, path)
+    return space if space is not None else _parse_embedding_lines(decode_utf8(data, str(path)),
+                                                                  path)
 
 
-def _parse_embedding_bulk(text: str, path: str | Path) -> EmbeddingSpace | None:
+def _parse_embedding_bulk(data: bytes, path: str | Path) -> EmbeddingSpace | None:
     """The space of a canonical embedding file, or None for the per-line reader.
 
     Canonical means a `<vocab> <dim>` header with both sizes above 0, LF line
-    breaks, exactly one row per word and finite components. Read where the
-    compiled kernel is built; without it, every file goes to the per-line
-    reader.
+    breaks, exactly one row per word, non-empty UTF-8 tokens and finite
+    components. The kernel reads the file's bytes in one pass where it is
+    built; without it, every file goes to the per-line reader.
     """
     built = kernel.get()
     if built is None:
         return None
-    header, _, body = text.partition("\n")
-    match = re.fullmatch("([0-9]+) ([0-9]+)", header)
-    if match is None or not _lf_lines_only(body):
+    match = re.match(b"([0-9]+) ([0-9]+)\n", data)
+    if match is None:
         return None
     vsize, dim = int(match[1]), int(match[2])
-    if not 0 < vsize * dim <= len(body):
+    if not 0 < vsize * dim <= len(data):
         return None
-    rows = body.split("\n")
-    if len(rows) != vsize + 1 or rows[-1]:
-        return None
-    matrix, bad = built.parse_rows(body.encode(), vsize, dim)
+    matrix, bad, blob = built.parse_rows(memoryview(data)[match.end():], vsize, dim)
     if bad >= 0:
         return None
-    tokens = [row.partition(" ")[0] for row in rows[:-1]]
+    # the fields are ASCII and hold no line break, so the tokens alone can
+    # hold bytes that are not UTF-8 or a line break other than LF
+    try:
+        joined = blob.decode()
+    except UnicodeDecodeError:
+        return None
+    if not _lf_lines_only(joined):
+        return None
+    tokens = joined.split("\n")[:-1]
     if len(set(tokens)) != vsize:
         return None
     vocab = Vocabulary(tokens, [1] * vsize)
@@ -535,6 +540,8 @@ def _parse_embedding_lines(text: str, path: str | Path) -> EmbeddingSpace:
             token, *comps = line.split(" ")
             if len(comps) != dim:
                 raise ValueError(f"{len(comps)} components, header says {dim}")
+            if not token:
+                raise ValueError("empty token")
             if token in seen:
                 raise ValueError(f"token {token!r} repeated")
             matrix[number - 2] = [float(x) for x in comps]

@@ -488,13 +488,15 @@ def test_malformed_edge_list_exits_2(content, where, tmp_path, capsys):
         ("2 2\na 1.0 0.5\nb 0.5 1.0\nc 1.0 1.0\ngarbage here\n", "line 4"),
         ("COOC v12 2 10\n0\ta\t1\n1\tb\t1\n", "line 1: not a COOC v1 file"),
         ("COOC v1x 2 10\n0\ta\t1\n1\tb\t1\n", "line 1: not a COOC v1 file"),
+        ("2 2\n 1.0 0.0\nb 0.0 1.0\n", "line 2: empty token"),
     ],
     ids=["two-field-triple", "vocab-index-out-of-range", "context-id-out-of-range",
          "zero-count", "negative-count", "count-beyond-int64", "repeated-vocab-index",
          "repeated-token", "zero-frequency", "lower-triangle", "zero-radius", "repeated-triple",
          "nan-component", "non-numeric-component", "short-vector",
          "repeated-embedding-token", "negative-dimension", "dimension-beyond-file",
-         "invalid-utf8", "extra-embedding-row", "cooc-version-v12", "cooc-version-v1x"],
+         "invalid-utf8", "extra-embedding-row", "cooc-version-v12", "cooc-version-v1x",
+         "empty-embedding-token"],
 )
 def test_malformed_model_exits_2(content, where, tmp_path, capsys):
     bad = tmp_path / "bad.model"

@@ -169,7 +169,7 @@ SAME = {"cooc": same_cooc, "embedding": same_space, "edges": same_graph}
 # per format: the bulk reader in front of the per-line reader
 BULK = {
     "cooc": count_model._parse_cooc_bulk,
-    "embedding": lambda text: trainer._parse_embedding_bulk(text, "x"),
+    "embedding": lambda text: trainer._parse_embedding_bulk(text.encode(), "x"),
     "edges": graph._import_edge_list_bulk,
 }
 
@@ -235,6 +235,12 @@ NEAR_VALID = {
         "1 99999999999999999999\na\n",
         "1 9999999999\na \n",
         *(EMBEDDING.replace("0.5", value) for value in ODD_FIELDS + ["1e-400", "-1e400", "e5"]),
+        EMBEDDING.replace("\nb ", "\n "),  # an empty token
+        "2 2\n 1.0 0.0\nb 0.0 1.0\n",
+        EMBEDDING.replace("-1.0\n", "-1.0\x00\n"),
+        EMBEDDING + "\x00",
+        EMBEDDING.replace("café", "ca\x00fé"),  # valid: a token may hold NUL
+        EMBEDDING.replace("0.5", "0.50000000000000000000001"),  # valid: strtod reads it
     ],
     "edges": [
         EDGES,

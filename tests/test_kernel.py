@@ -110,6 +110,27 @@ def read_by_float(field: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
+# where Eisel-Lemire's rounding is decided, or left to strtod: ties to even,
+# the most digits it takes and the first it leaves, 2**53 +- 1 where exact
+# powers of ten end, leading zeros, long exponents, the subnormal and
+# overflow edges, and products whose low half carries into the kept bits
+HARD_FIELDS = [
+    "9007199254740993", "9007199254740995", "-9007199254740993", "9007199254740992e23",
+    "1152921504606846977", "2.5000000000000000001",
+    "1234567890123456789", "9999999999999999999", "1844674407370955161e-5",
+    "12345678901234567890", "99999999999999999999", "18446744073709551617",
+    "18446744073709551616e-20", "0.99999999999999999999",
+    *(f"{m}e{e}" for m in (2**53 - 1, 2**53 + 1) for e in (-23, -22, 22, 23)),
+    "000.5", "0.0000001", "-000000000000000000000000.0000000000000000000000001e25",
+    "1e0000001", "1e-0000400", "1e+0000308", "0e99999999999999999999999", "-0e-5",
+    "1e-342", "1e-343", "1e308", "1e309", "9e-325", "3e-324",
+    "2.2250738585072011e-308", "2.2250738585072014e-308", "2.4703282292062327e-324",
+    "2.4703282292062328e-324", "4.9406564584124654e-324", "1.7976931348623158e308",
+    "1.7976931348623159e308", "-1.7976931348623157e308",
+    "4.135498601592148793e-236", "2.53303981450849711e-26", "7.924883549534539311e172",
+]
+
+
 class TestReader:
     @ORACLE
     @given(row=st.lists(fields, min_size=1, max_size=8))
@@ -118,7 +139,7 @@ class TestReader:
         a finite number, and to the same bits; otherwise the reader points at
         the first field it refuses."""
         body = f"t {' '.join(row)}\n".encode()
-        matrix, bad = kernel.parse_rows(body, 1, len(row))
+        matrix, bad, _ = kernel.parse_rows(body, 1, len(row))
         values = [read_by_float(field) for field in row]
         if None in values:
             first = values.index(None)
@@ -126,6 +147,16 @@ class TestReader:
         else:
             assert bad == -1
             assert matrix.tobytes() == np.array([values]).tobytes()
+
+    @pytest.mark.parametrize("field", HARD_FIELDS)
+    def test_reads_hard_fields_as_float(self, kernel, field):
+        matrix, bad, _ = kernel.parse_rows(f"a {field}\n".encode(), 1, 1)
+        value = read_by_float(field)
+        if value is None:
+            assert bad == len("a ")
+        else:
+            assert bad == -1
+            assert matrix.tobytes() == np.array([[value]]).tobytes()
 
     @pytest.mark.parametrize("field", ["1E5", "1_0", "inf", "-inf", "nan", "0x10", "١",
                                        " 1", "", "1e400", "-1e400", "1e"])
@@ -136,23 +167,51 @@ class TestReader:
         ("a 1.0\nb\n", 6),  # a row with no space
         ("a 1.0\nb 2.0 3.0\n", 8),  # more fields than columns
         ("a 1.0\nb 2.0  \n", 8),
+        (" 1.0\nb 2.0\n", 0),  # an empty token
+        ("a 1.0\n 2.0\n", 6),
+        ("a 1.0\n\n", 6),
     ])
     def test_points_at_the_first_bad_field(self, kernel, body, offset):
         assert kernel.parse_rows(body.encode(), 2, 1)[1] == offset
 
     def test_reads_many_rows(self, kernel):
-        body = b"a 0.5 -1.0\ncaf\xc3\xa9 1e-05 2.0\nb -0.0 3.0\n"
-        matrix, bad = kernel.parse_rows(body, 3, 2)
+        body = b"a 0.5 -1.0\ncaf\xc3\xa9 1e-05 2.0\nb\x00c -0.0 3.0\n"
+        matrix, bad, tokens = kernel.parse_rows(body, 3, 2)
         assert bad == -1
         assert matrix.tobytes() == np.array([[0.5, -1.0], [1e-05, 2.0], [-0.0, 3.0]]).tobytes()
+        assert tokens == b"a\ncaf\xc3\xa9\nb\x00c\n"
+
+    BODY = b"ab 1.5 -2.0\ncd 0.25 3e-7\n"
+
+    @pytest.mark.parametrize("size, offset", [
+        (0, 0), (1, 0), (12, 12), (14, 12), (16, 15), (17, 15), (19, 15), (23, 20), (24, 20),
+    ])
+    def test_reads_nothing_past_the_body(self, kernel, size, offset):
+        """A body cut mid-token, mid-field or before its last LF is refused at
+        the token or field it cuts, though the bytes after the cut would
+        complete it."""
+        assert kernel.parse_rows(memoryview(self.BODY)[:size], 2, 2)[1] == offset
+        assert kernel.parse_rows(self.BODY, 2, 2)[1] == -1
+
+    @pytest.mark.parametrize("body, offset", [
+        (b"ab 1.5\x00 -2.0\n", 3),
+        (b"ab 1.5 -2.0\x00\n", 7),
+        (b"ab 1.5 -2.0\x00", 7),
+        (b"ab 1.5 \x00-2.0\n", 7),
+        (b"ab 1.5 -2.0\n\x00", 12),  # bytes after the last row
+        (b"ab 1.5 -2.0\nc", 12),
+    ])
+    def test_refuses_nul_bytes_and_trailing_bytes(self, kernel, body, offset):
+        assert kernel.parse_rows(body, 1, 2)[1] == offset
 
     def test_refuses_what_it_cannot_take(self, kernel):
-        with pytest.raises(ValueError, match="one LF-ended line per row"):
-            kernel.parse_rows(b"a 1.0\n", 2, 1)
         with pytest.raises(ValueError, match="at least one field"):
             kernel.parse_rows(b"a \n", 1, 0)
-        with pytest.raises(ValueError, match="one LF-ended line per row"):
-            kernel.parse_rows(b"a 1.0\nb 2.0", 1, 1)
+        with pytest.raises(ValueError, match="rows >= 0"):
+            kernel.parse_rows(b"a 1.0\n", -1, 1)
+        # a count of rows that the body does not hold is a refusal, not an error
+        assert kernel.parse_rows(b"a 1.0\n", 2, 1)[1] == 6
+        assert kernel.parse_rows(b"a 1.0\nb 2.0", 1, 1)[1] == 6
 
 
 @ORACLE
