@@ -62,7 +62,6 @@ from .stability import (
     diff_neighbor_lists,
     displacement,
     jaccard_at_k,
-    jacobi_svd,
     neighbor_diff,
     overlap_at_k,
     procrustes_align,

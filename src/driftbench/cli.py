@@ -108,9 +108,9 @@ INPUT_ARGS = (
 # Parsed attributes that are not run parameters; `seed` has its own field.
 _NOT_PARAMETERS = ("handler", "subcommand", "experiment", "seed")
 
-# Commands that train or run the Jacobi SVD, whose bytes depend on the
-# compiled kernel, so their manifest names it.
-KERNEL_COMMANDS = ("train", "experiment.wiki_sep_style", "experiment.seed_stability", "align")
+# Commands that train, whose bytes depend on the compiled kernel, so their
+# manifest names it.
+KERNEL_COMMANDS = ("train", "experiment.wiki_sep_style", "experiment.seed_stability")
 
 
 def _corpus_streams(path: str, stoplist_path: str | None = None) -> list[TokenStream]:

@@ -1,18 +1,17 @@
 """The compiled kernel: build, load and ctypes bindings of `_kernel.c`.
 
 One small C file holds the loops that numpy cannot batch: the SGD epoch of
-the trainer, the sweeps of `stability.jacobi_svd`, the writer and reader
-of the embedding text format, and the reader of the integer columns of the
-COOC and edge-list formats. The embedding writer formats components with
-Ryu and the reader parses them with Eisel-Lemire, each from a table of
-powers of five that this module computes with exact integers; the reader
-leaves to the C library's strtod only the fields Eisel-Lemire does not
-decide. `get()` compiles it on first use with
-the system C compiler and caches the library; where it cannot be built or
-loaded, `get()` returns None and each caller runs its fallback: the numpy
-step and sweeps, the repr() writer, and, for each text loader, its per-line
-reader (kernel, else per-line reader). The fallbacks, with float() and int()
-for the parsers, are the references the kernel is tested against.
+the trainer, the writer and reader of the embedding text format, and the
+reader of the integer columns of the COOC and edge-list formats. The
+embedding writer formats components with Ryu and the reader parses them
+with Eisel-Lemire, each from a table of powers of five that this module
+computes with exact integers; the reader leaves to the C library's strtod
+only the fields Eisel-Lemire does not decide. `get()` compiles it on first
+use with the system C compiler and caches the library; where it cannot be
+built or loaded, `get()` returns None and each caller runs its fallback:
+the numpy step, the repr() writer, and, for each text loader, its
+per-line reader. The fallbacks, with float() and int() for the parsers,
+are the references the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -82,8 +81,6 @@ class Kernel:
                           _P, _P, _I, _I, _P, _I, _I, _I, ctypes.c_int32, _P, _I,
                           ctypes.c_double, ctypes.c_double, _I, _I,
                           ctypes.POINTER(ctypes.c_double))
-        self._jacobi = _bind(library, "driftbench_jacobi", ctypes.c_int,
-                             _P, _P, _I, _I, ctypes.c_double, _I)
         self._format = _bind(library, "driftbench_format", _I, _P, _I, _I, ctypes.c_char_p, _P, _P)
         self._parse = _bind(library, "driftbench_parse", _I, _P, _I, _I, _I, _P, _P, _P,
                             ctypes.POINTER(_I))
@@ -117,16 +114,6 @@ class Kernel:
             return out.value
 
         return step
-
-    def jacobi(self, at: np.ndarray, vt: np.ndarray, tol: float, max_sweeps: int) -> int:
-        """The sweeps of `stability.jacobi_svd` in C, on the transposed working
-        copy `at` (d x n) and rotations `vt` (d x d), both rotated in place.
-        Returns the sweeps done, or -1 when max_sweeps did not converge."""
-        d, n = at.shape
-        for x, shape in ((at, (d, n)), (vt, (d, d))):
-            if x.shape != shape or x.dtype != np.float64 or not x.flags.c_contiguous:
-                raise ValueError("Jacobi arrays must be C-contiguous float64 of shapes (d, n), (d, d)")
-        return self._jacobi(at.ctypes.data, vt.ctypes.data, n, d, tol, max_sweeps)
 
     def format_rows(self, tokens: bytes, rows: np.ndarray) -> memoryview:
         """The embedding text body: per row, its token, a space, the row's

@@ -1,8 +1,8 @@
 """Run manifests: everything needed to reproduce a command's outputs.
 
-Two runs whose manifests agree on all fields except the timestamp produce
-byte-identical outputs. Commands that train or align name the kernel,
-whose last bits differ from the numpy path's.
+Two runs on one machine, with one BLAS thread count, whose manifests agree
+on all fields except the timestamp produce byte-identical outputs. Commands
+that train name the kernel, whose last bits differ from the numpy step's.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class RunManifest:
     parameters: dict
     inputs: dict[str, str]
     seed: int | None
-    kernel: str | None = None  # set by commands that train or align
+    kernel: str | None = None  # set by commands that train
     tool: str = TOOL_NAME
     version: str = TOOL_VERSION
     timestamp: str = field(

@@ -24,103 +24,8 @@ from .errors import (
     UnknownWordError,
     ZeroVectorError,
 )
-from . import kernel
 from .trainer import EmbeddingSpace, TrainingConfig, train_cbow, train_skipgram
 from .vector_space import NeighborList, VectorSpace, _neighbor_lists, _top_k, cosine_similarity
-
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
-
-
-# ---------------------------------------------------------------------------
-# small dense SVD
-
-
-def jacobi_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD of a small dense matrix by one-sided Jacobi rotations.
-
-    Columns of a working copy are pairwise rotated until mutually
-    orthogonal (relative off-diagonal dot below 1e-12); their norms are
-    the singular values. The copy is scaled by a power of two (exactly) so
-    the dot products cannot underflow. The sweeps run in the compiled
-    kernel (`kernel.get()`) where it is built and in numpy otherwise;
-    the two differ in the last bits of their dot products. Returns
-    (u, s, vt) with m = u @ diag(s) @ vt, singular values descending.
-    Raises NumericalError if JACOBI_MAX_SWEEPS sweeps do not converge.
-    """
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError("jacobi_svd expects a 2-d matrix")
-    n, d = a.shape
-    if n < d:
-        raise ValueError("jacobi_svd expects n >= d (pass the transpose)")
-    exponent = int(np.frexp(np.abs(a).max(initial=0.0))[1])
-    a = np.ldexp(a, -exponent)
-    built = kernel.get()
-    sweeps = _numpy_sweeps if built is None else built.jacobi
-    at, vt = np.ascontiguousarray(a.T), np.eye(d)
-    if sweeps(at, vt, JACOBI_TOL, JACOBI_MAX_SWEEPS) < 0:
-        raise NumericalError(f"jacobi_svd did not converge in {JACOBI_MAX_SWEEPS} sweeps")
-    a, v = at.T, vt.T
-    sigma = np.linalg.norm(a, axis=0)
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    a = a[:, order]
-    v = v[:, order]
-    u = np.zeros_like(a)
-    cutoff = sigma[0] * 1e-12 if sigma.size else 0.0
-    nonzero = sigma > cutoff
-    u[:, nonzero] = a[:, nonzero] / sigma[nonzero]
-    for j in np.flatnonzero(~nonzero):
-        u[:, j] = _orthonormal_fill(u, j, n)
-    return u, np.ldexp(sigma, exponent), v.T
-
-
-def _numpy_sweeps(at: np.ndarray, vt: np.ndarray, tol: float, max_sweeps: int) -> int:
-    """The sweeps of `kernel.Kernel.jacobi` in numpy, where no kernel is
-    built, and the oracle the kernel is tested against: rotates the columns
-    of a, the rows of `at`, in place and accumulates the rotations in `vt`.
-    Returns the sweeps done, or -1 when max_sweeps did not converge."""
-    d = at.shape[0]
-    for sweep in range(1, max_sweeps + 1):
-        rotated = False
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = float(at[p] @ at[q])
-                app = float(at[p] @ at[p])
-                aqq = float(at[q] @ at[q])
-                # app * aqq underflows to 0 only when one column's norm is
-                # below about 1e-81 of the largest entry: u replaces that
-                # column, and rotating it would never converge
-                if abs(apq) <= tol * math.sqrt(app * aqq) or app * aqq == 0.0:
-                    continue
-                theta = 0.5 * math.atan2(2.0 * apq, aqq - app)
-                c, s = math.cos(theta), math.sin(theta)
-                col_p = c * at[p] - s * at[q]
-                col_q = s * at[p] + c * at[q]
-                at[p], at[q] = col_p, col_q
-                vec_p = c * vt[p] - s * vt[q]
-                vec_q = s * vt[p] + c * vt[q]
-                vt[p], vt[q] = vec_p, vec_q
-                rotated = True
-        if not rotated:
-            return sweep
-    return -1
-
-
-def _orthonormal_fill(u: np.ndarray, col: int, n: int) -> np.ndarray:
-    """Deterministically extend partial orthonormal columns with a new one."""
-    for basis in range(n):
-        cand = np.zeros(n)
-        cand[basis] = 1.0
-        for _ in range(2):  # reorthogonalize twice for full precision
-            for j in range(u.shape[1]):
-                if j != col:
-                    cand -= (cand @ u[:, j]) * u[:, j]
-        norm = np.linalg.norm(cand)
-        if norm > 1e-6:
-            return cand / norm
-    raise NumericalError("could not complete an orthonormal basis")
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +93,12 @@ def _shared_tokens(a: VectorSpace, b: VectorSpace) -> list[str]:
 def procrustes_align(x: VectorSpace, y: VectorSpace) -> AlignmentResult:
     """Least-squares rotation of x onto y over their shared vocabulary.
 
-    Shared rows are mean-centered, and the rotation is u @ vt from the
-    SVD of Xc.T @ Yc; no scaling or translation is applied to the model
-    itself. The residual is the Frobenius norm of Xc @ R - Yc. Fewer
+    Shared rows are mean-centered, and the rotation is u @ vt from
+    LAPACK's SVD of Xc.T @ Yc; no scaling or translation is applied to the
+    model itself. The residual is the Frobenius norm of Xc @ R - Yc. Fewer
     shared words than dimensions leaves the rotation underdetermined,
-    which is flagged rather than refused.
+    which is flagged rather than refused. Raises NumericalError when the
+    SVD does not converge or the centered rows do not stay finite.
     """
     if x.dim != y.dim:
         raise DimensionMismatchError(
@@ -204,9 +110,22 @@ def procrustes_align(x: VectorSpace, y: VectorSpace) -> AlignmentResult:
     xm, ym = (s.dense_rows([s.vocab.index_of(t) for t in shared]) for s in (x, y))
     xc = xm - xm.mean(axis=0)
     yc = ym - ym.mean(axis=0)
-    u, _, vt = jacobi_svd(xc.T @ yc)
+    # one power of two, exact, keeps Xc.T @ Yc and the residual from under-
+    # or overflowing: the residual of the scaled rows is scaled back exactly
+    largest = max(np.abs(xc).max(initial=0.0), np.abs(yc).max(initial=0.0))
+    exponent = int(np.frexp(largest)[1])
+    xc, yc = np.ldexp(xc, -exponent), np.ldexp(yc, -exponent)
+    covariance = xc.T @ yc
+    if not np.isfinite(covariance).all():
+        raise NumericalError("the centered rows to align are not finite")
+    try:
+        u, _, vt = np.linalg.svd(covariance)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"the SVD of the alignment failed: {exc}") from exc
     rotation = u @ vt
-    residual = float(np.linalg.norm(xc @ rotation - yc))
+    residual = float(np.ldexp(np.linalg.norm(xc @ rotation - yc), exponent))
+    if not math.isfinite(residual):
+        raise NumericalError("the alignment residual overflows")
     return AlignmentResult(
         rotation=rotation,
         residual=residual,

@@ -432,8 +432,8 @@ def gradient_check(
 
 
 def training_kernel() -> str:
-    """What trains and runs the Jacobi sweeps in this process: the compiled
-    kernel, 'c:<source hash>', or 'numpy:<version>' where it is not built."""
+    """What trains in this process: the compiled kernel, 'c:<source hash>',
+    or 'numpy:<version>' where it is not built."""
     built = kernel.get()
     return f"numpy:{np.__version__}" if built is None else built.name
 
@@ -449,9 +449,12 @@ def save_embedding_text(space: EmbeddingSpace | VectorSpace, path: str | Path) -
     Components are written with shortest round-trip precision, the bytes of
     repr(), so saving and reloading is exact and identical runs produce
     identical bytes. The compiled kernel writes them where it is built. A
-    token that the reader could not read back (empty, or holding a space or
-    a line break) raises ValueError naming it, before any byte is written.
+    space of dimension 0, or a token that the reader could not read back
+    (empty, or holding a space or a line break), raises ValueError before
+    any byte is written.
     """
+    if space.dim == 0:
+        raise ValueError("a space of dimension 0 cannot be written as embedding text")
     tokens = space.vocab.tokens
     unsafe = next(filter(_EMBEDDING_UNSAFE.search, tokens), None)
     if unsafe is not None:

@@ -100,9 +100,9 @@ def cafe_text():
 
 @pytest.fixture
 def numpy_step(monkeypatch):
-    """Run the numpy training step, the numpy Jacobi sweeps, the repr()
-    embedding writer and the per-line readers of every text format, as where
-    the C kernel cannot be built: kernel, else per-line reader."""
+    """Run the numpy training step, the repr() embedding writer and the
+    per-line readers of every text format, as where the C kernel cannot be
+    built: kernel, else per-line reader."""
     monkeypatch.setattr(kernel_module, "get", lambda: None)
 
 

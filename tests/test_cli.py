@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftbench import cli, stability
+from driftbench import cli, kernel as kernel_module, stability
 from driftbench.cli import build_parser, main
 
 from conftest import ROSE_TEXT
@@ -224,9 +224,30 @@ class TestRotateAndAlign:
     def test_align_without_convergence_exits_3(self, model, tmp_path, capsys, monkeypatch):
         rotated = tmp_path / "rot.txt"
         run("rotate", model, "--seed", 5, "--out", rotated, "--style", "haar")
-        monkeypatch.setattr(stability, "JACOBI_MAX_SWEEPS", 1)
+
+        def svd(matrix):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
         assert run("align", model, rotated) == 3
         assert "did not converge" in capsys.readouterr().err
+
+    def test_align_of_huge_vectors_writes_a_finite_residual(self, tmp_path, capsys):
+        # the cross-covariance of these rows overflows unless they are scaled first
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((50, 4)) * 1e200
+        y = x @ stability.random_orthogonal(4, rng)
+        for name, rows in (("x.txt", x), ("y.txt", y)):
+            lines = [f"w{i} {' '.join(map(repr, row.tolist()))}\n" for i, row in enumerate(rows)]
+            (tmp_path / name).write_text("50 4\n" + "".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert run("align", tmp_path / "x.txt", tmp_path / "y.txt") == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert payload["residual"] <= 1e-12 * 1e200
 
     def test_align_dimension_mismatch_exits_2(self, model, train_file, tmp_path, capsys):
         run(
@@ -239,17 +260,6 @@ class TestRotateAndAlign:
         cooc = tmp_path / "rose.cooc"
         run("build-count", rose_file, "--out", cooc)
         assert run("rotate", cooc, "--seed", 1, "--out", tmp_path / "r.txt") == 2
-
-
-class TestAlignOnNumpySweeps:
-    """The non-convergence exit again, on the numpy Jacobi sweeps."""
-
-    @pytest.fixture(autouse=True)
-    def _numpy(self, numpy_step):
-        pass
-
-    model = TestRotateAndAlign.model
-    test_align_without_convergence_exits_3 = TestRotateAndAlign.test_align_without_convergence_exits_3
 
 
 class TestGraphCommands:
@@ -723,6 +733,11 @@ KERNEL_RUNS = {
         ["ss/seed_stability.json", "ss/seed_stability.csv"],
         "ss/manifest.json",
     ),
+}
+
+# commands that do not train: their bytes are the same with and without the kernel
+NO_KERNEL_RUNS = {
+    "stats": (["stats", "{corpus}", "--out", "s.json"], ["s.json"], "s.json.manifest.json"),
     "align": (
         ["align", "{model}", "{model_b}", "--apply-to", "aligned.txt", "--out", "align.json"],
         ["align.json", "aligned.txt"],
@@ -731,36 +746,45 @@ KERNEL_RUNS = {
 }
 
 
-@pytest.mark.parametrize("command", list(KERNEL_RUNS))
-def test_manifest_names_the_training_kernel(command, artifacts, tmp_path, monkeypatch):
-    from driftbench import kernel as kernel_module
+@pytest.fixture
+def run_in(artifacts, tmp_path, monkeypatch):
+    """run_in(name, template, outputs, manifest_name) runs the command in a
+    new directory `name`, so that every run writes the same relative --out,
+    and returns its manifest, timestamp aside, and the bytes of its outputs."""
 
-    kernel = kernel_module.get()
-    if kernel is None:
-        pytest.skip("the C kernel does not build here")
-    template, outputs, manifest_name = KERNEL_RUNS[command]
-    argv = [t.format(**artifacts) for t in template]
-
-    def run_in(name: str) -> tuple[dict, list[bytes]]:
+    def run_in(name: str, template, outputs, manifest_name) -> tuple[dict, list[bytes]]:
         (tmp_path / name).mkdir()
-        monkeypatch.chdir(tmp_path / name)  # the same relative --out in every run
-        assert main(argv) == 0
+        monkeypatch.chdir(tmp_path / name)
+        assert main([t.format(**artifacts) for t in template]) == 0
         manifest = json.loads(Path(manifest_name).read_text(encoding="utf-8"))
         del manifest["timestamp"]
         return manifest, [Path(out).read_bytes() for out in outputs]
 
-    first, first_bytes = run_in("kernel-1")
-    second, second_bytes = run_in("kernel-2")
+    return run_in
+
+
+@pytest.mark.parametrize("command", list(KERNEL_RUNS))
+def test_manifest_names_the_training_kernel(command, run_in, monkeypatch):
+    kernel = kernel_module.get()
+    if kernel is None:
+        pytest.skip("the C kernel does not build here")
+    first, first_bytes = run_in("kernel-1", *KERNEL_RUNS[command])
+    second, second_bytes = run_in("kernel-2", *KERNEL_RUNS[command])
     assert first == second
     assert first_bytes == second_bytes
     assert first["kernel"] == kernel.name
     monkeypatch.setattr(kernel_module, "get", lambda: None)
-    fallback, _ = run_in("numpy")
+    fallback, _ = run_in("numpy", *KERNEL_RUNS[command])
     assert fallback["kernel"] == f"numpy:{np.__version__}"
     assert fallback != first
     assert fallback | {"kernel": kernel.name} == first  # the kernel is all that differs
 
 
-def test_manifest_of_a_command_that_does_not_train_names_no_kernel(rose_file, tmp_path):
-    assert run("stats", rose_file, "--out", tmp_path / "s.json") == 0
-    assert "kernel" not in json.loads((tmp_path / "s.json.manifest.json").read_text())
+def test_manifest_of_a_command_that_does_not_train_names_no_kernel(run_in, monkeypatch):
+    for command, run in NO_KERNEL_RUNS.items():
+        first = run_in(f"{command}-1", *run)
+        assert "kernel" not in first[0]
+        assert run_in(f"{command}-2", *run) == first
+        with monkeypatch.context() as without_kernel:
+            without_kernel.setattr(kernel_module, "get", lambda: None)
+            assert run_in(f"{command}-numpy", *run) == first

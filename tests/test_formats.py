@@ -403,6 +403,21 @@ def test_embedding_text_refuses_a_token_it_cannot_read_back(workdir, monkeypatch
     assert not path.exists()
 
 
+@pytest.mark.parametrize("with_kernel", [True, False], ids=["kernel", "fallback"])
+def test_embedding_text_refuses_dimension_zero(workdir, monkeypatch, with_kernel):
+    # each row would read back as one empty component
+    if not with_kernel:
+        monkeypatch.setattr(kernel_module, "get", lambda: None)
+    elif kernel_module.get() is None:
+        pytest.skip("the C kernel does not build here")
+    space = db.VectorSpace(db.Vocabulary(["a", "b"], [1, 1]), np.zeros((2, 0)))
+    path = workdir / "dimension-zero.txt"
+    path.unlink(missing_ok=True)
+    with pytest.raises(ValueError, match="dimension 0"):
+        trainer.save_embedding_text(space, path)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("token", ["a\tb", "\t", "a\nb", "a\r", "\x0bx", "x\x0c", "x\x1c",
                                    "\x1d", "\x1e", "\x85", "a\u2028", "\u2029b", "a\ud800"])
 def test_cooc_refuses_a_token_it_cannot_read_back(workdir, token):

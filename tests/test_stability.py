@@ -6,12 +6,11 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse, stats
 
 import driftbench as db
-from driftbench import kernel as kernel_module
 from driftbench.stability import _rank_agreement
 
 from conftest import dense_space
@@ -194,153 +193,75 @@ class TestDisplacement:
             assert db.displacement(aligned, rotated, w, aligned=True).euclidean < 1e-6
 
 
-class TestJacobiSvd:
-    @pytest.mark.parametrize("shape", [(3, 3), (8, 8), (10, 6), (40, 25)])
-    def test_matches_numpy_oracle(self, shape):
-        rng = np.random.default_rng(sum(shape))
-        m = rng.standard_normal(shape)
-        u, s, vt = db.jacobi_svd(m)
-        assert np.allclose(u @ np.diag(s) @ vt, m, atol=1e-9)
-        assert np.allclose(u.T @ u, np.eye(shape[1]), atol=1e-9)
-        assert np.allclose(vt @ vt.T, np.eye(shape[1]), atol=1e-9)
-        assert np.allclose(s, np.linalg.svd(m, compute_uv=False), atol=1e-9)
-        assert np.all(np.diff(s) <= 1e-12)  # descending
-
-    def test_rank_deficient(self):
-        rng = np.random.default_rng(1)
-        base = rng.standard_normal((6, 2))
-        m = base @ rng.standard_normal((2, 6))  # rank 2 in 6x6
-        u, s, vt = db.jacobi_svd(m)
-        assert np.allclose(u @ np.diag(s) @ vt, m, atol=1e-9)
-        assert np.allclose(u.T @ u, np.eye(6), atol=1e-8)
-        assert np.sum(s > 1e-9) == 2
-
-    def test_zero_matrix(self):
-        u, s, vt = db.jacobi_svd(np.zeros((4, 4)))
-        assert np.allclose(s, 0)
-        assert np.allclose(u.T @ u, np.eye(4), atol=1e-12)
-
-    def test_tiny_matrix_converges_without_underflow(self):
-        # column dot products of a 1e-160 matrix underflow unless it is rescaled
-        m = np.random.default_rng(6).standard_normal((6, 6)) * 1e-160
-        u, s, vt = db.jacobi_svd(m)
-        assert np.linalg.norm(u @ np.diag(s) @ vt - m) <= 1e-14 * np.linalg.norm(m)
-        assert np.allclose(u.T @ u, np.eye(6), atol=1e-12)
-        assert np.allclose(s / 1e-160, np.linalg.svd(m / 1e-160, compute_uv=False), rtol=1e-12)
-
-    def test_column_rotated_below_underflow_converges(self):
-        # one column is rotated down until its squared norm underflows to 0
-        # while its dot with another column does not; such a pair used to be
-        # rotated on every sweep until JACOBI_MAX_SWEEPS ran out
-        m = np.array([
-            [0.0, 0.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, -0.70565792, 0.0],
-            [0.6139212, -0.40502039, 0.0, 0.0, 0.78963717],
-            [0.0, -0.80182825, 0.94017655, -0.70162381, 0.0],
-            [0.0, 0.0, -0.03951462, 0.0, 0.0],
-        ])
-        u, s, vt = db.jacobi_svd(m)
-        assert np.linalg.norm(u * s @ vt - m) <= 1e-14 * np.linalg.norm(m)
-        assert np.allclose(u.T @ u, np.eye(5), atol=1e-12)
-        assert np.allclose(s, np.linalg.svd(m, compute_uv=False), rtol=0, atol=1e-14)
-
-    def test_running_out_of_sweeps_raises(self, monkeypatch):
-        monkeypatch.setattr(db.stability, "JACOBI_MAX_SWEEPS", 1)
-        with pytest.raises(db.NumericalError, match="did not converge"):
-            db.jacobi_svd(np.random.default_rng(7).standard_normal((6, 6)))
-
-
-class TestJacobiSvdNumpySweeps(TestJacobiSvd):
-    """TestJacobiSvd again, on the numpy sweeps."""
-
-    @pytest.fixture(autouse=True)
-    def _numpy(self, numpy_step):
-        pass
-
-
 @st.composite
-def jacobi_inputs(draw):
-    """n x d matrices, n >= d, up to 12 x 8: random, rank-deficient, with
-    duplicate columns or all zero; scaled by 2**0 or 2**+-500, and some with
-    a few entries replaced by subnormal numbers."""
+def alignment_inputs(draw):
+    """Rows of two n x d spaces, up to 12 x 8, and a random orthogonal Q.
+    Each space's rows are random, rank-deficient, with duplicate columns or
+    all zero (so they centre to zero); scaled by 2**0 or 2**+-500, and some
+    with a few entries replaced by subnormal numbers. The second space is
+    either the first rotated by Q or a draw of its own."""
     d = draw(st.integers(1, 8))
-    n = draw(st.integers(d, 12))
+    n = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["random", "rank_deficient", "duplicate_columns", "zero"]))
-    m = rng.standard_normal((n, d))
-    if kind == "rank_deficient":
-        rank = draw(st.integers(0, d - 1))
-        m = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
-    elif kind == "duplicate_columns":
-        m = m[:, rng.integers(0, d, size=d)]
-    elif kind == "zero":
-        m = np.zeros((n, d))
-    m = np.ldexp(m, draw(st.sampled_from([0, 500, -500])))
-    if draw(st.booleans()):
-        tiny = rng.random((n, d)) < 0.3
-        m[tiny] = rng.integers(-(2**40), 2**40, size=int(tiny.sum())) * 5e-324
-    return m
+
+    def rows():
+        kind = draw(st.sampled_from(["random", "rank_deficient", "duplicate_columns", "zero"]))
+        m = rng.standard_normal((n, d))
+        if kind == "rank_deficient":
+            rank = draw(st.integers(0, d - 1))
+            m = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
+        elif kind == "duplicate_columns":
+            m = m[:, rng.integers(0, d, size=d)]
+        elif kind == "zero":
+            m = np.zeros((n, d))
+        m = np.ldexp(m, draw(st.sampled_from([0, 500, -500])))
+        if draw(st.booleans()):
+            tiny = rng.random((n, d)) < 0.3
+            m[tiny] = rng.integers(-(2**40), 2**40, size=int(tiny.sum())) * 5e-324
+        return m
+
+    x = rows()
+    q = db.random_orthogonal(d, rng)
+    return x, x @ q if draw(st.booleans()) else rows(), q
 
 
-def on_both_paths(fn, *args):
-    """fn(*args) with the C Jacobi sweeps, then with the numpy sweeps."""
-    got = fn(*args)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernel_module, "get", lambda: None)
-        want = fn(*args)
-    return got, want
-
-
-JACOBI_ORACLE = settings(max_examples=300, deadline=None,
-                         suppress_health_check=[HealthCheck.function_scoped_fixture])
-
-
-class TestJacobiKernel:
-    @JACOBI_ORACLE
-    @given(m=jacobi_inputs())
-    def test_matches_numpy_sweeps(self, kernel, m):
-        got, want = on_both_paths(db.jacobi_svd, m)
-        # s is rounded once onto the float grid, which is coarse among the
-        # subnormals: allow one step of it beside the relative bound
-        step = 2.0**-1074
-        assert np.all(np.abs(got[1] - want[1]) <= 1e-12 * want[1][0] + step)
-        # reconstruct at the scale of the input's largest entry, where the
-        # check's own arithmetic does not round to subnormals
-        scale = -int(np.frexp(np.abs(m).max(initial=0.0))[1])
-        scaled = np.ldexp(m, scale)
-        d = m.shape[1]
-        for u, s, vt in (got, want):
-            assert np.all(np.diff(s) <= 0)
-            error = np.linalg.norm(u * np.ldexp(s, scale) @ vt - scaled)
-            assert error <= 1e-12 * np.linalg.norm(scaled) + np.ldexp(d * step, scale)
-            assert np.abs(u.T @ u - np.eye(d)).max() <= 1e-12
-            assert np.abs(vt @ vt.T - np.eye(d)).max() <= 1e-12
-
-    @JACOBI_ORACLE
-    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8), extra=st.integers(2, 8),
-           scale=st.sampled_from([0, 500, -500]))
-    def test_procrustes_rotation_matches_numpy_sweeps(self, kernel, seed, d, extra, scale):
-        rng = np.random.default_rng(seed)
-        x = np.ldexp(rng.standard_normal((d + extra, d)), scale)
-        # the rotation is unique, and well-conditioned, only for a
-        # well-conditioned cross-covariance
-        assume(np.linalg.cond(x - x.mean(axis=0)) < 1e3)
-        y = x @ db.random_orthogonal(d, rng) + np.ldexp(1e-3 * rng.standard_normal(x.shape), scale)
+class TestProcrustesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(case=alignment_inputs())
+    def test_rotation_is_orthogonal_and_no_rotation_fits_better(self, case):
+        x, y, q = case
         tokens = [f"w{i}" for i in range(len(x))]
-        got, want = on_both_paths(db.procrustes_align, dense_space(tokens, x), dense_space(tokens, y))
-        assert np.abs(got.rotation - want.rotation).max() <= 1e-12
+        result = db.procrustes_align(dense_space(tokens, x), dense_space(tokens, y))
+        d = x.shape[1]
+        assert np.abs(result.rotation.T @ result.rotation - np.eye(d)).max() <= 1e-12
+        # Procrustes optimality: neither the identity nor Q leaves a smaller
+        # residual. Compare at the scale of the largest centred entry, where
+        # the check's own products neither under- nor overflow, allowing one
+        # step of the float grid at the residual's own scale.
+        xc, yc = x - x.mean(axis=0), y - y.mean(axis=0)
+        scale = -int(np.frexp(max(np.abs(xc).max(), np.abs(yc).max()))[1])
+        xs, ys = np.ldexp(xc, scale), np.ldexp(yc, scale)
+        residual = np.ldexp(result.residual, scale)
+        slack = 1e-12 * (np.linalg.norm(xs) + np.linalg.norm(ys)) + np.ldexp(1.0, scale - 1074)
+        for other in (np.eye(d), q):
+            assert residual <= np.linalg.norm(xs @ other - ys) + slack
 
-    def test_same_input_same_bits(self, kernel):
-        m = np.random.default_rng(8).standard_normal((40, 25))
-        first, second = db.jacobi_svd(m), db.jacobi_svd(m.copy())
-        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+    @pytest.mark.parametrize("scale", [1e-170, 1e200])
+    def test_recovers_rotation_where_the_cross_covariance_would_under_or_overflow(self, scale):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((50, 4)) * scale
+        q = db.random_orthogonal(4, rng)
+        tokens = [f"w{i:02d}" for i in range(50)]
+        result = db.procrustes_align(dense_space(tokens, x), dense_space(tokens, x @ q))
+        assert np.abs(result.rotation - q).max() <= 1e-12
+        assert np.abs(x @ result.rotation - x @ q).max() <= 1e-12 * scale
+        assert 0 < result.residual <= 1e-12 * scale
 
-    def test_rejects_arrays_it_cannot_take(self, kernel):
-        at = np.zeros((3, 4))
-        with pytest.raises(ValueError, match="C-contiguous float64"):
-            kernel.jacobi(at, np.eye(2), 1e-12, 10)
-        with pytest.raises(ValueError, match="C-contiguous float64"):
-            kernel.jacobi(np.asfortranarray(at), np.eye(3), 1e-12, 10)
+    def test_centring_that_overflows_raises(self):
+        tokens = ["a", "b", "c"]
+        x = dense_space(tokens, [[1.7e308, 0.0], [1.7e308, 1.0], [-1.7e308, 2.0]])
+        with pytest.raises(db.NumericalError, match="not finite"):
+            db.procrustes_align(x, x)
 
 
 class TestProcrustes:
