@@ -1,14 +1,18 @@
 /* The loops of driftbench that numpy cannot batch: an SGD epoch of the
  * trainer (driftbench_sgd), the writer and reader of the embedding text
- * format (driftbench_format, driftbench_parse), and the reader of the
+ * format (driftbench_format, driftbench_parse), the reader of the
  * integer columns of the COOC and edge-list formats
- * (driftbench_parse_ints). The SGD epoch does its arithmetic in the same
- * order as the numpy step it replaces, except that dot products and sums
- * run sequentially where numpy calls BLAS or sums pairwise, so results
- * agree with it to the last few bits. The text functions give the same
- * bytes and values as repr(), float() and int(). Build it with
- * -ffp-contract=off and without fast-math so that every run of the same
- * build gives the same bits.
+ * (driftbench_parse_ints), and the two loops of neighbour ranking: the
+ * cosine division with top-k selection (driftbench_select) and the
+ * sparse dot products (driftbench_sparse_dots). The SGD epoch does its
+ * arithmetic in the same order as the numpy step it replaces, except
+ * that dot products and sums run sequentially where numpy calls BLAS or
+ * sums pairwise, so results agree with it to the last few bits. The text
+ * functions give the same bytes and values as repr(), float() and int(),
+ * and the ranking loops the same ids and score bits as numpy's ranking.
+ * Build it with -ffp-contract=off and without fast-math so that every
+ * run of the same build gives the same bits. The kernel name in training
+ * manifests hashes this source, so any change here changes it.
  */
 
 #include <math.h>
@@ -644,4 +648,139 @@ int64_t driftbench_parse_ints(const char *body, int64_t size, int64_t rows, int6
         }
     }
     return p == end ? -1 : p - body;
+}
+
+/* ---------------------------------------------------------------------
+ * neighbour ranking
+ */
+
+/* Whether (score a, lexicographic rank ra) ranks before (b, rb): score
+ * descending with NaN last, then rank ascending; -0.0 ties 0.0. This is
+ * the order of vector_space._select, whose sort keys are -score and rank. */
+static int ranks_before(double a, int64_t ra, double b, int64_t rb)
+{
+    if (a != a || b != b)
+        return b != b && (a == a || ra < rb);
+    if (a != b)
+        return a > b;
+    return ra < rb;
+}
+
+/* Restores the heap (score, id)[0..n-1] below position p: every entry
+ * ranks after none of its children, so the last-ranked entry is at 0. */
+static void sift_down(double *score, int64_t *id, const int64_t *lex_rank, int64_t n, int64_t p)
+{
+    double s = score[p];
+    int64_t i = id[p];
+    for (;;) {
+        int64_t c = 2 * p + 1;
+        if (c >= n)
+            break;
+        if (c + 1 < n && ranks_before(score[c], lex_rank[id[c]], score[c + 1], lex_rank[id[c + 1]]))
+            c++;
+        if (!ranks_before(s, lex_rank[i], score[c], lex_rank[id[c]]))
+            break;
+        score[p] = score[c];
+        id[p] = id[c];
+        p = c;
+    }
+    score[p] = s;
+    id[p] = i;
+}
+
+/* For each of the `queries` rows of `scores` (queries x vocab), the ids
+ * and scores of its k best candidates, best first, in ranks_before order,
+ * to ids and top (queries x k). Row q leaves out the n_exclude ids at
+ * exclude[q * n_exclude ..], each in [0, vocab); k must not exceed the
+ * candidates left. Where norms is not NULL, candidate i of row q scores
+ * scores[q][i] / (norms[i] * qnorms[q]), the IEEE operations of the numpy
+ * division. One pass keeps the k best in a heap whose root is the one
+ * that ranks last. Returns 0, or -1 when scratch memory cannot be
+ * allocated. */
+int driftbench_select(const double *scores, int64_t queries, int64_t vocab,
+                      const double *norms, const double *qnorms,
+                      const int64_t *exclude, int64_t n_exclude,
+                      const int64_t *lex_rank, int64_t k, int64_t *ids, double *top)
+{
+    unsigned char *left_out = calloc((size_t)vocab + 1, 1);
+    int64_t q, i, n;
+
+    if (left_out == NULL)
+        return -1;
+    for (q = 0; q < queries; q++) {
+        const double *row = scores + q * vocab;
+        const int64_t *drop = exclude + q * n_exclude;
+        double *hs = top + q * k;
+        int64_t *hi = ids + q * k;
+
+        for (i = 0; i < n_exclude; i++)
+            left_out[drop[i]] = 1;
+        n = 0;
+        for (i = 0; i < vocab; i++) {
+            double s;
+            if (left_out[i])
+                continue;
+            s = norms == NULL ? row[i] : row[i] / (norms[i] * qnorms[q]);
+            if (n < k) {
+                hs[n] = s;
+                hi[n++] = i;
+                if (n == k)
+                    for (int64_t p = k / 2 - 1; p >= 0; p--)
+                        sift_down(hs, hi, lex_rank, k, p);
+            } else if (ranks_before(s, lex_rank[i], hs[0], lex_rank[hi[0]])) {
+                hs[0] = s;
+                hi[0] = i;
+                sift_down(hs, hi, lex_rank, k, 0);
+            }
+        }
+        for (i = 0; i < n_exclude; i++)
+            left_out[drop[i]] = 0;
+        /* heapsort: the last-ranked entry goes to the end, and so on */
+        for (n = k - 1; n > 0; n--) {
+            double s = hs[0];
+            int64_t id = hi[0];
+            hs[0] = hs[n];
+            hi[0] = hi[n];
+            hs[n] = s;
+            hi[n] = id;
+            sift_down(hs, hi, lex_rank, n, 0);
+        }
+    }
+    free(left_out);
+    return 0;
+}
+
+/* dots[q][i] = row i . queries[q] (queries x dim) for the vocab rows of a
+ * CSR matrix given by its columns: column j holds the entries data[p] of
+ * rows indices[p], for indptr[j] <= p < indptr[j + 1]. For each query,
+ * its non-zero components are taken in ascending j and column j is added
+ * into the sums (Gustavson's row-by-row product), so each row's dot adds
+ * its products in ascending column order, starting from +0.0, as scipy's
+ * csr_matvec does for rows with sorted indices. A component that is zero
+ * makes products of +-0.0 with the finite rows; added to a sum that
+ * starts at +0.0, which rounding to nearest never turns into -0.0, they
+ * change no bit, so leaving them out gives the same dots. Returns 0, or
+ * -1 at the first row id outside [0, vocab). */
+int driftbench_sparse_dots(const int64_t *indptr, const int64_t *indices, const double *data,
+                           int64_t vocab, const double *queries, int64_t n_queries, int64_t dim,
+                           double *dots)
+{
+    int64_t q, i, j, p;
+
+    for (q = 0; q < n_queries; q++) {
+        const double *x = queries + q * dim;
+        double *acc = dots + q * vocab;
+        for (i = 0; i < vocab; i++)
+            acc[i] = 0.0;
+        for (j = 0; j < dim; j++) {
+            if (x[j] == 0.0)
+                continue;
+            for (p = indptr[j]; p < indptr[j + 1]; p++) {
+                if ((uint64_t)indices[p] >= (uint64_t)vocab)
+                    return -1;
+                acc[indices[p]] += data[p] * x[j];
+            }
+        }
+    }
+    return 0;
 }

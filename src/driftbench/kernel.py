@@ -1,17 +1,21 @@
 """The compiled kernel: build, load and ctypes bindings of `_kernel.c`.
 
 One small C file holds the loops that numpy cannot batch: the SGD epoch of
-the trainer, the writer and reader of the embedding text format, and the
-reader of the integer columns of the COOC and edge-list formats. The
-embedding writer formats components with Ryu and the reader parses them
-with Eisel-Lemire, each from a table of powers of five that this module
-computes with exact integers; the reader leaves to the C library's strtod
-only the fields Eisel-Lemire does not decide. `get()` compiles it on first
-use with the system C compiler and caches the library; where it cannot be
-built or loaded, `get()` returns None and each caller runs its fallback:
-the numpy step, the repr() writer, and, for each text loader, its
-per-line reader. The fallbacks, with float() and int() for the parsers,
-are the references the kernel is tested against.
+the trainer, the writer and reader of the embedding text format, the
+reader of the integer columns of the COOC and edge-list formats, and the
+two loops of neighbour ranking, the cosine division with top-k selection
+and the sparse dot products. The embedding writer formats components with
+Ryu and the reader parses them with Eisel-Lemire, each from a table of
+powers of five that this module computes with exact integers; the reader
+leaves to the C library's strtod only the fields Eisel-Lemire does not
+decide. `get()` compiles it on first use with the system C compiler and
+caches the library; where it cannot be built or loaded, `get()` returns
+None and each caller runs its fallback: the numpy step, the repr() writer,
+for each text loader its per-line reader, and numpy's ranking
+(`vector_space._select` of `_block_scores`). The fallbacks, with float()
+and int() for the parsers, are the references the kernel is tested
+against. The name the provenance gives the kernel hashes this source, so
+it changes with any change here, the ranking loops included.
 """
 
 from __future__ import annotations
@@ -86,6 +90,10 @@ class Kernel:
                             ctypes.POINTER(_I))
         self._parse_ints = _bind(library, "driftbench_parse_ints", _I,
                                  ctypes.c_char_p, _I, _I, _I, _I, _P)
+        self._select = _bind(library, "driftbench_select", ctypes.c_int,
+                             _P, _I, _I, _P, _P, _P, _I, _P, _I, _P, _P)
+        self._sparse_dots = _bind(library, "driftbench_sparse_dots", ctypes.c_int,
+                                  _P, _P, _P, _I, _P, _I, _I, _P)
         self._table = _ryu_table()
         self._powers = _eisel_lemire_table()
         self._library = library  # keeps the library loaded while its functions are used
@@ -161,6 +169,57 @@ class Kernel:
             raise ValueError("need rows >= 0 and 0 <= skip < cols")
         out = np.empty((rows, cols - skip), dtype=np.int64)
         return out, self._parse_ints(body, len(body), rows, cols, skip, out.ctypes.data)
+
+    def select(self, scores: np.ndarray, exclude: np.ndarray, k: int, lex_rank: np.ndarray,
+               norms: np.ndarray | None = None, qnorms: np.ndarray | None = None):
+        """`vector_space._select` of the (queries, vocab) `scores`, bit for
+        bit: the ids and scores of each row's k best candidates, score
+        descending with NaN last, then `lex_rank` ascending. Row i of the
+        2-d `exclude` lists distinct ids left out of row i. With `norms`
+        and `qnorms`, the scores are first divided as `scores / (norms *
+        qnorms[:, None])` divides them."""
+        scores = np.ascontiguousarray(scores, dtype=np.float64)
+        exclude = np.ascontiguousarray(exclude, dtype=np.int64)
+        lex_rank = np.ascontiguousarray(lex_rank, dtype=np.int64)
+        n, v = scores.shape
+        if exclude.shape[0] != n or lex_rank.shape != (v,) or not 1 <= k <= v - exclude.shape[1]:
+            raise ValueError("need an exclude row per query, a rank per id, 1 <= k <= candidates")
+        if exclude.size and (exclude.min() < 0 or exclude.max() >= v):
+            raise ValueError("excluded ids must be in [0, vocabulary)")
+        if norms is not None:
+            norms = np.ascontiguousarray(norms, dtype=np.float64)
+            qnorms = np.ascontiguousarray(qnorms, dtype=np.float64)
+            if norms.shape != (v,) or qnorms.shape != (n,):
+                raise ValueError("need a norm per id and per query")
+        ids = np.empty((n, k), dtype=np.int64)
+        top = np.empty((n, k))
+        status = self._select(scores.ctypes.data, n, v,
+                              None if norms is None else norms.ctypes.data,
+                              None if qnorms is None else qnorms.ctypes.data,
+                              exclude.ctypes.data, exclude.shape[1], lex_rank.ctypes.data, k,
+                              ids.ctypes.data, top.ctypes.data)
+        if status != 0:
+            raise MemoryError("selection kernel could not allocate its scratch memory")
+        return ids, top
+
+    def sparse_dots(self, columns: tuple[np.ndarray, np.ndarray, np.ndarray], vocab: int,
+                    queries: np.ndarray) -> np.ndarray:
+        """`(rows @ queries.T).T` for the (vocab, dim) CSR `rows` with
+        sorted indices, bit for bit, from their columns: the indptr, indices
+        and data of the CSR form of `rows.T`."""
+        indptr, indices = (np.ascontiguousarray(a, dtype=np.int64) for a in columns[:2])
+        data = np.ascontiguousarray(columns[2], dtype=np.float64)
+        queries = np.ascontiguousarray(queries, dtype=np.float64)
+        n, dim = queries.shape
+        if (indptr.shape != (dim + 1,) or indptr[0] != 0 or indptr[-1] != len(indices)
+                or data.shape != indices.shape or (np.diff(indptr) < 0).any()):
+            raise ValueError("columns must be the CSR arrays of a (dim, vocabulary) matrix")
+        dots = np.empty((n, vocab))
+        # the kernel checks each row id as it reads it
+        if self._sparse_dots(indptr.ctypes.data, indices.ctypes.data, data.ctypes.data, vocab,
+                             queries.ctypes.data, n, dim, dots.ctypes.data) != 0:
+            raise ValueError("columns must be the CSR arrays of a (dim, vocabulary) matrix")
+        return dots
 
 
 def compiler() -> str | None:

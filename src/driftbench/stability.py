@@ -25,7 +25,14 @@ from .errors import (
     ZeroVectorError,
 )
 from .trainer import EmbeddingSpace, TrainingConfig, train_cbow, train_skipgram
-from .vector_space import NeighborList, VectorSpace, _neighbor_lists, _top_k, cosine_similarity
+from .vector_space import (
+    _BLOCK_ENTRIES,
+    NeighborList,
+    VectorSpace,
+    _neighbor_lists,
+    _top_k,
+    cosine_similarity,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +115,16 @@ def procrustes_align(x: VectorSpace, y: VectorSpace) -> AlignmentResult:
     if not shared:
         raise DataError("no shared vocabulary to align on")
     xm, ym = (s.dense_rows([s.vocab.index_of(t) for t in shared]) for s in (x, y))
-    xc = xm - xm.mean(axis=0)
-    yc = ym - ym.mean(axis=0)
-    # one power of two, exact, keeps Xc.T @ Yc and the residual from under-
-    # or overflowing: the residual of the scaled rows is scaled back exactly
-    largest = max(np.abs(xc).max(initial=0.0), np.abs(yc).max(initial=0.0))
-    exponent = int(np.frexp(largest)[1])
-    xc, yc = np.ldexp(xc, -exponent), np.ldexp(yc, -exponent)
-    covariance = xc.T @ yc
+    # rows whose centring overflows fail the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = xm - xm.mean(axis=0)
+        yc = ym - ym.mean(axis=0)
+        # one power of two, exact, keeps Xc.T @ Yc and the residual from under-
+        # or overflowing: the residual of the scaled rows is scaled back exactly
+        largest = max(np.abs(xc).max(initial=0.0), np.abs(yc).max(initial=0.0))
+        exponent = int(np.frexp(largest)[1])
+        xc, yc = np.ldexp(xc, -exponent), np.ldexp(yc, -exponent)
+        covariance = xc.T @ yc
     if not np.isfinite(covariance).all():
         raise NumericalError("the centered rows to align are not finite")
     try:
@@ -331,6 +340,19 @@ def displacement(
     return Displacement(word, float(np.linalg.norm(va - vb)), cos, aligned)
 
 
+def _euclidean_displacements(a: VectorSpace, b: VectorSpace, words: list[str]) -> list[float]:
+    """Each word's `displacement(a, b, word).euclidean`, bit for bit, from
+    one subtraction of the words' rows per block: the 1-d np.linalg.norm of
+    a difference d is sqrt(d @ d)."""
+    ia, ib = (np.array([s.vocab.index_of(w) for w in words], dtype=np.intp) for s in (a, b))
+    step = max(1, _BLOCK_ENTRIES // max(a.dim, 1))  # sparse rows densify a block at a time
+    values: list[float] = []
+    for lo in range(0, len(words), step):
+        diff = a.dense_rows(ia[lo : lo + step]) - b.dense_rows(ib[lo : lo + step])
+        values.extend(np.sqrt([d @ d for d in diff]).tolist())
+    return values
+
+
 # ---------------------------------------------------------------------------
 # whole-model reports
 
@@ -338,7 +360,7 @@ def displacement(
 @dataclass(frozen=True, eq=False)
 class StabilityReport:
     diffs: dict[str, NeighborDiff]
-    displacements: dict[str, Displacement] | None
+    displacements: dict[str, float] | None  # Euclidean, per word
     aggregates: dict
     frequency_correlation: float | None
     metadata: dict
@@ -364,7 +386,7 @@ class StabilityReport:
                 "k_used": d.k_used,
             }
             if self.displacements is not None:
-                record["displacement"] = self.displacements[word].euclidean
+                record["displacement"] = self.displacements[word]
             per_word[word] = record
         return {
             "metadata": self.metadata,
@@ -380,7 +402,7 @@ class StabilityReport:
             rank = "" if d.rank_agreement is None else f"{d.rank_agreement:.10f}"
             disp = ""
             if self.displacements is not None:
-                disp = f"{self.displacements[word].euclidean:.10f}"
+                disp = f"{self.displacements[word]:.10f}"
             lines.append(
                 f"{word},{freqs.get(word, '')},{d.overlap_at_k:.10f},"
                 f"{d.jaccard_at_k:.10f},{str(d.exact_order).lower()},{rank},{disp}"
@@ -425,9 +447,9 @@ def stability_report(
     comparable = model_a.dim == model_b.dim
     compared, rankings = _ranked_diffs(model_a, model_b, shared, k, metric)
     diffs = dict(zip(shared, compared))
-    disps: dict[str, Displacement] | None = None
+    disps: dict[str, float] | None = None
     if comparable:
-        disps = {word: displacement(model_a, model_b, word) for word in shared}
+        disps = dict(zip(shared, _euclidean_displacements(model_a, model_b, shared)))
     overlaps = np.array([d.overlap_at_k for d in diffs.values()])
     jaccards = np.array([d.jaccard_at_k for d in diffs.values()])
     agreements = [d.rank_agreement for d in diffs.values() if d.rank_agreement is not None]
@@ -450,9 +472,7 @@ def stability_report(
         "rank_agreement_undefined": len(diffs) - len(agreements),
     }
     if disps is not None:
-        aggregates["mean_displacement"] = float(
-            np.mean([d.euclidean for d in disps.values()])
-        )
+        aggregates["mean_displacement"] = float(np.mean(list(disps.values())))
     freqs = {w: model_a.vocab.frequency(w) for w in shared}
     corr = _spearman([freqs[w] for w in shared], [diffs[w].overlap_at_k for w in shared])
     metadata = {

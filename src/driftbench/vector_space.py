@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
+from . import kernel
 from .corpus import Vocabulary
 from .errors import DimensionMismatchError, ZeroVectorError
 
@@ -59,6 +60,7 @@ class VectorSpace:
         self.vocab = vocab
         self.vectors = vectors
         self._unit: tuple | None = None
+        self._columns: tuple | None = None
         self._lex_rank: np.ndarray | None = None
 
     @property
@@ -103,6 +105,15 @@ class VectorSpace:
                 norms = np.linalg.norm(self.vectors, axis=1)
             self._unit = _rescale(self.vectors, norms)
         return self._unit
+
+    def _unit_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The columns of the sparse `_unit_rows()`: the int64 indptr, the
+        int64 indices and the data of the CSR form of their transpose."""
+        if self._columns is None:
+            columns = self._unit_rows()[0].T.tocsr()
+            self._columns = (columns.indptr.astype(np.int64), columns.indices.astype(np.int64),
+                             columns.data)
+        return self._columns
 
     def lex_rank(self) -> np.ndarray:
         """Position of each index's token in lexicographic token order."""
@@ -208,6 +219,11 @@ def vector_distance(a, b, metric: str = "euclidean") -> float:
 # Queries are scored a block at a time; a block's score matrix holds at most
 # this many float64 entries (1 MiB), whatever the vocabulary size.
 _BLOCK_ENTRIES = 1 << 17
+# Building the column view that sparse dots are merged from costs as much
+# as 6 to 17 CSR products (27k to 532k non-zeros, one x86-64 core), and a
+# merge saves part of one product per query, so a call ranks by column
+# merge only from this many queries on.
+_MERGE_QUERIES = 64
 # A norm below this had squared components that lost precision to underflow.
 _MIN_NORM = np.sqrt(np.finfo(np.float64).tiny)
 
@@ -253,19 +269,29 @@ def _distance_scores(m, query: np.ndarray, metric: str) -> np.ndarray:
     return -np.abs(diff).sum(axis=1)
 
 
+def _cosine_terms(space: VectorSpace, queries: np.ndarray, merge=None):
+    """Dot product of every unit row with each dense query, the rows' norms
+    and the queries' norms; `merge`, a compiled kernel, sums sparse dots by
+    column merge."""
+    rows, norms = space._unit_rows()
+    queries, qnorms = _rescale(queries, np.sqrt([q @ q for q in queries]))
+    if not space.is_sparse:
+        # a matrix product sums in another order than a matrix-vector product,
+        # and a query's scores must not depend on the block it is scored in
+        dots = np.array([rows @ q for q in queries])
+    elif merge is not None:
+        dots = merge.sparse_dots(space._unit_columns(), len(space), queries)
+    else:
+        # csr_matvecs sums each row's entries in the order csr_matvec does
+        dots = (rows @ queries.T).T
+    return dots, norms, qnorms
+
+
 def _block_scores(space: VectorSpace, queries: np.ndarray, metric: str) -> np.ndarray:
     """Score of every row against each dense query: similarity, or negated distance."""
     if metric != "cosine":
         return np.array([_distance_scores(space.vectors, q, metric) for q in queries])
-    rows, norms = space._unit_rows()
-    queries, qnorms = _rescale(queries, np.sqrt([q @ q for q in queries]))
-    if space.is_sparse:
-        # csr_matvecs sums each row's entries in the order csr_matvec does
-        dots = (rows @ queries.T).T
-    else:
-        # a matrix product sums in another order than a matrix-vector product,
-        # and a query's scores must not depend on the block it is scored in
-        dots = np.array([rows @ q for q in queries])
+    dots, norms, qnorms = _cosine_terms(space, queries)
     return dots / (norms * qnorms[:, None])
 
 
@@ -274,7 +300,9 @@ def _select(scores: np.ndarray, candidate: np.ndarray, k: int, lex_rank: np.ndar
     descending, then token ascending.
 
     Partitioning finds each row's k-th best score; only the candidates
-    that reach it, ties included, are sorted.
+    that reach it, ties included, are sorted. This is the selection where
+    the compiled kernel is not built, and the reference the kernel is
+    tested against.
     """
     key = -scores
     bounded = np.where(candidate & ~np.isnan(key), key, np.inf)
@@ -287,15 +315,30 @@ def _select(scores: np.ndarray, candidate: np.ndarray, k: int, lex_rank: np.ndar
     return cols.reshape(-1, k), scores[rows, cols].reshape(-1, k)
 
 
+def _kernel_select(built, space: VectorSpace, queries: np.ndarray, metric: str, exclude,
+                   k: int, merge: bool):
+    """`_select(_block_scores(...))` of one block in the compiled kernel
+    `built`, bit for bit: one pass per query divides the cosine dots,
+    leaves out the excluded ids and keeps the k best. With `merge`, sparse
+    rows with sorted indices are scored by column merge.
+    """
+    if metric != "cosine":
+        return built.select(_block_scores(space, queries, metric), exclude, k, space.lex_rank())
+    merge = merge and space.is_sparse and space._unit_rows()[0].has_sorted_indices
+    dots, norms, qnorms = _cosine_terms(space, queries, built if merge else None)
+    return built.select(dots, exclude, k, space.lex_rank(), norms, qnorms)
+
+
 def _top_k(space: VectorSpace, queries, k: int, metric: str, exclude):
-    """Top-k ids and scores of every query, best first; the one ranking kernel.
+    """Top-k ids and scores of every query, best first; the one ranking function.
 
     `queries` is a 1-d array of row indices of the space or a 2-d array of
     non-zero query vectors. Row i of the 2-d `exclude` lists distinct ids
     left out of query i's ranking (it may have no columns). Scores are
     similarities, or negated distances; ties are broken by token. k is
     clamped to the candidates left after exclusion. Returns two
-    (queries, k) arrays.
+    (queries, k) arrays. The compiled kernel ranks where it is built,
+    else `_select` of `_block_scores`; both give the same bits.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -320,15 +363,19 @@ def _top_k(space: VectorSpace, queries, k: int, metric: str, exclude):
         return ids, scores
     step = max(1, _BLOCK_ENTRIES // v)
     source = space._unit_rows()[0] if metric == "cosine" else space.vectors
+    built = kernel.get()
+    merge = len(queries) >= _MERGE_QUERIES
     for lo in range(0, len(queries), step):
-        block = queries[lo : lo + step]
+        block, drop = queries[lo : lo + step], exclude[lo : lo + step]
         if by_row:
             block = source[block].toarray() if space.is_sparse else source[block]
-        candidate = np.ones((len(block), v), dtype=bool)
-        candidate[np.arange(len(block))[:, None], exclude[lo : lo + step]] = False
-        ids[lo : lo + step], scores[lo : lo + step] = _select(
-            _block_scores(space, block, metric), candidate, k, space.lex_rank()
-        )
+        if built is None:
+            candidate = np.ones((len(block), v), dtype=bool)
+            candidate[np.arange(len(block))[:, None], drop] = False
+            ranked = _select(_block_scores(space, block, metric), candidate, k, space.lex_rank())
+        else:
+            ranked = _kernel_select(built, space, block, metric, drop, k, merge)
+        ids[lo : lo + step], scores[lo : lo + step] = ranked
     return ids, scores
 
 

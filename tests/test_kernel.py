@@ -1,21 +1,24 @@
-"""The text functions of the compiled kernel against their oracles.
+"""The functions of the compiled kernel against their oracles.
 
 The writer must print each component as repr() does, byte for byte, and
 the reader must read each field as float() does, bit for bit, or refuse it
 so that the caller falls back to the per-line reader. The integer reader
 must read each field as int() does, or refuse it the same way. Hypothesis
 draws the components from random 64-bit patterns and the edges of the
-formats.
+formats. Ranking in the kernel must give the ids and score bits of the
+numpy selection and scoring that run without it.
 """
 
 import math
 import struct
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import driftbench as db
 from driftbench import kernel as kernel_module
@@ -327,3 +330,143 @@ class TestIntReader:
         for rows, cols, skip in [(1, 3, 3), (1, 3, -1), (1, 0, 0), (-1, 3, 0)]:
             with pytest.raises(ValueError, match="0 <= skip < cols"):
                 kernel.parse_ints(b"1\t2\t3\n", rows, cols, skip)
+
+
+# ---------------------------------------------------------------------------
+# ranking: the kernel's selection and sparse dots against _select and
+# _block_scores, which run where the kernel is not built
+
+# per-row scales: subnormal rows, rows whose cosine dots or distances overflow
+ROW_SCALES = [1.0, 1.0, 1.0, 5e-324, 1e-310, 1e-170, 1e160, 1e307]
+small = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 5e-324, -5e-324])
+         | st.floats(-4, 4, width=64))
+
+
+@st.composite
+def ranked_rows(draw, count, dim):
+    rows = np.array([[draw(small) for _ in range(dim)] for _ in range(count)])
+    rows *= np.array([draw(st.sampled_from(ROW_SCALES)) for _ in range(count)])[:, None]
+    for _ in range(draw(st.integers(0, 3))):  # duplicate rows, and rows one ulp apart
+        a, b = draw(st.integers(0, count - 1)), draw(st.integers(0, count - 1))
+        rows[a] = rows[b]
+        if draw(st.booleans()):
+            j = draw(st.integers(0, dim - 1))
+            rows[a, j] = np.nextafter(rows[a, j], draw(st.sampled_from([-np.inf, np.inf])))
+    return rows
+
+
+def as_csr(rows, layout):
+    """rows as CSR, with its indices sorted, reversed within each row, or
+    with each row's first entry split into two entries of one column."""
+    m = sparse.csr_matrix(rows)
+    if layout == "sorted":
+        return m
+    indptr, indices, data = m.indptr, m.indices.copy(), m.data.copy()
+    if layout == "unsorted":
+        for lo, hi in zip(indptr[:-1], indptr[1:]):
+            indices[lo:hi], data[lo:hi] = indices[lo:hi][::-1].copy(), data[lo:hi][::-1].copy()
+        return sparse.csr_matrix((data, indices, indptr), shape=m.shape)
+    first = indptr[:-1][np.diff(indptr) > 0]
+    half = data[first] / 2
+    data = np.insert(data, first, half)
+    data[first + np.arange(1, len(first) + 1)] -= half
+    indices = np.insert(indices, first, indices[first])
+    counts = np.diff(indptr) + (np.diff(indptr) > 0)
+    return sparse.csr_matrix((data, indices, np.concatenate([[0], np.cumsum(counts)])),
+                             shape=m.shape)
+
+
+@st.composite
+def ranking_case(draw):
+    v, d = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    rows = draw(ranked_rows(v, d))
+    layout = draw(st.sampled_from(["dense", "sorted", "unsorted", "duplicates"]))
+    matrix = rows if layout == "dense" else as_csr(rows, layout)
+    space = db.VectorSpace(db.Vocabulary([f"t{i}" for i in range(v)], [1] * v), matrix)
+    if draw(st.booleans()):
+        queries = np.array(draw(st.lists(st.integers(0, v - 1), min_size=1, max_size=2 * v)))
+    else:
+        queries = draw(ranked_rows(draw(st.integers(1, 3)), d))
+    width = draw(st.integers(0, v))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exclude = np.array([rng.permutation(v)[:width] for _ in range(len(queries))])
+    return (space, queries, draw(st.sampled_from(db.vector_space.METRICS)),
+            draw(st.integers(1, v + 2)), exclude.reshape(len(queries), width),
+            draw(st.integers(1, 3 * v)), draw(st.sampled_from([1, 2 * v + 1])))
+
+
+def ranked(space, queries, k, metric, exclude):
+    """_top_k's ids and score bits, or the error it raises."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows score inf or NaN
+            ids, scores = db.vector_space._top_k(space, queries, k, metric, exclude)
+    except db.ZeroVectorError as exc:
+        return repr(exc)
+    return ids.tolist(), scores.view(np.uint64).tolist()
+
+
+class TestRanking:
+    @ORACLE
+    @given(case=ranking_case())
+    def test_top_k_gives_the_fallbacks_bits(self, kernel, case):
+        space, queries, metric, k, exclude, block, merge = case
+        with (mock.patch.object(db.vector_space, "_BLOCK_ENTRIES", block),
+              mock.patch.object(db.vector_space, "_MERGE_QUERIES", merge)):
+            compiled = ranked(space, queries, k, metric, exclude)
+            with mock.patch.object(kernel_module, "get", lambda: None):
+                fallback = ranked(space, queries, k, metric, exclude)
+        assert compiled == fallback
+
+    @pytest.mark.parametrize("values", ["integers", "floats"])
+    @pytest.mark.parametrize("layout", ["dense", "sorted"])
+    @pytest.mark.parametrize("metric", db.vector_space.METRICS)
+    def test_ranks_without_the_numpy_selection(self, kernel, layout, metric, values):
+        rng = np.random.default_rng(3)
+        if values == "integers":  # many exact ties, which the kernel must break by token
+            rows = rng.integers(-2, 3, size=(300, 12)).astype(float)
+        else:  # sums whose bits depend on their order
+            rows = rng.standard_normal((300, 40)) * (rng.random((300, 40)) < 0.4)
+        rows[rows[:, 0] == 0, 0] = 1.0
+        space = db.VectorSpace(db.Vocabulary([f"w{i:03d}" for i in range(300)][::-1], [1] * 300),
+                               rows if layout == "dense" else sparse.csr_matrix(rows))
+
+        def table_bits(k):
+            return [(nl.tokens(), [s.hex() for _, s in nl.entries])
+                    for nl in db.neighbor_table(space, k, metric).values()]
+
+        with mock.patch.object(kernel_module, "get", lambda: None):
+            expected = {k: table_bits(k) for k in (1, 10, 300)}
+        with (mock.patch.object(db.vector_space, "_select", side_effect=AssertionError),
+              mock.patch.object(kernel_module.Kernel, "sparse_dots", autospec=True,
+                                side_effect=kernel_module.Kernel.sparse_dots) as merge):
+            for k, bits in expected.items():
+                assert table_bits(k) == bits
+        # sparse cosine rankings of many queries merge columns
+        assert merge.called == (layout == "sorted" and metric == "cosine")
+
+    @pytest.mark.parametrize("layout", ["dense", "sorted"])
+    def test_negative_zero_ties_zero(self, kernel, layout):
+        # a's cosine with b is -1e-323 / 4, which rounds to -0.0; with c it is 0.0
+        rows = np.array([[2.0, 0.0], [-5e-324, 2.0], [0.0, 1.0]])
+        space = db.VectorSpace(db.Vocabulary(["a", "b", "c"], [1] * 3),
+                               rows if layout == "dense" else sparse.csr_matrix(rows))
+        nl = db.nearest_neighbors(space, "a", 2)
+        assert [(t, math.copysign(1.0, s)) for t, s in nl.entries] == [("b", -1.0), ("c", 1.0)]
+        with mock.patch.object(kernel_module, "get", lambda: None):
+            assert db.nearest_neighbors(space, "a", 2) == nl
+
+    def test_refuses_what_it_cannot_take(self, kernel):
+        scores, rank = np.zeros((2, 4)), np.arange(4)
+        for k in (0, 4):
+            with pytest.raises(ValueError, match="1 <= k"):
+                kernel.select(scores, np.zeros((2, 1), dtype=int), k, rank)
+        with pytest.raises(ValueError, match=r"\[0, vocabulary\)"):
+            kernel.select(scores, np.array([[0], [4]]), 1, rank)
+        with pytest.raises(ValueError, match="norm per id"):
+            kernel.select(scores, np.zeros((2, 0), dtype=int), 1, rank, np.ones(3), np.ones(2))
+        columns = (np.array([0, 1]), np.array([4]), np.array([1.0]))
+        with pytest.raises(ValueError, match="CSR arrays"):
+            kernel.sparse_dots(columns, 4, np.ones((1, 1)))
+        with pytest.raises(ValueError, match="CSR arrays"):
+            kernel.sparse_dots(columns, 5, np.ones((1, 2)))
+        assert kernel.sparse_dots(columns, 5, np.ones((1, 1))).tolist() == [[0, 0, 0, 0, 1]]

@@ -3,6 +3,8 @@
 import itertools
 import json
 import os
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -260,8 +262,10 @@ class TestProcrustesOracle:
     def test_centring_that_overflows_raises(self):
         tokens = ["a", "b", "c"]
         x = dense_space(tokens, [[1.7e308, 0.0], [1.7e308, 1.0], [-1.7e308, 2.0]])
-        with pytest.raises(db.NumericalError, match="not finite"):
-            db.procrustes_align(x, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raised, not warned about first
+            with pytest.raises(db.NumericalError, match="not finite"):
+                db.procrustes_align(x, x)
 
 
 class TestProcrustes:
@@ -442,6 +446,23 @@ class TestStabilityReport:
             lb = db.nearest_neighbors(b, word, k)
             assert report.neighbor_lists(word) == (la, lb)
             assert diff == db.diff_neighbor_lists(la, lb, k)
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 17])
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    def test_displacements_have_the_bits_of_displacement(self, layout, block):
+        rng = np.random.default_rng(11)
+        tokens = [f"w{i:02d}" for i in range(40)]
+        rows_a, rows_b = rng.standard_normal((2, 40, 40)) * (rng.random((2, 40, 40)) < 0.3)
+        a = db.VectorSpace(db.Vocabulary(tokens, [1] * 40),
+                           rows_a if layout == "dense" else sparse.csr_matrix(rows_a))
+        b = db.VectorSpace(db.Vocabulary(tokens[::-1], [1] * 40),
+                           rows_b if layout == "dense" else sparse.csr_matrix(rows_b))
+        with mock.patch.object(db.stability, "_BLOCK_ENTRIES", block):
+            report = db.stability_report(a, b, k=3)
+        expected = {w: db.displacement(a, b, w).euclidean for w in tokens}
+        assert {w: d.hex() for w, d in report.displacements.items()} == {
+            w: d.hex() for w, d in expected.items()
+        }
 
     def test_disjoint_vocabulary_rejected(self, table1_space):
         other = dense_space(["x", "y"], [[1, 0], [0, 1]])
