@@ -2,14 +2,14 @@
  * trainer (driftbench_sgd), the writer and reader of the embedding text
  * format (driftbench_format, driftbench_parse), the reader of the
  * integer columns of the COOC and edge-list formats
- * (driftbench_parse_ints), and the two loops of neighbour ranking: the
- * cosine division with top-k selection (driftbench_select) and the
- * sparse dot products (driftbench_sparse_dots). The SGD epoch does its
- * arithmetic in the same order as the numpy step it replaces, except
- * that dot products and sums run sequentially where numpy calls BLAS or
- * sums pairwise, so results agree with it to the last few bits. The text
+ * (driftbench_parse_ints), and the loop of neighbour ranking: the
+ * cosine division with top-k selection (driftbench_select). The SGD
+ * epoch does its arithmetic in the same order as the numpy step it
+ * replaces, except that dot products and sums run sequentially where
+ * numpy calls BLAS or sums pairwise, so results agree with it to the last
+ * few bits. The text
  * functions give the same bytes and values as repr(), float() and int(),
- * and the ranking loops the same ids and score bits as numpy's ranking.
+ * and the ranking loop the same ids and score bits as numpy's ranking.
  * Build it with -ffp-contract=off and without fast-math so that every
  * run of the same build gives the same bits. The kernel name in training
  * manifests hashes this source, so any change here changes it.
@@ -747,40 +747,5 @@ int driftbench_select(const double *scores, int64_t queries, int64_t vocab,
         }
     }
     free(left_out);
-    return 0;
-}
-
-/* dots[q][i] = row i . queries[q] (queries x dim) for the vocab rows of a
- * CSR matrix given by its columns: column j holds the entries data[p] of
- * rows indices[p], for indptr[j] <= p < indptr[j + 1]. For each query,
- * its non-zero components are taken in ascending j and column j is added
- * into the sums (Gustavson's row-by-row product), so each row's dot adds
- * its products in ascending column order, starting from +0.0, as scipy's
- * csr_matvec does for rows with sorted indices. A component that is zero
- * makes products of +-0.0 with the finite rows; added to a sum that
- * starts at +0.0, which rounding to nearest never turns into -0.0, they
- * change no bit, so leaving them out gives the same dots. Returns 0, or
- * -1 at the first row id outside [0, vocab). */
-int driftbench_sparse_dots(const int64_t *indptr, const int64_t *indices, const double *data,
-                           int64_t vocab, const double *queries, int64_t n_queries, int64_t dim,
-                           double *dots)
-{
-    int64_t q, i, j, p;
-
-    for (q = 0; q < n_queries; q++) {
-        const double *x = queries + q * dim;
-        double *acc = dots + q * vocab;
-        for (i = 0; i < vocab; i++)
-            acc[i] = 0.0;
-        for (j = 0; j < dim; j++) {
-            if (x[j] == 0.0)
-                continue;
-            for (p = indptr[j]; p < indptr[j + 1]; p++) {
-                if ((uint64_t)indices[p] >= (uint64_t)vocab)
-                    return -1;
-                acc[indices[p]] += data[p] * x[j];
-            }
-        }
-    }
     return 0;
 }

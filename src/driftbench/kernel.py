@@ -3,19 +3,19 @@
 One small C file holds the loops that numpy cannot batch: the SGD epoch of
 the trainer, the writer and reader of the embedding text format, the
 reader of the integer columns of the COOC and edge-list formats, and the
-two loops of neighbour ranking, the cosine division with top-k selection
-and the sparse dot products. The embedding writer formats components with
-Ryu and the reader parses them with Eisel-Lemire, each from a table of
-powers of five that this module computes with exact integers; the reader
-leaves to the C library's strtod only the fields Eisel-Lemire does not
-decide. `get()` compiles it on first use with the system C compiler and
-caches the library; where it cannot be built or loaded, `get()` returns
-None and each caller runs its fallback: the numpy step, the repr() writer,
-for each text loader its per-line reader, and numpy's ranking
-(`vector_space._select` of `_block_scores`). The fallbacks, with float()
-and int() for the parsers, are the references the kernel is tested
-against. The name the provenance gives the kernel hashes this source, so
-it changes with any change here, the ranking loops included.
+loop of neighbour ranking, the cosine division with top-k selection. The
+embedding writer formats components with Ryu and the reader parses them
+with Eisel-Lemire, each from a table of powers of five that this module
+computes with exact integers; the reader leaves to the C library's strtod
+only the fields Eisel-Lemire does not decide. `get()` compiles it on first
+use with the system C compiler and caches the library; where it cannot be
+built or loaded, `get()` returns None and each caller runs its fallback:
+the numpy step, the repr() writer, for each text loader its per-line
+reader, and numpy's ranking (`vector_space._select` of `_block_scores`).
+The fallbacks, with float() and int() for the parsers, are the references
+the kernel is tested against. The name the provenance gives the kernel
+hashes this source, so it changes with any change here, the ranking loop
+included.
 """
 
 from __future__ import annotations
@@ -92,8 +92,6 @@ class Kernel:
                                  ctypes.c_char_p, _I, _I, _I, _I, _P)
         self._select = _bind(library, "driftbench_select", ctypes.c_int,
                              _P, _I, _I, _P, _P, _P, _I, _P, _I, _P, _P)
-        self._sparse_dots = _bind(library, "driftbench_sparse_dots", ctypes.c_int,
-                                  _P, _P, _P, _I, _P, _I, _I, _P)
         self._table = _ryu_table()
         self._powers = _eisel_lemire_table()
         self._library = library  # keeps the library loaded while its functions are used
@@ -201,25 +199,6 @@ class Kernel:
         if status != 0:
             raise MemoryError("selection kernel could not allocate its scratch memory")
         return ids, top
-
-    def sparse_dots(self, columns: tuple[np.ndarray, np.ndarray, np.ndarray], vocab: int,
-                    queries: np.ndarray) -> np.ndarray:
-        """`(rows @ queries.T).T` for the (vocab, dim) CSR `rows` with
-        sorted indices, bit for bit, from their columns: the indptr, indices
-        and data of the CSR form of `rows.T`."""
-        indptr, indices = (np.ascontiguousarray(a, dtype=np.int64) for a in columns[:2])
-        data = np.ascontiguousarray(columns[2], dtype=np.float64)
-        queries = np.ascontiguousarray(queries, dtype=np.float64)
-        n, dim = queries.shape
-        if (indptr.shape != (dim + 1,) or indptr[0] != 0 or indptr[-1] != len(indices)
-                or data.shape != indices.shape or (np.diff(indptr) < 0).any()):
-            raise ValueError("columns must be the CSR arrays of a (dim, vocabulary) matrix")
-        dots = np.empty((n, vocab))
-        # the kernel checks each row id as it reads it
-        if self._sparse_dots(indptr.ctypes.data, indices.ctypes.data, data.ctypes.data, vocab,
-                             queries.ctypes.data, n, dim, dots.ctypes.data) != 0:
-            raise ValueError("columns must be the CSR arrays of a (dim, vocabulary) matrix")
-        return dots
 
 
 def compiler() -> str | None:

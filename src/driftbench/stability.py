@@ -25,14 +25,8 @@ from .errors import (
     ZeroVectorError,
 )
 from .trainer import EmbeddingSpace, TrainingConfig, train_cbow, train_skipgram
-from .vector_space import (
-    _BLOCK_ENTRIES,
-    NeighborList,
-    VectorSpace,
-    _neighbor_lists,
-    _top_k,
-    cosine_similarity,
-)
+from . import vector_space
+from .vector_space import NeighborList, VectorSpace, _neighbor_lists, _top_k, cosine_similarity
 
 
 # ---------------------------------------------------------------------------
@@ -337,15 +331,16 @@ def displacement(
         cos = cosine_similarity(va, vb)
     except ZeroVectorError:
         cos = None
-    return Displacement(word, float(np.linalg.norm(va - vb)), cos, aligned)
+    return Displacement(word, _euclidean_displacements(space_a, space_b, [word])[0], cos, aligned)
 
 
 def _euclidean_displacements(a: VectorSpace, b: VectorSpace, words: list[str]) -> list[float]:
-    """Each word's `displacement(a, b, word).euclidean`, bit for bit, from
-    one subtraction of the words' rows per block: the 1-d np.linalg.norm of
-    a difference d is sqrt(d @ d)."""
+    """Each word's Euclidean distance between its rows in a and b, from one
+    subtraction of the words' rows per block and sqrt(d @ d) per difference
+    d, so a word's value does not depend on the words around it."""
     ia, ib = (np.array([s.vocab.index_of(w) for w in words], dtype=np.intp) for s in (a, b))
-    step = max(1, _BLOCK_ENTRIES // max(a.dim, 1))  # sparse rows densify a block at a time
+    # sparse rows densify a block at a time
+    step = max(1, vector_space._BLOCK_ENTRIES // max(a.dim, 1))
     values: list[float] = []
     for lo in range(0, len(words), step):
         diff = a.dense_rows(ia[lo : lo + step]) - b.dense_rows(ib[lo : lo + step])

@@ -60,7 +60,6 @@ class VectorSpace:
         self.vocab = vocab
         self.vectors = vectors
         self._unit: tuple | None = None
-        self._columns: tuple | None = None
         self._lex_rank: np.ndarray | None = None
 
     @property
@@ -105,15 +104,6 @@ class VectorSpace:
                 norms = np.linalg.norm(self.vectors, axis=1)
             self._unit = _rescale(self.vectors, norms)
         return self._unit
-
-    def _unit_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The columns of the sparse `_unit_rows()`: the int64 indptr, the
-        int64 indices and the data of the CSR form of their transpose."""
-        if self._columns is None:
-            columns = self._unit_rows()[0].T.tocsr()
-            self._columns = (columns.indptr.astype(np.int64), columns.indices.astype(np.int64),
-                             columns.data)
-        return self._columns
 
     def lex_rank(self) -> np.ndarray:
         """Position of each index's token in lexicographic token order."""
@@ -219,11 +209,6 @@ def vector_distance(a, b, metric: str = "euclidean") -> float:
 # Queries are scored a block at a time; a block's score matrix holds at most
 # this many float64 entries (1 MiB), whatever the vocabulary size.
 _BLOCK_ENTRIES = 1 << 17
-# Building the column view that sparse dots are merged from costs as much
-# as 6 to 17 CSR products (27k to 532k non-zeros, one x86-64 core), and a
-# merge saves part of one product per query, so a call ranks by column
-# merge only from this many queries on.
-_MERGE_QUERIES = 64
 # A norm below this had squared components that lost precision to underflow.
 _MIN_NORM = np.sqrt(np.finfo(np.float64).tiny)
 
@@ -269,21 +254,18 @@ def _distance_scores(m, query: np.ndarray, metric: str) -> np.ndarray:
     return -np.abs(diff).sum(axis=1)
 
 
-def _cosine_terms(space: VectorSpace, queries: np.ndarray, merge=None):
+def _cosine_terms(space: VectorSpace, queries: np.ndarray):
     """Dot product of every unit row with each dense query, the rows' norms
-    and the queries' norms; `merge`, a compiled kernel, sums sparse dots by
-    column merge."""
+    and the queries' norms."""
     rows, norms = space._unit_rows()
     queries, qnorms = _rescale(queries, np.sqrt([q @ q for q in queries]))
-    if not space.is_sparse:
+    if space.is_sparse:
+        # csr_matvecs sums each row's entries in the order csr_matvec does
+        dots = (rows @ queries.T).T
+    else:
         # a matrix product sums in another order than a matrix-vector product,
         # and a query's scores must not depend on the block it is scored in
         dots = np.array([rows @ q for q in queries])
-    elif merge is not None:
-        dots = merge.sparse_dots(space._unit_columns(), len(space), queries)
-    else:
-        # csr_matvecs sums each row's entries in the order csr_matvec does
-        dots = (rows @ queries.T).T
     return dots, norms, qnorms
 
 
@@ -315,17 +297,14 @@ def _select(scores: np.ndarray, candidate: np.ndarray, k: int, lex_rank: np.ndar
     return cols.reshape(-1, k), scores[rows, cols].reshape(-1, k)
 
 
-def _kernel_select(built, space: VectorSpace, queries: np.ndarray, metric: str, exclude,
-                   k: int, merge: bool):
+def _kernel_select(built, space: VectorSpace, queries: np.ndarray, metric: str, exclude, k: int):
     """`_select(_block_scores(...))` of one block in the compiled kernel
     `built`, bit for bit: one pass per query divides the cosine dots,
-    leaves out the excluded ids and keeps the k best. With `merge`, sparse
-    rows with sorted indices are scored by column merge.
+    leaves out the excluded ids and keeps the k best.
     """
     if metric != "cosine":
         return built.select(_block_scores(space, queries, metric), exclude, k, space.lex_rank())
-    merge = merge and space.is_sparse and space._unit_rows()[0].has_sorted_indices
-    dots, norms, qnorms = _cosine_terms(space, queries, built if merge else None)
+    dots, norms, qnorms = _cosine_terms(space, queries)
     return built.select(dots, exclude, k, space.lex_rank(), norms, qnorms)
 
 
@@ -364,7 +343,6 @@ def _top_k(space: VectorSpace, queries, k: int, metric: str, exclude):
     step = max(1, _BLOCK_ENTRIES // v)
     source = space._unit_rows()[0] if metric == "cosine" else space.vectors
     built = kernel.get()
-    merge = len(queries) >= _MERGE_QUERIES
     for lo in range(0, len(queries), step):
         block, drop = queries[lo : lo + step], exclude[lo : lo + step]
         if by_row:
@@ -374,7 +352,7 @@ def _top_k(space: VectorSpace, queries, k: int, metric: str, exclude):
             candidate[np.arange(len(block))[:, None], drop] = False
             ranked = _select(_block_scores(space, block, metric), candidate, k, space.lex_rank())
         else:
-            ranked = _kernel_select(built, space, block, metric, drop, k, merge)
+            ranked = _kernel_select(built, space, block, metric, drop, k)
         ids[lo : lo + step], scores[lo : lo + step] = ranked
     return ids, scores
 

@@ -333,8 +333,8 @@ class TestIntReader:
 
 
 # ---------------------------------------------------------------------------
-# ranking: the kernel's selection and sparse dots against _select and
-# _block_scores, which run where the kernel is not built
+# ranking: the kernel's selection against _select of _block_scores, which
+# run where the kernel is not built
 
 # per-row scales: subnormal rows, rows whose cosine dots or distances overflow
 ROW_SCALES = [1.0, 1.0, 1.0, 5e-324, 1e-310, 1e-170, 1e160, 1e307]
@@ -392,7 +392,7 @@ def ranking_case(draw):
     exclude = np.array([rng.permutation(v)[:width] for _ in range(len(queries))])
     return (space, queries, draw(st.sampled_from(db.vector_space.METRICS)),
             draw(st.integers(1, v + 2)), exclude.reshape(len(queries), width),
-            draw(st.integers(1, 3 * v)), draw(st.sampled_from([1, 2 * v + 1])))
+            draw(st.integers(1, 3 * v)))
 
 
 def ranked(space, queries, k, metric, exclude):
@@ -409,9 +409,8 @@ class TestRanking:
     @ORACLE
     @given(case=ranking_case())
     def test_top_k_gives_the_fallbacks_bits(self, kernel, case):
-        space, queries, metric, k, exclude, block, merge = case
-        with (mock.patch.object(db.vector_space, "_BLOCK_ENTRIES", block),
-              mock.patch.object(db.vector_space, "_MERGE_QUERIES", merge)):
+        space, queries, metric, k, exclude, block = case
+        with mock.patch.object(db.vector_space, "_BLOCK_ENTRIES", block):
             compiled = ranked(space, queries, k, metric, exclude)
             with mock.patch.object(kernel_module, "get", lambda: None):
                 fallback = ranked(space, queries, k, metric, exclude)
@@ -436,13 +435,9 @@ class TestRanking:
 
         with mock.patch.object(kernel_module, "get", lambda: None):
             expected = {k: table_bits(k) for k in (1, 10, 300)}
-        with (mock.patch.object(db.vector_space, "_select", side_effect=AssertionError),
-              mock.patch.object(kernel_module.Kernel, "sparse_dots", autospec=True,
-                                side_effect=kernel_module.Kernel.sparse_dots) as merge):
+        with mock.patch.object(db.vector_space, "_select", side_effect=AssertionError):
             for k, bits in expected.items():
                 assert table_bits(k) == bits
-        # sparse cosine rankings of many queries merge columns
-        assert merge.called == (layout == "sorted" and metric == "cosine")
 
     @pytest.mark.parametrize("layout", ["dense", "sorted"])
     def test_negative_zero_ties_zero(self, kernel, layout):
@@ -464,9 +459,3 @@ class TestRanking:
             kernel.select(scores, np.array([[0], [4]]), 1, rank)
         with pytest.raises(ValueError, match="norm per id"):
             kernel.select(scores, np.zeros((2, 0), dtype=int), 1, rank, np.ones(3), np.ones(2))
-        columns = (np.array([0, 1]), np.array([4]), np.array([1.0]))
-        with pytest.raises(ValueError, match="CSR arrays"):
-            kernel.sparse_dots(columns, 4, np.ones((1, 1)))
-        with pytest.raises(ValueError, match="CSR arrays"):
-            kernel.sparse_dots(columns, 5, np.ones((1, 2)))
-        assert kernel.sparse_dots(columns, 5, np.ones((1, 1))).tolist() == [[0, 0, 0, 0, 1]]
