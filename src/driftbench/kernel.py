@@ -11,7 +11,7 @@ only the fields Eisel-Lemire does not decide. `get()` compiles it on first
 use with the system C compiler and caches the library; where it cannot be
 built or loaded, `get()` returns None and each caller runs its fallback:
 the numpy step, the repr() writer, for each text loader its per-line
-reader, and numpy's ranking (`vector_space._select` of `_block_scores`).
+reader, and numpy's ranking (`vector_space._select`).
 The fallbacks, with float() and int() for the parsers, are the references
 the kernel is tested against. The name the provenance gives the kernel
 hashes this source, so it changes with any change here, the ranking loop

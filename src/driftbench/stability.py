@@ -8,6 +8,7 @@ they are aligned first, is basis-dependent.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -261,23 +262,22 @@ def diff_neighbor_lists(a: NeighborList, b: NeighborList, k: int) -> NeighborDif
     return _compare([a.query], *rows, k)[0]
 
 
-def _ranked_diffs(model_a: VectorSpace, model_b: VectorSpace, words: list[str], k: int, metric: str):
-    """Compare the words' top-k lists in the two models.
+def _rankings(models: Sequence[VectorSpace], words: Sequence[str], k: int, metric: str):
+    """Rank `words` once in each model, each word's own row left out.
 
-    Returns the diffs and, for each model, (model, ids, scores) with a row
-    per word.
+    Returns each model's ids in one token numbering, the first model's with
+    the tokens only later models know numbered past it, and the (model, ids,
+    scores) of each model with a row per word.
     """
-    ranked = []
-    for model in (model_a, model_b):
+    numbering: dict[str, int] = {}
+    renumbered, ranked = [], []
+    for model in models:
         rows = np.array([model.vocab.index_of(w) for w in words], dtype=np.intp)
-        ranked.append((model, *_top_k(model, rows, k, metric, rows[:, None])))
-    # words only the second model knows get ids past the first's vocabulary
-    to_a = np.array(
-        [len(model_a) + i if (j := model_a.vocab.get(t)) is None else j
-         for i, t in enumerate(model_b.vocab.tokens)],
-        dtype=np.intp,
-    )
-    return _compare(words, ranked[0][1], to_a[ranked[1][1]], k), tuple(ranked)
+        ids, scores = _top_k(model, rows, k, metric, rows[:, None])
+        shared = [numbering.setdefault(t, len(numbering)) for t in model.vocab.tokens]
+        renumbered.append(np.array(shared, dtype=np.intp)[ids])
+        ranked.append((model, ids, scores))
+    return renumbered, tuple(ranked)
 
 
 def neighbor_diff(
@@ -296,7 +296,7 @@ def neighbor_diff(
         raise UnknownWordError(word, "the first model")
     if word not in space_b.vocab:
         raise UnknownWordError(word, "the second model")
-    return _ranked_diffs(space_a, space_b, [word], k, metric)[0][0]
+    return _compare([word], *_rankings([space_a, space_b], [word], k, metric)[0], k)[0]
 
 
 @dataclass(frozen=True)
@@ -440,8 +440,8 @@ def stability_report(
     if not shared:
         raise DataError("models share no vocabulary")
     comparable = model_a.dim == model_b.dim
-    compared, rankings = _ranked_diffs(model_a, model_b, shared, k, metric)
-    diffs = dict(zip(shared, compared))
+    (ids_a, ids_b), rankings = _rankings([model_a, model_b], shared, k, metric)
+    diffs = dict(zip(shared, _compare(shared, ids_a, ids_b, k)))
     disps: dict[str, float] | None = None
     if comparable:
         disps = dict(zip(shared, _euclidean_displacements(model_a, model_b, shared)))
@@ -530,32 +530,33 @@ def cross_seed_stability(
         raise ValueError("cross-seed stability needs at least 2 seeds")
     streams = list(streams)
     train = train_cbow if architecture == "cbow" else train_skipgram
-    unique = sorted(set(seeds))
-
     spaces: dict[int, EmbeddingSpace] = {}
-    for seed in unique:
+    for seed in sorted(set(seeds)):
         try:
             spaces[seed] = train(streams, replace(config, seed=seed))
         except Exception as exc:
             exc.args = (f"[seed {seed}] {exc}",)
             raise
+    return _cross_seed_report(spaces, seeds, k, metric)
 
-    vocab_tokens = spaces[unique[0]].vocab.tokens
-    rows = np.arange(len(vocab_tokens))
-    ids = {s: _top_k(spaces[s], rows, k, metric, rows[:, None])[0] for s in unique}
-    per_word_sums = np.zeros(len(vocab_tokens))
+
+def _cross_seed_report(
+    spaces: dict[int, VectorSpace], seeds: Sequence[int], k: int, metric: str
+) -> CrossSeedReport:
+    """Neighbour overlap of the given spaces, one per seed, for every pair of
+    positions in `seeds` (a seed listed twice meets itself), over the first
+    space's vocabulary."""
+    words = next(iter(spaces.values())).vocab.tokens
+    ids = dict(zip(spaces, _rankings(list(spaces.values()), words, k, metric)[0]))
+    per_word_sums = np.zeros(len(words))
     per_pair: dict[str, float] = {}
-    pairs = [
-        (seeds[i], seeds[j])
-        for i in range(len(seeds))
-        for j in range(i + 1, len(seeds))
-    ]
+    pairs = list(itertools.combinations(seeds, 2))
     for sa, sb in pairs:
-        values = np.array([d.overlap_at_k for d in _compare(vocab_tokens, ids[sa], ids[sb], k)])
+        values = np.array([d.overlap_at_k for d in _compare(words, ids[sa], ids[sb], k)])
         per_word_sums += values
         # a running total in word order: the bits of a float sum depend on its order
-        per_pair[f"{sa}-{sb}"] = float(np.cumsum(values)[-1]) / len(vocab_tokens)
-    per_word = dict(zip(vocab_tokens, (per_word_sums / len(pairs)).tolist()))
+        per_pair[f"{sa}-{sb}"] = float(np.cumsum(values)[-1]) / len(words)
+    per_word = dict(zip(words, (per_word_sums / len(pairs)).tolist()))
     return CrossSeedReport(
         seeds=tuple(seeds),
         k=k,

@@ -232,22 +232,18 @@ def _rescale(rows, norms: np.ndarray):
     return rows, norms
 
 
-def _segment_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    csum = np.concatenate(([0.0], np.cumsum(values)))
-    return csum[indptr[1:]] - csum[indptr[:-1]]
-
-
 def _distance_scores(m, query: np.ndarray, metric: str) -> np.ndarray:
     """Negated distance from the query to every row of m."""
     if sparse.issparse(m):
         qs = query[m.indices]
         if metric == "euclidean":
-            per_nz = (m.data - qs) ** 2 - qs**2
-            d2 = _segment_sums(per_nz, m.indptr) + float(query @ query)
-            return -np.sqrt(np.maximum(d2, 0.0))
-        per_nz = np.abs(m.data - qs) - np.abs(qs)
-        d1 = _segment_sums(per_nz, m.indptr) + float(np.abs(query).sum())
-        return -np.maximum(d1, 0.0)
+            per_nz, base = (m.data - qs) ** 2 - qs**2, float(query @ query)
+        else:
+            per_nz, base = np.abs(m.data - qs) - np.abs(qs), float(np.abs(query).sum())
+        # csr_matvec sums each row's terms on their own, in index order
+        rows = sparse.csr_matrix((per_nz, m.indices, m.indptr), shape=m.shape)
+        d = np.maximum(rows @ np.ones(m.shape[1]) + base, 0.0)
+        return -np.sqrt(d) if metric == "euclidean" else -d
     diff = m - query
     if metric == "euclidean":
         return -np.sqrt((diff**2).sum(axis=1))
@@ -269,23 +265,22 @@ def _cosine_terms(space: VectorSpace, queries: np.ndarray):
     return dots, norms, qnorms
 
 
-def _block_scores(space: VectorSpace, queries: np.ndarray, metric: str) -> np.ndarray:
-    """Score of every row against each dense query: similarity, or negated distance."""
-    if metric != "cosine":
-        return np.array([_distance_scores(space.vectors, q, metric) for q in queries])
-    dots, norms, qnorms = _cosine_terms(space, queries)
-    return dots / (norms * qnorms[:, None])
-
-
-def _select(scores: np.ndarray, candidate: np.ndarray, k: int, lex_rank: np.ndarray):
+def _select(scores: np.ndarray, exclude: np.ndarray, k: int, lex_rank: np.ndarray,
+            norms: np.ndarray | None = None, qnorms: np.ndarray | None = None):
     """Ids and scores of the k best candidates of each row: score
-    descending, then token ascending.
+    descending, then token ascending. Row i of the 2-d `exclude` lists
+    distinct ids left out of row i. With `norms` and `qnorms`, the scores
+    are first divided by `norms * qnorms[:, None]`.
 
     Partitioning finds each row's k-th best score; only the candidates
     that reach it, ties included, are sorted. This is the selection where
-    the compiled kernel is not built, and the reference the kernel is
-    tested against.
+    the compiled kernel is not built, and the reference its `select`, which
+    takes the same arguments, is tested against.
     """
+    if norms is not None:
+        scores = scores / (norms * qnorms[:, None])
+    candidate = np.ones(scores.shape, dtype=bool)
+    candidate[np.arange(len(scores))[:, None], exclude] = False
     key = -scores
     bounded = np.where(candidate & ~np.isnan(key), key, np.inf)
     kth = np.partition(bounded, k - 1, axis=1)[:, k - 1 : k]
@@ -297,17 +292,6 @@ def _select(scores: np.ndarray, candidate: np.ndarray, k: int, lex_rank: np.ndar
     return cols.reshape(-1, k), scores[rows, cols].reshape(-1, k)
 
 
-def _kernel_select(built, space: VectorSpace, queries: np.ndarray, metric: str, exclude, k: int):
-    """`_select(_block_scores(...))` of one block in the compiled kernel
-    `built`, bit for bit: one pass per query divides the cosine dots,
-    leaves out the excluded ids and keeps the k best.
-    """
-    if metric != "cosine":
-        return built.select(_block_scores(space, queries, metric), exclude, k, space.lex_rank())
-    dots, norms, qnorms = _cosine_terms(space, queries)
-    return built.select(dots, exclude, k, space.lex_rank(), norms, qnorms)
-
-
 def _top_k(space: VectorSpace, queries, k: int, metric: str, exclude):
     """Top-k ids and scores of every query, best first; the one ranking function.
 
@@ -316,8 +300,9 @@ def _top_k(space: VectorSpace, queries, k: int, metric: str, exclude):
     left out of query i's ranking (it may have no columns). Scores are
     similarities, or negated distances; ties are broken by token. k is
     clamped to the candidates left after exclusion. Returns two
-    (queries, k) arrays. The compiled kernel ranks where it is built,
-    else `_select` of `_block_scores`; both give the same bits.
+    (queries, k) arrays. The compiled kernel's `select` ranks where it is
+    built, else `_select`; both give the same bits. Rows that overflow
+    score inf or NaN and rank last, without a warning.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -327,33 +312,37 @@ def _top_k(space: VectorSpace, queries, k: int, metric: str, exclude):
     by_row = queries.ndim == 1
     exclude = np.asarray(exclude, dtype=np.intp)
     v = len(space)
-    if metric == "cosine":
-        norms = space._unit_rows()[1]
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            # a zero query is named before any other zero row
+    with np.errstate(over="ignore", invalid="ignore"):
+        if metric == "cosine":
+            norms = space._unit_rows()[1]
+            zero = np.flatnonzero(norms == 0.0)
+            if zero.size:
+                # a zero query is named before any other zero row
+                if by_row:
+                    zero = np.concatenate([queries[norms[queries] == 0.0], zero])
+                raise ZeroVectorError(space.vocab.token_at(int(zero[0])))
+        k = min(k, v - exclude.shape[1])
+        ids = np.empty((len(queries), k), dtype=np.intp)
+        scores = np.empty(ids.shape)
+        if k == 0:
+            return ids, scores
+        step = max(1, _BLOCK_ENTRIES // v)
+        source = space._unit_rows()[0] if metric == "cosine" else space.vectors
+        built = kernel.get()
+        select = _select if built is None else built.select
+        for lo in range(0, len(queries), step):
+            block, drop = queries[lo : lo + step], exclude[lo : lo + step]
             if by_row:
-                zero = np.concatenate([queries[norms[queries] == 0.0], zero])
-            raise ZeroVectorError(space.vocab.token_at(int(zero[0])))
-    k = min(k, v - exclude.shape[1])
-    ids = np.empty((len(queries), k), dtype=np.intp)
-    scores = np.empty(ids.shape)
-    if k == 0:
-        return ids, scores
-    step = max(1, _BLOCK_ENTRIES // v)
-    source = space._unit_rows()[0] if metric == "cosine" else space.vectors
-    built = kernel.get()
-    for lo in range(0, len(queries), step):
-        block, drop = queries[lo : lo + step], exclude[lo : lo + step]
-        if by_row:
-            block = source[block].toarray() if space.is_sparse else source[block]
-        if built is None:
-            candidate = np.ones((len(block), v), dtype=bool)
-            candidate[np.arange(len(block))[:, None], drop] = False
-            ranked = _select(_block_scores(space, block, metric), candidate, k, space.lex_rank())
-        else:
-            ranked = _kernel_select(built, space, block, metric, drop, k)
-        ids[lo : lo + step], scores[lo : lo + step] = ranked
+                block = source[block].toarray() if space.is_sparse else source[block]
+            if metric == "cosine":
+                values, norms, qnorms = _cosine_terms(space, block)
+            else:
+                values = np.array([_distance_scores(space.vectors, q, metric) for q in block])
+                norms = qnorms = None
+            ids[lo : lo + step], scores[lo : lo + step] = select(
+                values, drop, k, space.lex_rank(), norms, qnorms
+            )
+            del values  # one block's scores in memory at a time, not two
     return ids, scores
 
 

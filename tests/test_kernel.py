@@ -12,6 +12,7 @@ numpy selection and scoring that run without it.
 import math
 import struct
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -333,8 +334,8 @@ class TestIntReader:
 
 
 # ---------------------------------------------------------------------------
-# ranking: the kernel's selection against _select of _block_scores, which
-# run where the kernel is not built
+# ranking: the kernel's selection against _select, which runs where the
+# kernel is not built
 
 # per-row scales: subnormal rows, rows whose cosine dots or distances overflow
 ROW_SCALES = [1.0, 1.0, 1.0, 5e-324, 1e-310, 1e-170, 1e160, 1e307]
@@ -396,9 +397,11 @@ def ranking_case(draw):
 
 
 def ranked(space, queries, k, metric, exclude):
-    """_top_k's ids and score bits, or the error it raises."""
+    """_top_k's ids and score bits, or the error it raises; overflowing rows
+    score inf or NaN without a warning."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows score inf or NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             ids, scores = db.vector_space._top_k(space, queries, k, metric, exclude)
     except db.ZeroVectorError as exc:
         return repr(exc)

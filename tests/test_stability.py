@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -491,6 +492,41 @@ class TestCrossSeed:
         stream = self.make_stream()
         report = db.cross_seed_stability([stream], self.config(), [3, 3], k=5)
         assert report.mean_overlap == 1.0
+
+    def test_repeated_seed_gives_the_recorded_bits(self):
+        # recorded before the study ranked through the comparison of given
+        # spaces; seed 2 is listed twice, so "2-2" compares a space with itself
+        report = db.cross_seed_stability([self.make_stream()], self.config(), [1, 2, 3, 2], k=5)
+        assert {w: v.hex() for w, v in report.per_word_mean_overlap.items()} == {
+            "w000": "0x1.8888888888888p-1", "w001": "0x1.aaaaaaaaaaaabp-1",
+            "w002": "0x1.cccccccccccccp-1", "w007": "0x1.aaaaaaaaaaaabp-1",
+            "w024": "0x1.aaaaaaaaaaaabp-1", "w004": "0x1.cccccccccccccp-1",
+            "w053": "0x1.8888888888888p-1", "w003": "0x1.7777777777778p-1",
+            "w005": "0x1.0000000000000p+0", "w010": "0x1.1111111111111p-1",
+            "w012": "0x1.0000000000000p-1", "w015": "0x1.bbbbbbbbbbbbcp-2",
+            "w017": "0x1.2222222222222p-1",
+        }
+        assert {p: v.hex() for p, v in report.per_pair_mean_overlap.items()} == {
+            "1-2": "0x1.7237237237236p-1", "1-3": "0x1.6276276276276p-1",
+            "2-3": "0x1.4ad4ad4ad4ad5p-1", "2-2": "0x1.0000000000000p+0",
+            "3-2": "0x1.4ad4ad4ad4ad5p-1",
+        }
+        assert report.mean_overlap.hex() == "0x1.7a17a17a17a17p-1"
+
+    def test_pair_overlaps_are_the_reports_of_the_same_spaces(self):
+        stream, seeds = self.make_stream(), [1, 2, 3, 2]
+        spaces = {s: db.train_cbow([stream], replace(self.config(), seed=s)) for s in set(seeds)}
+        report = db.cross_seed_stability([stream], self.config(), seeds, k=5)
+        per_word = {w: 0.0 for w in report.per_word_mean_overlap}
+        for sa, sb in itertools.combinations(seeds, 2):
+            diffs = db.stability_report(spaces[sa], spaces[sb], k=5).diffs
+            assert list(diffs) == list(per_word)
+            total = 0.0
+            for w in per_word:
+                per_word[w] += diffs[w].overlap_at_k
+                total += diffs[w].overlap_at_k
+            assert report.per_pair_mean_overlap[f"{sa}-{sb}"] == total / len(per_word)
+        assert report.per_word_mean_overlap == {w: v / 6 for w, v in per_word.items()}
 
     def test_needs_two_seeds(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Similarity metrics, neighbor rankings, and analogy arithmetic."""
 
+import inspect
 import json
 import math
 from unittest import mock
@@ -284,14 +285,19 @@ def old_rank_scores(space, query, metric):
     if space.is_sparse:
         m = space.vectors
         qs = query[m.indices]
-        csum = lambda v: np.concatenate(([0.0], np.cumsum(v)))  # noqa: E731
         if metric == "euclidean":
-            c = csum((m.data - qs) ** 2 - qs**2)
-            d2 = c[m.indptr[1:]] - c[m.indptr[:-1]] + float(query @ query)
-            return -np.sqrt(np.maximum(d2, 0.0))
-        c = csum(np.abs(m.data - qs) - np.abs(qs))
-        d1 = c[m.indptr[1:]] - c[m.indptr[:-1]] + float(np.abs(query).sum())
-        return -np.maximum(d1, 0.0)
+            per_nz, base = (m.data - qs) ** 2 - qs**2, float(query @ query)
+        else:
+            per_nz, base = np.abs(m.data - qs) - np.abs(qs), float(np.abs(query).sum())
+        sums = []
+        for lo, hi in zip(m.indptr[:-1], m.indptr[1:]):
+            # one term at a time in index order; sum() compensates since Python 3.12
+            total = 0.0
+            for term in per_nz[lo:hi].tolist():
+                total += term
+            sums.append(total)
+        d = np.maximum(np.array(sums) + base, 0.0)
+        return -np.sqrt(d) if metric == "euclidean" else -d
     diff = space.vectors - query
     if metric == "euclidean":
         return -np.sqrt((diff**2).sum(axis=1))
@@ -376,3 +382,24 @@ class TestRankingKernel:
         )
         back = dict(db.nearest_neighbors(space, "diag", 2).entries)
         assert back["tiny"] == pytest.approx(db.cosine_similarity(rows[1], rows[0]), rel=1e-15)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cityblock"])
+    @pytest.mark.parametrize("big", [[1e9, 1e9], [1e307, -1e307]])
+    def test_sparse_distances_sum_each_row_on_its_own(self, metric, big):
+        # a row's sparse distance must not absorb the rounding, or the
+        # overflow, of the rows before it
+        rows = np.array([big, [1.0, 2.0], [3.0, 1.0], [2.0, 2.0]])
+        vocab = db.Vocabulary(["a", "c", "d", "e"], [1] * 4)
+        dense, csr = (
+            db.nearest_neighbors(db.VectorSpace(vocab, m), "c", 3, metric)
+            for m in (rows, sparse.csr_matrix(rows))
+        )
+        assert dense.tokens() == ("e", "d", "a")
+        assert bits(csr.entries) == bits(dense.entries)
+
+    def test_numpy_selection_takes_the_kernels_arguments(self):
+        kernel_params = list(inspect.signature(db.kernel.Kernel.select).parameters.values())
+        assert kernel_params[0].name == "self"
+        assert list(inspect.signature(db.vector_space._select).parameters.values()) == (
+            kernel_params[1:]
+        )
