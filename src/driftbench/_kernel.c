@@ -1,18 +1,20 @@
 /* The loops of driftbench that numpy cannot batch: an SGD epoch of the
- * trainer (driftbench_sgd), the writer and reader of the embedding text
- * format (driftbench_format, driftbench_parse), the reader of the
- * integer columns of the COOC and edge-list formats
- * (driftbench_parse_ints), and the loop of neighbour ranking: the
- * cosine division with top-k selection (driftbench_select). The SGD
- * epoch does its arithmetic in the same order as the numpy step it
- * replaces, except that dot products and sums run sequentially where
- * numpy calls BLAS or sums pairwise, so results agree with it to the last
- * few bits. The text
- * functions give the same bytes and values as repr(), float() and int(),
- * and the ranking loop the same ids and score bits as numpy's ranking.
- * Build it with -ffp-contract=off and without fast-math so that every
- * run of the same build gives the same bits. The kernel name in training
- * manifests hashes this source, so any change here changes it.
+ * trainer (driftbench_sgd), the chain sampler of the synthetic language
+ * (driftbench_chain), the writer and reader of the embedding text format
+ * (driftbench_format, driftbench_parse), the reader of the integer
+ * columns of the COOC and edge-list formats (driftbench_parse_ints), and
+ * the loop of neighbour ranking: the cosine division with top-k selection
+ * (driftbench_select). The SGD epoch does its arithmetic in the same
+ * order as the numpy step it replaces, except that dot products and sums
+ * run sequentially where numpy calls BLAS or sums pairwise, so results
+ * agree with it to the last few bits. The chain sampler gives the ids of
+ * numpy's searchsorted, the text functions the same bytes and values as
+ * repr(), float() and int(), and the ranking loop the same ids and score
+ * bits as numpy's ranking. Build it with -ffp-contract=off and without
+ * fast-math so that every run of the same build gives the same bits: the
+ * SGD step's element-wise updates run in vector lanes, each lane doing the
+ * scalar operations, and no sum is ever reordered. The kernel name in
+ * training manifests hashes this source, so any change here changes it.
  */
 
 #include <math.h>
@@ -63,6 +65,77 @@ static void dots(const double *w, const int64_t *rows, int64_t nrows,
     }
 }
 
+/* The element-wise updates of a step, two elements at a time in the
+ * vector lanes of GCC and Clang (SSE2 on x86-64, NEON on AArch64). Each
+ * lane does the scalar operations of its element, so the bits are the
+ * scalar loop's; restrict: y and x never overlap, so neither do the lanes'
+ * loads and stores. */
+typedef double lanes __attribute__((vector_size(16)));
+
+/* memcpy: a row of doubles need not be 16-byte aligned */
+static lanes load(const double *p)
+{
+    lanes v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static void store(double *p, lanes v) { memcpy(p, &v, sizeof v); }
+
+static void add(double *restrict y, const double *restrict x, int64_t d)
+{
+    int64_t j = 0;
+    for (; j + 2 <= d; j += 2)
+        store(y + j, load(y + j) + load(x + j));
+    for (; j < d; j++)
+        y[j] += x[j];
+}
+
+static void sub(double *restrict y, const double *restrict x, int64_t d)
+{
+    int64_t j = 0;
+    for (; j + 2 <= d; j += 2)
+        store(y + j, load(y + j) - load(x + j));
+    for (; j < d; j++)
+        y[j] -= x[j];
+}
+
+static void add_scaled(double *restrict y, double a, const double *restrict x, int64_t d)
+{
+    int64_t j = 0;
+    for (; j + 2 <= d; j += 2)
+        store(y + j, load(y + j) + a * load(x + j));
+    for (; j < d; j++)
+        y[j] += a * x[j];
+}
+
+static void sub_scaled(double *restrict y, double a, const double *restrict x, int64_t d)
+{
+    int64_t j = 0;
+    for (; j + 2 <= d; j += 2)
+        store(y + j, load(y + j) - a * load(x + j));
+    for (; j < d; j++)
+        y[j] -= a * x[j];
+}
+
+static void scale(double *y, double a, int64_t d)
+{
+    int64_t j = 0;
+    for (; j + 2 <= d; j += 2)
+        store(y + j, load(y + j) * a);
+    for (; j < d; j++)
+        y[j] *= a;
+}
+
+static void divide(double *y, double a, int64_t d)
+{
+    int64_t j = 0;
+    for (; j + 2 <= d; j += 2)
+        store(y + j, load(y + j) / a);
+    for (; j < d; j++)
+        y[j] /= a;
+}
+
 typedef struct {
     double *w_in, *w_out;
     int64_t vocab, dim, k;
@@ -79,13 +152,10 @@ static double step(model *m, const int64_t *ctx, int64_t n, int64_t target,
     double loss;
     int64_t i, j, nrows;
 
-    for (j = 0; j < d; j++)
-        h[j] = m->w_in[ctx[0] * d + j];
+    memcpy(h, m->w_in + ctx[0] * d, sizeof(double) * (size_t)d);
     for (i = 1; i < n; i++)
-        for (j = 0; j < d; j++)
-            h[j] += m->w_in[ctx[i] * d + j];
-    for (j = 0; j < d; j++)
-        h[j] /= (double)n;
+        add(h, m->w_in + ctx[i] * d, d);
+    divide(h, (double)n, d);
 
     if (m->k == 0) {
         double top = -INFINITY, z = 0.0;
@@ -122,25 +192,14 @@ static double step(model *m, const int64_t *ctx, int64_t n, int64_t target,
     /* both gradients come from the weights before this step's updates */
     for (j = 0; j < d; j++)
         grad_h[j] = 0.0;
-    for (i = 0; i < nrows; i++) {
-        const double *row = m->w_out + m->rows[i] * d;
-        for (j = 0; j < d; j++)
-            grad_h[j] += scores[i] * row[j];
-    }
+    for (i = 0; i < nrows; i++)
+        add_scaled(grad_h, scores[i], m->w_out + m->rows[i] * d, d);
     /* repeated rows are updated one after another, as np.subtract.at does */
-    for (i = 0; i < nrows; i++) {
-        double *row = m->w_out + m->rows[i] * d;
-        double a = lr * scores[i];
-        for (j = 0; j < d; j++)
-            row[j] -= a * h[j];
-    }
-    for (j = 0; j < d; j++)
-        grad_h[j] *= lr / (double)n;  /* (lr / len(ctx)) * grad_h */
-    for (i = 0; i < n; i++) {
-        double *row = m->w_in + ctx[i] * d;
-        for (j = 0; j < d; j++)
-            row[j] -= grad_h[j];
-    }
+    for (i = 0; i < nrows; i++)
+        sub_scaled(m->w_out + m->rows[i] * d, lr * scores[i], h, d);
+    scale(grad_h, lr / (double)n, d);  /* (lr / len(ctx)) * grad_h */
+    for (i = 0; i < n; i++)
+        sub(m->w_in + ctx[i] * d, grad_h, d);
     return loss;
 }
 
@@ -215,6 +274,45 @@ int driftbench_sgd(double *w_in, double *w_out, int64_t vocab, int64_t dim,
     free(buf);
     free(m.rows);
     return 0;
+}
+
+/* ---------------------------------------------------------------------
+ * the synthetic language
+ */
+
+/* The first i with cdf[i] >= x, or n: numpy's searchsorted(side="left")
+ * of one key, the same halving, for an ascending cdf and an x not NaN. */
+static int64_t search_left(const double *cdf, int64_t n, double x)
+{
+    int64_t lo = 0, hi = n;
+    while (lo < hi) {
+        int64_t mid = lo + ((hi - lo) >> 1);
+        if (cdf[mid] < x)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* The chain loop of synthetic.synthetic_corpus: out[0] is the unigram
+ * word of draws[0], and each out[i] the successor of out[i - 1] that
+ * draws[i] picks from that word's row of transition_cdf (vocab x vocab).
+ * A draw above the last entry of its CDF, which rounding leaves just
+ * below 1.0, picks the last word. */
+void driftbench_chain(const double *unigram_cdf, const double *transition_cdf, int64_t vocab,
+                      const double *draws, int64_t n, int64_t *out)
+{
+    const double *cdf = unigram_cdf;
+    int64_t i, current;
+
+    for (i = 0; i < n; i++) {
+        current = search_left(cdf, vocab, draws[i]);
+        if (current == vocab)
+            current = vocab - 1;
+        out[i] = current;
+        cdf = transition_cdf + current * vocab;
+    }
 }
 
 /* ---------------------------------------------------------------------
@@ -703,7 +801,8 @@ int driftbench_select(const double *scores, int64_t queries, int64_t vocab,
                       const int64_t *lex_rank, int64_t k, int64_t *ids, double *top)
 {
     unsigned char *left_out = calloc((size_t)vocab + 1, 1);
-    int64_t q, i, n;
+    int64_t q, i, n, worst_rank = 0;
+    double worst = 0.0;  /* the score and lex_rank of the heap's root */
 
     if (left_out == NULL)
         return -1;
@@ -727,11 +826,15 @@ int driftbench_select(const double *scores, int64_t queries, int64_t vocab,
                 if (n == k)
                     for (int64_t p = k / 2 - 1; p >= 0; p--)
                         sift_down(hs, hi, lex_rank, k, p);
-            } else if (ranks_before(s, lex_rank[i], hs[0], lex_rank[hi[0]])) {
+            } else if (!(s < worst) && ranks_before(s, lex_rank[i], worst, worst_rank)) {
                 hs[0] = s;
                 hi[0] = i;
                 sift_down(hs, hi, lex_rank, k, 0);
+            } else {
+                continue;  /* most entries: a score below the root's ranks after it */
             }
+            worst = hs[0];
+            worst_rank = lex_rank[hi[0]];
         }
         for (i = 0; i < n_exclude; i++)
             left_out[drop[i]] = 0;

@@ -1,21 +1,25 @@
 """The compiled kernel: build, load and ctypes bindings of `_kernel.c`.
 
 One small C file holds the loops that numpy cannot batch: the SGD epoch of
-the trainer, the writer and reader of the embedding text format, the
-reader of the integer columns of the COOC and edge-list formats, and the
-loop of neighbour ranking, the cosine division with top-k selection. The
+the trainer, the chain sampler of the synthetic language, the writer and
+reader of the embedding text format, the reader of the integer columns of
+the COOC and edge-list formats, and the loop of neighbour ranking, the
+cosine division with top-k selection. The
 embedding writer formats components with Ryu and the reader parses them
 with Eisel-Lemire, each from a table of powers of five that this module
 computes with exact integers; the reader leaves to the C library's strtod
 only the fields Eisel-Lemire does not decide. `get()` compiles it on first
 use with the system C compiler and caches the library; where it cannot be
 built or loaded, `get()` returns None and each caller runs its fallback:
-the numpy step, the repr() writer, for each text loader its per-line
-reader, and numpy's ranking (`vector_space._select`).
+the numpy step, the per-token chain loop (`synthetic._chain`), the repr()
+writer, for each text loader its per-line reader, and numpy's ranking
+(`vector_space._select`).
 The fallbacks, with float() and int() for the parsers, are the references
 the kernel is tested against. The name the provenance gives the kernel
 hashes this source, so it changes with any change here, the ranking loop
-included.
+and the chain sampler included. The training step's element-wise updates
+run in vector lanes that each do the scalar operations, and no sum is
+reordered, so the trained bits are those of the scalar loops.
 """
 
 from __future__ import annotations
@@ -92,6 +96,7 @@ class Kernel:
                                  ctypes.c_char_p, _I, _I, _I, _I, _P)
         self._select = _bind(library, "driftbench_select", ctypes.c_int,
                              _P, _I, _I, _P, _P, _P, _I, _P, _I, _P, _P)
+        self._chain = _bind(library, "driftbench_chain", None, _P, _P, _I, _P, _I, _P)
         self._table = _ryu_table()
         self._powers = _eisel_lemire_table()
         self._library = library  # keeps the library loaded while its functions are used
@@ -120,6 +125,24 @@ class Kernel:
             return out.value
 
         return step
+
+    def chain(self, unigram_cdf: np.ndarray, transition_cdf: np.ndarray,
+              draws: np.ndarray) -> np.ndarray:
+        """The word ids of `synthetic._chain`, as int64: the first from the
+        unigram CDF, each next from the transition CDF row of the one before,
+        each the first id whose CDF entry is not below its draw in [0, 1),
+        or the last id where none is."""
+        v = len(unigram_cdf)
+        cdfs = (unigram_cdf, transition_cdf, draws)
+        if any(a.dtype != np.float64 or not a.flags.c_contiguous for a in cdfs):
+            raise ValueError("CDFs and draws must be C-contiguous float64")
+        if v < 1 or unigram_cdf.shape != (v,) or transition_cdf.shape != (v, v) or draws.ndim != 1:
+            raise ValueError("need a unigram CDF of V >= 1 entries, a (V, V) transition CDF "
+                             "and a 1-d array of draws")
+        out = np.empty(len(draws), dtype=np.int64)
+        self._chain(unigram_cdf.ctypes.data, transition_cdf.ctypes.data, v,
+                    draws.ctypes.data, len(draws), out.ctypes.data)
+        return out
 
     def format_rows(self, tokens: bytes, rows: np.ndarray) -> memoryview:
         """The embedding text body: per row, its token, a space, the row's

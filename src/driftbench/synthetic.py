@@ -5,6 +5,11 @@ probabilities follow a Zipf curve, and each word strongly prefers a small
 fixed set of successor words. Sampling more tokens from the same language
 gives growing corpora with stable underlying co-occurrence structure, so
 scale effects can be studied without shipping any licensed text.
+
+Sampling is a chain of binary searches over cached CDFs. Where the
+compiled kernel is built, `driftbench_chain` walks it; otherwise the
+per-token numpy loop `_chain` does, which is its reference. Both read the
+same uniform draws, so both give the same tokens.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import functools
 
 import numpy as np
 
+from . import kernel
 from .corpus import TokenStream
 
 DEFAULT_VOCAB_SIZE = 500
@@ -54,16 +60,32 @@ def synthetic_corpus(
     """
     if n_tokens < 0:
         raise ValueError("n_tokens must be >= 0")
+    if vocab_size < PREFERRED_SUCCESSORS:
+        raise ValueError(f"vocab_size must be >= {PREFERRED_SUCCESSORS}")
     words, unigram_cdf, transition_cdf = _language(vocab_size)
     rng = np.random.default_rng(seed)
-    tokens: list[str] = []
+    ids: list[int] = []
     if n_tokens:
-        current = int(np.searchsorted(unigram_cdf, rng.random()))
-        tokens.append(words[current])
-        draws = rng.random(n_tokens - 1)
-        for r in draws:
-            current = int(np.searchsorted(transition_cdf[current], r))
-            tokens.append(words[current])
+        draws = np.concatenate(([rng.random()], rng.random(n_tokens - 1)))
+        built = kernel.get()
+        if built is None:
+            ids = _chain(unigram_cdf, transition_cdf, draws)
+        else:
+            ids = built.chain(unigram_cdf, transition_cdf, draws).tolist()
     return TokenStream(
-        doc_id=f"synthetic-s{seed}-n{n_tokens}", tokens=tuple(tokens)
+        doc_id=f"synthetic-s{seed}-n{n_tokens}", tokens=tuple(map(words.__getitem__, ids))
     )
+
+
+def _chain(unigram_cdf: np.ndarray, transition_cdf: np.ndarray, draws: np.ndarray) -> list[int]:
+    """The word ids the draws pick, one searchsorted per token: the first
+    from the unigram CDF, each next from the transition row of the one
+    before. A CDF row may end just below 1.0 by rounding; a draw above its
+    last entry picks the last word."""
+    last = len(unigram_cdf) - 1
+    current = min(int(np.searchsorted(unigram_cdf, draws[0])), last)
+    ids = [current]
+    for r in draws[1:]:
+        current = min(int(np.searchsorted(transition_cdf[current], r)), last)
+        ids.append(current)
+    return ids

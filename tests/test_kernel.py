@@ -462,3 +462,52 @@ class TestRanking:
             kernel.select(scores, np.array([[0], [4]]), 1, rank)
         with pytest.raises(ValueError, match="norm per id"):
             kernel.select(scores, np.zeros((2, 0), dtype=int), 1, rank, np.ones(3), np.ones(2))
+
+
+def chain_draws(cdf_rows):
+    """Draws that land on CDF entries, just beside them, at the ends of
+    [0, 1) and past the last entry of a row that ends below 1.0."""
+    entries = st.sampled_from(cdf_rows).flatmap(st.sampled_from)
+    return st.lists(
+        st.floats(0.0, 1.0, exclude_max=True)
+        | entries
+        | entries.map(lambda x: float(np.nextafter(x, 0.0)))
+        | entries.map(lambda x: min(float(np.nextafter(x, 1.0)), 1 - 2**-53))
+        | st.sampled_from([0.0, 1 - 2**-53]),
+        min_size=1, max_size=300,
+    )
+
+
+class TestChain:
+    @pytest.mark.parametrize("vocab_size", [4, 500, 3000])
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_gives_the_numpy_ids(self, kernel, vocab_size, data):
+        _, unigram_cdf, transition_cdf = db.synthetic._language(vocab_size)
+        rows = [unigram_cdf.tolist(), transition_cdf[0].tolist(), transition_cdf[-1].tolist()]
+        draws = np.array(data.draw(chain_draws(rows)), dtype=np.float64)
+        got = kernel.chain(unigram_cdf, transition_cdf, draws)
+        assert got.dtype == np.int64
+        assert got.tolist() == db.synthetic._chain(unigram_cdf, transition_cdf, draws)
+
+    def test_a_draw_past_the_last_entry_picks_the_last_word(self, kernel):
+        # both rows end below 1.0, as rounding leaves half the rows at V=500
+        unigram_cdf = np.array([0.5, 0.9])
+        transition_cdf = np.array([[0.3, 0.9], [0.6, 0.9]])
+        draws = np.array([0.95, 0.5, 0.95, 0.95])
+        assert kernel.chain(unigram_cdf, transition_cdf, draws).tolist() == [1, 0, 1, 1]
+        assert db.synthetic._chain(unigram_cdf, transition_cdf, draws) == [1, 0, 1, 1]
+
+    def test_refuses_what_it_cannot_take(self, kernel):
+        unigram_cdf, transition_cdf, draws = np.array([0.5, 1.0]), np.ones((2, 2)), np.zeros(3)
+        with pytest.raises(ValueError, match="float64"):
+            kernel.chain(unigram_cdf.astype(np.float32), transition_cdf, draws)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            kernel.chain(unigram_cdf, np.ones((2, 3))[:, :2], draws)
+        with pytest.raises(ValueError, match=r"\(V, V\)"):
+            kernel.chain(unigram_cdf, np.ones((2, 3)), draws)
+        with pytest.raises(ValueError, match=r"\(V, V\)"):
+            kernel.chain(np.zeros(0), np.ones((0, 0)), draws)
+        with pytest.raises(ValueError, match=r"\(V, V\)"):
+            kernel.chain(unigram_cdf, transition_cdf, np.zeros((3, 1)))

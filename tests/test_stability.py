@@ -1,5 +1,6 @@
 """Neighbor-list diffs, rigid rotations, Procrustes alignment, seed studies."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -9,11 +10,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import sparse, stats
 
 import driftbench as db
+from driftbench import kernel as kernel_module
 from driftbench.stability import _rank_agreement
 
 from conftest import dense_space
@@ -538,6 +540,21 @@ class TestCrossSeed:
             db.cross_seed_stability([empty], self.config(), [1, 2])
 
 
+# sha256 of the LF-joined tokens of synthetic_corpus(n_tokens, seed, vocab_size),
+# recorded with the per-token numpy loop before the kernel sampled the chain
+CORPUS_DIGESTS = {
+    (0, 1, 500): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (1, 3, 500): "3dee778006424cccc5fb63596cf0f9b20135a553c758ffe3890a44393b089f38",
+    (2, 4, 4): "a4ec89dd6ebff5f2e955eccdff2f0d6d7800cd1e29c9b211499d80b206ab3943",
+    (3000, 8, 4): "21c90db4ab03b665a4d3997d04228ae5d0bbcb8101b29ce16b27e751f5d9e564",
+    (1500, 17, 500): "a6c1d34764d04a7bee7f0b9a41446833ea014f64428f5aad8346386a6f0a1fe3",
+    (2300, 5, 500): "e0729498a82f214cf3dc30434879dbd4e24c1f30656b439fcf51c90c76bac050",
+    (5000, 11, 300): "bae9ffe9ea438c4f69839ce1b92e596421e56d6a05439e1d2bd3bf00907afd48",
+    (10000, 2, 2000): "96c6214b0a6f514baed3f4f4a11fbe187eefb7dead761da97135f73806b42aad",
+    (60000, 9, 3000): "f22c47c0401aaaa57f28ce736cfa2bf52406675885358a2ff0e0018d3a753cc1",
+}
+
+
 class TestSyntheticCorpus:
     def test_deterministic(self):
         a = db.synthetic_corpus(500, seed=1)
@@ -554,3 +571,53 @@ class TestSyntheticCorpus:
     def test_vocabulary_is_bounded(self):
         stream = db.synthetic_corpus(3000, seed=7)
         assert len(set(stream.tokens)) <= 500
+
+    def test_vocabulary_smaller_than_the_successor_set_is_refused(self):
+        with pytest.raises(ValueError, match="vocab_size must be >= 4"):
+            db.synthetic_corpus(10, seed=1, vocab_size=3)
+
+    @pytest.fixture(params=["kernel", "numpy"])
+    def sampler(self, request, monkeypatch):
+        """Each chain path: the compiled kernel's, or the numpy loop's."""
+        if request.param == "kernel":
+            request.getfixturevalue("kernel")
+        else:
+            monkeypatch.setattr(kernel_module, "get", lambda: None)
+        return request.param
+
+    @pytest.mark.parametrize("case", list(CORPUS_DIGESTS), ids=lambda c: "-".join(map(str, c)))
+    def test_corpus_bits_unchanged(self, sampler, case):
+        n_tokens, seed, vocab_size = case
+        stream = db.synthetic_corpus(n_tokens, seed=seed, vocab_size=vocab_size)
+        digest = hashlib.sha256("\n".join(stream.tokens).encode()).hexdigest()
+        assert digest == CORPUS_DIGESTS[case]
+
+    def test_a_draw_past_the_last_cdf_entry_picks_the_last_word(self, sampler, monkeypatch):
+        words, unigram_cdf, transition_cdf = db.synthetic._language(500)
+        row = int(np.argmin(transition_cdf[:, -1]))  # ends 1.8e-15 below 1.0
+        last_below_one = float(np.nextafter(1.0, 0.0))
+        assert transition_cdf[row, -1] < last_below_one
+        draws = [unigram_cdf[row], last_below_one]  # pick word `row`, then draw past its row
+
+        class Draws:
+            def random(self, size=None):
+                if size is None:
+                    return draws.pop(0)
+                return np.array([draws.pop(0) for _ in range(size)])
+
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: Draws() if seed == -1 else real(seed))
+        stream = db.synthetic_corpus(2, seed=-1, vocab_size=500)
+        assert stream.tokens == (words[row], words[-1])
+
+    @pytest.mark.parametrize("vocab_size", [4, 500, 3000])
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n_tokens=st.integers(0, 3) | st.integers(4, 3000), seed=st.integers(0, 2**64 - 1))
+    def test_kernel_gives_the_numpy_tokens(self, kernel, monkeypatch, vocab_size, n_tokens,
+                                          seed):
+        got = db.synthetic_corpus(n_tokens, seed=seed, vocab_size=vocab_size)
+        with monkeypatch.context() as numpy_path:
+            numpy_path.setattr(kernel_module, "get", lambda: None)
+            assert db.synthetic_corpus(n_tokens, seed=seed, vocab_size=vocab_size) == got

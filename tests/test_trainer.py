@@ -490,6 +490,40 @@ def test_numpy_step_bits_unchanged(case, numpy_step, cafe_text):
     assert digest == NUMPY_STEP_DIGESTS[case]
 
 
+# sha256 of vectors + output weights trained by the compiled kernel: dimension
+# 19 (odd, so every vectorised loop also has a scalar tail), seed 7, r=3, 2
+# epochs, min_count 1, on the corpora of NUMPY_STEP_DIGESTS. The kernel sums
+# sequentially, so a build that reordered any sum would change them. They
+# hold where they were recorded: x86-64, glibc 2.36 (whose exp, log and log1p
+# the step calls) and numpy 2.4.6 (which draws the initial weights and noise).
+KERNEL_DIGESTS = {
+    ("cbow", "softmax"): "7528d4103e4aee167e0551a4f9c90d40ad28e2d0e70717fbf24072cb2290876e",
+    ("cbow", "neg:5"): "72f291a36585517b611c66657f31177a21c2cdc33ef6b84394d880d08194bf1e",
+    ("cbow", "neg:1"): "7cf7cc18580219f93671d5a7fbec82c0f45fb6973384602ce7a2ec4a0b2f071d",
+    ("skipgram", "softmax"): "e4cfd8fd789e9f5480b56cfb4f9079e4f8903dcd7edaa3b2f7cf65d8f1747234",
+    ("skipgram", "neg:5"): "bbf46e9c569100b6558208a9aa3b0d02026dda736dc1fa4d61107353cb0324ce",
+    ("skipgram", "neg:1"): "2c9c58772a4e5300df255fa710474ab664269b432e562eb7890a8a61585282d3",
+}
+
+
+@pytest.mark.skipif(
+    (np.__version__, platform.machine(), platform.libc_ver())
+    != ("2.4.6", "x86_64", ("glibc", "2.36")),
+    reason="the digests were recorded with numpy 2.4.6 and glibc 2.36 on x86-64",
+)
+@pytest.mark.parametrize("case", list(KERNEL_DIGESTS), ids="-".join)
+def test_kernel_bits_unchanged(case, kernel, cafe_text):
+    architecture, objective = case
+    streams = [synthetic_corpus(3000, seed=5, vocab_size=300), db.tokenize(cafe_text)]
+    cfg = db.TrainingConfig(seed=7, dimension=19, window_radius=3, epochs=2, min_count=1,
+                            objective=objective)
+    train = db.train_cbow if architecture == "cbow" else db.train_skipgram
+    emb = train(streams, cfg)
+    assert emb.provenance["kernel"] == kernel.name
+    digest = hashlib.sha256(emb.vectors.tobytes() + emb.output_weights.tobytes()).hexdigest()
+    assert digest == KERNEL_DIGESTS[case]
+
+
 class TestPersistence:
     def test_text_round_trip_exact(self, tiny_stream, tmp_path):
         emb = db.train_cbow([tiny_stream], small_config())
