@@ -1,6 +1,7 @@
 /* The loops of driftbench that numpy cannot batch: an SGD epoch of the
  * trainer (driftbench_sgd), the chain sampler of the synthetic language
- * (driftbench_chain), the writer and reader of the embedding text format
+ * (driftbench_chain), the co-occurrence counter (driftbench_cooccur),
+ * the writer and reader of the embedding text format
  * (driftbench_format, driftbench_parse), the reader of the integer
  * columns of the COOC and edge-list formats (driftbench_parse_ints), and
  * the loop of neighbour ranking: the cosine division with top-k selection
@@ -8,13 +9,14 @@
  * order as the numpy step it replaces, except that dot products and sums
  * run sequentially where numpy calls BLAS or sums pairwise, so results
  * agree with it to the last few bits. The chain sampler gives the ids of
- * numpy's searchsorted, the text functions the same bytes and values as
- * repr(), float() and int(), and the ranking loop the same ids and score
- * bits as numpy's ranking. Build it with -ffp-contract=off and without
- * fast-math so that every run of the same build gives the same bits: the
- * SGD step's element-wise updates run in vector lanes, each lane doing the
- * scalar operations, and no sum is ever reordered. The kernel name in
- * training manifests hashes this source, so any change here changes it.
+ * numpy's searchsorted, the counter the CSR arrays of the numpy counter,
+ * the text functions the same bytes and values as repr(), float() and
+ * int(), and the ranking loop the same ids and score bits as numpy's
+ * ranking. Build it with -ffp-contract=off and without fast-math so that
+ * every run of the same build gives the same bits: the SGD step's
+ * element-wise updates run in vector lanes, each lane doing the scalar
+ * operations, and no sum is ever reordered. The kernel name in training
+ * manifests hashes this source, so any change here changes it.
  */
 
 #include <math.h>
@@ -851,4 +853,113 @@ int driftbench_select(const double *scores, int64_t queries, int64_t vocab,
     }
     free(left_out);
     return 0;
+}
+
+/* ---------------------------------------------------------------------
+ * co-occurrence counting
+ */
+
+static int by_column(const void *a, const void *b)
+{
+    int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* Adds one to column c of row t's accumulator, which holds nt columns,
+ * unless c is -1; returns the number of columns it holds then. */
+static int64_t accumulate(int64_t c, int64_t t, int64_t *mark, int64_t *count,
+                          int32_t *touched, int64_t nt)
+{
+    if (c < 0)
+        return nt;
+    if (mark[c] != t) {
+        mark[c] = t;
+        count[c] = 0;
+        touched[nt++] = (int32_t)c;
+    }
+    count[c]++;
+    return nt;
+}
+
+/* The counts of count_model.count_cooccurrences as a CSR matrix (vocab x
+ * vocab): entry (t, c) counts the position pairs (p, q) with 0 < |p - q|
+ * <= radius, ids[p] == t and ids[q] == c, so the matrix is symmetric.
+ * `ids` has the layout of corpus._window_ids: vocabulary ids, -1 out of
+ * vocabulary, with at least `radius` -1 entries before each document and
+ * after the last, so no window crosses a document or the array's ends.
+ *
+ * Row by row, with a sparse accumulator in the manner of Gustavson (1978,
+ * ACM TOMS): a counting sort lists each word's positions, and vocab marks
+ * and counts, reused for every row, sum the in-window neighbours of the
+ * row's occurrences. Scratch memory grows with the tokens and the
+ * vocabulary, never with tokens x radius. Every call fills indptr (vocab +
+ * 1 entries). Where indices is not NULL, it also writes each row's
+ * columns, ascending, and their counts to indices and data from
+ * indptr[t]: a first call without them sizes the arrays of a second.
+ * Returns 0, or -1 when scratch memory cannot be allocated. */
+int driftbench_cooccur(const int64_t *ids, int64_t n, int64_t vocab, int64_t radius,
+                       int64_t *indptr, int32_t *indices, int64_t *data)
+{
+    int64_t *first = calloc((size_t)vocab + 1, sizeof(int64_t));
+    int64_t *mark = malloc(sizeof(int64_t) * ((size_t)vocab + 1));
+    int64_t *count = malloc(sizeof(int64_t) * ((size_t)vocab + 1));
+    int32_t *touched = malloc(sizeof(int32_t) * ((size_t)vocab + 1));
+    int64_t *pos = NULL;
+    int64_t p, t, i, o;
+    int status = -1;
+
+    if (first == NULL || mark == NULL || count == NULL || touched == NULL)
+        goto done;
+    for (p = 0; p < n; p++)
+        if (ids[p] >= 0)
+            first[ids[p] + 1]++;
+    for (t = 0; t < vocab; t++)
+        first[t + 1] += first[t];  /* word t's positions are pos[first[t] ..] */
+    pos = malloc(sizeof(int64_t) * ((size_t)first[vocab] + 1));
+    if (pos == NULL)
+        goto done;
+    memcpy(mark, first, sizeof(int64_t) * (size_t)vocab);  /* the fill cursor of each word */
+    for (p = 0; p < n; p++)
+        if (ids[p] >= 0)
+            pos[mark[ids[p]]++] = p;
+    for (t = 0; t < vocab; t++)
+        mark[t] = -1;  /* mark[c] == t: column c is in row t's accumulator */
+
+    indptr[0] = 0;
+    for (t = 0; t < vocab; t++) {
+        int64_t nt = 0;
+        for (i = first[t]; i < first[t + 1]; i++) {
+            const int64_t *at = ids + pos[i];
+            for (o = 1; o <= radius; o++) {
+                nt = accumulate(at[-o], t, mark, count, touched, nt);
+                nt = accumulate(at[o], t, mark, count, touched, nt);
+            }
+        }
+        indptr[t + 1] = indptr[t] + nt;
+        if (indices == NULL)
+            continue;
+        if (nt * 16 >= vocab) {  /* a dense row: reading the marks in order beats sorting */
+            int64_t *next = data + indptr[t];
+            int32_t *column = indices + indptr[t];
+            for (i = 0; i < vocab; i++)
+                if (mark[i] == t) {
+                    *column++ = (int32_t)i;
+                    *next++ = count[i];
+                }
+        } else {
+            qsort(touched, (size_t)nt, sizeof *touched, by_column);
+            for (i = 0; i < nt; i++) {
+                indices[indptr[t] + i] = touched[i];
+                data[indptr[t] + i] = count[touched[i]];
+            }
+        }
+    }
+    status = 0;
+done:
+    free(first);
+    free(mark);
+    free(count);
+    free(touched);
+    free(pos);
+    return status;
 }

@@ -241,6 +241,14 @@ def build_vocabulary(
     return Vocabulary([t for t, _ in kept], [c for _, c in kept])
 
 
+def _effective_radius(streams: Sequence[TokenStream], radius: int) -> int:
+    """The radius counting and training walk and pad: `radius`, but at most
+    the longest document's length - 1 (and at least 1). No two tokens of one
+    document lie farther apart, so a wider window pairs the same tokens."""
+    longest = max((len(s.tokens) for s in streams), default=0)
+    return max(1, min(radius, longest - 1))
+
+
 def _window_ids(streams: Iterable[TokenStream], vocab: Vocabulary, radius: int) -> np.ndarray:
     """Every document's vocabulary ids (-1 out of vocabulary) with `radius`
     -1 positions before each document and after the last: the window

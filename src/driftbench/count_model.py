@@ -16,6 +16,7 @@ from .corpus import (
     _OTHER_LINE_BREAKS,
     TokenStream,
     Vocabulary,
+    _effective_radius,
     _lf_lines_only,
     _window_ids,
     decode_utf8,
@@ -83,15 +84,45 @@ class CooccurrenceMatrix:
         return VectorSpace(self.vocab, self.counts.astype(np.float64))
 
 
-def _pair_keys(ids: np.ndarray, vsize: int, radius: int) -> np.ndarray:
-    """Encoded (earlier, later) index pairs for every in-window position pair
-    of `corpus._window_ids`, whose -1 entries pair with nothing."""
-    chunks = []
+# positions per slab of the numpy counter, and the fewest (earlier, later)
+# keys it folds into its running total at once
+_CHUNK = 1 << 16
+
+
+def _numpy_counts(ids: np.ndarray, vsize: int, radius: int) -> sparse.csr_matrix:
+    """The symmetric counts of the pairs at most `radius` apart in
+    `corpus._window_ids`, whose -1 entries pair with nothing: where the
+    compiled kernel is not built, and the reference it is tested against.
+
+    Each slab pairs _CHUNK positions with the positions one offset later; a
+    pair is keyed at its earlier position, so a cut at any position is
+    safe. The slabs' keys are held until they outnumber both _CHUNK and the
+    running total of (earlier, later) counts, then tallied with np.unique
+    and folded into it: memory stays O(nnz + _CHUNK), and each key is
+    folded in amortised constant time."""
+    forward = sparse.csr_matrix((vsize, vsize), dtype=np.int64)
+    held: list[np.ndarray] = []
+    size = 0
     for d in range(1, radius + 1):
-        a, b = ids[:-d], ids[d:]
-        m = (a >= 0) & (b >= 0)
-        chunks.append(a[m] * vsize + b[m])
-    return np.concatenate(chunks)
+        for start in range(0, len(ids) - d, _CHUNK):
+            b = ids[start + d : start + d + _CHUNK]
+            a = ids[start : start + len(b)]
+            known = (a >= 0) & (b >= 0)
+            held.append(a[known] * vsize + b[known])
+            size += len(held[-1])
+            if size >= max(_CHUNK, forward.nnz):
+                forward = forward + _tally(held, vsize)
+                held, size = [], 0
+    forward = forward + _tally(held, vsize)
+    return forward + forward.T
+
+
+def _tally(held: list[np.ndarray], vsize: int) -> sparse.csr_matrix:
+    """The counts of the held (earlier, later) keys, as a matrix."""
+    keys, cnt = np.unique(np.concatenate([np.zeros(0, dtype=np.int64), *held]),
+                          return_counts=True)
+    return sparse.csr_matrix((cnt, (keys // vsize, keys % vsize)), shape=(vsize, vsize),
+                             dtype=np.int64)
 
 
 def count_cooccurrences(
@@ -103,19 +134,23 @@ def count_cooccurrences(
 
     Out-of-vocabulary tokens still occupy window positions (they are not
     spliced out the way stoplisted tokens are); they simply contribute no
-    counts. Windows never cross document boundaries.
+    counts. Windows never cross document boundaries. Only
+    `corpus._effective_radius` positions each side are walked, so a window
+    wider than the longest document counts the same pairs; the matrix
+    keeps the radius as given. Where the compiled kernel is built it
+    counts; otherwise `_numpy_counts` does, with the same CSR arrays.
     """
+    streams = list(streams)
     vsize = len(vocab)
-    keys = _pair_keys(_window_ids(streams, vocab, window.radius), vsize, window.radius)
-    if keys.size:
-        uniq, cnt = np.unique(keys, return_counts=True)
-        forward = sparse.coo_matrix(
-            (cnt, (uniq // vsize, uniq % vsize)), shape=(vsize, vsize), dtype=np.int64
-        ).tocsr()
-        full = forward + forward.T
+    radius = _effective_radius(streams, window.radius)
+    ids = _window_ids(streams, vocab, radius)
+    built = kernel.get()
+    if built is None:
+        counts = _numpy_counts(ids, vsize, radius)
     else:
-        full = sparse.csr_matrix((vsize, vsize), dtype=np.int64)
-    return CooccurrenceMatrix(vocab, full, window)
+        indptr, indices, data = built.cooccur(ids, vsize, radius)
+        counts = sparse.csr_matrix((data, indices, indptr), shape=(vsize, vsize))
+    return CooccurrenceMatrix(vocab, counts, window)
 
 
 def augment_counts(

@@ -1,25 +1,26 @@
 """The compiled kernel: build, load and ctypes bindings of `_kernel.c`.
 
 One small C file holds the loops that numpy cannot batch: the SGD epoch of
-the trainer, the chain sampler of the synthetic language, the writer and
-reader of the embedding text format, the reader of the integer columns of
-the COOC and edge-list formats, and the loop of neighbour ranking, the
-cosine division with top-k selection. The
+the trainer, the chain sampler of the synthetic language, the co-occurrence
+counter, the writer and reader of the embedding text format, the reader of
+the integer columns of the COOC and edge-list formats, and the loop of
+neighbour ranking, the cosine division with top-k selection. The
 embedding writer formats components with Ryu and the reader parses them
 with Eisel-Lemire, each from a table of powers of five that this module
 computes with exact integers; the reader leaves to the C library's strtod
 only the fields Eisel-Lemire does not decide. `get()` compiles it on first
 use with the system C compiler and caches the library; where it cannot be
 built or loaded, `get()` returns None and each caller runs its fallback:
-the numpy step, the per-token chain loop (`synthetic._chain`), the repr()
-writer, for each text loader its per-line reader, and numpy's ranking
-(`vector_space._select`).
+the numpy step, the per-token chain loop (`synthetic._chain`), the numpy
+counter (`count_model._numpy_counts`), the repr() writer, for each text
+loader its per-line reader, and numpy's ranking (`vector_space._select`).
 The fallbacks, with float() and int() for the parsers, are the references
 the kernel is tested against. The name the provenance gives the kernel
-hashes this source, so it changes with any change here, the ranking loop
-and the chain sampler included. The training step's element-wise updates
-run in vector lanes that each do the scalar operations, and no sum is
-reordered, so the trained bits are those of the scalar loops.
+hashes this source, so it changes with any change here, the ranking loop,
+the chain sampler and the counter included. The training step's
+element-wise updates run in vector lanes that each do the scalar
+operations, and no sum is reordered, so the trained bits are those of the
+scalar loops.
 """
 
 from __future__ import annotations
@@ -97,6 +98,8 @@ class Kernel:
         self._select = _bind(library, "driftbench_select", ctypes.c_int,
                              _P, _I, _I, _P, _P, _P, _I, _P, _I, _P, _P)
         self._chain = _bind(library, "driftbench_chain", None, _P, _P, _I, _P, _I, _P)
+        self._cooccur = _bind(library, "driftbench_cooccur", ctypes.c_int, _P, _I, _I, _I,
+                              _P, _P, _P)
         self._table = _ryu_table()
         self._powers = _eisel_lemire_table()
         self._library = library  # keeps the library loaded while its functions are used
@@ -143,6 +146,31 @@ class Kernel:
         self._chain(unigram_cdf.ctypes.data, transition_cdf.ctypes.data, v,
                     draws.ctypes.data, len(draws), out.ctypes.data)
         return out
+
+    def cooccur(self, ids: np.ndarray, vocab: int, radius: int):
+        """The counts of `count_model._numpy_counts` over the `_window_ids`
+        array `ids` as CSR arrays (indptr, indices, data), int64, int32 and
+        int64, each row's columns ascending: entry (t, c) counts the position
+        pairs at most `radius` apart holding t and c. A first pass sizes the
+        arrays and a second fills them, so nothing grows as tokens x radius."""
+        if ids.dtype != np.int64 or not ids.flags.c_contiguous or ids.max(initial=-1) >= vocab:
+            raise ValueError("window ids must be C-contiguous int64 vocabulary ids")
+        if not 0 <= vocab < 2**31 or radius < 1 or (ids[:radius] >= 0).any() or (
+                ids[-radius:] >= 0).any():
+            raise ValueError("need 0 <= vocabulary < 2**31, radius >= 1 and `radius` -1 pads "
+                             "at each end")
+        indptr = np.empty(vocab + 1, dtype=np.int64)
+
+        def count(indices, data):
+            if self._cooccur(ids.ctypes.data, len(ids), vocab, radius, indptr.ctypes.data,
+                             indices, data) != 0:
+                raise MemoryError("counting kernel could not allocate its scratch memory")
+
+        count(None, None)
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        data = np.empty(indptr[-1], dtype=np.int64)
+        count(indices.ctypes.data, data.ctypes.data)
+        return indptr, indices, data
 
     def format_rows(self, tokens: bytes, rows: np.ndarray) -> memoryview:
         """The embedding text body: per row, its token, a space, the row's

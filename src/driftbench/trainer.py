@@ -33,6 +33,7 @@ from .corpus import (
     _OTHER_LINE_BREAKS,
     TokenStream,
     Vocabulary,
+    _effective_radius,
     _lf_lines_only,
     _window_ids,
     build_vocabulary,
@@ -161,6 +162,7 @@ def iter_samples(
     per target with a non-empty context; skip-gram yields ([target], c) per
     context word c.
     """
+    radius = _effective_radius(streams, radius)
     ids = _window_ids(streams, state.vocab, radius)
     return _samples(ids, radius, state.architecture, radius, len(ids) - radius)
 
@@ -255,10 +257,12 @@ def _samples_at(ids: np.ndarray, radius: int, architecture: str) -> np.ndarray:
     return np.where(known, context, 0)
 
 
-def _numpy_sgd(state: ModelState, ids: np.ndarray, config: TrainingConfig, total: int):
-    """The numpy SGD step over `_window_ids` for `_epoch`: the fallback where
-    the C kernel is not built, and the reference it is tested against."""
-    radius, k = config.window_radius, state.objective[1]
+def _numpy_sgd(state: ModelState, ids: np.ndarray, radius: int, config: TrainingConfig,
+               total: int):
+    """The numpy SGD step over `_window_ids` padded for `radius` for `_epoch`:
+    the fallback where the C kernel is not built, and the reference it is
+    tested against."""
+    k = state.objective[1]
 
     def step(start: int, stop: int, noise: np.ndarray, seen: int, loss_sum: float) -> float:
         for i, (ctx, target) in enumerate(_samples(ids, radius, state.architecture, start, stop)):
@@ -305,21 +309,22 @@ def _run_training(
     streams = list(streams)
     state = init_state(streams, config, architecture)
     rng = np.random.default_rng(config.seed + 1)  # noise draws, separate from init
-    ids = _window_ids(streams, state.vocab, config.window_radius)
-    counts = _samples_at(ids, config.window_radius, architecture)
+    radius = _effective_radius(streams, config.window_radius)
+    ids = _window_ids(streams, state.vocab, radius)
+    counts = _samples_at(ids, radius, architecture)
     per_epoch = int(counts.sum())
     total = max(per_epoch * config.epochs, 1)
     built = kernel.get()
     if built is None:
-        step = _numpy_sgd(state, ids, config, total)
+        step = _numpy_sgd(state, ids, radius, config, total)
     else:
-        step = built.sgd(state.w_in, state.w_out, ids, config.window_radius,
+        step = built.sgd(state.w_in, state.w_out, ids, radius,
                          architecture == "skipgram", state.objective[1],
                          config.learning_rate, LR_FLOOR_FRACTION, total)
     kind, neg_k = state.objective
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
-        loss_sum = _epoch(step, state, counts, config.window_radius, rng, epoch * per_epoch)
+        loss_sum = _epoch(step, state, counts, radius, rng, epoch * per_epoch)
         epoch_loss = loss_sum / max(per_epoch, 1)
         if not np.isfinite(epoch_loss):
             raise NumericalError(

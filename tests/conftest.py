@@ -106,6 +106,17 @@ def numpy_step(monkeypatch):
     monkeypatch.setattr(kernel_module, "get", lambda: None)
 
 
+@pytest.fixture(params=["kernel", "numpy"])
+def each_path(request, monkeypatch):
+    """Run a test once where the C kernel is built (skipped where it cannot
+    be) and once on the numpy paths that run without it."""
+    if request.param == "numpy":
+        monkeypatch.setattr(kernel_module, "get", lambda: None)
+    elif kernel_module.get() is None:
+        pytest.skip("the C kernel does not build here")
+    return request.param
+
+
 @pytest.fixture
 def kernel():
     built = kernel_module.get()

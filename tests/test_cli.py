@@ -73,6 +73,17 @@ class TestBuildCount:
         assert lines[0] == "COOC v1 3 10"
         assert len([l for l in lines[4:] if l]) == 6
 
+    @pytest.mark.parametrize("window", [2_000_000_000, 10**20])
+    def test_a_window_past_every_document_is_kept_and_counts_the_rest(self, rose_file,
+                                                                      tmp_path, window):
+        near, far = tmp_path / "near.cooc", tmp_path / "far.cooc"
+        assert run("build-count", rose_file, "--out", near, "--window", 9) == 0
+        assert run("build-count", rose_file, "--out", far, "--window", window) == 0
+        header, *body = far.read_text().splitlines()
+        assert header == f"COOC v1 3 {window}"
+        assert body == near.read_text().splitlines()[1:]
+        assert run("neighbors", far, "rose", "--k", 2) == 0
+
     def test_rebuild_is_byte_identical(self, rose_file, tmp_path):
         a, b = tmp_path / "a.cooc", tmp_path / "b.cooc"
         run("build-count", rose_file, "--out", a)
@@ -151,6 +162,16 @@ class TestTrain:
         assert (tmp_path / "ma.txt").read_bytes() == (tmp_path / "mb.txt").read_bytes()
         manifest = json.loads((tmp_path / "ma.manifest.json").read_text())
         assert manifest["seed"] == 7
+
+    def test_a_window_past_every_document_trains_and_is_kept(self, train_file, tmp_path):
+        wide = ["--window", 2_000_000_000]
+        assert run("train", train_file, "--out", tmp_path / "m", "--seed", 7, "--dim", 4,
+                   "--epochs", 1, *wide) == 0
+        manifest = json.loads((tmp_path / "m.manifest.json").read_text())
+        assert manifest["parameters"]["window"] == 2_000_000_000
+        assert run("experiment", "stein_hemingway", "--base", train_file, "--addition", train_file,
+                   "--out", tmp_path / "sh", "--k", 2, *wide) == 0
+        assert (tmp_path / "sh" / "base.cooc").read_text().startswith("COOC v1 ")
 
     def test_missing_seed_is_usage_error(self, train_file, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,10 @@
 """Windowed counting against the all-pairs oracle, augmentation, PPMI."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import driftbench as db
+from driftbench import kernel as kernel_module
 from driftbench.count_model import load_cooc, save_cooc
 
 from conftest import brute_force_counts, matrix_equals_oracle, random_streams
@@ -106,6 +111,68 @@ class TestWindowing:
         vocab = db.build_vocabulary(streams)
         m = db.count_cooccurrences(streams, vocab, db.WindowConfig(radius=4))
         assert (m.counts != m.counts.T).nnz == 0
+
+
+class TestEffectiveRadius:
+    @pytest.mark.parametrize("wide", [10**9, 10**20])
+    def test_a_window_past_the_longest_document_counts_the_same(self, each_path, wide):
+        rng = np.random.default_rng(5)
+        streams = random_streams(rng, 4, max_tokens=60, vocab_size=9)
+        longest = max(map(len, streams))
+        vocab = db.build_vocabulary(streams)
+        near = db.count_cooccurrences(streams, vocab, db.WindowConfig(longest - 1))
+        far = db.count_cooccurrences(streams, vocab, db.WindowConfig(wide))
+        assert far.window.radius == wide  # kept as given, for the COOC header
+        assert near.counts.nnz and (near.counts != far.counts).nnz == 0
+        assert matrix_equals_oracle(far, brute_force_counts(streams, vocab, longest - 1))
+        augmented = db.augment_counts(far, random_streams(rng, 2, max_tokens=30))
+        assert augmented.window.radius == wide
+
+
+# Counts a uniform corpus over 200 words, whose 40,000 cells all fill, at
+# radius 20 and prints the rise of the process's own peak RSS in KiB and nnz.
+MEMORY_PROBE = """
+import resource, sys
+import numpy as np
+import driftbench as db
+from driftbench import kernel
+if sys.argv[1] == "numpy":
+    kernel.get = lambda: None
+elif kernel.get() is None:
+    sys.exit("the C kernel does not load")
+words = [f"w{i}" for i in range(200)]
+draws = np.random.default_rng(0).integers(0, 200, int(sys.argv[2]), dtype=np.uint8)
+stream = db.TokenStream("d", tuple(map(words.__getitem__, draws.tolist())))
+vocab = db.build_vocabulary([stream])
+window = db.WindowConfig(20)
+db.count_cooccurrences([db.TokenStream("warm-up", stream.tokens[:2000])], vocab, window)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+nnz = db.count_cooccurrences([stream], vocab, window).counts.nnz
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, nnz)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux reports it")
+class TestBoundedMemory:
+    TOKENS = 100_000
+
+    def peak_rise(self, path: str, tokens: int) -> int:
+        src = str(Path(db.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", MEMORY_PROBE, path, str(tokens)],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=300, check=True)
+        rise, nnz = map(int, done.stdout.split())
+        assert nnz == 200 * 200
+        return rise * 1024
+
+    @pytest.mark.parametrize("path", ["kernel", "numpy"])
+    def test_peak_memory_grows_with_tokens_not_tokens_times_radius(self, path):
+        # 4N tokens may take more than N only by an int64 id and an int64
+        # position per extra token; n x radius keys would take 160 B each
+        if path == "kernel" and kernel_module.get() is None:
+            pytest.skip("the C kernel does not build here")
+        extra = 3 * self.TOKENS * (8 + 8)
+        assert self.peak_rise(path, 4 * self.TOKENS) - self.peak_rise(path, self.TOKENS) <= extra
 
 
 class TestAugmentation:

@@ -6,7 +6,8 @@ so that the caller falls back to the per-line reader. The integer reader
 must read each field as int() does, or refuse it the same way. Hypothesis
 draws the components from random 64-bit patterns and the edges of the
 formats. Ranking in the kernel must give the ids and score bits of the
-numpy selection and scoring that run without it.
+numpy selection and scoring that run without it, and counting the CSR
+arrays of the numpy counter.
 """
 
 import math
@@ -22,8 +23,11 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import driftbench as db
+from driftbench import count_model
 from driftbench import kernel as kernel_module
-from driftbench.corpus import _OTHER_LINE_BREAKS
+from driftbench.corpus import _OTHER_LINE_BREAKS, _window_ids
+
+from conftest import brute_force_counts, matrix_equals_oracle
 
 ORACLE = settings(max_examples=400, deadline=None,
                   suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -511,3 +515,77 @@ class TestChain:
             kernel.chain(np.zeros(0), np.ones((0, 0)), draws)
         with pytest.raises(ValueError, match=r"\(V, V\)"):
             kernel.chain(unigram_cdf, transition_cdf, np.zeros((3, 1)))
+
+
+@st.composite
+def counting_corpora(draw):
+    """Several documents, among them empty and one-token ones; with min_count
+    above 1 the rarer words are out-of-vocabulary gaps that hold positions."""
+    word = st.sampled_from("abcdefghij")
+    docs = draw(st.lists(st.lists(word, max_size=40), min_size=1, max_size=5))
+    docs.insert(draw(st.integers(0, len(docs))), [])
+    docs.insert(draw(st.integers(0, len(docs))), [draw(word)])
+    streams = [db.TokenStream(f"d{i}", tuple(doc)) for i, doc in enumerate(docs)]
+    return streams, draw(st.integers(1, 3))
+
+
+class TestCooccur:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(counting_corpora(), st.integers(1, 45), st.sampled_from([1, 2, 7, 64, 1 << 16]))
+    def test_gives_the_numpy_arrays(self, kernel, corpus, radius, chunk):
+        # radius 1 to past the longest document; small chunks cut the
+        # numpy counter's slabs and folds at every kind of position
+        streams, min_count = corpus
+        try:
+            vocab = db.build_vocabulary(streams, min_count=min_count)
+        except db.EmptyVocabularyError:
+            return
+        window = db.WindowConfig(radius)
+        built = db.count_cooccurrences(streams, vocab, window).counts
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel_module, "get", lambda: None)
+            mp.setattr(count_model, "_CHUNK", chunk)
+            fallback = db.count_cooccurrences(streams, vocab, window)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(built, name), getattr(fallback.counts, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert matrix_equals_oracle(fallback, brute_force_counts(streams, vocab, radius))
+
+    def test_sorts_sparse_rows_and_reads_dense_rows_off_the_marks(self, kernel):
+        # Zipf frequencies at V=400: frequent words fill rows past a sixteenth
+        # of the vocabulary, which are read off the marks; rare words' rows
+        # are sorted
+        rng = np.random.default_rng(8)
+        words = [f"w{i}" for i in range(400)]
+        streams = [db.TokenStream(f"d{i}", tuple(words[min(int(r), 400) - 1]
+                                                 for r in rng.zipf(1.3, 500)))
+                   for i in range(3)]
+        vocab, radius = db.build_vocabulary(streams), 3
+        ids = _window_ids(streams, vocab, radius)
+        indptr, indices, data = kernel.cooccur(ids, len(vocab), radius)
+        want = count_model._numpy_counts(ids, len(vocab), radius).sorted_indices()
+        assert np.array_equal(indptr, want.indptr)
+        assert np.array_equal(indices, want.indices)
+        assert np.array_equal(data, want.data)
+        sizes = np.diff(indptr)
+        assert (sizes * 16 >= len(vocab)).any() and ((sizes > 1) & (sizes * 16 < len(vocab))).any()
+
+    def test_returns_csr_arrays_with_ascending_columns(self, kernel):
+        ids = np.array([-1, -1, 0, 2, 0, -1, -1, 1, 0, -1, -1], dtype=np.int64)
+        indptr, indices, data = kernel.cooccur(ids, 4, 2)
+        assert (indptr.dtype, indices.dtype, data.dtype) == (np.int64, np.int32, np.int64)
+        assert indptr.tolist() == [0, 3, 4, 5, 5]
+        assert indices.tolist() == [0, 1, 2, 0, 0]
+        assert data.tolist() == [2, 1, 2, 1, 2]
+
+    def test_refuses_what_it_cannot_take(self, kernel):
+        ids = np.array([-1, 0, 1, -1], dtype=np.int64)
+        with pytest.raises(ValueError, match="int64"):
+            kernel.cooccur(ids.astype(np.int32), 2, 1)
+        with pytest.raises(ValueError, match="vocabulary ids"):
+            kernel.cooccur(ids, 1, 1)
+        with pytest.raises(ValueError, match="pads"):
+            kernel.cooccur(ids, 2, 2)  # the window of id 0 would start before the array
+        with pytest.raises(ValueError, match="pads"):
+            kernel.cooccur(ids, 2**31, 1)

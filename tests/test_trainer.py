@@ -6,6 +6,7 @@ import platform
 import re
 import tempfile
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -393,6 +394,26 @@ class TestKernel:
     def test_noise_chunk_size_leaves_bits_unchanged(self, kernel, monkeypatch, architecture,
                                                     chunk):
         assert_noise_chunk_size_leaves_bits_unchanged(monkeypatch, architecture, chunk)
+
+
+class TestEffectiveRadius:
+    @pytest.mark.parametrize("architecture", ["cbow", "skipgram"])
+    def test_a_window_past_the_longest_document_trains_the_same_bytes(self, each_path,
+                                                                      architecture):
+        tokens = synthetic_corpus(60, seed=4, vocab_size=12).tokens
+        cuts = [("a", 0, 25), ("empty", 25, 25), ("b", 25, 59), ("one", 59, 60)]
+        streams = [db.TokenStream(name, tokens[lo:hi]) for name, lo, hi in cuts]
+        # the longest document holds 34 tokens
+        cfg = small_config(dimension=6, window_radius=33, epochs=2, min_count=2, objective="neg:3")
+        train = db.train_cbow if architecture == "cbow" else db.train_skipgram
+        near = train(streams, cfg)
+        far = train(streams, replace(cfg, window_radius=10**9))
+        assert far.provenance["config"]["window_radius"] == 10**9
+        assert near.vectors.tobytes() == far.vectors.tobytes()
+        assert near.output_weights.tobytes() == far.output_weights.tobytes()
+        assert near.provenance["epoch_losses"] == far.provenance["epoch_losses"]
+        samples = list(iter_samples(db.init_state(streams, cfg, architecture), streams, 10**20))
+        assert len(samples) == near.provenance["samples_per_epoch"]
 
 
 class TestKernelBuild:
