@@ -24,6 +24,9 @@
 #include <stdlib.h>
 #include <string.h>
 
+/* the entry of corpus._window_ids before each document and after the last */
+#define BOUNDARY (-2)
+
 /* numpy's logaddexp(0.0, y), branch for branch */
 static double logaddexp0(double y)
 {
@@ -212,9 +215,10 @@ static double step(model *m, const int64_t *ctx, int64_t n, int64_t target,
  * 2013): one sample at a time, over noise words drawn beforehand.
  *
  * `ids` holds every document's vocabulary ids (-1 for out-of-vocabulary
- * tokens) with `radius` -1 entries before each document and after the
- * last, so ids[p - radius .. p + radius] is in bounds for every token and
- * windows never cross documents. Positions start..stop-1 are trained, in
+ * tokens) with a BOUNDARY before each document and after the last; a
+ * window walks at most `radius` positions each side of its token and stops
+ * at a boundary, so it stays in bounds and never crosses documents.
+ * Positions start..stop-1 are trained, in
  * order; a CBOW sample is one in-vocabulary target with a non-empty
  * in-vocabulary context, a skip-gram sample is one (target, context word)
  * pair, and each sample takes the next k ids of `noise` (none under
@@ -252,11 +256,16 @@ int driftbench_sgd(double *w_in, double *w_out, int64_t vocab, int64_t dim,
             m.rows[i] = i;
 
     for (p = start; p < stop; p++) {
-        int64_t target = ids[p], n = 0, samples;
+        int64_t target = ids[p], n = 0, left = 0, samples;
         if (target < 0)
             continue;
-        for (o = -radius; o <= radius; o++)
-            if (o != 0 && ids[p + o] >= 0)
+        while (left < radius && ids[p - left - 1] != BOUNDARY)
+            left++;
+        for (o = -left; o < 0; o++)  /* the context in window order */
+            if (ids[p + o] >= 0)
+                ctx[n++] = ids[p + o];
+        for (o = 1; o <= radius && ids[p + o] != BOUNDARY; o++)
+            if (ids[p + o] >= 0)
                 ctx[n++] = ids[p + o];
         samples = skipgram ? n : (n > 0);
         for (i = 0; i < samples; i++) {
@@ -866,7 +875,8 @@ static int by_column(const void *a, const void *b)
 }
 
 /* Adds one to column c of row t's accumulator, which holds nt columns,
- * unless c is -1; returns the number of columns it holds then. */
+ * unless c is out of vocabulary; returns the number of columns it holds
+ * then. */
 static int64_t accumulate(int64_t c, int64_t t, int64_t *mark, int64_t *count,
                           int32_t *touched, int64_t nt)
 {
@@ -883,10 +893,11 @@ static int64_t accumulate(int64_t c, int64_t t, int64_t *mark, int64_t *count,
 
 /* The counts of count_model.count_cooccurrences as a CSR matrix (vocab x
  * vocab): entry (t, c) counts the position pairs (p, q) with 0 < |p - q|
- * <= radius, ids[p] == t and ids[q] == c, so the matrix is symmetric.
- * `ids` has the layout of corpus._window_ids: vocabulary ids, -1 out of
- * vocabulary, with at least `radius` -1 entries before each document and
- * after the last, so no window crosses a document or the array's ends.
+ * <= radius and no BOUNDARY between them, ids[p] == t and ids[q] == c, so
+ * the matrix is symmetric. `ids` has the layout of corpus._window_ids:
+ * vocabulary ids, -1 out of vocabulary, with a BOUNDARY before each
+ * document and after the last, where every walk from a token stops, so no
+ * window crosses a document or the array's ends.
  *
  * Row by row, with a sparse accumulator in the manner of Gustavson (1978,
  * ACM TOMS): a counting sort lists each word's positions, and vocab marks
@@ -930,28 +941,18 @@ int driftbench_cooccur(const int64_t *ids, int64_t n, int64_t vocab, int64_t rad
         int64_t nt = 0;
         for (i = first[t]; i < first[t + 1]; i++) {
             const int64_t *at = ids + pos[i];
-            for (o = 1; o <= radius; o++) {
+            for (o = 1; o <= radius && at[-o] != BOUNDARY; o++)
                 nt = accumulate(at[-o], t, mark, count, touched, nt);
+            for (o = 1; o <= radius && at[o] != BOUNDARY; o++)
                 nt = accumulate(at[o], t, mark, count, touched, nt);
-            }
         }
         indptr[t + 1] = indptr[t] + nt;
         if (indices == NULL)
             continue;
-        if (nt * 16 >= vocab) {  /* a dense row: reading the marks in order beats sorting */
-            int64_t *next = data + indptr[t];
-            int32_t *column = indices + indptr[t];
-            for (i = 0; i < vocab; i++)
-                if (mark[i] == t) {
-                    *column++ = (int32_t)i;
-                    *next++ = count[i];
-                }
-        } else {
-            qsort(touched, (size_t)nt, sizeof *touched, by_column);
-            for (i = 0; i < nt; i++) {
-                indices[indptr[t] + i] = touched[i];
-                data[indptr[t] + i] = count[touched[i]];
-            }
+        qsort(touched, (size_t)nt, sizeof *touched, by_column);
+        for (i = 0; i < nt; i++) {
+            indices[indptr[t] + i] = touched[i];
+            data[indptr[t] + i] = count[touched[i]];
         }
     }
     status = 0;

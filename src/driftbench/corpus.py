@@ -241,27 +241,33 @@ def build_vocabulary(
     return Vocabulary([t for t, _ in kept], [c for _, c in kept])
 
 
+# the entry of `_window_ids` that ends every window: one before each
+# document and one after the last
+_BOUNDARY = -2
+
+
 def _effective_radius(streams: Sequence[TokenStream], radius: int) -> int:
-    """The radius counting and training walk and pad: `radius`, but at most
-    the longest document's length - 1 (and at least 1). No two tokens of one
+    """The radius counting and training walk: `radius`, but at most the
+    longest document's length - 1 (and at least 1). No two tokens of one
     document lie farther apart, so a wider window pairs the same tokens."""
     longest = max((len(s.tokens) for s in streams), default=0)
     return max(1, min(radius, longest - 1))
 
 
-def _window_ids(streams: Iterable[TokenStream], vocab: Vocabulary, radius: int) -> np.ndarray:
-    """Every document's vocabulary ids (-1 out of vocabulary) with `radius`
-    -1 positions before each document and after the last: the window
-    ids[p - radius : p + radius + 1] of each token stays inside its document.
-    Counting and training both walk this array."""
+def _window_ids(streams: Iterable[TokenStream], vocab: Vocabulary) -> np.ndarray:
+    """Every document's vocabulary ids (-1 out of vocabulary), with a
+    `_BOUNDARY` before each document and after the last. A window walks
+    from its token until the radius or a boundary, so it stays inside its
+    document; the array holds tokens + documents + 1 entries, whatever the
+    radius. Counting and training both walk it."""
     streams = list(streams)
-    ids = np.full(radius + sum(len(s.tokens) + radius for s in streams), -1, dtype=np.int64)
+    ids = np.full(1 + sum(len(s.tokens) + 1 for s in streams), _BOUNDARY, dtype=np.int64)
     get, oov = vocab._index.get, itertools.repeat(-1)
-    start = radius
+    start = 1
     for stream in streams:
         n = len(stream.tokens)
         ids[start : start + n] = np.fromiter(map(get, stream.tokens, oov), np.int64, n)
-        start += n + radius
+        start += n + 1
     return ids
 
 

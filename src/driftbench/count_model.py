@@ -13,6 +13,7 @@ from scipy import sparse
 
 from . import kernel
 from .corpus import (
+    _BOUNDARY,
     _OTHER_LINE_BREAKS,
     TokenStream,
     Vocabulary,
@@ -91,24 +92,29 @@ _CHUNK = 1 << 16
 
 def _numpy_counts(ids: np.ndarray, vsize: int, radius: int) -> sparse.csr_matrix:
     """The symmetric counts of the pairs at most `radius` apart in
-    `corpus._window_ids`, whose -1 entries pair with nothing: where the
-    compiled kernel is not built, and the reference it is tested against.
+    `corpus._window_ids` with no boundary between them, whose -1 entries
+    pair with nothing: where the compiled kernel is not built, and the
+    reference it is tested against.
 
-    Each slab pairs _CHUNK positions with the positions one offset later; a
-    pair is keyed at its earlier position, so a cut at any position is
-    safe. The slabs' keys are held until they outnumber both _CHUNK and the
-    running total of (earlier, later) counts, then tallied with np.unique
-    and folded into it: memory stays O(nnz + _CHUNK), and each key is
-    folded in amortised constant time."""
+    Offset by offset, each slab pairs _CHUNK positions with the positions d
+    later; `inside` marks the positions with no boundary in the d after
+    them. A pair is keyed at its earlier position, so a cut at any position
+    is safe. The slabs' keys are held until they outnumber both _CHUNK and
+    the running total of (earlier, later) counts, then sorted, tallied
+    and folded into it: memory stays O(tokens + nnz), and each key
+    is folded in amortised constant time."""
     forward = sparse.csr_matrix((vsize, vsize), dtype=np.int64)
+    inside = np.ones(len(ids), dtype=bool)
     held: list[np.ndarray] = []
     size = 0
     for d in range(1, radius + 1):
         for start in range(0, len(ids) - d, _CHUNK):
             b = ids[start + d : start + d + _CHUNK]
             a = ids[start : start + len(b)]
-            known = (a >= 0) & (b >= 0)
-            held.append(a[known] * vsize + b[known])
+            pair = inside[start : start + len(b)]
+            pair &= b != _BOUNDARY
+            pair = pair & (a >= 0) & (b >= 0)
+            held.append(a[pair] * vsize + b[pair])
             size += len(held[-1])
             if size >= max(_CHUNK, forward.nnz):
                 forward = forward + _tally(held, vsize)
@@ -118,9 +124,14 @@ def _numpy_counts(ids: np.ndarray, vsize: int, radius: int) -> sparse.csr_matrix
 
 
 def _tally(held: list[np.ndarray], vsize: int) -> sparse.csr_matrix:
-    """The counts of the held (earlier, later) keys, as a matrix."""
-    keys, cnt = np.unique(np.concatenate([np.zeros(0, dtype=np.int64), *held]),
-                          return_counts=True)
+    """The counts of the held (earlier, later) keys, as a matrix: sorted in
+    place, each run of equal keys is one cell."""
+    keys = np.concatenate([np.zeros(0, dtype=np.int64), *held])
+    keys.sort()
+    # the first key, and each key unlike the one before it, starts a run
+    starts = np.flatnonzero(np.concatenate((keys[:1] >= 0, keys[1:] != keys[:-1])))
+    cnt = np.diff(np.append(starts, len(keys)))
+    keys = keys[starts]
     return sparse.csr_matrix((cnt, (keys // vsize, keys % vsize)), shape=(vsize, vsize),
                              dtype=np.int64)
 
@@ -143,7 +154,7 @@ def count_cooccurrences(
     streams = list(streams)
     vsize = len(vocab)
     radius = _effective_radius(streams, window.radius)
-    ids = _window_ids(streams, vocab, radius)
+    ids = _window_ids(streams, vocab)
     built = kernel.get()
     if built is None:
         counts = _numpy_counts(ids, vsize, radius)

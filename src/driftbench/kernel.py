@@ -37,6 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import _BOUNDARY
+
 SOURCE = Path(__file__).with_name("_kernel.c")
 # no -march=native and no fast-math: sums stay sequential and bits reproducible
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
@@ -82,6 +84,15 @@ def _bind(library: ctypes.CDLL, name: str, restype, *argtypes):
     return function
 
 
+def _check_window_ids(ids: np.ndarray, vocab: int) -> None:
+    """Refuses what is not a `corpus._window_ids` array over `vocab` words:
+    the kernel's walks stop only at the boundaries at its ends."""
+    if ids.dtype != np.int64 or not ids.flags.c_contiguous or ids.max(initial=-1) >= vocab:
+        raise ValueError("window ids must be C-contiguous int64 vocabulary ids")
+    if len(ids) == 0 or ids[0] != _BOUNDARY or ids[-1] != _BOUNDARY or ids.min() < _BOUNDARY:
+        raise ValueError("window ids must start and end with a document boundary")
+
+
 class Kernel:
     """The loaded `_kernel.c` functions and the name the provenance gives them."""
 
@@ -113,8 +124,7 @@ class Kernel:
         for w in (w_in, w_out):
             if w.shape != (v, d) or w.dtype != np.float64 or not w.flags.c_contiguous:
                 raise ValueError("weights must be C-contiguous float64 of shape (vocabulary, dimension)")
-        if ids.dtype != np.int64 or not ids.flags.c_contiguous or ids.max(initial=-1) >= v:
-            raise ValueError("window ids must be C-contiguous int64 vocabulary ids")
+        _check_window_ids(ids, v)
 
         def step(start: int, stop: int, noise: np.ndarray, seen: int, loss_sum: float) -> float:
             out = ctypes.c_double(loss_sum)
@@ -151,14 +161,12 @@ class Kernel:
         """The counts of `count_model._numpy_counts` over the `_window_ids`
         array `ids` as CSR arrays (indptr, indices, data), int64, int32 and
         int64, each row's columns ascending: entry (t, c) counts the position
-        pairs at most `radius` apart holding t and c. A first pass sizes the
-        arrays and a second fills them, so nothing grows as tokens x radius."""
-        if ids.dtype != np.int64 or not ids.flags.c_contiguous or ids.max(initial=-1) >= vocab:
-            raise ValueError("window ids must be C-contiguous int64 vocabulary ids")
-        if not 0 <= vocab < 2**31 or radius < 1 or (ids[:radius] >= 0).any() or (
-                ids[-radius:] >= 0).any():
-            raise ValueError("need 0 <= vocabulary < 2**31, radius >= 1 and `radius` -1 pads "
-                             "at each end")
+        pairs at most `radius` apart, in one document, holding t and c. A
+        first pass sizes the arrays and a second fills them, so nothing grows
+        as tokens x radius."""
+        _check_window_ids(ids, vocab)
+        if not 0 <= vocab < 2**31 or radius < 1:
+            raise ValueError("need 0 <= vocabulary < 2**31 and radius >= 1")
         indptr = np.empty(vocab + 1, dtype=np.int64)
 
         def count(indices, data):

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import kernel
 from .corpus import (
+    _BOUNDARY,
     _OTHER_LINE_BREAKS,
     TokenStream,
     Vocabulary,
@@ -162,20 +163,38 @@ def iter_samples(
     per target with a non-empty context; skip-gram yields ([target], c) per
     context word c.
     """
-    radius = _effective_radius(streams, radius)
-    ids = _window_ids(streams, state.vocab, radius)
-    return _samples(ids, radius, state.architecture, radius, len(ids) - radius)
+    ids = _window_ids(streams, state.vocab)
+    windows = _windows(ids, _effective_radius(streams, radius))
+    return _samples(ids, windows, state.architecture, 0, len(ids))
 
 
-def _samples(ids: np.ndarray, radius: int, architecture: str, start: int, stop: int):
-    """The samples of `iter_samples` at positions start..stop-1 of `_window_ids`."""
-    ids = ids[start - radius : stop + radius].tolist()
+def _windows(ids: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first position and one past the last of each position's window in
+    `_window_ids`: at most `radius` each side, up to its document's ends."""
+    boundaries = np.flatnonzero(ids == _BOUNDARY)
+    doc = np.cumsum(ids == _BOUNDARY) - 1  # the boundary at or before each position
+    p = np.arange(len(ids))
+    lo = np.maximum(p - radius, boundaries[doc] + 1)
+    hi = np.minimum(p + radius + 1, boundaries[np.minimum(doc + 1, len(boundaries) - 1)])
+    return lo, hi
+
+
+def _samples(ids: np.ndarray, windows: tuple[np.ndarray, np.ndarray], architecture: str,
+             start: int, stop: int):
+    """The samples of `iter_samples` at positions start..stop-1 of `_window_ids`,
+    whose `_windows` are `windows`."""
+    if start >= stop:
+        return
+    lo, hi = (w[start:stop].tolist() for w in windows)
+    base = min(lo[0], start)
+    ids = ids[base : max(hi[-1], stop)].tolist()
     cbow = architecture == "cbow"
-    for i in range(radius, radius + stop - start):
-        target = ids[i]
+    for i in range(stop - start):
+        at = start + i - base
+        target = ids[at]
         if target < 0:
             continue
-        ctx = [c for c in ids[i - radius : i] + ids[i + 1 : i + radius + 1] if c >= 0]
+        ctx = [c for c in ids[lo[i] - base : at] + ids[at + 1 : hi[i] - base] if c >= 0]
         if not cbow:
             for c in ctx:
                 yield np.asarray([target], dtype=np.int64), c
@@ -240,8 +259,10 @@ def _apply_step(
     np.subtract.at(state.w_in, ctx, (lr / len(ctx)) * grad_h)
 
 
-def _samples_at(ids: np.ndarray, radius: int, architecture: str) -> np.ndarray:
-    """The samples `iter_samples` yields at each position of `_window_ids`.
+def _samples_at(ids: np.ndarray, windows: tuple[np.ndarray, np.ndarray],
+                architecture: str) -> np.ndarray:
+    """The samples `iter_samples` yields at each position of `_window_ids`,
+    whose `_windows` are `windows`.
 
     A CBOW position yields one when its token and some context word are in
     the vocabulary; a skip-gram position yields one per in-vocabulary context
@@ -249,23 +270,22 @@ def _samples_at(ids: np.ndarray, radius: int, architecture: str) -> np.ndarray:
     """
     known = ids >= 0
     before = np.concatenate(([0], np.cumsum(known)))  # known positions before each index
-    n, width = len(ids), 2 * radius + 1
-    context = np.zeros(n, dtype=np.int64)
-    context[radius : n - radius] = before[width:] - before[: n - width + 1] - known[radius : n - radius]
+    lo, hi = windows
+    context = before[hi] - before[lo] - known
     if architecture == "cbow":
         return (known & (context > 0)).astype(np.int64)
     return np.where(known, context, 0)
 
 
-def _numpy_sgd(state: ModelState, ids: np.ndarray, radius: int, config: TrainingConfig,
-               total: int):
-    """The numpy SGD step over `_window_ids` padded for `radius` for `_epoch`:
-    the fallback where the C kernel is not built, and the reference it is
-    tested against."""
+def _numpy_sgd(state: ModelState, ids: np.ndarray, windows: tuple[np.ndarray, np.ndarray],
+               config: TrainingConfig, total: int):
+    """The numpy SGD step over `_window_ids` for `_epoch`, whose `_windows`
+    are `windows`: the fallback where the C kernel is not built, and the
+    reference it is tested against."""
     k = state.objective[1]
 
     def step(start: int, stop: int, noise: np.ndarray, seen: int, loss_sum: float) -> float:
-        for i, (ctx, target) in enumerate(_samples(ids, radius, state.architecture, start, stop)):
+        for i, (ctx, target) in enumerate(_samples(ids, windows, state.architecture, start, stop)):
             lr = config.learning_rate * max(LR_FLOOR_FRACTION, 1.0 - (seen + i) / total)
             negatives = noise[i * k : (i + 1) * k]  # none under softmax
             loss, *grads = _sample_loss_grads(state, ctx, target, negatives[negatives != target])
@@ -276,8 +296,8 @@ def _numpy_sgd(state: ModelState, ids: np.ndarray, radius: int, config: Training
     return step
 
 
-def _epoch(step, state: ModelState, counts: np.ndarray, radius: int,
-           rng: np.random.Generator, seen: int) -> float:
+def _epoch(step, state: ModelState, counts: np.ndarray, rng: np.random.Generator,
+           seen: int) -> float:
     """One epoch over `_window_ids`, whose positions hold `counts` samples;
     returns the sum of the sample losses. The positions are cut into chunks of
     about NOISE_CHUNK samples (one under softmax, which draws no noise). Each
@@ -288,7 +308,7 @@ def _epoch(step, state: ModelState, counts: np.ndarray, radius: int,
     k = state.objective[1]
     before = np.concatenate(([0], np.cumsum(counts)))  # samples before each position
     cuts = np.arange(NOISE_CHUNK, before[-1], NOISE_CHUNK) if k else []
-    bounds = [radius, *np.searchsorted(before, cuts, side="right"), len(counts) - radius]
+    bounds = [0, *np.searchsorted(before, cuts, side="right"), len(counts)]
     loss_sum = 0.0
     noise = np.zeros(0, dtype=np.int64)
     for start, stop in zip(bounds[:-1], bounds[1:]):
@@ -310,13 +330,14 @@ def _run_training(
     state = init_state(streams, config, architecture)
     rng = np.random.default_rng(config.seed + 1)  # noise draws, separate from init
     radius = _effective_radius(streams, config.window_radius)
-    ids = _window_ids(streams, state.vocab, radius)
-    counts = _samples_at(ids, radius, architecture)
+    ids = _window_ids(streams, state.vocab)
+    windows = _windows(ids, radius)
+    counts = _samples_at(ids, windows, architecture)
     per_epoch = int(counts.sum())
     total = max(per_epoch * config.epochs, 1)
     built = kernel.get()
     if built is None:
-        step = _numpy_sgd(state, ids, radius, config, total)
+        step = _numpy_sgd(state, ids, windows, config, total)
     else:
         step = built.sgd(state.w_in, state.w_out, ids, radius,
                          architecture == "skipgram", state.objective[1],
@@ -324,7 +345,7 @@ def _run_training(
     kind, neg_k = state.objective
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
-        loss_sum = _epoch(step, state, counts, radius, rng, epoch * per_epoch)
+        loss_sum = _epoch(step, state, counts, rng, epoch * per_epoch)
         epoch_loss = loss_sum / max(per_epoch, 1)
         if not np.isfinite(epoch_loss):
             raise NumericalError(

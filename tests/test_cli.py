@@ -84,6 +84,23 @@ class TestBuildCount:
         assert body == near.read_text().splitlines()[1:]
         assert run("neighbors", far, "rose", "--k", 2) == 0
 
+    def test_a_window_past_one_long_document_among_many_short_ones(self, tmp_path):
+        # one document per file: a 200-token one, then 300 of 0 to 5 tokens,
+        # so that a window pad per document would hold 199 x 300 entries
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        words = TRAIN_TEXT.split()
+        (corpus / "0-long.txt").write_text(" ".join((words * 5)[:200]), encoding="utf-8")
+        for i in range(300):
+            (corpus / f"1-{i:03d}.txt").write_text(" ".join(words[i % 40 :][: i % 6]),
+                                                   encoding="utf-8")
+        near, far = tmp_path / "near.cooc", tmp_path / "far.cooc"
+        assert run("build-count", corpus, "--out", near, "--window", 199) == 0
+        assert run("build-count", corpus, "--out", far, "--window", 2_000_000_000) == 0
+        assert far.read_text().splitlines()[1:] == near.read_text().splitlines()[1:]
+        assert run("train", corpus, "--out", tmp_path / "m", "--seed", 3, "--dim", 4,
+                   "--epochs", 1, "--window", 2_000_000_000) == 0
+
     def test_rebuild_is_byte_identical(self, rose_file, tmp_path):
         a, b = tmp_path / "a.cooc", tmp_path / "b.cooc"
         run("build-count", rose_file, "--out", a)

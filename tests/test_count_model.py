@@ -129,26 +129,41 @@ class TestEffectiveRadius:
         assert augmented.window.radius == wide
 
 
-# Counts a uniform corpus over 200 words, whose 40,000 cells all fill, at
-# radius 20 and prints the rise of the process's own peak RSS in KiB and nnz.
+# Counts a uniform corpus over 200 words, whose 40,000 cells all fill, and
+# prints the rise of the process's own peak RSS in KiB, nnz and the length
+# of the window id array. Shape "one" is one document at radius 20; shape
+# "many" is a 300-token document and then documents of 0 to 40 tokens, at
+# radius 2,000,000,000, which walks 299 positions.
 MEMORY_PROBE = """
 import resource, sys
 import numpy as np
 import driftbench as db
 from driftbench import kernel
-if sys.argv[1] == "numpy":
+from driftbench.corpus import _window_ids
+path, shape, tokens = sys.argv[1], sys.argv[2], int(sys.argv[3])
+if path == "numpy":
     kernel.get = lambda: None
 elif kernel.get() is None:
     sys.exit("the C kernel does not load")
 words = [f"w{i}" for i in range(200)]
-draws = np.random.default_rng(0).integers(0, 200, int(sys.argv[2]), dtype=np.uint8)
-stream = db.TokenStream("d", tuple(map(words.__getitem__, draws.tolist())))
-vocab = db.build_vocabulary([stream])
-window = db.WindowConfig(20)
-db.count_cooccurrences([db.TokenStream("warm-up", stream.tokens[:2000])], vocab, window)
+draws = np.random.default_rng(0).integers(0, 200, tokens, dtype=np.uint8)
+every = tuple(map(words.__getitem__, draws.tolist()))
+if shape == "one":
+    streams, radius = [db.TokenStream("d", every)], 20
+else:
+    cuts, length = [0, 300], 0
+    while cuts[-1] < tokens:
+        cuts.append(min(cuts[-1] + length, tokens))
+        length = (length + 1) % 41
+    streams = [db.TokenStream(f"d{i}", every[lo:hi]) for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]
+    radius = 2_000_000_000
+del draws, every
+vocab = db.build_vocabulary(streams)
+window = db.WindowConfig(radius)
+db.count_cooccurrences([db.TokenStream("warm-up", streams[0].tokens[:2000])], vocab, window)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-nnz = db.count_cooccurrences([stream], vocab, window).counts.nnz
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, nnz)
+nnz = db.count_cooccurrences(streams, vocab, window).counts.nnz
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, nnz, len(_window_ids(streams, vocab)))
 """
 
 
@@ -156,23 +171,29 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, nnz)
 class TestBoundedMemory:
     TOKENS = 100_000
 
-    def peak_rise(self, path: str, tokens: int) -> int:
+    def probe(self, path: str, shape: str, tokens: int) -> tuple[int, int]:
+        """The peak-RSS rise in bytes and the window id array's length."""
         src = str(Path(db.__file__).parents[1])
-        done = subprocess.run([sys.executable, "-c", MEMORY_PROBE, path, str(tokens)],
+        done = subprocess.run([sys.executable, "-c", MEMORY_PROBE, path, shape, str(tokens)],
                               env={**os.environ, "PYTHONPATH": src}, capture_output=True,
                               text=True, timeout=300, check=True)
-        rise, nnz = map(int, done.stdout.split())
+        rise, nnz, entries = map(int, done.stdout.split())
         assert nnz == 200 * 200
-        return rise * 1024
+        return rise * 1024, entries
 
+    @pytest.mark.parametrize("shape", ["one", "many"])
     @pytest.mark.parametrize("path", ["kernel", "numpy"])
-    def test_peak_memory_grows_with_tokens_not_tokens_times_radius(self, path):
-        # 4N tokens may take more than N only by an int64 id and an int64
-        # position per extra token; n x radius keys would take 160 B each
+    def test_peak_memory_grows_with_tokens_not_tokens_times_radius(self, path, shape):
+        # 4N tokens may take more than N only by an int64 id per extra entry
+        # of the window ids (a token or a document boundary) and an int64
+        # position per extra token; n x radius keys would take 160 B per
+        # token at radius 20, and radius pads per document 2.4 kB per
+        # document at radius 299
         if path == "kernel" and kernel_module.get() is None:
             pytest.skip("the C kernel does not build here")
-        extra = 3 * self.TOKENS * (8 + 8)
-        assert self.peak_rise(path, 4 * self.TOKENS) - self.peak_rise(path, self.TOKENS) <= extra
+        rise, entries = self.probe(path, shape, self.TOKENS)
+        rise_4n, entries_4n = self.probe(path, shape, 4 * self.TOKENS)
+        assert rise_4n - rise <= (entries_4n - entries) * 8 + 3 * self.TOKENS * 8
 
 
 class TestAugmentation:

@@ -552,40 +552,51 @@ class TestCooccur:
             assert got.dtype == want.dtype and np.array_equal(got, want), name
         assert matrix_equals_oracle(fallback, brute_force_counts(streams, vocab, radius))
 
-    def test_sorts_sparse_rows_and_reads_dense_rows_off_the_marks(self, kernel):
-        # Zipf frequencies at V=400: frequent words fill rows past a sixteenth
-        # of the vocabulary, which are read off the marks; rare words' rows
-        # are sorted
+    def test_gives_the_numpy_arrays_on_zipf_documents(self, kernel):
+        # Zipf frequencies at V=400: frequent words fill long rows, rare
+        # words short ones
         rng = np.random.default_rng(8)
         words = [f"w{i}" for i in range(400)]
         streams = [db.TokenStream(f"d{i}", tuple(words[min(int(r), 400) - 1]
                                                  for r in rng.zipf(1.3, 500)))
                    for i in range(3)]
         vocab, radius = db.build_vocabulary(streams), 3
-        ids = _window_ids(streams, vocab, radius)
+        ids = _window_ids(streams, vocab)
         indptr, indices, data = kernel.cooccur(ids, len(vocab), radius)
         want = count_model._numpy_counts(ids, len(vocab), radius).sorted_indices()
         assert np.array_equal(indptr, want.indptr)
         assert np.array_equal(indices, want.indices)
         assert np.array_equal(data, want.data)
-        sizes = np.diff(indptr)
-        assert (sizes * 16 >= len(vocab)).any() and ((sizes > 1) & (sizes * 16 < len(vocab))).any()
 
     def test_returns_csr_arrays_with_ascending_columns(self, kernel):
-        ids = np.array([-1, -1, 0, 2, 0, -1, -1, 1, 0, -1, -1], dtype=np.int64)
+        ids = np.array([-2, 0, 2, 0, -2, 1, 0, -2], dtype=np.int64)
         indptr, indices, data = kernel.cooccur(ids, 4, 2)
         assert (indptr.dtype, indices.dtype, data.dtype) == (np.int64, np.int32, np.int64)
         assert indptr.tolist() == [0, 3, 4, 5, 5]
         assert indices.tolist() == [0, 1, 2, 0, 0]
         assert data.tolist() == [2, 1, 2, 1, 2]
 
+    def test_walks_stop_at_document_boundaries_not_at_gaps(self, kernel):
+        # id 1 lies 3 positions from the first 0 across an out-of-vocabulary
+        # gap, and 1 position from the second 0 across a boundary
+        ids = np.array([-2, 0, -1, -1, 1, -2, 0, -2], dtype=np.int64)
+        indptr, indices, data = kernel.cooccur(ids, 2, 10)
+        assert indptr.tolist() == [0, 1, 2]
+        assert indices.tolist() == [1, 0]
+        assert data.tolist() == [1, 1]
+        assert (count_model._numpy_counts(ids, 2, 10) != sparse.csr_matrix(
+            (data, indices, indptr), shape=(2, 2))).nnz == 0
+
     def test_refuses_what_it_cannot_take(self, kernel):
-        ids = np.array([-1, 0, 1, -1], dtype=np.int64)
+        ids = np.array([-2, 0, 1, -2], dtype=np.int64)
         with pytest.raises(ValueError, match="int64"):
             kernel.cooccur(ids.astype(np.int32), 2, 1)
         with pytest.raises(ValueError, match="vocabulary ids"):
             kernel.cooccur(ids, 1, 1)
-        with pytest.raises(ValueError, match="pads"):
-            kernel.cooccur(ids, 2, 2)  # the window of id 0 would start before the array
-        with pytest.raises(ValueError, match="pads"):
+        for unbounded in ([-1, 0, 1, -2], [-2, 0, 1, -1], [-2, 0, -3, 1, -2], []):
+            with pytest.raises(ValueError, match="boundary"):
+                kernel.cooccur(np.array(unbounded, dtype=np.int64), 2, 1)
+        with pytest.raises(ValueError, match="2\\*\\*31"):
             kernel.cooccur(ids, 2**31, 1)
+        with pytest.raises(ValueError, match="radius"):
+            kernel.cooccur(ids, 2, 0)

@@ -310,10 +310,10 @@ class TestSampleCount:
         streams, min_count = corpus
         cfg = small_config(dimension=1, window_radius=radius, min_count=min_count)
         state = db.init_state(streams, cfg, architecture)
-        ids = _window_ids(streams, state.vocab, radius)
-        counts = trainer._samples_at(ids, radius, architecture)
+        ids = _window_ids(streams, state.vocab)
+        counts = trainer._samples_at(ids, trainer._windows(ids, radius), architecture)
         assert counts.sum() == len(list(iter_samples(state, streams, radius)))
-        assert len(ids) == radius + sum(len(s.tokens) + radius for s in streams)
+        assert len(ids) == 1 + sum(len(s.tokens) + 1 for s in streams)
         assert not counts[ids < 0].any()
 
 
