@@ -246,29 +246,25 @@ def build_vocabulary(
 _BOUNDARY = -2
 
 
-def _effective_radius(streams: Sequence[TokenStream], radius: int) -> int:
-    """The radius counting and training walk: `radius`, but at most the
-    longest document's length - 1 (and at least 1). No two tokens of one
-    document lie farther apart, so a wider window pairs the same tokens."""
-    longest = max((len(s.tokens) for s in streams), default=0)
-    return max(1, min(radius, longest - 1))
-
-
-def _window_ids(streams: Iterable[TokenStream], vocab: Vocabulary) -> np.ndarray:
+def _window_ids(streams: Iterable[TokenStream], vocab: Vocabulary,
+                radius: int) -> tuple[np.ndarray, int]:
     """Every document's vocabulary ids (-1 out of vocabulary), with a
-    `_BOUNDARY` before each document and after the last. A window walks
-    from its token until the radius or a boundary, so it stays inside its
-    document; the array holds tokens + documents + 1 entries, whatever the
-    radius. Counting and training both walk it."""
+    `_BOUNDARY` before each document and after the last, and the radius to
+    walk over them: `radius`, but at most the longest document's length - 1
+    (and at least 1), as no two tokens of one document lie farther apart.
+    A window walks from its token until that radius or a boundary, so it
+    stays inside its document; the array holds tokens + documents + 1
+    entries, whatever the radius. Counting and training both walk it."""
     streams = list(streams)
     ids = np.full(1 + sum(len(s.tokens) + 1 for s in streams), _BOUNDARY, dtype=np.int64)
     get, oov = vocab._index.get, itertools.repeat(-1)
-    start = 1
+    start, longest = 1, 0
     for stream in streams:
         n = len(stream.tokens)
         ids[start : start + n] = np.fromiter(map(get, stream.tokens, oov), np.int64, n)
         start += n + 1
-    return ids
+        longest = max(longest, n)
+    return ids, max(1, min(radius, longest - 1))
 
 
 @dataclass(frozen=True)

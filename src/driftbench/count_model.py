@@ -17,7 +17,6 @@ from .corpus import (
     _OTHER_LINE_BREAKS,
     TokenStream,
     Vocabulary,
-    _effective_radius,
     _lf_lines_only,
     _window_ids,
     decode_utf8,
@@ -44,7 +43,9 @@ class CooccurrenceMatrix:
     the window of an occurrence of t, summed over the corpus. The target
     occurrence itself is left out of its own window, but other occurrences
     of the same type inside the window do count, so the diagonal holds
-    same-type co-occurrence. Stored sparse; zero cells are absent.
+    same-type co-occurrence. Stored sparse; zero cells are absent. The
+    constructor keeps the matrix it is given, not a copy, when that is an
+    int64 CSR matrix: it drops the zeros and sorts the indices in place.
     """
 
     def __init__(self, vocab: Vocabulary, counts: sparse.csr_matrix, window: WindowConfig):
@@ -54,7 +55,7 @@ class CooccurrenceMatrix:
         if counts.shape != (len(vocab), len(vocab)):
             raise ValueError("count matrix shape does not match vocabulary size")
         self.vocab = vocab
-        self.counts = counts.astype(np.int64)
+        self.counts = counts.astype(np.int64, copy=False)
         self.window = window
         self.total = int(self.counts.sum())
 
@@ -145,16 +146,14 @@ def count_cooccurrences(
 
     Out-of-vocabulary tokens still occupy window positions (they are not
     spliced out the way stoplisted tokens are); they simply contribute no
-    counts. Windows never cross document boundaries. Only
-    `corpus._effective_radius` positions each side are walked, so a window
-    wider than the longest document counts the same pairs; the matrix
-    keeps the radius as given. Where the compiled kernel is built it
-    counts; otherwise `_numpy_counts` does, with the same CSR arrays.
+    counts. Windows never cross document boundaries. Only the radius that
+    `corpus._window_ids` clips is walked, so a window wider than the
+    longest document counts the same pairs; the matrix keeps the radius as
+    given. Where the compiled kernel is built it counts; otherwise
+    `_numpy_counts` does, with the same CSR arrays.
     """
-    streams = list(streams)
     vsize = len(vocab)
-    radius = _effective_radius(streams, window.radius)
-    ids = _window_ids(streams, vocab)
+    ids, radius = _window_ids(streams, vocab, window.radius)
     built = kernel.get()
     if built is None:
         counts = _numpy_counts(ids, vsize, radius)

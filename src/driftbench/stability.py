@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .corpus import TokenStream
 from .errors import (
@@ -163,7 +162,7 @@ def _compare(queries: Sequence[str], a: np.ndarray, b: np.ndarray, k: int) -> li
     """Compare each query's two rankings: rows of `a` and `b` are ids from
     one numbering, best first, with the query itself already left out.
 
-    Both rows are cut to k, or to the shorter list with a warning.
+    Both rows are cut to k, or to the shorter list with one warning.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -171,11 +170,8 @@ def _compare(queries: Sequence[str], a: np.ndarray, b: np.ndarray, k: int) -> li
     if k_used == 0:
         raise DataError(f"empty neighbor list for {queries[0]!r}")
     if k_used < k:
-        for query in queries:
-            warnings.warn(
-                f"k={k} clamped to {k_used} (shortest list) for {query!r}",
-                stacklevel=3,
-            )
+        warnings.warn(f"k={k} clamped to {k_used} (shortest list) for {len(queries)} "
+                      f"word(s), the first {queries[0]!r}", stacklevel=3)
     a, b = a[:, :k_used], b[:, :k_used]
     shared, position = _match(a, b)
     common = shared.sum(axis=1)
@@ -405,13 +401,26 @@ class StabilityReport:
         return "\n".join(lines) + "\n"
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks from 1, tied values sharing the mean of their ranks."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ties = np.diff(np.append(starts, len(values)))
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat(starts + (ties + 1) / 2, ties)
+    return ranks
+
+
 def _spearman(x: Sequence[float], y: Sequence[float]) -> float | None:
-    if len(x) < 2:
+    """Spearman's rho: the Pearson correlation of the average ranks, with the
+    operations and bits of scipy's `spearmanr`; None below two pairs or
+    where either side is constant."""
+    pairs = np.column_stack((x, y))
+    if len(pairs) < 2 or (pairs == pairs[0]).all(axis=0).any():
         return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rho = stats.spearmanr(x, y).statistic
-    return None if np.isnan(rho) else float(rho)
+    ranks = np.column_stack([_average_ranks(side) for side in pairs.T])
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 def stability_report(
@@ -433,6 +442,8 @@ def stability_report(
     shared = _shared_tokens(model_a, model_b)
     if words is not None:
         requested = set(words)
+        if not requested:
+            raise DataError("no words given to compare")
         missing = requested - set(shared)
         if missing:
             raise UnknownWordError(sorted(missing)[0], "both models")

@@ -7,11 +7,11 @@ the embedding. Training is plain stochastic gradient descent over
 a fixed seed: weight initialization, sample order, and noise draws all
 flow from one seeded generator, and the loop is single-threaded.
 
-One function (`_epoch`) plans every epoch and hands each chunk to a step:
-the SGD loop of the compiled kernel (`kernel.get()`), or, where that cannot
-be built or loaded, the numpy step, which is also the reference the kernel
-is tested against. Their weights differ only in the last few bits, so the
-provenance names the kernel.
+`_plan` cuts the window walk into chunks once per training, and `_epoch`
+hands each chunk to a step: the SGD loop of the compiled kernel
+(`kernel.get()`), or, where that cannot be built or loaded, the numpy step,
+which is also the reference the kernel is tested against. Their weights
+differ only in the last few bits, so the provenance names the kernel.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .corpus import (
     _OTHER_LINE_BREAKS,
     TokenStream,
     Vocabulary,
-    _effective_radius,
     _lf_lines_only,
     _window_ids,
     build_vocabulary,
@@ -163,38 +162,32 @@ def iter_samples(
     per target with a non-empty context; skip-gram yields ([target], c) per
     context word c.
     """
-    ids = _window_ids(streams, state.vocab)
-    windows = _windows(ids, _effective_radius(streams, radius))
-    return _samples(ids, windows, state.architecture, 0, len(ids))
+    ids, radius = _window_ids(streams, state.vocab, radius)
+    return _samples(ids, radius, state.architecture, 0, len(ids))
 
 
-def _windows(ids: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first position and one past the last of each position's window in
-    `_window_ids`: at most `radius` each side, up to its document's ends."""
-    boundaries = np.flatnonzero(ids == _BOUNDARY)
-    doc = np.cumsum(ids == _BOUNDARY) - 1  # the boundary at or before each position
-    p = np.arange(len(ids))
-    lo = np.maximum(p - radius, boundaries[doc] + 1)
-    hi = np.minimum(p + radius + 1, boundaries[np.minimum(doc + 1, len(boundaries) - 1)])
-    return lo, hi
-
-
-def _samples(ids: np.ndarray, windows: tuple[np.ndarray, np.ndarray], architecture: str,
-             start: int, stop: int):
-    """The samples of `iter_samples` at positions start..stop-1 of `_window_ids`,
-    whose `_windows` are `windows`."""
-    if start >= stop:
-        return
-    lo, hi = (w[start:stop].tolist() for w in windows)
-    base = min(lo[0], start)
-    ids = ids[base : max(hi[-1], stop)].tolist()
+def _samples(ids: np.ndarray, radius: int, architecture: str, start: int, stop: int):
+    """The samples of `iter_samples` at positions start..stop-1 of `_window_ids`.
+    Each window walks as `driftbench_sgd`'s does: up to `radius` positions
+    each side of its token, or to a `_BOUNDARY`."""
+    base = max(start - radius, 0)
+    # a boundary past the slice's end stands for whatever follows it
+    ids = [*ids[base : stop + radius].tolist(), _BOUNDARY]
     cbow = architecture == "cbow"
-    for i in range(stop - start):
-        at = start + i - base
+    first = end = 0  # the current document's first position, and its boundary after
+    for at in range(stop - base):
         target = ids[at]
         if target < 0:
+            if target == _BOUNDARY:
+                first = at + 1
             continue
-        ctx = [c for c in ids[lo[i] - base : at] + ids[at + 1 : hi[i] - base] if c >= 0]
+        if at < start - base:
+            continue
+        if end < at:
+            end = ids.index(_BOUNDARY, at)
+        lo = at - radius if at - radius > first else first
+        hi = at + radius + 1 if at + radius < end else end
+        ctx = [c for c in ids[lo:at] + ids[at + 1 : hi] if c >= 0]
         if not cbow:
             for c in ctx:
                 yield np.asarray([target], dtype=np.int64), c
@@ -259,33 +252,39 @@ def _apply_step(
     np.subtract.at(state.w_in, ctx, (lr / len(ctx)) * grad_h)
 
 
-def _samples_at(ids: np.ndarray, windows: tuple[np.ndarray, np.ndarray],
-                architecture: str) -> np.ndarray:
-    """The samples `iter_samples` yields at each position of `_window_ids`,
-    whose `_windows` are `windows`.
-
-    A CBOW position yields one when its token and some context word are in
-    the vocabulary; a skip-gram position yields one per in-vocabulary context
-    word of an in-vocabulary token.
-    """
+def _plan(ids: np.ndarray, radius: int, architecture: str, k: int) -> list[tuple[int, int, int]]:
+    """The chunks of an epoch over `_window_ids`, as (start, stop, samples):
+    `_samples` yields `samples` samples at positions start..stop-1. Under
+    negative sampling (k > 0) a chunk ends at the position that passes a
+    multiple of NOISE_CHUNK samples; under softmax one chunk holds them all.
+    No chunk is empty."""
     known = ids >= 0
     before = np.concatenate(([0], np.cumsum(known)))  # known positions before each index
-    lo, hi = windows
-    context = before[hi] - before[lo] - known
-    if architecture == "cbow":
-        return (known & (context > 0)).astype(np.int64)
-    return np.where(known, context, 0)
+    wall = ids == _BOUNDARY
+    # the known positions before each position's document, and before its end
+    first = np.maximum.accumulate(np.where(wall, before[:-1], 0))
+    last = np.minimum.accumulate(np.where(wall, before[:-1], before[-1])[::-1])[::-1]
+    p = np.arange(len(ids))
+    context = (np.minimum(before[np.minimum(p + radius + 1, len(ids))], last)
+               - np.maximum(before[np.maximum(p - radius, 0)], first) - known)
+    # a CBOW sample per known token with a known context word, a skip-gram
+    # sample per known context word of a known token
+    counts = known & (context > 0) if architecture == "cbow" else np.where(known, context, 0)
+    seen = np.concatenate(([0], np.cumsum(counts)))  # samples before each position
+    cuts = np.arange(NOISE_CHUNK, seen[-1], NOISE_CHUNK) if k else []
+    bounds = [0, *np.searchsorted(seen, cuts, side="right").tolist(), len(ids)]
+    return [(start, stop, int(seen[stop] - seen[start]))
+            for start, stop in zip(bounds[:-1], bounds[1:]) if seen[stop] > seen[start]]
 
 
-def _numpy_sgd(state: ModelState, ids: np.ndarray, windows: tuple[np.ndarray, np.ndarray],
-               config: TrainingConfig, total: int):
-    """The numpy SGD step over `_window_ids` for `_epoch`, whose `_windows`
-    are `windows`: the fallback where the C kernel is not built, and the
-    reference it is tested against."""
+def _numpy_sgd(state: ModelState, ids: np.ndarray, radius: int, config: TrainingConfig,
+               total: int):
+    """The numpy SGD step over `_window_ids` for `_epoch`: the fallback where
+    the C kernel is not built, and the reference it is tested against."""
     k = state.objective[1]
 
     def step(start: int, stop: int, noise: np.ndarray, seen: int, loss_sum: float) -> float:
-        for i, (ctx, target) in enumerate(_samples(ids, windows, state.architecture, start, stop)):
+        for i, (ctx, target) in enumerate(_samples(ids, radius, state.architecture, start, stop)):
             lr = config.learning_rate * max(LR_FLOOR_FRACTION, 1.0 - (seen + i) / total)
             negatives = noise[i * k : (i + 1) * k]  # none under softmax
             loss, *grads = _sample_loss_grads(state, ctx, target, negatives[negatives != target])
@@ -296,29 +295,21 @@ def _numpy_sgd(state: ModelState, ids: np.ndarray, windows: tuple[np.ndarray, np
     return step
 
 
-def _epoch(step, state: ModelState, counts: np.ndarray, rng: np.random.Generator,
-           seen: int) -> float:
-    """One epoch over `_window_ids`, whose positions hold `counts` samples;
-    returns the sum of the sample losses. The positions are cut into chunks of
-    about NOISE_CHUNK samples (one under softmax, which draws no noise). Each
-    chunk draws its noise words with one `rng.random` call, which gives
-    `_draw_negatives`' per-sample draws in order. step(start, stop, noise, seen,
-    loss_sum) trains positions start..stop-1 and returns loss_sum plus their
-    losses, so the loss is one sequential sum."""
+def _epoch(step, state: ModelState, plan: list[tuple[int, int, int]],
+           rng: np.random.Generator, seen: int) -> float:
+    """One epoch over the chunks of `_plan`; returns the sum of the sample
+    losses. Each chunk draws its noise words with one `rng.random` call,
+    which gives `_draw_negatives`' per-sample draws in order. step(start,
+    stop, noise, seen, loss_sum) trains positions start..stop-1 and returns
+    loss_sum plus their losses, so the loss is one sequential sum."""
     k = state.objective[1]
-    before = np.concatenate(([0], np.cumsum(counts)))  # samples before each position
-    cuts = np.arange(NOISE_CHUNK, before[-1], NOISE_CHUNK) if k else []
-    bounds = [0, *np.searchsorted(before, cuts, side="right"), len(counts)]
     loss_sum = 0.0
     noise = np.zeros(0, dtype=np.int64)
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        samples = int(before[stop] - before[start])
-        if samples == 0:
-            continue
+    for start, stop, samples in plan:
         if k:
             draws = rng.random(samples * k)
             noise = np.searchsorted(state.noise_cdf, draws).astype(np.int64, copy=False)
-        loss_sum = step(int(start), int(stop), noise, seen, loss_sum)
+        loss_sum = step(start, stop, noise, seen, loss_sum)
         seen += samples
     return loss_sum
 
@@ -329,15 +320,13 @@ def _run_training(
     streams = list(streams)
     state = init_state(streams, config, architecture)
     rng = np.random.default_rng(config.seed + 1)  # noise draws, separate from init
-    radius = _effective_radius(streams, config.window_radius)
-    ids = _window_ids(streams, state.vocab)
-    windows = _windows(ids, radius)
-    counts = _samples_at(ids, windows, architecture)
-    per_epoch = int(counts.sum())
+    ids, radius = _window_ids(streams, state.vocab, config.window_radius)
+    plan = _plan(ids, radius, architecture, state.objective[1])
+    per_epoch = sum(samples for _, _, samples in plan)
     total = max(per_epoch * config.epochs, 1)
     built = kernel.get()
     if built is None:
-        step = _numpy_sgd(state, ids, windows, config, total)
+        step = _numpy_sgd(state, ids, radius, config, total)
     else:
         step = built.sgd(state.w_in, state.w_out, ids, radius,
                          architecture == "skipgram", state.objective[1],
@@ -345,7 +334,7 @@ def _run_training(
     kind, neg_k = state.objective
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
-        loss_sum = _epoch(step, state, counts, rng, epoch * per_epoch)
+        loss_sum = _epoch(step, state, plan, rng, epoch * per_epoch)
         epoch_loss = loss_sum / max(per_epoch, 1)
         if not np.isfinite(epoch_loss):
             raise NumericalError(

@@ -41,12 +41,14 @@ class VectorSpace:
     """A vocabulary plus one row vector per word.
 
     `vectors` is either a dense (V, d) float64 array or a scipy CSR matrix.
-    Spaces are immutable after construction; queries are read-only.
+    The constructor keeps the matrix it is given, not a copy, when that is
+    already float64 (and CSR, if sparse). Spaces are immutable after
+    construction; queries are read-only.
     """
 
     def __init__(self, vocab: Vocabulary, vectors):
         if sparse.issparse(vectors):
-            vectors = vectors.tocsr().astype(np.float64)
+            vectors = vectors.tocsr().astype(np.float64, copy=False)
             finite = np.all(np.isfinite(vectors.data))
         else:
             vectors = np.asarray(vectors, dtype=np.float64)

@@ -169,6 +169,13 @@ class TestDiff:
         assert len(lines) == 2
         assert lines[1].startswith("rose,4,1.0")
 
+    def test_empty_word_selection_is_a_data_error(self, rose_file, tmp_path, capsys):
+        cooc = tmp_path / "rose.cooc"
+        run("build-count", rose_file, "--out", cooc)
+        capsys.readouterr()
+        assert run("diff", cooc, cooc, "--words", ",") == 2
+        assert capsys.readouterr().err == "driftbench: error: no words given to compare\n"
+
 
 class TestTrain:
     def test_deterministic_files(self, train_file, tmp_path, capsys):

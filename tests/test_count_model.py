@@ -163,7 +163,7 @@ window = db.WindowConfig(radius)
 db.count_cooccurrences([db.TokenStream("warm-up", streams[0].tokens[:2000])], vocab, window)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 nnz = db.count_cooccurrences(streams, vocab, window).counts.nnz
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, nnz, len(_window_ids(streams, vocab)))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, nnz, len(_window_ids(streams, vocab, radius)[0]))
 """
 
 

@@ -560,8 +560,8 @@ class TestCooccur:
         streams = [db.TokenStream(f"d{i}", tuple(words[min(int(r), 400) - 1]
                                                  for r in rng.zipf(1.3, 500)))
                    for i in range(3)]
-        vocab, radius = db.build_vocabulary(streams), 3
-        ids = _window_ids(streams, vocab)
+        vocab = db.build_vocabulary(streams)
+        ids, radius = _window_ids(streams, vocab, 3)
         indptr, indices, data = kernel.cooccur(ids, len(vocab), radius)
         want = count_model._numpy_counts(ids, len(vocab), radius).sorted_indices()
         assert np.array_equal(indptr, want.indptr)

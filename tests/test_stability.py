@@ -16,7 +16,7 @@ from scipy import sparse, stats
 
 import driftbench as db
 from driftbench import kernel as kernel_module
-from driftbench.stability import _rank_agreement
+from driftbench.stability import _rank_agreement, _spearman
 
 from conftest import dense_space
 from reference_lists import ATOMISM_AUGMENTED, ATOMISM_BASE, CAN_AUGMENTED, CAN_BASE
@@ -471,6 +471,38 @@ class TestStabilityReport:
         other = dense_space(["x", "y"], [[1, 0], [0, 1]])
         with pytest.raises(db.DataError):
             db.stability_report(table1_space, other)
+
+    def test_no_words_rejected(self, table1_space):
+        with pytest.raises(db.DataError, match="no words given"):
+            db.stability_report(table1_space, table1_space, words=[])
+
+    def test_one_warning_per_clamped_comparison(self):
+        # each of five words has four neighbours, so k=6 clamps all five
+        space = dense_space([f"w{i}" for i in range(5)], np.eye(5) + 0.1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            db.stability_report(space, space, k=6)
+        assert [str(w.message) for w in caught] == [
+            "k=6 clamped to 4 (shortest list) for 5 word(s), the first 'w0'"]
+
+
+class TestSpearman:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 6),
+                              st.integers(0, 4).map(lambda i: i / 4) | st.floats(0, 1)),
+                    max_size=30))
+    def test_matches_scipy_bit_for_bit(self, pairs):
+        # frequencies against overlaps, as stability_report correlates them:
+        # ties on both sides, and constant sides, which have no rho
+        x, y = [a for a, _ in pairs], [b for _, b in pairs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = stats.spearmanr(x, y).statistic if len(pairs) > 1 else np.nan
+        got = _spearman(x, y)
+        if np.isnan(want):
+            assert got is None
+        else:
+            assert type(got) is float and got.hex() == float(want).hex()
 
 
 class TestCrossSeed:

@@ -305,16 +305,31 @@ class TestSampleStreamOracle:
 
 class TestSampleCount:
     @settings(max_examples=80, deadline=None)
-    @given(training_corpora(), st.integers(1, 6), st.sampled_from(["cbow", "skipgram"]))
-    def test_count_matches_generator(self, corpus, radius, architecture):
+    @given(training_corpora(), st.integers(1, 6), st.sampled_from(["cbow", "skipgram"]),
+           st.sampled_from([0, 1, 2]), st.sampled_from([1, 3, trainer.NOISE_CHUNK]))
+    def test_count_matches_generator(self, corpus, radius, architecture, k, chunk):
         streams, min_count = corpus
         cfg = small_config(dimension=1, window_radius=radius, min_count=min_count)
         state = db.init_state(streams, cfg, architecture)
-        ids = _window_ids(streams, state.vocab)
-        counts = trainer._samples_at(ids, trainer._windows(ids, radius), architecture)
-        assert counts.sum() == len(list(iter_samples(state, streams, radius)))
+        ids, walked = _window_ids(streams, state.vocab, radius)
         assert len(ids) == 1 + sum(len(s.tokens) + 1 for s in streams)
-        assert not counts[ids < 0].any()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trainer, "NOISE_CHUNK", chunk)
+            plan = trainer._plan(ids, walked, architecture, k)
+        stops = [0]
+        for start, stop, samples in plan:
+            assert stops[-1] <= start < stop <= len(ids)
+            assert samples == len(list(trainer._samples(ids, walked, architecture, start, stop)))
+            # a chunk ends at the position that passes a multiple of `chunk`
+            assert 0 < samples and (samples <= chunk + 2 * walked or not k)
+            stops.append(stop)
+        # the positions between chunks yield no samples
+        for start, stop in zip(stops[:-1], [start for start, _, _ in plan]):
+            assert not list(trainer._samples(ids, walked, architecture, start, stop))
+        assert not list(trainer._samples(ids, walked, architecture, stops[-1], len(ids)))
+        assert len(plan) <= 1 or k
+        total = sum(samples for _, _, samples in plan)
+        assert total == len(list(iter_samples(state, streams, radius)))
 
 
 # ---------------------------------------------------------------------------
