@@ -1,0 +1,257 @@
+"""The package's one sparse matrix type: compressed sparse rows.
+
+A `CSR` is always in canonical layout, and this module is the only code
+that builds one or relies on it: rows ascending, each row's columns
+ascending, no column twice in a row, and no stored zero. So two matrices
+are equal exactly when their arrays are. `indptr` is int64, `indices`
+int32, and all three arrays are read-only, so matrices share arrays
+without copying and a caller cannot make a count model's cached totals
+stale by writing into them.
+
+It has only what the count models, vector spaces and word graphs use.
+The product with a dense matrix runs in the compiled kernel where it is
+built (`kernel.Kernel.csr_dot`) and in `_numpy_dot` otherwise; both sum
+each row's terms on their own, in index order, as scipy's `csr_matvec`
+and `csr_matvecs` do, so scores keep those bits. The constructors accept
+a scipy sparse matrix (anything with `tocsr()`) and only read it; this
+module does not import scipy.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from . import kernel
+
+
+class CSR:
+    """A read-only sparse matrix in canonical compressed-row layout."""
+
+    __slots__ = ("data", "indices", "indptr", "shape")
+
+    def __init__(self, data, indices, indptr, shape):
+        """Wraps arrays that are already canonical, without checking or
+        copying them; they become read-only. `of` and `from_triples` take
+        anything else."""
+        self.data = np.asarray(data)
+        self.indices = np.asarray(indices, dtype=np.int32)
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.shape = (int(shape[0]), int(shape[1]))
+        for array in (self.data, self.indices, self.indptr):
+            array.flags.writeable = False
+
+    @classmethod
+    def of(cls, matrix) -> "CSR":
+        """`matrix` itself, or a canonical copy of a scipy sparse matrix,
+        which is read and never modified."""
+        if isinstance(matrix, CSR):
+            return matrix
+        if not hasattr(matrix, "tocsr"):
+            raise TypeError(f"expected a sparse matrix, got {type(matrix).__name__}")
+        m = matrix.tocsr()
+        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        return cls.from_triples(rows, m.indices, m.data, m.shape)
+
+    @classmethod
+    def from_triples(cls, rows, cols, values, shape, dtype=None) -> "CSR":
+        """The matrix with values[k] at (rows[k], cols[k]), in any order:
+        the values of a repeated cell are summed, and zero cells dropped. It
+        holds new arrays, never the ones given."""
+        values = np.asarray(values, dtype=dtype)
+        keys = _keys(np.asarray(rows), np.asarray(cols), shape[1])
+        if not (np.diff(keys) > 0).all():
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            starts = np.flatnonzero(_firsts(keys))
+            keys, values = keys[starts], np.add.reduceat(values[order], starts)
+        return _from_keys(keys, values, shape)
+
+    @classmethod
+    def symmetric(cls, rows, cols, values, n: int) -> "CSR":
+        """The symmetric n x n matrix whose upper triangle holds values[k] at
+        (rows[k], cols[k]): distinct cells with rows[k] <= cols[k], in
+        increasing (row, column) order, none zero. A row's mirrored cells
+        (those left of the diagonal) come before its own, so the two lists
+        interleave by row without a sort of all the cells."""
+        rows, cols, values = np.asarray(rows), np.asarray(cols), np.asarray(values)
+        below = np.flatnonzero(rows < cols)
+        below = below[np.argsort(_keys(cols[below], rows[below], n))]  # in mirrored order
+        own = np.bincount(rows, minlength=n)
+        mirrored = np.bincount(cols[below], minlength=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(own + mirrored, out=indptr[1:])
+        # position of each cell: its row's start, past the row's mirrored cells
+        # for its own cells, then its rank within the row's list
+        at = indptr[rows] + mirrored[rows] + _rank_in_runs(rows)
+        mirror_rows = cols[below]
+        mirror_at = indptr[mirror_rows] + _rank_in_runs(mirror_rows)
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        data = np.empty(indptr[-1], dtype=values.dtype)
+        indices[at], data[at] = cols, values
+        indices[mirror_at], data[mirror_at] = rows[below], values[below]
+        return cls(data, indices, indptr, (n, n))
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CSR):
+            return NotImplemented
+        return self.shape == other.shape and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in self.__slots__[:3]
+        )
+
+    def row_ids(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr))
+
+    def astype(self, dtype) -> "CSR":
+        if self.dtype == dtype:
+            return self
+        return self.with_data(self.data.astype(dtype))
+
+    def with_data(self, values: np.ndarray) -> "CSR":
+        """The matrix with values[k] at the position of stored entry k, its
+        zero values dropped."""
+        if values.all():
+            return CSR(values, self.indices, self.indptr, self.shape)
+        keep = values != 0
+        kept_before = np.concatenate(([0], np.cumsum(keep)))  # kept entries before each
+        return CSR(values[keep], self.indices[keep], kept_before[self.indptr], self.shape)
+
+    @property
+    def T(self) -> "CSR":
+        rows = self.row_ids()
+        order = np.argsort(_keys(self.indices, rows, self.shape[0]))
+        indptr = np.zeros(self.shape[1] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.indices, minlength=self.shape[1]), out=indptr[1:])
+        return CSR(self.data[order], rows[order], indptr, self.shape[::-1])
+
+    def __add__(self, other: "CSR") -> "CSR":
+        return self._merge(other, np.add)
+
+    def minimum(self, other: "CSR") -> "CSR":
+        """The element-wise minimum, a missing cell counting as 0."""
+        return self._merge(other, np.minimum)
+
+    def _merge(self, other: "CSR", op) -> "CSR":
+        if self.shape != other.shape:
+            raise ValueError(f"shapes differ: {self.shape} and {other.shape}")
+        mine, theirs = self._keys(), other._keys()
+        keys = np.sort(np.concatenate((mine, theirs)), kind="stable")  # merges two sorted runs
+        keys = keys[_firsts(keys)]
+        dtype = np.result_type(self.dtype, other.dtype)
+        a, b = np.zeros(len(keys), dtype=dtype), np.zeros(len(keys), dtype=dtype)
+        a[np.searchsorted(keys, mine)] = self.data
+        b[np.searchsorted(keys, theirs)] = other.data
+        return _from_keys(keys, op(a, b), self.shape)
+
+    def _keys(self) -> np.ndarray:
+        return _keys(self.row_ids(), self.indices, self.shape[1])
+
+    def row_sums(self) -> np.ndarray:
+        """Each row's sum, by np.add.reduceat over the non-empty rows: the
+        bits of scipy's `sum(axis=1)`."""
+        sums = np.zeros(self.shape[0], dtype=np.sum(self.data[:0]).dtype)
+        full = np.flatnonzero(np.diff(self.indptr))
+        sums[full] = np.add.reduceat(self.data, self.indptr[full])
+        return sums
+
+    def col_sums(self) -> np.ndarray:
+        """Each column's sum, adding the entries in row order."""
+        sums = np.zeros(self.shape[1], dtype=np.sum(self.data[:0]).dtype)
+        np.add.at(sums, self.indices, self.data)
+        return sums
+
+    def get(self, i: int, j: int):
+        """The value at (i, j); 0 where nothing is stored."""
+        start, end = self.indptr[i], self.indptr[i + 1]
+        k = start + int(np.searchsorted(self.indices[start:end], j))
+        return self.data[k] if k < end and self.indices[k] == j else self.dtype.type(0)
+
+    def dense_rows(self, rows) -> np.ndarray:
+        """Dense copies of the given rows, one per row of the result."""
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        at, lengths = self._entries(rows)
+        out = np.zeros((len(rows), self.shape[1]), dtype=self.dtype)
+        out[np.repeat(np.arange(len(rows)), lengths), self.indices[at]] = self.data[at]
+        return out
+
+    def _entries(self, rows: np.ndarray):
+        """The positions of the stored entries of `rows`, row after row, and
+        each row's number of entries."""
+        lengths = np.diff(self.indptr)[rows]
+        first = self.indptr[rows] - (np.cumsum(lengths) - lengths)  # minus entries before
+        return np.repeat(first, lengths) + np.arange(lengths.sum()), lengths
+
+    def toarray(self) -> np.ndarray:
+        return self.dense_rows(np.arange(self.shape[0]))
+
+    def submatrix(self, ids: np.ndarray) -> "CSR":
+        """The rows and columns at the increasing `ids`, renumbered 0, 1, ..."""
+        ids = np.asarray(ids, dtype=np.int64)
+        new = np.full(self.shape[1], -1, dtype=np.int64)
+        new[ids] = np.arange(len(ids))
+        at, lengths = self._entries(ids)
+        cols = new[self.indices[at]]
+        keep = cols >= 0
+        rows = np.repeat(np.arange(len(ids)), lengths)[keep]
+        return CSR.from_triples(rows, cols[keep], self.data[at][keep], (len(ids), len(ids)))
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """The float64 product with the dense (columns,) or (columns, k) x:
+        each result starts at 0.0 and adds data * x over the row's stored
+        entries in index order, as scipy's `csr_matvec(s)` does."""
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        data = self.data.astype(np.float64, copy=False)
+        built = kernel.get()
+        if built is None:
+            return _numpy_dot(self.indptr, self.indices, data, x)
+        return built.csr_dot(self.indptr, self.indices, data, x)
+
+
+def _keys(rows: np.ndarray, cols: np.ndarray, ncols: int) -> np.ndarray:
+    """Row-major cell numbers, which sort like (row, column)."""
+    return rows.astype(np.int64) * ncols + cols.astype(np.int64)
+
+
+def _from_keys(keys: np.ndarray, values: np.ndarray, shape) -> CSR:
+    """The matrix of increasing distinct cell numbers, zero values dropped."""
+    keep = values != 0
+    keys, values = keys[keep], values[keep]
+    starts = np.arange(shape[0] + 1, dtype=np.int64) * shape[1]  # each row's first cell
+    indptr = np.searchsorted(keys, starts)
+    return CSR(values, keys - np.repeat(starts[:-1], np.diff(indptr)), indptr, shape)
+
+
+def _firsts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Whether each entry differs from the one before it."""
+    firsts = np.ones(len(sorted_keys), dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=firsts[1:])
+    return firsts
+
+
+def _rank_in_runs(sorted_ids: np.ndarray) -> np.ndarray:
+    """Each entry's position within its run of equal values."""
+    n = np.arange(len(sorted_ids))
+    return n - np.maximum.accumulate(np.where(_firsts(sorted_ids), n, 0))
+
+
+def _numpy_dot(indptr, indices, data, x: np.ndarray) -> np.ndarray:
+    """`CSR.dot` where the compiled kernel is not built, and the reference
+    its `csr_dot` is tested against: the p-th entry of every row long
+    enough is added at step p, so each row sums in index order."""
+    columns = x.reshape(len(x), -1)
+    y = np.zeros((len(indptr) - 1, columns.shape[1]))
+    lengths = np.diff(indptr)
+    live = np.flatnonzero(lengths)
+    for p in range(int(lengths.max(initial=0))):
+        live = live[lengths[live] > p]
+        at = indptr[live] + p
+        y[live] += data[at, None] * columns[indices[at]]
+    return y.reshape((len(y),) + x.shape[1:])

@@ -3,17 +3,19 @@
  * (driftbench_chain), the co-occurrence counter (driftbench_cooccur),
  * the writer and reader of the embedding text format
  * (driftbench_format, driftbench_parse), the reader of the integer
- * columns of the COOC and edge-list formats (driftbench_parse_ints), and
- * the loop of neighbour ranking: the cosine division with top-k selection
- * (driftbench_select). The SGD epoch does its arithmetic in the same
- * order as the numpy step it replaces, except that dot products and sums
- * run sequentially where numpy calls BLAS or sums pairwise, so results
- * agree with it to the last few bits. The chain sampler gives the ids of
- * numpy's searchsorted, the counter the CSR arrays of the numpy counter,
- * the text functions the same bytes and values as repr(), float() and
- * int(), and the ranking loop the same ids and score bits as numpy's
- * ranking. Build it with -ffp-contract=off and without fast-math so that
- * every run of the same build gives the same bits: the SGD step's
+ * columns of the COOC and edge-list formats (driftbench_parse_ints), the
+ * loop of neighbour ranking: the cosine division with top-k selection
+ * (driftbench_select), and the product of a CSR matrix with dense
+ * vectors that scores sparse rows (driftbench_csr_dot). The SGD epoch
+ * does its arithmetic in the same order as the numpy step it replaces,
+ * except that dot products and sums run sequentially where numpy calls
+ * BLAS or sums pairwise, so results agree with it to the last few bits.
+ * The chain sampler gives the ids of numpy's searchsorted, the counter
+ * the CSR arrays of the numpy counter, the text functions the same bytes
+ * and values as repr(), float() and int(), the ranking loop the same ids
+ * and score bits as numpy's ranking, and the CSR product the bits of its
+ * numpy twin. Build it with -ffp-contract=off and without fast-math so
+ * that every run of the same build gives the same bits: the SGD step's
  * element-wise updates run in vector lanes, each lane doing the scalar
  * operations, and no sum is ever reordered. The kernel name in training
  * manifests hashes this source, so any change here changes it.
@@ -862,6 +864,22 @@ int driftbench_select(const double *scores, int64_t queries, int64_t vocab,
     }
     free(left_out);
     return 0;
+}
+
+/* y = A x for the CSR matrix A (rows x n: indptr, indices, data) and the
+ * dense x (n x k), y being rows x k, both row-major. Each y[i][j] starts
+ * at 0.0 and adds data[p] * x[indices[p]][j] over row i's entries p in
+ * index order: the order of scipy's csr_matvec and csr_matvecs, so a
+ * score has their bits. The k lanes of a row are independent sums. */
+void driftbench_csr_dot(const int64_t *indptr, const int32_t *indices, const double *data,
+                        int64_t rows, const double *x, int64_t k, double *y)
+{
+    for (int64_t i = 0; i < rows; i++) {
+        double *yi = y + i * k;
+        memset(yi, 0, (size_t)k * sizeof *yi);
+        for (int64_t p = indptr[i]; p < indptr[i + 1]; p++)
+            add_scaled(yi, data[p], x + (int64_t)indices[p] * k, k);
+    }
 }
 
 /* ---------------------------------------------------------------------

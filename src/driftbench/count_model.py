@@ -9,9 +9,9 @@ from pathlib import Path
 from typing import Iterable
 
 import numpy as np
-from scipy import sparse
 
 from . import kernel
+from ._csr import CSR
 from .corpus import (
     _BOUNDARY,
     _OTHER_LINE_BREAKS,
@@ -43,30 +43,29 @@ class CooccurrenceMatrix:
     the window of an occurrence of t, summed over the corpus. The target
     occurrence itself is left out of its own window, but other occurrences
     of the same type inside the window do count, so the diagonal holds
-    same-type co-occurrence. Stored sparse; zero cells are absent. The
-    constructor keeps the matrix it is given, not a copy, when that is an
-    int64 CSR matrix: it drops the zeros and sorts the indices in place.
+    same-type co-occurrence. Stored sparse; zero cells are absent.
+    `counts` is a read-only int64 `CSR`: the constructor keeps a `CSR` it
+    is given as it is, and reads a scipy sparse matrix into a canonical
+    copy without modifying it.
     """
 
-    def __init__(self, vocab: Vocabulary, counts: sparse.csr_matrix, window: WindowConfig):
-        counts = counts.tocsr()
-        counts.eliminate_zeros()
-        counts.sort_indices()
+    def __init__(self, vocab: Vocabulary, counts, window: WindowConfig):
+        counts = CSR.of(counts).astype(np.int64)
         if counts.shape != (len(vocab), len(vocab)):
             raise ValueError("count matrix shape does not match vocabulary size")
         self.vocab = vocab
-        self.counts = counts.astype(np.int64, copy=False)
+        self.counts = counts
         self.window = window
-        self.total = int(self.counts.sum())
+        self.total = int(counts.data.sum())
 
     def count(self, target: str, context: str) -> int:
         t = self.vocab.index_of(target)
         c = self.vocab.index_of(context)
-        return int(self.counts[t, c])
+        return int(self.counts.get(t, c))
 
     def validate(self) -> None:
         """Check the symmetry and positivity invariants (used by tests)."""
-        if (self.counts != self.counts.T).nnz != 0:
+        if self.counts != self.counts.T:
             raise AssertionError("co-occurrence matrix is not symmetric")
         if self.counts.nnz and self.counts.data.min() <= 0:
             raise AssertionError("stored counts must be positive")
@@ -77,8 +76,7 @@ class CooccurrenceMatrix:
         return (
             self.vocab == other.vocab
             and self.window == other.window
-            and self.counts.shape == other.counts.shape
-            and (self.counts != other.counts).nnz == 0
+            and self.counts == other.counts
         )
 
     def to_space(self) -> VectorSpace:
@@ -91,7 +89,7 @@ class CooccurrenceMatrix:
 _CHUNK = 1 << 16
 
 
-def _numpy_counts(ids: np.ndarray, vsize: int, radius: int) -> sparse.csr_matrix:
+def _numpy_counts(ids: np.ndarray, vsize: int, radius: int) -> CSR:
     """The symmetric counts of the pairs at most `radius` apart in
     `corpus._window_ids` with no boundary between them, whose -1 entries
     pair with nothing: where the compiled kernel is not built, and the
@@ -104,7 +102,7 @@ def _numpy_counts(ids: np.ndarray, vsize: int, radius: int) -> sparse.csr_matrix
     the running total of (earlier, later) counts, then sorted, tallied
     and folded into it: memory stays O(tokens + nnz), and each key
     is folded in amortised constant time."""
-    forward = sparse.csr_matrix((vsize, vsize), dtype=np.int64)
+    forward = CSR.from_triples([], [], [], (vsize, vsize), np.int64)
     inside = np.ones(len(ids), dtype=bool)
     held: list[np.ndarray] = []
     size = 0
@@ -124,7 +122,7 @@ def _numpy_counts(ids: np.ndarray, vsize: int, radius: int) -> sparse.csr_matrix
     return forward + forward.T
 
 
-def _tally(held: list[np.ndarray], vsize: int) -> sparse.csr_matrix:
+def _tally(held: list[np.ndarray], vsize: int) -> CSR:
     """The counts of the held (earlier, later) keys, as a matrix: sorted in
     place, each run of equal keys is one cell."""
     keys = np.concatenate([np.zeros(0, dtype=np.int64), *held])
@@ -133,8 +131,7 @@ def _tally(held: list[np.ndarray], vsize: int) -> sparse.csr_matrix:
     starts = np.flatnonzero(np.concatenate((keys[:1] >= 0, keys[1:] != keys[:-1])))
     cnt = np.diff(np.append(starts, len(keys)))
     keys = keys[starts]
-    return sparse.csr_matrix((cnt, (keys // vsize, keys % vsize)), shape=(vsize, vsize),
-                             dtype=np.int64)
+    return CSR.from_triples(keys // vsize, keys % vsize, cnt, (vsize, vsize), np.int64)
 
 
 def count_cooccurrences(
@@ -159,7 +156,7 @@ def count_cooccurrences(
         counts = _numpy_counts(ids, vsize, radius)
     else:
         indptr, indices, data = built.cooccur(ids, vsize, radius)
-        counts = sparse.csr_matrix((data, indices, indptr), shape=(vsize, vsize))
+        counts = CSR(data, indices, indptr, (vsize, vsize))
     return CooccurrenceMatrix(vocab, counts, window)
 
 
@@ -179,10 +176,8 @@ def augment_counts(
         extra.update(stream.tokens)
     vocab = base.vocab.extended(extra)
     vsize = len(vocab)
-    old = base.counts.tocoo()
-    resized = sparse.csr_matrix(
-        (old.data, (old.row, old.col)), shape=(vsize, vsize), dtype=np.int64
-    )
+    old = base.counts
+    resized = CSR.from_triples(old.row_ids(), old.indices, old.data, (vsize, vsize))
     added = count_cooccurrences(new_streams, vocab, base.window)
     return CooccurrenceMatrix(vocab, resized + added.counts, base.window)
 
@@ -196,26 +191,22 @@ def ppmi_transform(m: CooccurrenceMatrix) -> VectorSpace:
     """
     if m.total <= 0:
         raise DataError("cannot PPMI-transform an empty co-occurrence matrix")
-    coo = m.counts.tocoo()
-    rowsum = np.asarray(m.counts.sum(axis=1)).ravel().astype(np.float64)
-    colsum = np.asarray(m.counts.sum(axis=0)).ravel().astype(np.float64)
-    pmi = np.log(coo.data.astype(np.float64) * float(m.total)) - np.log(
-        rowsum[coo.row] * colsum[coo.col]
+    counts = m.counts
+    rows, cols = counts.row_ids(), counts.indices
+    rowsum = counts.row_sums().astype(np.float64)
+    colsum = counts.col_sums().astype(np.float64)
+    pmi = np.log(counts.data.astype(np.float64) * float(m.total)) - np.log(
+        rowsum[rows] * colsum[cols]
     )
     keep = pmi > 0.0
-    weighted = sparse.coo_matrix(
-        (pmi[keep], (coo.row[keep], coo.col[keep])),
-        shape=m.counts.shape,
-    ).tocsr()
-    return VectorSpace(m.vocab, weighted)
+    return VectorSpace(m.vocab, CSR.from_triples(rows[keep], cols[keep], pmi[keep], counts.shape))
 
 
 def row_vector(source: CooccurrenceMatrix | VectorSpace, word: str) -> WordVector:
     """The row for `word` as a dense vector in canonical index order."""
     if isinstance(source, CooccurrenceMatrix):
         idx = source.vocab.index_of(word)
-        row = np.asarray(source.counts[idx].todense(), dtype=np.float64).ravel()
-        return WordVector(word, row)
+        return WordVector(word, source.counts.dense_rows([idx])[0].astype(np.float64))
     return source.vector(word)
 
 
@@ -240,9 +231,12 @@ def save_cooc(m: CooccurrenceMatrix, path: str | Path) -> None:
                          "it holds a TAB, a line break or a lone surrogate")
     lines = [f"{COOC_MAGIC} {len(m.vocab)} {m.window.radius}"]
     lines += [f"{index}\t{token}\t{freq}" for token, index, freq in m.vocab.items()]
-    upper = sparse.triu(m.counts, format="coo")
-    triples = np.column_stack((upper.row, upper.col, upper.data)).ravel().tolist()
-    text = "\n".join(lines) + "\n" + "%d\t%d\t%d\n" * upper.nnz % tuple(triples)
+    counts = m.counts
+    rows = counts.row_ids()
+    upper = counts.indices >= rows
+    triples = np.column_stack((rows[upper], counts.indices[upper], counts.data[upper]))
+    body = "%d\t%d\t%d\n" * len(triples) % tuple(triples.ravel().tolist())
+    text = "\n".join(lines) + "\n" + body
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
@@ -344,17 +338,16 @@ def _parse_cooc_lines(text: str, path: str | Path) -> CooccurrenceMatrix:
     except ValueError as exc:
         raise FormatError(f"{path}: line {number}: {exc}") from None
     t, c, v = np.array(triples, dtype=np.int64).reshape(-1, 3).T
-    firsts = np.unique(t * vsize + c, return_index=True)[1]  # each cell's first triple
+    firsts = np.unique(t * vsize + c, return_index=True)[1]  # first triples, in cell order
     if firsts.size < t.size:
         first = int(np.setdiff1d(np.arange(t.size), firsts)[0])  # the earliest repeat
         number = [n for n, line in enumerate(lines[1 + vsize :], start=2 + vsize) if line][first]
         raise FormatError(f"{path}: line {number}: triple ({t[first]}, {c[first]}) repeated")
-    return _cooc_matrix(tokens, freqs, window, t, c, v)
+    return _cooc_matrix(tokens, freqs, window, t[firsts], c[firsts], v[firsts])
 
 
 def _cooc_matrix(tokens, freqs, window: WindowConfig, t, c, v) -> CooccurrenceMatrix:
-    """The matrix of valid upper-triangle triples (t <= c, each cell once)."""
-    vsize = len(tokens)
-    upper = sparse.coo_matrix((v, (t, c)), shape=(vsize, vsize)).tocsr()
-    counts = upper + sparse.triu(upper, k=1).T  # the file holds t <= c
+    """The matrix of valid upper-triangle triples (t <= c, each cell once),
+    in increasing (t, c) order."""
+    counts = CSR.symmetric(t, c, v, len(tokens))  # the file holds t <= c
     return CooccurrenceMatrix(Vocabulary(tokens, freqs), counts, window)

@@ -25,9 +25,9 @@ from types import MappingProxyType
 from xml.sax.saxutils import escape
 
 import numpy as np
-from scipy import sparse
 
 from . import kernel
+from ._csr import CSR
 from .corpus import _OTHER_LINE_BREAKS, Vocabulary, _lf_lines_only
 from .count_model import CooccurrenceMatrix, WindowConfig
 from .errors import FormatError, UnknownWordError
@@ -40,8 +40,9 @@ class SemanticGraph:
 
     `tokens` holds the nodes in sorted order; a node's id is its index
     there. `self_weights[i]` is node i's same-type co-occurrence count (0 if
-    none). `weights` is an upper-triangular int64 CSR matrix holding the
-    weight of edge (tokens[i], tokens[j]), i < j, at [i, j].
+    none). `weights` is an upper-triangular int64 `CSR` matrix holding the
+    weight of edge (tokens[i], tokens[j]), i < j, at [i, j]. Both are
+    read-only.
 
     `nodes` (token -> same-type count) and `edges` ((a, b) with a < b ->
     positive weight) are read-only mapping views of the same arrays.
@@ -73,7 +74,7 @@ class SemanticGraph:
         self._set(tokens, self_weights, _upper(len(tokens), rows, cols, weights))
 
     @classmethod
-    def _of(cls, tokens, self_weights: np.ndarray, weights: sparse.csr_matrix):
+    def _of(cls, tokens, self_weights: np.ndarray, weights: CSR):
         """A graph of arrays that already hold its invariants."""
         g = cls.__new__(cls)
         g._set(tokens, self_weights, weights)
@@ -82,9 +83,8 @@ class SemanticGraph:
     def _set(self, tokens, self_weights, weights) -> None:
         self.tokens: tuple[str, ...] = tuple(tokens)
         self.self_weights: np.ndarray = self_weights
-        self.weights: sparse.csr_matrix = weights
-        for array in (self_weights, weights.data, weights.indices, weights.indptr):
-            array.flags.writeable = False
+        self.weights: CSR = weights
+        self_weights.flags.writeable = False
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -103,10 +103,7 @@ class SemanticGraph:
             isinstance(other, SemanticGraph)
             and self.tokens == other.tokens
             and np.array_equal(self.self_weights, other.self_weights)
-            and all(
-                np.array_equal(getattr(self.weights, f), getattr(other.weights, f))
-                for f in ("indptr", "indices", "data")
-            )
+            and self.weights == other.weights
         )
 
     def __len__(self) -> int:
@@ -116,21 +113,17 @@ class SemanticGraph:
         i, j = sorted((self._index.get(a, -1), self._index.get(b, -1)))
         if i < 0:
             return None
-        w = self.weights
-        start, end = w.indptr[i], w.indptr[i + 1]
-        k = start + int(np.searchsorted(w.indices[start:end], j))
-        return int(w.data[k]) if k < end and w.indices[k] == j else None
+        return int(self.weights.get(i, j)) or None  # a missing edge reads 0
 
     def _triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row ids, column ids and weights of the edges in sorted order."""
         w = self.weights
-        rows = np.repeat(np.arange(len(self.tokens)), np.diff(w.indptr))
-        return rows, w.indices, w.data
+        return w.row_ids(), w.indices, w.data
 
     @cached_property
     def _adjacency(self) -> tuple[list[int], list[int], list[float]]:
         """Both directions of every edge as CSR lists, with step cost 1/weight."""
-        both = self.weights + self.weights.T
+        both = CSR.symmetric(*self._triples(), len(self.tokens))
         return both.indptr.tolist(), both.indices.tolist(), (1.0 / both.data).tolist()
 
 
@@ -172,14 +165,9 @@ def _arrays(nodes: Mapping[str, int], firsts, seconds):
     )
 
 
-def _upper(n: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> sparse.csr_matrix:
-    """The n x n CSR matrix of distinct edges (rows[k], cols[k]), in any order."""
-    order = np.argsort(rows * n + cols)  # keys are distinct, so any sort will do
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return sparse.csr_matrix(
-        (weights[order], cols[order], indptr), shape=(n, n), dtype=np.int64
-    )
+def _upper(n: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> CSR:
+    """The n x n matrix of distinct edges (rows[k], cols[k]), in any order."""
+    return CSR.from_triples(rows, cols, weights, (n, n), np.int64)
 
 
 def from_counts(m: CooccurrenceMatrix, min_weight: int = 1) -> SemanticGraph:
@@ -191,8 +179,8 @@ def from_counts(m: CooccurrenceMatrix, min_weight: int = 1) -> SemanticGraph:
     order = sorted(range(n), key=vocab_tokens.__getitem__)
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
-    counts = m.counts.tocoo()
-    rows, cols, data = rank[counts.row], rank[counts.col], counts.data
+    counts = m.counts
+    rows, cols, data = rank[counts.row_ids()], rank[counts.indices], counts.data
     self_weights = np.zeros(n, dtype=np.int64)
     diagonal = rows == cols
     self_weights[rows[diagonal]] = data[diagonal]
@@ -214,15 +202,14 @@ def to_counts(
     rows, cols = ids[rows], ids[cols]
     diagonal = np.flatnonzero(g.self_weights)
     same = ids[diagonal]
-    counts = sparse.coo_matrix(
-        (
-            np.concatenate((g.self_weights[diagonal], data, data)),
-            (np.concatenate((same, rows, cols)), np.concatenate((same, cols, rows))),
-        ),
-        shape=(len(vocab), len(vocab)),
-        dtype=np.int64,
+    counts = CSR.from_triples(
+        np.concatenate((same, rows, cols)),
+        np.concatenate((same, cols, rows)),
+        np.concatenate((g.self_weights[diagonal], data, data)),
+        (len(vocab), len(vocab)),
+        np.int64,
     )
-    return CooccurrenceMatrix(vocab, counts.tocsr(), window)
+    return CooccurrenceMatrix(vocab, counts, window)
 
 
 def intersection(ga: SemanticGraph, gb: SemanticGraph) -> SemanticGraph:
@@ -230,8 +217,8 @@ def intersection(ga: SemanticGraph, gb: SemanticGraph) -> SemanticGraph:
     in_b = np.fromiter(map(gb._index.get, ga.tokens, repeat(-1)), np.int64, len(ga))
     ids_a = np.flatnonzero(in_b >= 0)
     ids_b = in_b[ids_a]  # increasing too: both token lists are sorted
-    wa = ga.weights[ids_a][:, ids_a]
-    wb = gb.weights[ids_b][:, ids_b]
+    wa = ga.weights.submatrix(ids_a)
+    wb = gb.weights.submatrix(ids_b)
     return SemanticGraph._of(
         map(ga.tokens.__getitem__, ids_a.tolist()),
         np.minimum(ga.self_weights[ids_a], gb.self_weights[ids_b]),

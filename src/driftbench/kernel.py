@@ -3,17 +3,19 @@
 One small C file holds the loops that numpy cannot batch: the SGD epoch of
 the trainer, the chain sampler of the synthetic language, the co-occurrence
 counter, the writer and reader of the embedding text format, the reader of
-the integer columns of the COOC and edge-list formats, and the loop of
-neighbour ranking, the cosine division with top-k selection. The
-embedding writer formats components with Ryu and the reader parses them
-with Eisel-Lemire, each from a table of powers of five that this module
-computes with exact integers; the reader leaves to the C library's strtod
-only the fields Eisel-Lemire does not decide. `get()` compiles it on first
-use with the system C compiler and caches the library; where it cannot be
-built or loaded, `get()` returns None and each caller runs its fallback:
-the numpy step, the per-token chain loop (`synthetic._chain`), the numpy
-counter (`count_model._numpy_counts`), the repr() writer, for each text
-loader its per-line reader, and numpy's ranking (`vector_space._select`).
+the integer columns of the COOC and edge-list formats, the loop of
+neighbour ranking (the cosine division with top-k selection), and the
+product of a CSR matrix with dense vectors. The embedding writer formats
+components with Ryu and the reader parses them with Eisel-Lemire, each
+from a table of powers of five that this module computes with exact
+integers; the reader leaves to the C library's strtod only the fields
+Eisel-Lemire does not decide. `get()` compiles it on first use with the
+system C compiler and caches the library; where it cannot be built or
+loaded, `get()` returns None and each caller runs its fallback: the numpy
+step, the per-token chain loop (`synthetic._chain`), the numpy counter
+(`count_model._numpy_counts`), the repr() writer, for each text loader its
+per-line reader, numpy's ranking (`vector_space._select`) and the numpy
+CSR product (`_csr._numpy_dot`).
 The fallbacks, with float() and int() for the parsers, are the references
 the kernel is tested against. The name the provenance gives the kernel
 hashes this source, so it changes with any change here, the ranking loop,
@@ -111,6 +113,7 @@ class Kernel:
         self._chain = _bind(library, "driftbench_chain", None, _P, _P, _I, _P, _I, _P)
         self._cooccur = _bind(library, "driftbench_cooccur", ctypes.c_int, _P, _I, _I, _I,
                               _P, _P, _P)
+        self._csr_dot = _bind(library, "driftbench_csr_dot", None, _P, _P, _P, _I, _P, _I, _P)
         self._table = _ryu_table()
         self._powers = _eisel_lemire_table()
         self._library = library  # keeps the library loaded while its functions are used
@@ -179,6 +182,26 @@ class Kernel:
         data = np.empty(indptr[-1], dtype=np.int64)
         count(indices.ctypes.data, data.ctypes.data)
         return indptr, indices, data
+
+    def csr_dot(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+                x: np.ndarray) -> np.ndarray:
+        """`_csr._numpy_dot` bit for bit: the product of the CSR matrix
+        (int64 indptr, int32 indices, float64 data) with the dense (n,) or
+        (n, k) float64 x, each row's terms summed in index order."""
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        columns = x.reshape(len(x), -1)
+        if (indptr.dtype != np.int64 or indices.dtype != np.int32 or data.dtype != np.float64
+                or not all(a.flags.c_contiguous for a in (indptr, indices, data))):
+            raise ValueError("need C-contiguous int64 indptr, int32 indices and float64 data")
+        if (len(indptr) < 1 or indptr[0] != 0 or (np.diff(indptr) < 0).any()
+                or indptr[-1] != len(indices) or len(indices) != len(data)):
+            raise ValueError("indptr must rise from 0 to the number of entries")
+        if len(indices) and not 0 <= indices.min() <= indices.max() < len(x):
+            raise ValueError("column indices must be in [0, rows of x)")
+        y = np.empty((len(indptr) - 1, columns.shape[1]))
+        self._csr_dot(indptr.ctypes.data, indices.ctypes.data, data.ctypes.data, len(y),
+                      columns.ctypes.data, columns.shape[1], y.ctypes.data)
+        return y.reshape((len(y),) + x.shape[1:])
 
     def format_rows(self, tokens: bytes, rows: np.ndarray) -> memoryview:
         """The embedding text body: per row, its token, a space, the row's

@@ -464,10 +464,12 @@ def save_embedding_text(space: EmbeddingSpace | VectorSpace, path: str | Path) -
     Components are written with shortest round-trip precision, the bytes of
     repr(), so saving and reloading is exact and identical runs produce
     identical bytes. The compiled kernel writes them where it is built. A
-    space of dimension 0, or a token that the reader could not read back
-    (empty, or holding a space or a line break), raises ValueError before
-    any byte is written.
+    sparse space, a space of dimension 0, or a token that the reader could
+    not read back (empty, or holding a space or a line break), raises
+    ValueError before any byte is written.
     """
+    if space.is_sparse:
+        raise ValueError("a sparse count space cannot be written as embedding text")
     if space.dim == 0:
         raise ValueError("a space of dimension 0 cannot be written as embedding text")
     tokens = space.vocab.tokens

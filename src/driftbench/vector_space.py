@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from . import kernel
+from ._csr import CSR
 from .corpus import Vocabulary
 from .errors import DimensionMismatchError, ZeroVectorError
 
@@ -40,15 +40,16 @@ class WordVector:
 class VectorSpace:
     """A vocabulary plus one row vector per word.
 
-    `vectors` is either a dense (V, d) float64 array or a scipy CSR matrix.
-    The constructor keeps the matrix it is given, not a copy, when that is
-    already float64 (and CSR, if sparse). Spaces are immutable after
-    construction; queries are read-only.
+    `vectors` is either a dense (V, d) float64 array or a read-only `CSR`
+    matrix, which the constructor also makes of a scipy sparse matrix,
+    reading it without modifying it. The constructor keeps the array or
+    `CSR` it is given, not a copy, when that is already float64. Spaces
+    are immutable after construction; queries are read-only.
     """
 
     def __init__(self, vocab: Vocabulary, vectors):
-        if sparse.issparse(vectors):
-            vectors = vectors.tocsr().astype(np.float64, copy=False)
+        if isinstance(vectors, CSR) or hasattr(vectors, "tocsr"):
+            vectors = CSR.of(vectors).astype(np.float64)
             finite = np.all(np.isfinite(vectors.data))
         else:
             vectors = np.asarray(vectors, dtype=np.float64)
@@ -70,7 +71,7 @@ class VectorSpace:
 
     @property
     def is_sparse(self) -> bool:
-        return sparse.issparse(self.vectors)
+        return isinstance(self.vectors, CSR)
 
     def __contains__(self, word: str) -> bool:
         return word in self.vocab
@@ -81,7 +82,7 @@ class VectorSpace:
     def dense_rows(self, indices) -> np.ndarray:
         """Dense copies of the rows at `indices`, one per row of the result."""
         if self.is_sparse:
-            return self.vectors[indices].toarray()
+            return self.vectors.dense_rows(indices)
         return self.vectors[indices]
 
     def dense_row(self, index: int) -> np.ndarray:
@@ -100,8 +101,9 @@ class VectorSpace:
         """
         if self._unit is None:
             if self.is_sparse:
-                sq = self.vectors.multiply(self.vectors).sum(axis=1)
-                norms = np.sqrt(np.asarray(sq).ravel())
+                # the products that underflow to 0 are dropped before the sums
+                v = self.vectors
+                norms = np.sqrt(v.with_data(v.data * v.data).row_sums())
             else:
                 norms = np.linalg.norm(self.vectors, axis=1)
             self._unit = _rescale(self.vectors, norms)
@@ -225,26 +227,26 @@ def _rescale(rows, norms: np.ndarray):
     bad = np.flatnonzero((norms < _MIN_NORM) | np.isinf(norms))
     if bad.size == 0:
         return rows, norms
-    rows, norms = rows.copy(), norms.copy()
+    is_csr = isinstance(rows, CSR)
+    values, norms = (rows.data if is_csr else rows).copy(), norms.copy()
     for i in bad:
-        x = rows.data[rows.indptr[i] : rows.indptr[i + 1]] if sparse.issparse(rows) else rows[i]
+        x = values[rows.indptr[i] : rows.indptr[i + 1]] if is_csr else values[i]
         if x.any():
             x /= np.abs(x).max()
             norms[i] = np.linalg.norm(x)
-    return rows, norms
+    return (rows.with_data(values) if is_csr else values), norms
 
 
 def _distance_scores(m, query: np.ndarray, metric: str) -> np.ndarray:
     """Negated distance from the query to every row of m."""
-    if sparse.issparse(m):
+    if isinstance(m, CSR):
         qs = query[m.indices]
         if metric == "euclidean":
             per_nz, base = (m.data - qs) ** 2 - qs**2, float(query @ query)
         else:
             per_nz, base = np.abs(m.data - qs) - np.abs(qs), float(np.abs(query).sum())
-        # csr_matvec sums each row's terms on their own, in index order
-        rows = sparse.csr_matrix((per_nz, m.indices, m.indptr), shape=m.shape)
-        d = np.maximum(rows @ np.ones(m.shape[1]) + base, 0.0)
+        # the product sums each row's terms on their own, in index order
+        d = np.maximum(m.with_data(per_nz).dot(np.ones(m.shape[1])) + base, 0.0)
         return -np.sqrt(d) if metric == "euclidean" else -d
     diff = m - query
     if metric == "euclidean":
@@ -258,8 +260,8 @@ def _cosine_terms(space: VectorSpace, queries: np.ndarray):
     rows, norms = space._unit_rows()
     queries, qnorms = _rescale(queries, np.sqrt([q @ q for q in queries]))
     if space.is_sparse:
-        # csr_matvecs sums each row's entries in the order csr_matvec does
-        dots = (rows @ queries.T).T
+        # the product sums each row's entries in index order, whatever the block
+        dots = rows.dot(queries.T).T
     else:
         # a matrix product sums in another order than a matrix-vector product,
         # and a query's scores must not depend on the block it is scored in
@@ -335,7 +337,7 @@ def _top_k(space: VectorSpace, queries, k: int, metric: str, exclude):
         for lo in range(0, len(queries), step):
             block, drop = queries[lo : lo + step], exclude[lo : lo + step]
             if by_row:
-                block = source[block].toarray() if space.is_sparse else source[block]
+                block = source.dense_rows(block) if space.is_sparse else source[block]
             if metric == "cosine":
                 values, norms, qnorms = _cosine_terms(space, block)
             else:

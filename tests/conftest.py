@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import driftbench as db
 from driftbench import kernel as kernel_module
@@ -47,10 +48,16 @@ def brute_force_counts(streams, vocab, radius):
     return dict(counts)
 
 
+def to_scipy(m):
+    """The package's CSR matrix `m` as a scipy CSR matrix of copied arrays,
+    for the assertions that use scipy's operations as their oracle."""
+    return sparse.csr_matrix((m.data.copy(), m.indices.copy(), m.indptr.copy()), shape=m.shape)
+
+
 def matrix_equals_oracle(matrix, oracle):
     """Exact agreement between a CooccurrenceMatrix and the oracle dict."""
     seen = set()
-    coo = matrix.counts.tocoo()
+    coo = to_scipy(matrix.counts).tocoo()
     for r, c, v in zip(coo.row, coo.col, coo.data):
         pair = (matrix.vocab.token_at(int(r)), matrix.vocab.token_at(int(c)))
         if oracle.get(pair, 0) != int(v):

@@ -15,7 +15,7 @@ import driftbench as db
 from driftbench import kernel as kernel_module
 from driftbench.count_model import load_cooc, save_cooc
 
-from conftest import brute_force_counts, matrix_equals_oracle, random_streams
+from conftest import brute_force_counts, matrix_equals_oracle, random_streams, to_scipy
 
 
 class TestRoseOracle:
@@ -110,7 +110,7 @@ class TestWindowing:
         streams = random_streams(rng, 5)
         vocab = db.build_vocabulary(streams)
         m = db.count_cooccurrences(streams, vocab, db.WindowConfig(radius=4))
-        assert (m.counts != m.counts.T).nnz == 0
+        assert (to_scipy(m.counts) != to_scipy(m.counts).T).nnz == 0
 
 
 class TestEffectiveRadius:
@@ -123,7 +123,7 @@ class TestEffectiveRadius:
         near = db.count_cooccurrences(streams, vocab, db.WindowConfig(longest - 1))
         far = db.count_cooccurrences(streams, vocab, db.WindowConfig(wide))
         assert far.window.radius == wide  # kept as given, for the COOC header
-        assert near.counts.nnz and (near.counts != far.counts).nnz == 0
+        assert near.counts.nnz and (to_scipy(near.counts) != to_scipy(far.counts)).nnz == 0
         assert matrix_equals_oracle(far, brute_force_counts(streams, vocab, longest - 1))
         augmented = db.augment_counts(far, random_streams(rng, 2, max_tokens=30))
         assert augmented.window.radius == wide
@@ -233,6 +233,33 @@ class TestAugmentation:
             assert augmented.same_counts(fresh)
 
 
+class TestMatrixArrays:
+    def test_a_scipy_input_is_read_and_never_modified(self):
+        from scipy import sparse
+
+        # unsorted columns and an explicit zero, which the matrix must not keep
+        given = sparse.csr_matrix(
+            (np.array([1, 2, 0, 2]), np.array([1, 0, 1, 0]), np.array([0, 2, 4])), shape=(2, 2)
+        )
+        before = [a.copy() for a in (given.data, given.indices, given.indptr)]
+        m = db.CooccurrenceMatrix(db.Vocabulary(["a", "b"], [1, 1]), given, db.WindowConfig(1))
+        assert [a.tolist() for a in (given.data, given.indices, given.indptr)] == [
+            a.tolist() for a in before
+        ]
+        assert (m.counts.indptr.tolist(), m.counts.indices.tolist(), m.counts.data.tolist()) == (
+            [0, 2, 3], [0, 1, 0], [2, 1, 2]
+        )
+        assert m.total == 5
+
+    def test_arrays_are_read_only(self, rose_matrix):
+        space = db.ppmi_transform(rose_matrix)
+        for matrix in (rose_matrix.counts, space.vectors):
+            for array in (matrix.data, matrix.indices, matrix.indptr):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[0] + 1
+        assert rose_matrix.total == int(to_scipy(rose_matrix.counts).sum())
+
+
 class TestPpmi:
     def test_two_word_corpus_hand_value(self):
         stream = db.tokenize("x y")
@@ -255,8 +282,8 @@ class TestPpmi:
 
     def test_zero_cells_stay_absent(self, rose_matrix):
         space = db.ppmi_transform(rose_matrix)
-        dense = np.asarray(space.vectors.todense())
-        raw = np.asarray(rose_matrix.counts.todense())
+        dense = np.asarray(to_scipy(space.vectors).todense())
+        raw = np.asarray(to_scipy(rose_matrix.counts).todense())
         assert np.all(dense[raw == 0] == 0)
         assert np.all(dense >= 0)
 

@@ -403,6 +403,14 @@ def test_embedding_text_refuses_a_token_it_cannot_read_back(workdir, monkeypatch
     assert not path.exists()
 
 
+def test_embedding_text_refuses_a_sparse_space(workdir, rose_matrix):
+    path = workdir / "sparse.txt"
+    path.unlink(missing_ok=True)
+    with pytest.raises(ValueError, match="sparse count space"):
+        trainer.save_embedding_text(rose_matrix.to_space(), path)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("with_kernel", [True, False], ids=["kernel", "fallback"])
 def test_embedding_text_refuses_dimension_zero(workdir, monkeypatch, with_kernel):
     # each row would read back as one empty component

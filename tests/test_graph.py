@@ -15,7 +15,7 @@ import driftbench as db
 from driftbench import graph
 from driftbench import kernel as kernel_module
 
-from conftest import random_streams
+from conftest import random_streams, to_scipy
 
 
 @pytest.fixture
@@ -297,7 +297,7 @@ class TestSemanticGraph:
 def ref_from_counts(m, min_weight=1):
     vocab = m.vocab
     nodes = {t: 0 for t in vocab.tokens}
-    upper = sparse.triu(m.counts, format="coo")
+    upper = sparse.triu(to_scipy(m.counts), format="coo")
     edges = {}
     for r, c, v in zip(upper.row.tolist(), upper.col.tolist(), upper.data.tolist()):
         if r == c:

@@ -6,8 +6,9 @@ so that the caller falls back to the per-line reader. The integer reader
 must read each field as int() does, or refuse it the same way. Hypothesis
 draws the components from random 64-bit patterns and the edges of the
 formats. Ranking in the kernel must give the ids and score bits of the
-numpy selection and scoring that run without it, and counting the CSR
-arrays of the numpy counter.
+numpy selection and scoring that run without it, counting the CSR
+arrays of the numpy counter, and the CSR product the bits of the numpy
+product and of scipy's.
 """
 
 import math
@@ -25,9 +26,10 @@ from scipy import sparse
 import driftbench as db
 from driftbench import count_model
 from driftbench import kernel as kernel_module
+from driftbench._csr import CSR, _numpy_dot
 from driftbench.corpus import _OTHER_LINE_BREAKS, _window_ids
 
-from conftest import brute_force_counts, matrix_equals_oracle
+from conftest import brute_force_counts, matrix_equals_oracle, to_scipy
 
 ORACLE = settings(max_examples=400, deadline=None,
                   suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -563,7 +565,7 @@ class TestCooccur:
         vocab = db.build_vocabulary(streams)
         ids, radius = _window_ids(streams, vocab, 3)
         indptr, indices, data = kernel.cooccur(ids, len(vocab), radius)
-        want = count_model._numpy_counts(ids, len(vocab), radius).sorted_indices()
+        want = to_scipy(count_model._numpy_counts(ids, len(vocab), radius)).sorted_indices()
         assert np.array_equal(indptr, want.indptr)
         assert np.array_equal(indices, want.indices)
         assert np.array_equal(data, want.data)
@@ -584,7 +586,7 @@ class TestCooccur:
         assert indptr.tolist() == [0, 1, 2]
         assert indices.tolist() == [1, 0]
         assert data.tolist() == [1, 1]
-        assert (count_model._numpy_counts(ids, 2, 10) != sparse.csr_matrix(
+        assert (to_scipy(count_model._numpy_counts(ids, 2, 10)) != sparse.csr_matrix(
             (data, indices, indptr), shape=(2, 2))).nnz == 0
 
     def test_refuses_what_it_cannot_take(self, kernel):
@@ -600,3 +602,35 @@ class TestCooccur:
             kernel.cooccur(ids, 2**31, 1)
         with pytest.raises(ValueError, match="radius"):
             kernel.cooccur(ids, 2, 0)
+
+
+class TestCsrDot:
+    def test_long_rows_give_the_numpy_and_scipy_bits(self, kernel):
+        # rows of up to 400 entries of mixed magnitude: any other order of a
+        # row's sum would change its last bits
+        rng = np.random.default_rng(11)
+        rows = rng.standard_normal((300, 400)) * 10.0 ** rng.integers(-8, 8, (300, 400))
+        rows *= rng.random((300, 400)) < np.linspace(0.01, 1.0, 300)[:, None]
+        m = CSR.of(sparse.csr_matrix(rows))
+        for x in (rng.standard_normal(400), rng.standard_normal((400, 7))):
+            compiled = kernel.csr_dot(m.indptr, m.indices, m.data, x)
+            reference = _numpy_dot(m.indptr, m.indices, m.data, x)
+            assert compiled.view(np.uint64).tolist() == reference.view(np.uint64).tolist()
+            assert compiled.view(np.uint64).tolist() == (sparse.csr_matrix(rows) @ x).view(
+                np.uint64).tolist()
+
+    def test_refuses_what_it_cannot_take(self, kernel):
+        m = CSR.of(sparse.csr_matrix(np.array([[0.0, 2.0], [1.0, 0.0]])))
+        x = np.ones(2)
+        with pytest.raises(ValueError, match="int32 indices"):
+            kernel.csr_dot(m.indptr, m.indices.astype(np.int64), m.data, x)
+        with pytest.raises(ValueError, match="float64 data"):
+            kernel.csr_dot(m.indptr, m.indices, m.data.astype(np.float32), x)
+        for indptr in ([1, 1, 2], [0, 2, 1], [0, 1, 3]):
+            with pytest.raises(ValueError, match="indptr"):
+                kernel.csr_dot(np.array(indptr, dtype=np.int64), m.indices, m.data, x)
+        for column in (-1, 2):
+            with pytest.raises(ValueError, match="column indices"):
+                kernel.csr_dot(m.indptr, np.array([column, 0], dtype=np.int32), m.data, x)
+        with pytest.raises(ValueError, match="column indices"):
+            kernel.csr_dot(m.indptr, m.indices, m.data, np.ones(1))

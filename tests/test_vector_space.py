@@ -13,7 +13,7 @@ from scipy import sparse
 
 import driftbench as db
 
-from conftest import dense_space
+from conftest import dense_space, to_scipy
 
 finite_vec = st.lists(
     st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False), min_size=2, max_size=8
@@ -166,7 +166,7 @@ class TestNearestNeighbors:
 
         sparse_space = rose_matrix.to_space()
         dense = db.VectorSpace(
-            rose_matrix.vocab, np.asarray(rose_matrix.counts.todense(), dtype=float)
+            rose_matrix.vocab, np.asarray(to_scipy(rose_matrix.counts).todense(), dtype=float)
         )
         for metric in ("cosine", "euclidean", "cityblock"):
             for word in rose_matrix.vocab.tokens:
@@ -274,13 +274,14 @@ class TestAnalogy:
 
 def old_rank_scores(space, query, metric):
     """The per-word scoring that ranking used before the batched kernel."""
+    vectors = to_scipy(space.vectors) if space.is_sparse else space.vectors
     if metric == "cosine":
         if space.is_sparse:
-            sq = space.vectors.multiply(space.vectors).sum(axis=1)
+            sq = vectors.multiply(vectors).sum(axis=1)
             norms = np.sqrt(np.asarray(sq).ravel())
         else:
-            norms = np.linalg.norm(space.vectors, axis=1)
-        dots = np.asarray(space.vectors @ query).ravel()
+            norms = np.linalg.norm(vectors, axis=1)
+        dots = np.asarray(vectors @ query).ravel()
         return dots / (norms * np.linalg.norm(query))
     if space.is_sparse:
         m = space.vectors
