@@ -1,20 +1,25 @@
 """The package's one sparse matrix type: compressed sparse rows.
 
-A `CSR` is always in canonical layout, and this module is the only code
-that builds one or relies on it: rows ascending, each row's columns
-ascending, no column twice in a row, and no stored zero. So two matrices
-are equal exactly when their arrays are. `indptr` is int64, `indices`
-int32, and all three arrays are read-only, so matrices share arrays
-without copying and a caller cannot make a count model's cached totals
-stale by writing into them.
+A `CSR` is always in canonical layout: rows ascending, each row's
+columns ascending, no column twice in a row, and no stored zero. So two
+matrices are equal exactly when their arrays are, and row-major cell
+numbers (row * columns + column) of the stored entries increase.
+`indptr` is int64, `indices` int32, and all three arrays are read-only,
+so matrices share arrays without copying and a caller cannot make a
+count model's cached totals stale by writing into them. Outside this
+module only the compiled counter's output and `augment_counts`' widened
+base (the same cells, more empty rows) are wrapped without a check.
 
-It has only what the count models, vector spaces and word graphs use.
-The product with a dense matrix runs in the compiled kernel where it is
-built (`kernel.Kernel.csr_dot`) and in `_numpy_dot` otherwise; both sum
-each row's terms on their own, in index order, as scipy's `csr_matvec`
-and `csr_matvecs` do, so scores keep those bits. The constructors accept
-a scipy sparse matrix (anything with `tocsr()`) and only read it; this
-module does not import scipy.
+It has only what the count models, vector spaces and word graphs use,
+and one primitive that combines cells: `from_triples` takes cells in any
+order, sums repeated ones and drops zeros, and `+` is `from_triples` over
+both operands' cells. `with_data` gives the same cells new values and
+drops the zeros among them. The product with a dense matrix runs in the
+compiled kernel where it is built (`kernel.Kernel.csr_dot`) and in
+`_numpy_dot` otherwise; both sum each row's terms on their own, in index
+order, as scipy's `csr_matvec` and `csr_matvecs` do, so scores keep
+those bits. The constructors accept a scipy sparse matrix (anything with
+`tocsr()`) and only read it; this module does not import scipy.
 """
 
 from __future__ import annotations
@@ -61,10 +66,15 @@ class CSR:
         keys = _keys(np.asarray(rows), np.asarray(cols), shape[1])
         if not (np.diff(keys) > 0).all():
             order = np.argsort(keys, kind="stable")
-            keys = keys[order]
+            keys, values = keys[order], values[order]
+            del order  # freed before the sums, where the most arrays are alive
             starts = np.flatnonzero(_firsts(keys))
-            keys, values = keys[starts], np.add.reduceat(values[order], starts)
-        return _from_keys(keys, values, shape)
+            keys, values = keys[starts], np.add.reduceat(values, starts)
+        keep = values != 0
+        keys, values = keys[keep], values[keep]
+        first_cells = np.arange(shape[0] + 1, dtype=np.int64) * shape[1]  # of each row
+        indptr = np.searchsorted(keys, first_cells)
+        return cls(values, keys - np.repeat(first_cells[:-1], np.diff(indptr)), indptr, shape)
 
     @classmethod
     def symmetric(cls, rows, cols, values, n: int) -> "CSR":
@@ -133,26 +143,14 @@ class CSR:
         return CSR(self.data[order], rows[order], indptr, self.shape[::-1])
 
     def __add__(self, other: "CSR") -> "CSR":
-        return self._merge(other, np.add)
-
-    def minimum(self, other: "CSR") -> "CSR":
-        """The element-wise minimum, a missing cell counting as 0."""
-        return self._merge(other, np.minimum)
-
-    def _merge(self, other: "CSR", op) -> "CSR":
         if self.shape != other.shape:
             raise ValueError(f"shapes differ: {self.shape} and {other.shape}")
-        mine, theirs = self._keys(), other._keys()
-        keys = np.sort(np.concatenate((mine, theirs)), kind="stable")  # merges two sorted runs
-        keys = keys[_firsts(keys)]
-        dtype = np.result_type(self.dtype, other.dtype)
-        a, b = np.zeros(len(keys), dtype=dtype), np.zeros(len(keys), dtype=dtype)
-        a[np.searchsorted(keys, mine)] = self.data
-        b[np.searchsorted(keys, theirs)] = other.data
-        return _from_keys(keys, op(a, b), self.shape)
-
-    def _keys(self) -> np.ndarray:
-        return _keys(self.row_ids(), self.indices, self.shape[1])
+        return CSR.from_triples(
+            np.concatenate((self.row_ids(), other.row_ids())),
+            np.concatenate((self.indices, other.indices)),
+            np.concatenate((self.data, other.data)),
+            self.shape,
+        )
 
     def row_sums(self) -> np.ndarray:
         """Each row's sum, by np.add.reduceat over the non-empty rows: the
@@ -177,31 +175,15 @@ class CSR:
     def dense_rows(self, rows) -> np.ndarray:
         """Dense copies of the given rows, one per row of the result."""
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-        at, lengths = self._entries(rows)
+        lengths = np.diff(self.indptr)[rows]
+        first = self.indptr[rows] - (np.cumsum(lengths) - lengths)  # minus entries before
+        at = np.repeat(first, lengths) + np.arange(lengths.sum())  # the rows' entries in turn
         out = np.zeros((len(rows), self.shape[1]), dtype=self.dtype)
         out[np.repeat(np.arange(len(rows)), lengths), self.indices[at]] = self.data[at]
         return out
 
-    def _entries(self, rows: np.ndarray):
-        """The positions of the stored entries of `rows`, row after row, and
-        each row's number of entries."""
-        lengths = np.diff(self.indptr)[rows]
-        first = self.indptr[rows] - (np.cumsum(lengths) - lengths)  # minus entries before
-        return np.repeat(first, lengths) + np.arange(lengths.sum()), lengths
-
     def toarray(self) -> np.ndarray:
         return self.dense_rows(np.arange(self.shape[0]))
-
-    def submatrix(self, ids: np.ndarray) -> "CSR":
-        """The rows and columns at the increasing `ids`, renumbered 0, 1, ..."""
-        ids = np.asarray(ids, dtype=np.int64)
-        new = np.full(self.shape[1], -1, dtype=np.int64)
-        new[ids] = np.arange(len(ids))
-        at, lengths = self._entries(ids)
-        cols = new[self.indices[at]]
-        keep = cols >= 0
-        rows = np.repeat(np.arange(len(ids)), lengths)[keep]
-        return CSR.from_triples(rows, cols[keep], self.data[at][keep], (len(ids), len(ids)))
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         """The float64 product with the dense (columns,) or (columns, k) x:
@@ -218,15 +200,6 @@ class CSR:
 def _keys(rows: np.ndarray, cols: np.ndarray, ncols: int) -> np.ndarray:
     """Row-major cell numbers, which sort like (row, column)."""
     return rows.astype(np.int64) * ncols + cols.astype(np.int64)
-
-
-def _from_keys(keys: np.ndarray, values: np.ndarray, shape) -> CSR:
-    """The matrix of increasing distinct cell numbers, zero values dropped."""
-    keep = values != 0
-    keys, values = keys[keep], values[keep]
-    starts = np.arange(shape[0] + 1, dtype=np.int64) * shape[1]  # each row's first cell
-    indptr = np.searchsorted(keys, starts)
-    return CSR(values, keys - np.repeat(starts[:-1], np.diff(indptr)), indptr, shape)
 
 
 def _firsts(sorted_keys: np.ndarray) -> np.ndarray:

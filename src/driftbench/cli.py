@@ -333,7 +333,7 @@ def experiment_stein_hemingway(args) -> None:
         if word not in space_a or word not in space_b:
             tracked[word] = {"missing": True}
             continue
-        la, lb = report.neighbor_lists(word)
+        la, lb = (nearest_neighbors(s, word, args.k, args.metric) for s in (space_a, space_b))
         _write(outdir / f"{word}.base.tsv", la.to_tsv())
         _write(outdir / f"{word}.augmented.tsv", lb.to_tsv())
         tracked[word] = {

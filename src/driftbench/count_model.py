@@ -99,10 +99,17 @@ def _numpy_counts(ids: np.ndarray, vsize: int, radius: int) -> CSR:
     later; `inside` marks the positions with no boundary in the d after
     them. A pair is keyed at its earlier position, so a cut at any position
     is safe. The slabs' keys are held until they outnumber both _CHUNK and
-    the running total of (earlier, later) counts, then sorted, tallied
-    and folded into it: memory stays O(tokens + nnz), and each key
-    is folded in amortised constant time."""
-    forward = CSR.from_triples([], [], [], (vsize, vsize), np.int64)
+    the running total of (earlier, later) counts, then folded into it as
+    one count each: memory stays O(tokens + nnz), and each key is folded
+    in amortised constant time."""
+    shape = (vsize, vsize)
+
+    def fold(forward: CSR, held: list[np.ndarray]) -> CSR:
+        keys = np.concatenate([np.zeros(0, dtype=np.int64), *held])
+        keys.sort()  # in place: from_triples' stable argsort then meets one sorted run
+        return forward + CSR.from_triples(keys // vsize, keys % vsize, np.ones_like(keys), shape)
+
+    forward = CSR.from_triples([], [], [], shape, np.int64)
     inside = np.ones(len(ids), dtype=bool)
     held: list[np.ndarray] = []
     size = 0
@@ -116,22 +123,9 @@ def _numpy_counts(ids: np.ndarray, vsize: int, radius: int) -> CSR:
             held.append(a[pair] * vsize + b[pair])
             size += len(held[-1])
             if size >= max(_CHUNK, forward.nnz):
-                forward = forward + _tally(held, vsize)
-                held, size = [], 0
-    forward = forward + _tally(held, vsize)
+                forward, held, size = fold(forward, held), [], 0
+    forward = fold(forward, held)
     return forward + forward.T
-
-
-def _tally(held: list[np.ndarray], vsize: int) -> CSR:
-    """The counts of the held (earlier, later) keys, as a matrix: sorted in
-    place, each run of equal keys is one cell."""
-    keys = np.concatenate([np.zeros(0, dtype=np.int64), *held])
-    keys.sort()
-    # the first key, and each key unlike the one before it, starts a run
-    starts = np.flatnonzero(np.concatenate((keys[:1] >= 0, keys[1:] != keys[:-1])))
-    cnt = np.diff(np.append(starts, len(keys)))
-    keys = keys[starts]
-    return CSR.from_triples(keys // vsize, keys % vsize, cnt, (vsize, vsize), np.int64)
 
 
 def count_cooccurrences(
@@ -177,9 +171,10 @@ def augment_counts(
     vocab = base.vocab.extended(extra)
     vsize = len(vocab)
     old = base.counts
-    resized = CSR.from_triples(old.row_ids(), old.indices, old.data, (vsize, vsize))
+    indptr = np.append(old.indptr, np.full(vsize - old.shape[0], old.nnz))  # new rows are empty
+    widened = CSR(old.data, old.indices, indptr, (vsize, vsize))
     added = count_cooccurrences(new_streams, vocab, base.window)
-    return CooccurrenceMatrix(vocab, resized + added.counts, base.window)
+    return CooccurrenceMatrix(vocab, widened + added.counts, base.window)
 
 
 def ppmi_transform(m: CooccurrenceMatrix) -> VectorSpace:
@@ -192,14 +187,12 @@ def ppmi_transform(m: CooccurrenceMatrix) -> VectorSpace:
     if m.total <= 0:
         raise DataError("cannot PPMI-transform an empty co-occurrence matrix")
     counts = m.counts
-    rows, cols = counts.row_ids(), counts.indices
     rowsum = counts.row_sums().astype(np.float64)
     colsum = counts.col_sums().astype(np.float64)
     pmi = np.log(counts.data.astype(np.float64) * float(m.total)) - np.log(
-        rowsum[rows] * colsum[cols]
+        rowsum[counts.row_ids()] * colsum[counts.indices]
     )
-    keep = pmi > 0.0
-    return VectorSpace(m.vocab, CSR.from_triples(rows[keep], cols[keep], pmi[keep], counts.shape))
+    return VectorSpace(m.vocab, counts.with_data(np.where(pmi > 0, pmi, 0.0)))
 
 
 def row_vector(source: CooccurrenceMatrix | VectorSpace, word: str) -> WordVector:

@@ -215,14 +215,25 @@ def to_counts(
 def intersection(ga: SemanticGraph, gb: SemanticGraph) -> SemanticGraph:
     """Common ground of two graphs: shared nodes, shared edges, min weights."""
     in_b = np.fromiter(map(gb._index.get, ga.tokens, repeat(-1)), np.int64, len(ga))
-    ids_a = np.flatnonzero(in_b >= 0)
+    known = in_b >= 0
+    ids_a = np.flatnonzero(known)
     ids_b = in_b[ids_a]  # increasing too: both token lists are sorted
-    wa = ga.weights.submatrix(ids_a)
-    wb = gb.weights.submatrix(ids_b)
+    new = np.cumsum(known) - 1  # a shared node's id in the result
+    rows, cols, weights = ga._triples()
+    shared = known[rows] & known[cols]
+    rows, cols, weights = rows[shared], cols[shared], weights[shared]
+    # each such edge's cell number in gb, looked up among gb's increasing
+    # cell numbers and one past them all, so that every lookup lands on one
+    cells = in_b[rows] * len(gb) + in_b[cols]
+    wb = gb.weights
+    cells_b = np.append(wb.row_ids() * len(gb) + wb.indices, len(gb) ** 2)
+    at = np.searchsorted(cells_b, cells)
+    found = cells_b[at] == cells
     return SemanticGraph._of(
         map(ga.tokens.__getitem__, ids_a.tolist()),
         np.minimum(ga.self_weights[ids_a], gb.self_weights[ids_b]),
-        wa.minimum(wb),  # an edge missing from either side gives 0, which is not stored
+        _upper(len(ids_a), new[rows[found]], new[cols[found]],
+               np.minimum(weights[found], wb.data[at[found]])),
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +26,7 @@ from .errors import (
 )
 from .trainer import EmbeddingSpace, TrainingConfig, train_cbow, train_skipgram
 from . import vector_space
-from .vector_space import NeighborList, VectorSpace, _neighbor_lists, _top_k, cosine_similarity
+from .vector_space import NeighborList, VectorSpace, _top_k, cosine_similarity
 
 
 # ---------------------------------------------------------------------------
@@ -262,18 +262,16 @@ def _rankings(models: Sequence[VectorSpace], words: Sequence[str], k: int, metri
     """Rank `words` once in each model, each word's own row left out.
 
     Returns each model's ids in one token numbering, the first model's with
-    the tokens only later models know numbered past it, and the (model, ids,
-    scores) of each model with a row per word.
+    the tokens only later models know numbered past it, a row per word.
     """
     numbering: dict[str, int] = {}
-    renumbered, ranked = [], []
+    renumbered = []
     for model in models:
         rows = np.array([model.vocab.index_of(w) for w in words], dtype=np.intp)
-        ids, scores = _top_k(model, rows, k, metric, rows[:, None])
+        ids = _top_k(model, rows, k, metric, rows[:, None])[0]
         shared = [numbering.setdefault(t, len(numbering)) for t in model.vocab.tokens]
         renumbered.append(np.array(shared, dtype=np.intp)[ids])
-        ranked.append((model, ids, scores))
-    return renumbered, tuple(ranked)
+    return renumbered
 
 
 def neighbor_diff(
@@ -292,7 +290,7 @@ def neighbor_diff(
         raise UnknownWordError(word, "the first model")
     if word not in space_b.vocab:
         raise UnknownWordError(word, "the second model")
-    return _compare([word], *_rankings([space_a, space_b], [word], k, metric)[0], k)[0]
+    return _compare([word], *_rankings([space_a, space_b], [word], k, metric), k)[0]
 
 
 @dataclass(frozen=True)
@@ -355,16 +353,6 @@ class StabilityReport:
     aggregates: dict
     frequency_correlation: float | None
     metadata: dict
-    # (model, ids, scores) for each model, a row per word of `diffs`
-    rankings: tuple = field(default=(), repr=False)
-
-    def neighbor_lists(self, word: str) -> tuple[NeighborList, ...]:
-        """The two ranked lists that the comparison of `word` was made from."""
-        i = list(self.diffs).index(word)
-        return tuple(
-            _neighbor_lists(model, [word], ids[i : i + 1], scores[i : i + 1], self.metadata["metric"])[0]
-            for model, ids, scores in self.rankings
-        )
 
     def to_json_dict(self) -> dict:
         per_word = {}
@@ -451,7 +439,7 @@ def stability_report(
     if not shared:
         raise DataError("models share no vocabulary")
     comparable = model_a.dim == model_b.dim
-    (ids_a, ids_b), rankings = _rankings([model_a, model_b], shared, k, metric)
+    ids_a, ids_b = _rankings([model_a, model_b], shared, k, metric)
     diffs = dict(zip(shared, _compare(shared, ids_a, ids_b, k)))
     disps: dict[str, float] | None = None
     if comparable:
@@ -495,7 +483,6 @@ def stability_report(
         aggregates=aggregates,
         frequency_correlation=corr,
         metadata=metadata,
-        rankings=rankings,
     )
 
 
@@ -558,7 +545,7 @@ def _cross_seed_report(
     positions in `seeds` (a seed listed twice meets itself), over the first
     space's vocabulary."""
     words = next(iter(spaces.values())).vocab.tokens
-    ids = dict(zip(spaces, _rankings(list(spaces.values()), words, k, metric)[0]))
+    ids = dict(zip(spaces, _rankings(list(spaces.values()), words, k, metric)))
     per_word_sums = np.zeros(len(words))
     per_pair: dict[str, float] = {}
     pairs = list(itertools.combinations(seeds, 2))

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -449,22 +450,23 @@ class TestExperiments:
 
 
 class TestEntryPoint:
+    @staticmethod
+    def module(*argv: str) -> subprocess.CompletedProcess:
+        """`python -m driftbench argv` in a child that imports this package."""
+        src = str(Path(cli.__file__).parents[1])
+        return subprocess.run([sys.executable, "-m", "driftbench", *argv],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True)
+
     def test_module_invocation(self, rose_file):
-        proc = subprocess.run(
-            [sys.executable, "-m", "driftbench", "stats", str(rose_file)],
-            capture_output=True,
-            text=True,
-        )
+        proc = self.module("stats", str(rose_file))
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["token_count"] == 10
 
     def test_usage_error_exit_code(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "driftbench", "no-such-command"],
-            capture_output=True,
-            text=True,
-        )
+        proc = self.module("no-such-command")
         assert proc.returncode == 1
+        assert "invalid choice" in proc.stderr
 
     def test_parser_is_built_once_and_handlers_are_looked_up(self, rose_file, monkeypatch, capsys):
         assert build_parser() is build_parser()

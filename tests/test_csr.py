@@ -46,14 +46,6 @@ def dense_pair(draw, values):
     return a, draw(dense(values, a.shape))
 
 
-def square(matrix: np.ndarray) -> np.ndarray:
-    """The n x n matrix of the first n columns of an n-row matrix, zero-padded."""
-    n = len(matrix)
-    out = np.zeros((n, n), dtype=matrix.dtype)
-    out[:, : min(n, matrix.shape[1])] = matrix[:, :n]
-    return out
-
-
 def bits(values: np.ndarray) -> list:
     values = np.asarray(values)
     return values.view(np.uint64).tolist() if values.dtype == np.float64 else values.tolist()
@@ -142,18 +134,6 @@ class TestArithmetic:
         assert bits(m.dot(xs)) == bits(s @ xs)
 
     @ORACLE
-    @given(pair=dense_pair(INTS), data=st.data())
-    def test_submatrix_and_minimum(self, each_path, pair, data):
-        a, b = (np.triu(square(x)) for x in pair)  # as graph weights are
-        n = len(a)
-        ids = sorted(data.draw(st.sets(st.integers(0, n - 1))))
-        sa, sb = sparse.csr_matrix(a), sparse.csr_matrix(b)
-        mine_a, mine_b = CSR.of(sa).submatrix(ids), CSR.of(sb).submatrix(ids)
-        theirs_a, theirs_b = sa[ids][:, ids], sb[ids][:, ids]
-        assert_same(mine_a, theirs_a)
-        assert_same(mine_a.minimum(mine_b), theirs_a.minimum(theirs_b))
-
-    @ORACLE
     @given(matrix=dense(FLOATS), data=st.data())
     def test_dense_rows(self, each_path, matrix, data):
         s = sparse.csr_matrix(matrix)
@@ -172,7 +152,7 @@ def test_edges(each_path, matrix):
     assert_same(m, s)
     assert_same(m.T, s.T)
     assert_same(m + m, s + s)
-    assert_same(m.minimum(m.with_data(-m.data)), s.minimum(-s))
+    assert_same(m + m.with_data(-m.data), s + -s)  # every cell cancels
     assert bits(m.row_sums()) == bits(np.asarray(s.sum(axis=1)).ravel())
     assert bits(m.with_data(m.data * m.data).row_sums()) == bits(
         np.asarray(s.multiply(s).sum(axis=1)).ravel())
@@ -181,6 +161,3 @@ def test_edges(each_path, matrix):
     assert bits(m.dot(np.stack([x, -x], axis=1))) == bits(s @ np.stack([x, -x], axis=1))
     assert bits(m.dense_rows([])) == bits(np.zeros((0, s.shape[1])))
     assert bits(m.toarray()) == bits(s.toarray())
-    ids = [0, len(matrix) - 1] if len(matrix) > 1 else [0]
-    s = sparse.csr_matrix(square(matrix))
-    assert_same(CSR.of(s).submatrix(ids), s[ids][:, ids])

@@ -109,6 +109,21 @@ class TestIntersection:
                 if a != b:
                     assert inter.edge_weight(a, b) is not None
 
+    @pytest.mark.parametrize("a, b", [
+        (({"a": 1, "b": 0, "c": 2}, {("a", "b"): 2, ("b", "c"): 3}),
+         ({"a": 4, "b": 1, "d": 0}, {})),
+        (({"a": 0, "b": 0, "c": 1, "d": 0}, {("a", "b"): 1, ("c", "d"): 5}),
+         ({"a": 2, "b": 0, "c": 0, "d": 3}, {("a", "c"): 2, ("b", "d"): 7})),
+        # the missing edges' cells fall before and past the one cell of b
+        (({"a": 0, "b": 1, "c": 0, "z": 2}, {("a", "b"): 3, ("a", "c"): 2, ("b", "c"): 1,
+                                             ("c", "z"): 4}),
+         ({"a": 1, "b": 0, "c": 5, "y": 0}, {("a", "y"): 6})),
+    ], ids=["b-has-no-edges", "no-shared-edge", "b-lacks-every-shared-node-edge"])
+    def test_against_reference(self, a, b):
+        ga, gb = db.SemanticGraph(*a), db.SemanticGraph(*b)
+        assert same_as_reference(db.intersection(ga, gb), ref_intersection(a, b))
+        assert same_as_reference(db.intersection(gb, ga), ref_intersection(b, a))
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**16))
     def test_associative_and_subset(self, seed):

@@ -447,7 +447,6 @@ class TestStabilityReport:
         for word, diff in report.diffs.items():
             la = db.nearest_neighbors(a, word, k)
             lb = db.nearest_neighbors(b, word, k)
-            assert report.neighbor_lists(word) == (la, lb)
             assert diff == db.diff_neighbor_lists(la, lb, k)
 
     @pytest.mark.parametrize("block", [1, 7, 1 << 17])
