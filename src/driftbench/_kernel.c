@@ -2,9 +2,10 @@
  * trainer (driftbench_sgd), the chain sampler of the synthetic language
  * (driftbench_chain), the co-occurrence counter (driftbench_cooccur),
  * the writer and reader of the embedding text format
- * (driftbench_format, driftbench_parse), the reader of the integer
- * columns of the COOC and edge-list formats (driftbench_parse_ints), the
- * loop of neighbour ranking: the cosine division with top-k selection
+ * (driftbench_format, driftbench_parse), the line writer and the readers
+ * of the COOC and edge-list formats (driftbench_format_lines,
+ * driftbench_read_cooc, driftbench_read_edge_list), the loop of
+ * neighbour ranking: the cosine division with top-k selection
  * (driftbench_select), and the product of a CSR matrix with dense
  * vectors that scores sparse rows (driftbench_csr_dot). The SGD epoch
  * does its arithmetic in the same order as the numpy step it replaces,
@@ -12,9 +13,12 @@
  * BLAS or sums pairwise, so results agree with it to the last few bits.
  * The chain sampler gives the ids of numpy's searchsorted, the counter
  * the CSR arrays of the numpy counter, the text functions the same bytes
- * and values as repr(), float() and int(), the ranking loop the same ids
- * and score bits as numpy's ranking, and the CSR product the bits of its
- * numpy twin. Build it with -ffp-contract=off and without fast-math so
+ * and values as repr(), %, float() and int(), the ranking loop the same
+ * ids and score bits as numpy's ranking, and the CSR product the bits of
+ * its numpy twin. Each text reader takes a file's body only in its
+ * writer's layout and order, and returns the offset of the first line or
+ * field that breaks them, so that its caller reads that file line by line
+ * instead. Build it with -ffp-contract=off and without fast-math so
  * that every run of the same build gives the same bits: the SGD step's
  * element-wise updates run in vector lanes, each lane doing the scalar
  * operations, and no sum is ever reordered. The kernel name in training
@@ -719,46 +723,274 @@ int64_t driftbench_parse(const char *body, int64_t size, int64_t rows, int64_t c
     return p == end ? -1 : p - body;
 }
 
-/* Parses `rows` lines of `cols` TAB-separated fields, each line ended by
- * LF, from the `size` bytes at `body`. The first `skip` fields of a line
- * may hold any bytes but TAB and LF and are not read; each other field is
- * a decimal integer below 2**63, written with digits alone, and goes to
- * `out` (rows x (cols - skip)), as int() reads it. Returns -1, or the
- * byte offset of the first field that is empty (and not skipped), holds
- * another character, reaches 2**63, or does not end exactly on TAB (LF
- * for a line's last field): so a blank line, a missing final LF or a line
- * with too few fields is refused at its first field that breaks the
- * layout, and bytes after the last line at their start. */
-int64_t driftbench_parse_ints(const char *body, int64_t size, int64_t rows, int64_t cols,
-                              int64_t skip, int64_t *out)
+/* ---------------------------------------------------------------------
+ * COOC and edge-list text
+ */
+
+/* Reads the field at p, before end, into *value as int() reads it, and
+ * returns the field's end, which holds sep; or returns NULL when the field
+ * is empty, holds a byte other than an ASCII digit, reaches 2**63, or
+ * does not end on sep. */
+static const char *read_int(const char *p, const char *end, char sep, int64_t *value)
 {
-    const char *p = body, *end = body + size;
-    int64_t r, c;
+    const char *field = p;
+    uint64_t v = 0;
+
+    for (; p < end && *p >= '0' && *p <= '9'; p++) {
+        uint64_t digit = (uint64_t)(*p - '0');
+        if (v > (UINT64_C(0x7fffffffffffffff) - digit) / 10)
+            return NULL;
+        v = v * 10 + digit;
+    }
+    if (p == field || p == end || *p != sep)
+        return NULL;
+    *value = (int64_t)v;
+    return p;
+}
+
+/* The end of the token at p: the first TAB before end, or NULL where an
+ * LF or the end comes first. */
+static const char *token_end(const char *p, const char *end)
+{
+    for (; p < end && *p != '\t'; p++)
+        if (*p == '\n')
+            return NULL;
+    return p < end ? p : NULL;
+}
+
+/* Writes v in decimal at out, as %d writes it, and returns the end. */
+static char *write_int(int64_t v, char *out)
+{
+    char digits[20];
+    int n = 0;
+    uint64_t u = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
+
+    if (v < 0)
+        *out++ = '-';
+    do {
+        digits[n++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    while (n > 0)
+        *out++ = digits[--n];
+    return out;
+}
+
+/* Writes `rows` lines at out and returns the number of bytes written. Each
+ * line is the prefix, then one field per column (ncols <= 3), separated by
+ * TABs and ended by LF. Column k holds columns[k][r] in row r, or r itself
+ * where columns[k] is NULL. Where bit k of token_columns is set, that value
+ * names token i of `tokens`, which spans starts[i] to starts[i + 1] - 1
+ * (its LF left out), and the field is the token's bytes; otherwise the
+ * field is the value in decimal. These are the lines of COOC files and
+ * edge lists. */
+int64_t driftbench_format_lines(const char *prefix, int64_t prefix_bytes, const char *tokens,
+                                const int64_t *starts, int64_t rows, int64_t ncols,
+                                int64_t token_columns, const int64_t *c0, const int64_t *c1,
+                                const int64_t *c2, char *out)
+{
+    const int64_t *columns[3] = {c0, c1, c2};
+    char *start = out;
+    int64_t r, k;
 
     for (r = 0; r < rows; r++) {
-        for (c = 0; c < cols; c++) {
-            const char *field = p;
-            if (c < skip) {
-                while (p < end && *p != '\t' && *p != '\n')
-                    p++;
+        memcpy(out, prefix, (size_t)prefix_bytes);
+        out += prefix_bytes;
+        for (k = 0; k < ncols; k++) {
+            int64_t value = columns[k] == NULL ? r : columns[k][r];
+            if (token_columns >> k & 1) {
+                int64_t bytes = starts[value + 1] - 1 - starts[value];
+                memcpy(out, tokens + starts[value], (size_t)bytes);
+                out += bytes;
             } else {
-                uint64_t v = 0;
-                for (; p < end && *p >= '0' && *p <= '9'; p++) {
-                    uint64_t digit = (uint64_t)(*p - '0');
-                    if (v > (UINT64_C(0x7fffffffffffffff) - digit) / 10)
-                        return field - body;
-                    v = v * 10 + digit;
-                }
-                if (p == field)
-                    return field - body;
-                *out++ = (int64_t)v;
+                out = write_int(value, out);
             }
-            if (p == end || *p != (c + 1 < cols ? '\t' : '\n'))
-                return field - body;
-            p++;
+            *out++ = k + 1 < ncols ? '\t' : '\n';
         }
     }
-    return p == end ? -1 : p - body;
+    return out - start;
+}
+
+/* Reads the body of a COOC v1 file, the lines after its header: `vocab`
+ * lines `index TAB token TAB frequency`, the index equal to the line's
+ * number from 0, the token any bytes but TAB and LF and the frequency at
+ * least 1, then lines `t TAB c TAB count` in strictly increasing (t, c)
+ * order with t <= c < vocab and count >= 1, each number as read_int reads
+ * it. Writes the tokens, each ended by LF, to `tokens` (which must hold
+ * `size` bytes), their length to *token_bytes and the frequencies to
+ * freqs. The matrix is symmetric: each triple stands for (t, c) and
+ * (c, t). A call with indices NULL sets indptr (vocab + 1 entries) to its
+ * row starts; a second call with indices and data, sized from that indptr,
+ * fills in each row's columns, ascending, and counts, and leaves indptr as
+ * it found it. The cells mirrored into a row (columns below the diagonal)
+ * come from triples before the row's own, so one cursor per row places
+ * both in column order. Returns -1, or the byte offset of the first line
+ * that breaks this layout. */
+int64_t driftbench_read_cooc(const char *body, int64_t size, int64_t vocab, char *tokens,
+                             int64_t *token_bytes, int64_t *freqs, int64_t *indptr,
+                             int32_t *indices, int64_t *data)
+{
+    const char *p = body, *end = body + size;
+    char *t_out = tokens;
+    int64_t r, t, c, count, last_t = -1, last_c = -1;
+
+    for (r = 0; r < vocab; r++) {
+        const char *line = p, *stop;
+        int64_t index;
+        if ((p = read_int(p, end, '\t', &index)) == NULL || index != r
+            || (stop = token_end(p + 1, end)) == NULL)
+            return line - body;
+        memcpy(t_out, p + 1, (size_t)(stop - p - 1));
+        t_out += stop - p - 1;
+        *t_out++ = '\n';
+        if ((p = read_int(stop + 1, end, '\n', &freqs[r])) == NULL || freqs[r] < 1)
+            return line - body;
+        p++;
+    }
+    *token_bytes = t_out - tokens;
+    if (indices == NULL)
+        memset(indptr, 0, sizeof(int64_t) * (size_t)(vocab + 1));
+    while (p < end) {
+        const char *line = p;
+        if ((p = read_int(p, end, '\t', &t)) == NULL
+            || (p = read_int(p + 1, end, '\t', &c)) == NULL
+            || (p = read_int(p + 1, end, '\n', &count)) == NULL
+            || t > c || c >= vocab || count < 1 || t < last_t || (t == last_t && c <= last_c))
+            return line - body;
+        p++;
+        last_t = t;
+        last_c = c;
+        if (indices == NULL) {  /* count each row's cells in the entry after its start */
+            indptr[t + 1]++;
+            if (t < c)
+                indptr[c + 1]++;
+        } else {  /* indptr[row] is the row's fill cursor */
+            indices[indptr[t]] = (int32_t)c;
+            data[indptr[t]++] = count;
+            if (t < c) {
+                indices[indptr[c]] = (int32_t)t;
+                data[indptr[c]++] = count;
+            }
+        }
+    }
+    if (indices == NULL) {
+        for (r = 0; r < vocab; r++)
+            indptr[r + 1] += indptr[r];
+    } else {  /* each cursor stopped at the next row's start */
+        memmove(indptr + 1, indptr, sizeof(int64_t) * (size_t)vocab);
+        indptr[0] = 0;
+    }
+    return -1;
+}
+
+/* Compares the a_bytes at a with the b_bytes at b as memcmp does, a
+ * shorter prefix first: UTF-8 in this order sorts by code point. */
+static int compare(const char *a, int64_t a_bytes, const char *b, int64_t b_bytes)
+{
+    int order = memcmp(a, b, (size_t)(a_bytes < b_bytes ? a_bytes : b_bytes));
+    return order != 0 ? order : (a_bytes > b_bytes) - (a_bytes < b_bytes);
+}
+
+/* compare() of node i's token, which spans starts[i] to starts[i + 1] - 1
+ * of tokens, with the `bytes` at q. */
+static int compare_node(const char *tokens, const int64_t *starts, int64_t i, const char *q,
+                        int64_t bytes)
+{
+    return compare(tokens + starts[i], starts[i + 1] - 1 - starts[i], q, bytes);
+}
+
+/* The id in [lo, nodes) of the node whose token is the `bytes` at q, or
+ * -1, the node tokens being in increasing order. The search gallops
+ * forward from lo (Bentley and Yao 1976), so a merge of sorted queries
+ * costs the log of each step. */
+static int64_t find_node(const char *tokens, const int64_t *starts, int64_t nodes, int64_t lo,
+                         const char *q, int64_t bytes)
+{
+    int64_t hi = lo, step = 1;
+
+    while (hi < nodes && compare_node(tokens, starts, hi, q, bytes) < 0) {
+        lo = hi + 1;
+        hi += step;
+        step *= 2;
+    }
+    if (hi > nodes)
+        hi = nodes;
+    while (lo < hi) {  /* every node below lo holds a lesser token, none from hi on */
+        int64_t mid = lo + (hi - lo) / 2;
+        if (compare_node(tokens, starts, mid, q, bytes) < 0)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo < nodes && compare_node(tokens, starts, lo, q, bytes) == 0 ? lo : -1;
+}
+
+/* Reads the body of an edge list, the lines after its `# nodes: N`
+ * header: `nodes` lines `# node TAB token TAB self_weight`, the tokens in
+ * strictly increasing byte order, then `edges` lines `tokenA TAB tokenB TAB
+ * weight` in strictly increasing (tokenA, tokenB) order, each token a
+ * node's, tokenA before tokenB, the weight at least 1 and no line starting
+ * with '#'; tokens are any bytes but TAB and LF, and numbers as read_int
+ * reads them. Writes the node tokens, each ended by LF, to `tokens` (which
+ * must hold `size` bytes), where node i's starts at starts[i] (nodes + 1
+ * entries, the last the tokens' length), and the self weights to
+ * self_weights. The edges go to the upper-triangular CSR arrays indptr
+ * (nodes + 1 entries), indices and data (edges entries each): an edge's
+ * end tokens are found by merging them with the sorted nodes, never by
+ * hashing. Returns -1, or the byte offset of the first line that breaks
+ * this layout or does not fit the arrays. */
+int64_t driftbench_read_edge_list(const char *body, int64_t size, int64_t nodes, int64_t edges,
+                                  char *tokens, int64_t *starts, int64_t *self_weights,
+                                  int64_t *indptr, int32_t *indices, int64_t *data)
+{
+    static const char node_prefix[] = "# node\t";
+    const int64_t prefix_bytes = sizeof node_prefix - 1;
+    const char *p = body, *end = body + size;
+    char *t_out = tokens;
+    int64_t i, a = 0, b = -1, k = 0;
+
+    for (i = 0; i < nodes; i++) {
+        const char *line = p, *stop;
+        if (end - p < prefix_bytes || memcmp(p, node_prefix, (size_t)prefix_bytes) != 0
+            || (stop = token_end(p + prefix_bytes, end)) == NULL)
+            return line - body;
+        starts[i] = t_out - tokens;
+        memcpy(t_out, p + prefix_bytes, (size_t)(stop - p - prefix_bytes));
+        t_out += stop - p - prefix_bytes;
+        *t_out++ = '\n';
+        if ((i > 0 && compare_node(tokens, starts, i - 1, tokens + starts[i],
+                                   t_out - 1 - tokens - starts[i]) >= 0)
+            || (p = read_int(stop + 1, end, '\n', &self_weights[i])) == NULL)
+            return line - body;
+        p++;
+    }
+    starts[nodes] = t_out - tokens;
+    memset(indptr, 0, sizeof(int64_t) * (size_t)(nodes + 1));
+    while (p < end) {
+        const char *line = p, *a_end, *b_end;
+        int64_t first, second, weight;
+        if (k == edges || *p == '#' || (a_end = token_end(p, end)) == NULL
+            || (b_end = token_end(a_end + 1, end)) == NULL
+            || (p = read_int(b_end + 1, end, '\n', &weight)) == NULL || weight < 1)
+            return line - body;
+        p++;
+        /* tokenA is a's or a later node's; tokenB is after b's in a's row, else after tokenA */
+        first = find_node(tokens, starts, nodes, a, line, a_end - line);
+        if (first < 0)
+            return line - body;
+        second = find_node(tokens, starts, nodes, first == a && k > 0 ? b + 1 : first + 1,
+                           a_end + 1, b_end - a_end - 1);
+        if (second < 0)
+            return line - body;
+        a = first;
+        b = second;
+        indptr[a + 1]++;
+        indices[k] = (int32_t)b;
+        data[k++] = weight;
+    }
+    for (i = 0; i < nodes; i++)
+        indptr[i + 1] += indptr[i];
+    return k == edges ? -1 : size;
 }
 
 /* ---------------------------------------------------------------------

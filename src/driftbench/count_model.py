@@ -204,6 +204,7 @@ def row_vector(source: CooccurrenceMatrix | VectorSpace, word: str) -> WordVecto
 
 
 COOC_MAGIC = "COOC v1"
+_INT64_MAX = (1 << 63) - 1
 # a token that the COOC reader would not read back: one holding its field
 # separator or a line break, or a lone surrogate, which UTF-8 cannot encode
 _COOC_UNSAFE = re.compile(f"[\t\n{_OTHER_LINE_BREAKS}\ud800-\udfff]")
@@ -214,81 +215,86 @@ def save_cooc(m: CooccurrenceMatrix, path: str | Path) -> None:
 
     Header `COOC v1 <vocab_size> <radius>`, one `index<TAB>token<TAB>freq`
     line per vocabulary entry, then `t<TAB>c<TAB>count` triples with
-    t <= c; the lower triangle is reconstructed on load. A token that the
-    reader could not read back (holding a TAB, a line break or a lone
-    surrogate) raises ValueError naming it, before any byte is written.
+    t <= c; the lower triangle is reconstructed on load. The compiled
+    kernel writes the lines where it is built, and a % format otherwise,
+    with the same bytes. A token that the reader could not read back
+    (holding a TAB, a line break or a lone surrogate) raises ValueError
+    naming it, before any byte is written.
     """
-    unsafe = next(filter(_COOC_UNSAFE.search, m.vocab.tokens), None)
+    tokens = m.vocab.tokens
+    unsafe = next(filter(_COOC_UNSAFE.search, tokens), None)
     if unsafe is not None:
         raise ValueError(f"token {unsafe!r} cannot be written to a COOC file: "
                          "it holds a TAB, a line break or a lone surrogate")
-    lines = [f"{COOC_MAGIC} {len(m.vocab)} {m.window.radius}"]
-    lines += [f"{index}\t{token}\t{freq}" for token, index, freq in m.vocab.items()]
     counts = m.counts
     rows = counts.row_ids()
     upper = counts.indices >= rows
-    triples = np.column_stack((rows[upper], counts.indices[upper], counts.data[upper]))
-    body = "%d\t%d\t%d\n" * len(triples) % tuple(triples.ravel().tolist())
-    text = "\n".join(lines) + "\n" + body
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    t, c, v = rows[upper], counts.indices[upper].astype(np.int64), counts.data[upper]
+    freqs = m.vocab.frequencies
+    built = kernel.get()
+    if built is None or max(freqs, default=1) > _INT64_MAX:  # % writes any int
+        lines = [f"{index}\t{token}\t{freq}\n" for token, index, freq in m.vocab.items()]
+        triples = np.column_stack((t, c, v))
+        body = ["".join(lines).encode(),
+                ("%d\t%d\t%d\n" * len(triples) % tuple(triples.ravel().tolist())).encode()]
+    else:
+        blob = "\n".join([*tokens, ""]).encode()
+        body = [built.format_lines(blob, b"", "iti", None, None, np.array(freqs, dtype=np.int64)),
+                built.format_lines(b"", b"", "iii", t, c, v)]
+    with open(path, "wb") as out:
+        out.write(f"{COOC_MAGIC} {len(m.vocab)} {m.window.radius}\n".encode())
+        out.writelines(body)
 
 
 def load_cooc(path: str | Path) -> CooccurrenceMatrix:
     """Read a COOC v1 file; a malformed line raises FormatError naming it.
 
     Where the compiled kernel is built, a file as save_cooc writes it is
-    parsed in bulk. Any other file, any file that fails a bulk check, and
+    read in bulk. Any other file, any file that fails a bulk check, and
     every file without the kernel goes through the per-line reader, which
     words every error.
     """
-    text = decode_utf8(Path(path).read_bytes(), str(path))
-    m = _parse_cooc_bulk(text)
-    return m if m is not None else _parse_cooc_lines(text, path)
+    data = Path(path).read_bytes()
+    m = _parse_cooc_bulk(data)
+    return m if m is not None else _parse_cooc_lines(decode_utf8(data, str(path)), path)
 
 
-def _parse_cooc_bulk(text: str) -> CooccurrenceMatrix | None:
-    """The matrix of a canonical COOC file, or None for the per-line reader.
+def _parse_cooc_bulk(data: bytes) -> CooccurrenceMatrix | None:
+    """The matrix of a file as save_cooc writes it, or None for the per-line
+    reader.
 
-    Canonical means a `COOC v1 <vocab> <radius>` header, LF line breaks,
-    vocabulary lines in index order and triples in strictly increasing
-    (t, c) order, made of digits, TAB and LF only. Read where the compiled
-    kernel is built; without it, every file goes to the per-line reader.
+    That is a `COOC v1 <vocab> <radius>` header with both above 0, then the
+    layout `kernel.Kernel.read_cooc` reads: vocabulary lines in index order,
+    then triples in strictly increasing (t, c) order, every number in
+    digits, with LF line breaks only and distinct UTF-8 tokens. Read where
+    the compiled kernel is built; without it, every file goes to the
+    per-line reader.
     """
     built = kernel.get()
     if built is None:
         return None
-    header, _, rest = text.partition("\n")
-    match = re.fullmatch(r"COOC v1 ([0-9]+) ([0-9]+)", header)
+    match = re.match(rb"COOC v1 ([0-9]+) ([0-9]+)\n", data)
     if match is None:
         return None
     vsize, radius = int(match[1]), int(match[2])
-    if not 0 < vsize < len(text) or radius < 1:
+    if not 0 < vsize < min(len(data), 2**31) or radius < 1:  # the kernel's int32 columns
         return None
-    *vocab_lines, section = rest.split("\n", vsize)
-    if len(vocab_lines) != vsize or not _lf_lines_only(text):
-        return None
-    rows = [line.split("\t") for line in vocab_lines]
-    if set(map(len, rows)) != {3}:
-        return None
-    indices, tokens, freq_fields = zip(*rows)
-    if indices != tuple(map(str, range(vsize))) or len(set(tokens)) != vsize:
-        return None
-    try:
-        freqs = list(map(int, freq_fields))
-    except ValueError:
-        return None
-    if min(freqs) < 1:
-        return None
-    data = section.encode()
-    triples, bad = built.parse_ints(data, data.count(b"\n"), 3, 0)
+    bad, blob, freqs, arrays = built.read_cooc(memoryview(data)[match.end():], vsize)
     if bad >= 0:
         return None
-    t, c, v = triples.T
-    if not (t <= c).all() or (c >= vsize).any() or (v < 1).any():
+    # the other fields are digits, so only the tokens can hold bytes that
+    # are not UTF-8 or a line break other than LF
+    try:
+        joined = blob.decode()
+    except UnicodeDecodeError:
         return None
-    if (np.diff(t * vsize + c) <= 0).any():  # out of order, or repeated
+    if not _lf_lines_only(joined):
         return None
-    return _cooc_matrix(tokens, freqs, WindowConfig(radius), t, c, v)
+    try:
+        vocab = Vocabulary(joined.split("\n")[:-1], freqs.tolist())
+    except ValueError:  # a repeated token
+        return None
+    return CooccurrenceMatrix(vocab, CSR(*arrays, (vsize, vsize)), WindowConfig(radius))
 
 
 def _parse_cooc_lines(text: str, path: str | Path) -> CooccurrenceMatrix:
@@ -336,11 +342,5 @@ def _parse_cooc_lines(text: str, path: str | Path) -> CooccurrenceMatrix:
         first = int(np.setdiff1d(np.arange(t.size), firsts)[0])  # the earliest repeat
         number = [n for n, line in enumerate(lines[1 + vsize :], start=2 + vsize) if line][first]
         raise FormatError(f"{path}: line {number}: triple ({t[first]}, {c[first]}) repeated")
-    return _cooc_matrix(tokens, freqs, window, t[firsts], c[firsts], v[firsts])
-
-
-def _cooc_matrix(tokens, freqs, window: WindowConfig, t, c, v) -> CooccurrenceMatrix:
-    """The matrix of valid upper-triangle triples (t <= c, each cell once),
-    in increasing (t, c) order."""
-    counts = CSR.symmetric(t, c, v, len(tokens))  # the file holds t <= c
+    counts = CSR.symmetric(t[firsts], c[firsts], v[firsts], vsize)  # the file holds t <= c
     return CooccurrenceMatrix(Vocabulary(tokens, freqs), counts, window)

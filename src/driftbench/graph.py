@@ -29,10 +29,8 @@ import numpy as np
 from . import kernel
 from ._csr import CSR
 from .corpus import _OTHER_LINE_BREAKS, Vocabulary, _lf_lines_only
-from .count_model import CooccurrenceMatrix, WindowConfig
+from .count_model import _INT64_MAX, CooccurrenceMatrix, WindowConfig
 from .errors import FormatError, UnknownWordError
-
-_INT64_MAX = (1 << 63) - 1
 
 
 class SemanticGraph:
@@ -304,8 +302,9 @@ def shortest_path(g: SemanticGraph, a: str, b: str) -> SemanticPath | None:
 
 EDGE_LIST_NODE_PREFIX = "# node\t"
 
-# a token the edge-list reader would take for a comment, or split
-_EDGE_LIST_UNSAFE = re.compile(f"\\A#|[\t\n{_OTHER_LINE_BREAKS}]")
+# a token the edge-list reader would take for a comment, or split, or a
+# lone surrogate, which UTF-8 cannot encode
+_EDGE_LIST_UNSAFE = re.compile(f"\\A#|[\t\n{_OTHER_LINE_BREAKS}\ud800-\udfff]")
 # the characters that XML 1.0's Char production leaves out
 _XML_UNSAFE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
@@ -322,77 +321,78 @@ def export_edge_list(g: SemanticGraph) -> str:
     The comment header carries the node count and one `# node` line per
     node with its same-type count, so isolated nodes survive a round
     trip. Node and data lines are sorted; an empty graph exports the count
-    header only. A token that starts with '#' or holds a TAB or a line
-    break cannot be read back, so it raises FormatError.
+    header only. The compiled kernel writes the lines where it is built,
+    and a % format otherwise, with the same text. A token that starts with
+    '#' or holds a TAB, a line break or a lone surrogate cannot be read
+    back, so it raises FormatError.
     """
     _refuse(
         g.tokens, _EDGE_LIST_UNSAFE,
-        "cannot be written to an edge list: it starts with '#' or holds a TAB or line break",
+        "cannot be written to an edge list: it starts with '#' or holds a TAB, "
+        "a line break or a lone surrogate",
     )
-    names = np.array(g.tokens, dtype=object)
+    header = f"# nodes: {len(g)}\n"
     rows, cols, data = g._triples()
-    return (
-        f"# nodes: {len(g)}\n"
-        + _format_rows(EDGE_LIST_NODE_PREFIX + "%s\t%d\n", g.tokens, g.self_weights.tolist())
-        + _format_rows("%s\t%s\t%d\n", names[rows].tolist(), names[cols].tolist(), data.tolist())
-    )
+    built = kernel.get()
+    if built is None:
+        names = np.array(g.tokens, dtype=object)
+        return (
+            header
+            + _format_rows(EDGE_LIST_NODE_PREFIX + "%s\t%d\n", g.tokens, g.self_weights.tolist())
+            + _format_rows("%s\t%s\t%d\n", names[rows].tolist(), names[cols].tolist(),
+                           data.tolist())
+        )
+    blob = "\n".join([*g.tokens, ""]).encode()
+    return b"".join([
+        header.encode(),
+        built.format_lines(blob, EDGE_LIST_NODE_PREFIX.encode(), "ti", None, g.self_weights),
+        built.format_lines(blob, b"", "tti", rows, cols.astype(np.int64), data),
+    ]).decode()
 
 
 def import_edge_list(text: str) -> SemanticGraph:
     """Parse an edge list. Node lines come before the edges that use them; a
     malformed line, or a node or edge given twice, raises FormatError naming it.
 
-    Where the compiled kernel is built, a list with the `# nodes: N`
-    header, then N node lines, then edge lines, is parsed in bulk. Any other
-    list, any list that fails a bulk check, and every list without the
-    kernel goes through the per-line reader, which words every error.
+    Where the compiled kernel is built, a list as export_edge_list writes
+    it is read in bulk. Any other list, any list that fails a bulk check,
+    and every list without the kernel goes through the per-line reader,
+    which words every error.
     """
     g = _import_edge_list_bulk(text)
     return g if g is not None else _import_edge_list_lines(text)
 
 
 def _import_edge_list_bulk(text: str) -> SemanticGraph | None:
-    """The graph of a list in bulk form, or None for the per-line reader.
+    """The graph of a list as export_edge_list writes it, or None for the
+    per-line reader.
 
-    Bulk form means the `# nodes: N` header, then exactly N node lines, then
-    edge lines, each line three TAB-separated fields ended by LF. The node
-    lines may come in any order among themselves, and so may the edge lines.
-    Read where the compiled kernel is built; without it, every list goes to
-    the per-line reader.
+    That is the `# nodes: N` header, then the layout
+    `kernel.Kernel.read_edge_list` reads: N node lines in strictly
+    increasing token order, then edge lines in strictly increasing
+    (tokenA, tokenB) order, with LF line breaks only. A valid list in
+    another order goes to the per-line reader. Read where the compiled
+    kernel is built; without it, every list goes to the per-line reader.
     """
     built = kernel.get()
     if built is None:
         return None
-    header, _, body = text.partition("\n")
-    match = re.fullmatch("# nodes: ([0-9]+)", header)
-    if match is None or not body.endswith("\n") or not _lf_lines_only(body):
+    try:
+        data = text.encode()
+    except UnicodeEncodeError:  # a lone surrogate, which only the per-line reader takes
         return None
-    declared = int(match[1])
-    if declared > len(body):
+    match = re.match(rb"# nodes: ([0-9]+)\n", data)
+    if match is None or not int(match[1]) < min(len(data), 2**31):  # the kernel's int32 columns
         return None
-    data = body.encode()
-    weights, bad = built.parse_ints(data, data.count(b"\n"), 3, 2)
+    bad, blob, self_weights, arrays = built.read_edge_list(memoryview(data)[match.end():],
+                                                           int(match[1]))
     if bad >= 0:
-        return None  # a line without exactly two TABs, or a count not in plain digits < 2**63
-    weights = weights[:, 0]
-    fields = body.replace("\n", "\t").split("\t")
-    edge_lines = body.split("\n", declared)[-1]
-    if edge_lines.startswith("#") or "\n#" in edge_lines:
-        return None  # a node line or comment among the edges
-    firsts, seconds = fields[0:-1:3], fields[1::3]
-    if firsts[:declared] != [EDGE_LIST_NODE_PREFIX[:-1]] * declared:
         return None
-    nodes = dict(zip(seconds[:declared], weights[:declared].tolist()))
-    tokens, self_weights, rows, cols = _arrays(nodes, firsts[declared:], seconds[declared:])
-    weights = weights[declared:]
-    if len(tokens) != declared or (self_weights < 0).any() or (weights < 1).any():
-        return None  # a repeated node, or a weight out of range
-    if (rows < 0).any() or (cols < 0).any() or (rows >= cols).any():
-        return None  # an edge to an undeclared node, or out of a < b order
-    keys = np.sort(rows * declared + cols)
-    if (keys[1:] == keys[:-1]).any():
-        return None  # a repeated edge
-    return SemanticGraph._of(tokens, self_weights, _upper(declared, rows, cols, weights))
+    joined = blob.decode()  # the tokens are whole UTF-8 sequences of the text
+    if not _lf_lines_only(joined):
+        return None
+    n = len(self_weights)
+    return SemanticGraph._of(joined.split("\n")[:-1], self_weights, CSR(*arrays, (n, n)))
 
 
 def _import_edge_list_lines(text: str) -> SemanticGraph:

@@ -2,20 +2,21 @@
 
 One small C file holds the loops that numpy cannot batch: the SGD epoch of
 the trainer, the chain sampler of the synthetic language, the co-occurrence
-counter, the writer and reader of the embedding text format, the reader of
-the integer columns of the COOC and edge-list formats, the loop of
+counter, the writer and reader of the embedding text format, the line
+writer and the readers of the COOC and edge-list formats, the loop of
 neighbour ranking (the cosine division with top-k selection), and the
 product of a CSR matrix with dense vectors. The embedding writer formats
 components with Ryu and the reader parses them with Eisel-Lemire, each
 from a table of powers of five that this module computes with exact
 integers; the reader leaves to the C library's strtod only the fields
-Eisel-Lemire does not decide. `get()` compiles it on first use with the
+Eisel-Lemire does not decide. Each text reader takes a file only in its
+writer's layout and order. `get()` compiles it on first use with the
 system C compiler and caches the library; where it cannot be built or
 loaded, `get()` returns None and each caller runs its fallback: the numpy
 step, the per-token chain loop (`synthetic._chain`), the numpy counter
-(`count_model._numpy_counts`), the repr() writer, for each text loader its
-per-line reader, numpy's ranking (`vector_space._select`) and the numpy
-CSR product (`_csr._numpy_dot`).
+(`count_model._numpy_counts`), the repr() and % writers, for each text
+loader its per-line reader, numpy's ranking (`vector_space._select`) and
+the numpy CSR product (`_csr._numpy_dot`).
 The fallbacks, with float() and int() for the parsers, are the references
 the kernel is tested against. The name the provenance gives the kernel
 hashes this source, so it changes with any change here, the ranking loop,
@@ -106,8 +107,12 @@ class Kernel:
         self._format = _bind(library, "driftbench_format", _I, _P, _I, _I, ctypes.c_char_p, _P, _P)
         self._parse = _bind(library, "driftbench_parse", _I, _P, _I, _I, _I, _P, _P, _P,
                             ctypes.POINTER(_I))
-        self._parse_ints = _bind(library, "driftbench_parse_ints", _I,
-                                 ctypes.c_char_p, _I, _I, _I, _I, _P)
+        self._format_lines = _bind(library, "driftbench_format_lines", _I, ctypes.c_char_p, _I,
+                                   ctypes.c_char_p, _P, _I, _I, _I, _P, _P, _P, _P)
+        self._read_cooc = _bind(library, "driftbench_read_cooc", _I, _P, _I, _I, _P,
+                                ctypes.POINTER(_I), _P, _P, _P, _P)
+        self._read_edge_list = _bind(library, "driftbench_read_edge_list", _I, _P, _I, _I, _I,
+                                     _P, _P, _P, _P, _P, _P)
         self._select = _bind(library, "driftbench_select", ctypes.c_int,
                              _P, _I, _I, _P, _P, _P, _I, _P, _I, _P, _P)
         self._chain = _bind(library, "driftbench_chain", None, _P, _P, _I, _P, _I, _P)
@@ -238,17 +243,107 @@ class Kernel:
                           out.ctypes.data, tokens.ctypes.data, ctypes.byref(size))
         return out, bad, tokens[:size.value].tobytes()
 
-    def parse_ints(self, body: bytes, rows: int, cols: int, skip: int) -> tuple[np.ndarray, int]:
-        """The (rows, cols - skip) int64 array of a body of `rows` LF-ended
-        lines of `cols` TAB-separated fields, the first `skip` of which it
-        passes over, as int() reads the others, and -1; or, when a field
-        does not fit that layout or is not a decimal integer in [0, 2**63)
-        written with digits alone, the byte offset of the first such field
-        (or of any bytes after the last line)."""
-        if not 0 <= skip < cols or rows < 0:
-            raise ValueError("need rows >= 0 and 0 <= skip < cols")
-        out = np.empty((rows, cols - skip), dtype=np.int64)
-        return out, self._parse_ints(body, len(body), rows, cols, skip, out.ctypes.data)
+    def format_lines(self, tokens: bytes, prefix: bytes, fields: str, *columns) -> memoryview:
+        """Lines of TAB-separated fields, each line `prefix` first and LF
+        last: the lines of COOC files and edge lists. Column k gives field
+        k of each row: `fields[k]` is `t` where it holds the index of a
+        token of `tokens` (UTF-8, each token ended by LF, which no token
+        may hold), written as the token, or `i` where it holds an integer,
+        written as %d writes it. A column is a 1-d int64 array, or None for
+        the row numbers; at least one is an array."""
+        rows = {len(c) for c in columns if c is not None}
+        if len(fields) != len(columns) or not 1 <= len(columns) <= 3 or len(rows) != 1 \
+                or set(fields) - set("ti"):
+            raise ValueError("need one `t` or `i` per column, 1 to 3 columns, "
+                             "and arrays of one length")
+        (rows,) = rows
+        ends = np.flatnonzero(np.frombuffer(tokens, dtype=np.uint8) == ord("\n"))
+        starts = np.concatenate(([0], ends + 1))
+        lengths = ends - starts[:-1]
+        size = rows * (len(prefix) + len(columns))
+        arrays = []
+        for kind, column in zip(fields, columns):
+            if column is not None and (column.dtype != np.int64 or column.ndim != 1
+                                       or not column.flags.c_contiguous):
+                raise ValueError("columns must be C-contiguous 1-d int64 arrays")
+            ids = np.arange(rows) if column is None else column
+            if kind == "t":
+                if rows and not 0 <= ids.min() <= ids.max() < len(ends):
+                    raise ValueError("token indices must be in [0, tokens)")
+                size += int(lengths[ids].sum())
+            else:
+                size += rows * 20  # the widest int64, -9223372036854775808
+            arrays.append(None if column is None else column.ctypes.data)
+        arrays += [None] * (3 - len(arrays))
+        out = np.empty(size, dtype=np.uint8)
+        written = self._format_lines(prefix, len(prefix), tokens, starts.ctypes.data, rows,
+                                     len(columns), sum(1 << k for k, kind in enumerate(fields)
+                                                       if kind == "t"),
+                                     *arrays, out.ctypes.data)
+        return out.data[:written]
+
+    def read_cooc(self, body, vocab: int):
+        """Reads the body of a COOC v1 file, any bytes-like object after its
+        header, in one pass that checks it and a second that fills the
+        arrays: `vocab` lines `index TAB token TAB frequency`, indices in
+        line order and frequencies at least 1, then the upper triangle's
+        `t TAB c TAB count` triples in strictly increasing (t, c) order,
+        t <= c < vocab and counts at least 1, numbers written as digits
+        below 2**63. Returns (bad, tokens, frequencies, (data, indices,
+        indptr)): -1, the tokens, each ended by LF, the int64 frequencies,
+        and the symmetric matrix's CSR arrays (int64, int32, int64), in the
+        order `_csr.CSR` takes them. Where the body breaks that layout, bad
+        is the byte offset of the first line that does, and the rest is
+        None."""
+        if not 0 <= vocab < 2**31:
+            raise ValueError("need 0 <= vocabulary < 2**31")
+        data = np.frombuffer(body, dtype=np.uint8)
+        tokens = np.empty(len(data), dtype=np.uint8)  # tokens take no more than the body
+        freqs = np.empty(vocab, dtype=np.int64)
+        indptr = np.empty(vocab + 1, dtype=np.int64)
+        size = _I()
+
+        def read(indices, values) -> int:
+            return self._read_cooc(data.ctypes.data, len(data), vocab, tokens.ctypes.data,
+                                   ctypes.byref(size), freqs.ctypes.data, indptr.ctypes.data,
+                                   indices, values)
+
+        bad = read(None, None)
+        if bad >= 0:
+            return bad, None, None, None
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        values = np.empty(indptr[-1], dtype=np.int64)
+        read(indices.ctypes.data, values.ctypes.data)
+        return -1, tokens[:size.value].tobytes(), freqs, (values, indices, indptr)
+
+    def read_edge_list(self, body, nodes: int):
+        """Reads the body of an edge list, any bytes-like object after its
+        `# nodes: N` header, in one pass: `nodes` lines `# node TAB token
+        TAB self_weight`, tokens in strictly increasing byte order, then
+        edge lines `tokenA TAB tokenB TAB weight`, node tokens with tokenA
+        before tokenB, in strictly increasing (tokenA, tokenB) order,
+        weights at least 1, numbers written as digits below 2**63. Returns
+        (bad, tokens, self_weights, (data, indices, indptr)) as `read_cooc`
+        does, the arrays being the upper-triangular matrix of the edges'
+        weights over node ids."""
+        if not 0 <= nodes < 2**31:
+            raise ValueError("need 0 <= nodes < 2**31")
+        data = np.frombuffer(body, dtype=np.uint8)
+        edges = int(np.count_nonzero(data == ord("\n"))) - nodes  # each line ends with LF
+        if edges < 0:
+            return len(data), None, None, None
+        tokens = np.empty(len(data), dtype=np.uint8)
+        starts = np.empty(nodes + 1, dtype=np.int64)
+        self_weights = np.empty(nodes, dtype=np.int64)
+        indptr = np.empty(nodes + 1, dtype=np.int64)
+        indices = np.empty(edges, dtype=np.int32)
+        values = np.empty(edges, dtype=np.int64)
+        bad = self._read_edge_list(data.ctypes.data, len(data), nodes, edges, tokens.ctypes.data,
+                                   starts.ctypes.data, self_weights.ctypes.data,
+                                   indptr.ctypes.data, indices.ctypes.data, values.ctypes.data)
+        if bad >= 0:
+            return bad, None, None, None
+        return -1, tokens[:starts[-1]].tobytes(), self_weights, (values, indices, indptr)
 
     def select(self, scores: np.ndarray, exclude: np.ndarray, k: int, lex_rank: np.ndarray,
                norms: np.ndarray | None = None, qnorms: np.ndarray | None = None):

@@ -74,6 +74,39 @@ class TestConstruction:
         assert_same(mine, sparse.coo_matrix((v, (r, c)), shape=(rows, cols), dtype=np.int64))
 
     @ORACLE
+    @given(data=st.data())
+    def test_repeated_int64_cells_in_random_order(self, data):
+        # many repeats of each cell, in random order, summed as scipy sums them
+        rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(17, 600))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        r, c = rng.integers(0, rows, n), rng.integers(0, cols, n)
+        v = rng.integers(-(2**40), 2**40, n)
+        v[rng.random(n) < 0.1] = 0
+        mine = CSR.from_triples(r, c, v, (rows, cols), np.int64)
+        assert_same(mine, sparse.coo_matrix((v, (r, c)), shape=(rows, cols), dtype=np.int64))
+
+    @ORACLE
+    @given(values=st.lists(st.sampled_from([1e16, -1e16, 1.0, 0.5, 3.0, -7.25, 1e-8]),
+                           min_size=17, max_size=200), seed=st.integers(0, 2**32 - 1))
+    def test_repeated_float_cells_sum_in_the_order_given(self, values, seed):
+        # a float sum depends on the order of its terms: each cell's values
+        # must be summed as np.add.reduceat sums them in the order given
+        rng = np.random.default_rng(seed)
+        r, c = rng.integers(0, 2, len(values)), rng.integers(0, 2, len(values))
+        mine = CSR.from_triples(r, c, values, (2, 2), np.float64)
+        cells = (2 * r + c).tolist()
+        order = sorted(range(len(values)), key=cells.__getitem__)  # Python's sort is stable
+        ordered = [cells[i] for i in order]
+        starts = [k for k in range(len(order)) if k == 0 or ordered[k] != ordered[k - 1]]
+        sums = np.add.reduceat(np.array(values)[order], starts)
+        expected = {divmod(ordered[k], 2): float(x) for k, x in zip(starts, sums) if x != 0}
+        got = dict(zip(zip(mine.row_ids().tolist(), mine.indices.tolist()), mine.data.tolist()))
+        assert list(got) == list(expected)
+        assert bits(list(got.values())) == bits(list(expected.values()))
+
+    @ORACLE
     @given(matrix=dense(FLOATS), seed=st.integers(0, 2**32 - 1))
     def test_scipy_input_with_explicit_zeros_is_read_not_modified(self, each_path, matrix,
                                                                   seed):

@@ -19,6 +19,7 @@ from scipy import sparse
 import driftbench as db
 from driftbench import count_model, graph, trainer
 from driftbench import kernel as kernel_module
+from driftbench._csr import CSR
 from driftbench.corpus import decode_utf8
 from driftbench.errors import EncodingError, FormatError
 
@@ -168,7 +169,7 @@ SAME = {"cooc": same_cooc, "embedding": same_space, "edges": same_graph}
 
 # per format: the bulk reader in front of the per-line reader
 BULK = {
-    "cooc": count_model._parse_cooc_bulk,
+    "cooc": lambda text: count_model._parse_cooc_bulk(text.encode()),
     "embedding": lambda text: trainer._parse_embedding_bulk(text.encode(), "x"),
     "edges": graph._import_edge_list_bulk,
 }
@@ -278,6 +279,29 @@ NEAR_VALID["cooc"] += [
     COOC.replace("0\t0\t2", "0\t0\t9223372036854775808"),
     COOC.replace("0\t1\t4", "0\t1 4"),
     COOC.replace("0\t1\t4", "0\t1"),
+    COOC.replace("0\t0\t2\n0\t1\t4\n", "0\t1\t4\n0\t0\t2\n"),  # triples swapped, valid
+    COOC.replace("0\t1\t4", "1\t0\t4"),  # a lower-triangle triple
+    COOC.replace("1\t2\t1", "0\t2\t1"),  # valid
+    COOC.replace("\t4\n", "\t9223372036854775807\n"),  # valid
+    COOC.replace("1\t2\t1\n", ""),  # valid
+]
+NEAR_VALID["edges"] += [
+    EDGES.replace("# node\tb\t2\n# node\tcafé\t0\n", "# node\tcafé\t0\n# node\tb\t2\n"),  # valid
+    EDGES.replace("a\tb\t3\na\tcafé\t1\n", "a\tcafé\t1\na\tb\t3\n"),  # valid
+    EDGES.replace("a\tb\t3", "b\tcafé\t3"),  # valid, the edges out of order
+    EDGES.replace("\tb\t2", "\tcafe\t2").replace("a\tb", "a\tcafe"),  # valid
+    EDGES.replace("# node\tb\t2\n", "# node\tb\t2\n# node\tbb\t0\n", 1).replace(
+        "# nodes: 3", "# nodes: 4"),  # valid
+    EDGES.replace("a\tb\t3", "b\tb\t3"),
+    EDGES.replace("a\tb\t3", "a\ta\t3"),
+    EDGES.replace("a\tb\t3", "a\tb\x00\t3"),
+    EDGES.replace("a\tb\t3", "a\t\t3"),
+    EDGES.replace("a\tb\t3", "a\tb\t9223372036854775807"),  # valid
+    EDGES.replace("\tb\t2", "\tb\t0"),  # valid
+    EDGES.replace("a\tb\t3\na\tcafé\t1\n", ""),  # valid, no edges
+    "# nodes: 0\n",  # valid
+    "# nodes: 0\na\tb\t1\n",
+    "# nodes: 3\n# node\t#x\t0\n# node\ta\t0\n# node\tb\t0\n#x\ta\t3\na\tb\t1\n",  # a comment
 ]
 
 
@@ -372,7 +396,7 @@ class TestFuzz:
 
 
 class TestFuzzWithoutKernel:
-    """The embedding fuzz test again, on the repr() writer and the per-line reader."""
+    """The fuzz tests again, on the % and repr() writers and the per-line readers."""
 
     @pytest.fixture(autouse=True, scope="class")
     def _numpy(self):  # class-scoped, as hypothesis requires; numpy_step is per test
@@ -381,9 +405,134 @@ class TestFuzzWithoutKernel:
             yield
 
     @FUZZ
+    @given(model=count_models(), form=FORMS, data=st.data())
+    def test_cooc(self, workdir, model, form, data):
+        check_cooc(workdir, model, form, data)
+
+    @FUZZ
     @given(space=embedding_spaces(), form=FORMS, data=st.data())
     def test_embedding_text(self, workdir, space, form, data):
         check_embedding_text(workdir, space, form, data)
+
+    @FUZZ
+    @given(model=count_models(), min_weight=st.integers(1, 3), form=FORMS, data=st.data())
+    def test_edge_list(self, workdir, model, min_weight, form, data):
+        check_edge_list(workdir, model, min_weight, form, data)
+
+
+def reordered(data, text: str, sections: list[tuple[int, int]]) -> str:
+    """`text` with the lines of each (start, stop) section permuted."""
+    lines = text.split("\n")
+    for start, stop in sections:
+        lines[start:stop] = data.draw(st.permutations(lines[start:stop]))
+    return "\n".join(lines)
+
+
+class TestLinesInAnotherOrder:
+    """A valid file whose vocabulary, node, triple or edge lines come in
+    another order than the writer's loads as the per-line reader reads it;
+    the bulk readers take only the writer's order."""
+
+    @FUZZ
+    @given(model=count_models(), data=st.data())
+    def test_cooc(self, workdir, model, data):
+        text = saved(workdir / "order.cooc", count_model.save_cooc, model)
+        v, lines = len(model.vocab), text.count("\n")
+        shuffled = reordered(data, text, [(1, 1 + v), (1 + v, lines)])
+        if shuffled != text:
+            assert not bulk_reads("cooc", shuffled)
+        check("cooc", workdir / "shuffled.cooc", shuffled.encode())
+
+    @FUZZ
+    @given(model=count_models(), min_weight=st.integers(1, 3), data=st.data())
+    def test_edge_list(self, workdir, model, min_weight, data):
+        g = graph.from_counts(model, min_weight=min_weight)
+        text = graph.export_edge_list(g)
+        shuffled = reordered(data, text, [(1, 1 + len(g)), (1 + len(g), text.count("\n"))])
+        if shuffled != text:
+            assert not bulk_reads("edges", shuffled)
+        check("edges", workdir / "shuffled.tsv", shuffled.encode())
+        assert graph.import_edge_list(shuffled) == g
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+# tokens the writers must copy byte for byte, NUL included
+TOKENS = st.sampled_from(WORDS + ["\x00", "a\x00", "a\x00b", "\U0001f600"])
+
+
+def both_paths(write):
+    """What `write` returns on the kernel path, then with no kernel."""
+    compiled = write()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel_module, "get", lambda: None)
+        return compiled, write()
+
+
+class TestWritersAgree:
+    """The kernel writes the bytes of the % writers it stands in for."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _kernel(self):
+        if kernel_module.get() is None:
+            pytest.skip("the C kernel does not build here")
+
+    @FUZZ
+    @given(tokens=st.lists(TOKENS, max_size=8, unique=True), radius=st.integers(1, 2**31),
+           data=st.data())
+    def test_cooc(self, workdir, tokens, radius, data):
+        v = len(tokens)
+        freqs = data.draw(st.lists(st.integers(1, 2**63 - 1), min_size=v, max_size=v))
+        cells = data.draw(st.dictionaries(st.tuples(st.integers(0, max(v - 1, 0)),
+                                                    st.integers(0, max(v - 1, 0))),
+                                          INT64.filter(bool), max_size=3 * v if v else 0))
+        counts = np.zeros((v, v), dtype=np.int64)
+        for (t, c), n in cells.items():
+            counts[t, c] = counts[c, t] = n
+        rows, cols = np.nonzero(counts)
+        matrix = count_model.CooccurrenceMatrix(
+            db.Vocabulary(tokens, freqs), CSR.from_triples(rows, cols, counts[rows, cols], (v, v)),
+            db.WindowConfig(radius))
+        path = workdir / "writers.cooc"
+
+        def write():
+            count_model.save_cooc(matrix, path)
+            return path.read_bytes()
+
+        compiled, fallback = both_paths(write)
+        assert compiled == fallback
+
+    @FUZZ
+    @given(tokens=st.lists(TOKENS.filter(lambda t: not t.startswith("#")), max_size=8,
+                           unique=True), data=st.data())
+    def test_edge_list(self, tokens, data):
+        tokens = sorted(tokens)
+        nodes = {t: data.draw(st.integers(0, 2**63 - 1)) for t in tokens}
+        pairs = [(a, b) for i, a in enumerate(tokens) for b in tokens[i + 1:]]
+        edges = data.draw(st.dictionaries(st.sampled_from(pairs), st.integers(1, 2**63 - 1))
+                          if pairs else st.just({}))
+        g = db.SemanticGraph(nodes, edges)  # isolated nodes where no edge names them
+        compiled, fallback = both_paths(lambda: graph.export_edge_list(g))
+        assert compiled == fallback
+        assert graph._import_edge_list_bulk(compiled) == g
+
+    def test_extremes(self, workdir):
+        vocab = db.Vocabulary(["a", "b"], [2**63 - 1, 2**64])  # % alone writes 2**64
+        counts = CSR.from_triples([0, 0, 1, 1], [0, 1, 0, 1], [-(2**63), 2**63 - 1, 2**63 - 1, 1],
+                                  (2, 2), np.int64)
+        matrix = count_model.CooccurrenceMatrix(vocab, counts, db.WindowConfig(3))
+        path = workdir / "extremes.cooc"
+
+        def write():
+            count_model.save_cooc(matrix, path)
+            return path.read_bytes()
+
+        compiled, fallback = both_paths(write)
+        assert compiled == fallback == (
+            b"COOC v1 2 3\n0\ta\t9223372036854775807\n1\tb\t18446744073709551616\n"
+            b"0\t0\t-9223372036854775808\n0\t1\t9223372036854775807\n1\t1\t1\n")
+        empty = db.SemanticGraph({}, {})
+        assert both_paths(lambda: graph.export_edge_list(empty)) == ("# nodes: 0\n",) * 2
+        assert graph._import_edge_list_bulk("# nodes: 0\n") == empty
 
 
 @pytest.mark.parametrize("with_kernel", [True, False], ids=["kernel", "fallback"])

@@ -251,6 +251,18 @@ class TestEdgeListFormat:
         with pytest.raises(db.errors.FormatError, match=re.escape(repr(token))):
             db.export_edge_list(g)
 
+    @pytest.mark.parametrize("with_kernel", [True, False], ids=["kernel", "fallback"])
+    @pytest.mark.parametrize("token", ["b\ud800", "\udfff"])
+    def test_edge_list_refuses_a_lone_surrogate(self, monkeypatch, with_kernel, token):
+        # UTF-8 cannot encode it, so the list could not be written
+        if not with_kernel:
+            monkeypatch.setattr(kernel_module, "get", lambda: None)
+        elif kernel_module.get() is None:
+            pytest.skip("the C kernel does not build here")
+        g = db.SemanticGraph({token: 0, "a": 1}, {("a", token): 2})
+        with pytest.raises(db.errors.FormatError, match=re.escape(repr(token))):
+            db.export_edge_list(g)
+
     @pytest.mark.parametrize("token", ["a\x01", "a\x00", "\ufffe", "\uffff", "\ud800"])
     def test_graphml_refuses_a_character_xml_cannot_carry(self, token):
         g = db.SemanticGraph({token: 0, "z": 1}, {tuple(sorted((token, "z"))): 2})
@@ -264,14 +276,16 @@ class TestEdgeListFormat:
         root = ET.fromstring(db.export_graphml(g))
         assert [n.get("id") for n in root.iter(f"{ns}node")] == sorted(tokens)
 
-    def test_node_lines_out_of_order_take_the_bulk_path(self, kernel):
+    def test_node_lines_out_of_order_take_the_per_line_path(self, kernel):
+        # valid, but the bulk reader takes only the writer's order
         text = (
             "# nodes: 4\n# node\tz\u00fc\t0\n# node\tb\t2\n# node\t\u00e9t\u00e9\t5\n# node\ta\t0\n"
             "b\tz\u00fc\t3\na\tb\t1\na\t\u00e9t\u00e9\t7\n"
         )
-        g = graph._import_edge_list_bulk(text)
-        assert g is not None
-        assert g == graph._import_edge_list_lines(text) == db.import_edge_list(text)
+        assert graph._import_edge_list_bulk(text) is None
+        g = db.import_edge_list(text)
+        assert g == graph._import_edge_list_lines(text)
+        assert graph._import_edge_list_bulk(db.export_edge_list(g)) == g
         assert list(g.nodes.items()) == [("a", 0), ("b", 2), ("z\u00fc", 0), ("\u00e9t\u00e9", 5)]
         assert list(g.edges.items()) == [(("a", "b"), 1), (("a", "\u00e9t\u00e9"), 7), (("b", "z\u00fc"), 3)]
 
@@ -487,6 +501,8 @@ class TestOracle:
         node_lines = data.draw(st.permutations(node_lines))
         edge_lines = data.draw(st.permutations(edge_lines))
         shuffled = f"# nodes: {len(nodes)}\n" + "".join(node_lines + edge_lines)
-        if kernel_module.get() is not None:
-            assert graph._import_edge_list_bulk(shuffled) == g
+        if kernel_module.get() is not None:  # the bulk reader takes only the writer's order
+            sorted_lines = shuffled == db.export_edge_list(g)
+            assert graph._import_edge_list_bulk(shuffled) == (g if sorted_lines else None)
         assert graph._import_edge_list_lines(shuffled) == g
+        assert db.import_edge_list(shuffled) == g

@@ -2,8 +2,9 @@
 
 The writer must print each component as repr() does, byte for byte, and
 the reader must read each field as float() does, bit for bit, or refuse it
-so that the caller falls back to the per-line reader. The integer reader
-must read each field as int() does, or refuse it the same way. Hypothesis
+so that the caller falls back to the per-line reader. The COOC and
+edge-list readers must read each number field as int() does, or refuse it
+the same way. Hypothesis
 draws the components from random 64-bit patterns and the edges of the
 formats. Ranking in the kernel must give the ids and score bits of the
 numpy selection and scoring that run without it, counting the CSR
@@ -245,62 +246,114 @@ def test_saves_the_same_bytes_on_both_paths(kernel, tmp_path_factory, rows):
 
 INT64_LIMIT = 2**63
 # int()'s own grammar in an alphabet around the digits: signs, underscores,
-# spaces, non-ASCII digits
+# spaces, the ASCII bytes either side of the digits, non-ASCII digits
 int_fields = (
     st.integers(0, INT64_LIMIT - 1).map(str)
     | st.integers(INT64_LIMIT, 10**21).map(str)
     | st.builds("{}{}".format, st.text(alphabet="0", max_size=3), st.integers(0, 10**20))
-    | st.text(alphabet="0123456789+-_ ١\x00", max_size=6)
+    | st.text(alphabet="0123456789+-_ /:١\x00", max_size=6)
 )
 
 
 def read_by_int(field: str) -> int | None:
-    """What the reader must give for a field: int()'s value where int() reads
+    """What the readers must give for a field: int()'s value where int() reads
     plain ASCII digits below 2**63, else a refusal."""
     if not (field.isascii() and field.isdigit()) or int(field) >= INT64_LIMIT:
         return None
     return int(field)
 
 
+def read_numbers(kernel, fields):
+    """Each field read through both bulk readers: as the count of the COOC
+    triple (i, i), as the self weight of edge-list node i and as the weight
+    of the edge from node i to node i + 1. Per reader, the values read, or
+    the number (from 0) of the first triple, node or edge line refused."""
+    n = len(fields)
+    cooc = "".join(f"{i}\tw{i}\t1\n" for i in range(n))
+    cooc = (cooc + "".join(f"{i}\t{i}\t{f}\n" for i, f in enumerate(fields))).encode()
+    nodes = "".join(f"# node\tn{i:02d}\t{f}\n" for i, f in enumerate(fields)).encode()
+    edges = "".join(f"# node\tn{i:02d}\t0\n" for i in range(n + 1))
+    edges = (edges + "".join(f"n{i:02d}\tn{i + 1:02d}\t{f}\n"
+                             for i, f in enumerate(fields))).encode()
+    bad, _, _, arrays = kernel.read_cooc(cooc, n)
+    counts = arrays[0].tolist() if bad < 0 else cooc[:bad].count(b"\n") - n
+    bad, _, self_weights, _ = kernel.read_edge_list(nodes, n)
+    self_weights = self_weights.tolist() if bad < 0 else nodes[:bad].count(b"\n")
+    bad, _, _, arrays = kernel.read_edge_list(edges, n + 1)
+    weights = arrays[0].tolist() if bad < 0 else edges[:bad].count(b"\n") - n - 1
+    return counts, self_weights, weights
+
+
+def expected_numbers(fields):
+    """What `read_numbers` must give: a count or an edge weight is at least 1,
+    a self weight at least 0."""
+    values = [read_by_int(field) for field in fields]
+
+    def read(least):
+        refused = [i for i, v in enumerate(values) if v is None or v < least]
+        return refused[0] if refused else values
+
+    return read(1), read(0), read(1)
+
+
+# two-word COOC and edge-list bodies, each with `{}` for one of its number
+# fields, a value that field takes, and the offset of that field's line
+NUMBER_FIELDS = [
+    ("cooc", "{}\ta\t3\n1\tb\t1\n0\t1\t4\n", "0", 0),  # a vocabulary index
+    ("cooc", "0\ta\t{}\n1\tb\t1\n0\t1\t4\n", "3", 0),  # a frequency
+    ("cooc", "0\ta\t3\n1\tb\t1\n{}\t1\t4\n", "0", 12),  # t
+    ("cooc", "0\ta\t3\n1\tb\t1\n0\t{}\t4\n", "1", 12),  # c
+    ("cooc", "0\ta\t3\n1\tb\t1\n0\t1\t{}\n", "4", 12),  # a count
+    ("edges", "# node\ta\t{}\n# node\tb\t0\na\tb\t5\n", "0", 0),  # a self weight
+    ("edges", "# node\ta\t0\n# node\tb\t0\na\tb\t{}\n", "5", 22),  # an edge weight
+]
+
+
+def read_body(kernel, kind, body: bytes, rows: int) -> int:
+    read = kernel.read_cooc if kind == "cooc" else kernel.read_edge_list
+    return read(body, rows)[0]
+
+
 class TestIntReader:
+    """The number fields of the COOC and edge-list readers: one grammar,
+    int()'s digits below 2**63, each field ending exactly on its
+    separator."""
+
     @ORACLE
     @given(rows=st.lists(st.lists(int_fields, min_size=3, max_size=3), min_size=1, max_size=5))
     def test_reads_as_int(self, kernel, rows):
         """Every field that int() reads as an integer in [0, 2**63) written with
-        ASCII digits is read to int()'s value; the reader points at the first
-        other field."""
-        body = "".join("\t".join(row) + "\n" for row in rows).encode()
-        matrix, bad = kernel.parse_ints(body, len(rows), 3, 0)
-        values = [read_by_int(field) for row in rows for field in row]
-        if None in values:
-            first = values.index(None)
-            fields = [field for row in rows for field in row]
-            assert bad == sum(len(f) + 1 for f in fields[:first])
-        else:
-            assert bad == -1
-            assert matrix.tolist() == [values[i:i + 3] for i in range(0, len(values), 3)]
+        ASCII digits is read to int()'s value; each reader points at the first
+        line whose field it refuses or whose number it cannot take."""
+        fields = [field for row in rows for field in row]
+        assert read_numbers(kernel, fields) == expected_numbers(fields)
 
     @ORACLE
     @given(values=st.lists(st.integers(0, INT64_LIMIT - 1), min_size=1, max_size=50))
     def test_reads_every_int64(self, kernel, values):
-        body = "".join(f"{v}\n" for v in values).encode()
-        matrix, bad = kernel.parse_ints(body, len(values), 1, 0)
-        assert bad == -1
-        assert matrix[:, 0].tolist() == values
+        fields = [str(v) for v in values]
+        counts, self_weights, weights = read_numbers(kernel, fields)
+        assert self_weights == values
+        assert (counts, self_weights, weights) == expected_numbers(fields)
 
     def test_edges_of_the_range(self, kernel):
         fields = ["0", "00", "1", "9223372036854775807", "09223372036854775807",
                   "00000000000000000000000000042"]
-        matrix, bad = kernel.parse_ints("\t".join(fields).encode() + b"\n", 1, len(fields), 0)
-        assert bad == -1
-        assert matrix.tolist() == [[int(field) for field in fields]]
+        assert read_numbers(kernel, fields) == (0, [int(f) for f in fields], 0)
+        assert read_numbers(kernel, fields[2:]) == ([int(f) for f in fields[2:]],) * 3
+        # indices are read by the same grammar
+        body = b"00\ta\t1\n0000000000000000000001\tb\t1\n00\t01\t09223372036854775807\n"
+        bad, _, _, (values, indices, indptr) = kernel.read_cooc(body, 2)
+        assert bad == -1 and values.tolist() == [2**63 - 1] * 2 and indices.tolist() == [1, 0]
 
     @pytest.mark.parametrize("field", ["9223372036854775808", "18446744073709551616",
                                        "10000000000000000000", "99999999999999999999",
                                        "+1", "-1", "", " 1", "1 ", "1_0", "١", "0x1", "1.0",
                                        "1e3", "\x001"])
     def test_refuses_a_field_int64_or_its_digits_cannot_carry(self, kernel, field):
-        assert kernel.parse_ints(f"7\t{field}\t8\n".encode(), 1, 3, 0)[1] == len("7\t")
+        for kind, body, valid, offset in NUMBER_FIELDS:
+            assert read_body(kernel, kind, body.format(valid).encode(), 2) == -1, body
+            assert read_body(kernel, kind, body.format(field).encode(), 2) == offset, body
 
     @pytest.mark.parametrize("body, rows, offset", [
         (b"1\t2\t3\n4\t5\t6", 2, 10),  # no final LF: the last field does not end on LF
@@ -314,29 +367,217 @@ class TestIntReader:
         (b"", 1, 0),
     ])
     def test_points_at_the_first_bad_field(self, kernel, body, rows, offset):
-        assert kernel.parse_ints(body, rows, 3, 0)[1] == offset
+        """The body as COOC triples over ten words and as edges between the
+        nodes "0" to "9": each reader points at the line holding the bad
+        field at `offset`. Where the body holds whole lines, fewer than
+        `rows`, both read it: neither section counts its lines."""
+        vocab = b"".join(b"%d\tw\t1\n" % i for i in range(10))
+        nodes = b"".join(b"# node\t%d\t0\n" % i for i in range(10))
+        cooc = kernel.read_cooc(vocab + body, 10)[0]
+        edges = kernel.read_edge_list(nodes + body, 10)[0]
+        if offset == len(body):
+            assert body.count(b"\n") < rows and cooc == edges == -1
+        else:
+            line = body.rfind(b"\n", 0, offset) + 1
+            assert (cooc, edges) == (len(vocab) + line, len(nodes) + line)
 
     def test_skips_the_leading_fields(self, kernel):
-        body = "# node\tcafé\t0\n# node\t\t12\na\tb\t9223372036854775807\n".encode()
-        matrix, bad = kernel.parse_ints(body, 3, 3, 2)
+        """A token field holds any bytes but TAB and LF, none at all too, and
+        is not read as a number; a line needs both its TABs."""
+        body = "0\tcafé\t1\n1\t\t12\n2\t\x00#1\t9223372036854775807\n".encode()
+        bad, tokens, freqs, _ = kernel.read_cooc(body, 3)
         assert bad == -1
-        assert matrix.tolist() == [[0], [12], [2**63 - 1]]
-        # a skipped field holds anything but TAB and LF, so a line needs both TABs
-        assert kernel.parse_ints(b"a\tb\t1\nab1\n", 2, 3, 2)[1] == len("a\tb\t1\n")
-        assert kernel.parse_ints(b"ab\nc\td\t1\n", 2, 3, 2)[1] == 0  # LF ends a skipped field
-        assert kernel.parse_ints(b"a\tb\nc\t1\n", 2, 3, 2)[1] == len("a\t")
-        assert kernel.parse_ints(b"a\tb\t1\na\tb1\n", 2, 3, 2)[1] == len("a\tb\t1\na\t")
-        assert kernel.parse_ints(b"a\tb\t1\na\tb\t-1\n", 2, 3, 2)[1] == len("a\tb\t1\na\tb\t")
+        assert tokens == "café\n\n\x00#1\n".encode() and freqs.tolist() == [1, 12, 2**63 - 1]
+        assert kernel.read_cooc(b"0\ta\t1\n1b1\n", 2)[0] == len("0\ta\t1\n")
+        assert kernel.read_cooc(b"0\ta\n1\tb\t1\n", 2)[0] == 0  # LF ends a token
+        body = "# node\t\t0\n# node\tcafé\t12\n\tcafé\t9223372036854775807\n".encode()
+        bad, tokens, self_weights, (values, _, _) = kernel.read_edge_list(body, 2)
+        assert bad == -1 and tokens == "\ncafé\n".encode()
+        assert self_weights.tolist() == [0, 12] and values.tolist() == [2**63 - 1]
+        nodes = b"# node\ta\t0\n# node\tb\t0\n"
+        assert kernel.read_edge_list(nodes + b"a\tb1\n", 2)[0] == len(nodes)
+        assert kernel.read_edge_list(nodes + b"ab\t1\n", 2)[0] == len(nodes)
+        assert kernel.read_edge_list(nodes + b"a\tb\t-1\n", 2)[0] == len(nodes)
+        assert kernel.read_edge_list(b"# node\ta\n\t0\n", 1)[0] == 0
 
     def test_reads_no_rows(self, kernel):
-        matrix, bad = kernel.parse_ints(b"", 0, 3, 0)
-        assert bad == -1 and matrix.shape == (0, 3)
-        assert kernel.parse_ints(b"1\t2\t3\n", 0, 3, 0)[1] == 0
+        for read in (kernel.read_cooc, kernel.read_edge_list):
+            bad, tokens, weights, (values, indices, indptr) = read(b"", 0)
+            assert bad == -1 and tokens == b"" and weights.shape == values.shape == (0,)
+            assert indptr.tolist() == [0] and indices.shape == (0,)
+        assert kernel.read_cooc(b"0\t0\t1\n", 0)[0] == 0
+        assert kernel.read_edge_list(b"a\tb\t1\n", 0)[0] == 0
 
     def test_refuses_what_it_cannot_take(self, kernel):
-        for rows, cols, skip in [(1, 3, 3), (1, 3, -1), (1, 0, 0), (-1, 3, 0)]:
-            with pytest.raises(ValueError, match="0 <= skip < cols"):
-                kernel.parse_ints(b"1\t2\t3\n", rows, cols, skip)
+        """A number the grammar reads but the layout cannot take: an index
+        past the vocabulary, however large."""
+        for field in ("2", "4294967296", "9223372036854775807"):
+            for template in ("0\ta\t3\n1\tb\t1\n{}\t1\t4\n", "0\ta\t3\n1\tb\t1\n0\t{}\t4\n"):
+                assert kernel.read_cooc(template.format(field).encode(), 2)[0] == 12
+            assert kernel.read_cooc(f"{field}\ta\t3\n".encode(), 1)[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# COOC and edge-list lines: the writer against %, the readers against the
+# arrays and the per-line readers' rules
+
+
+class TestLineWriter:
+    @ORACLE
+    @given(values=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40))
+    def test_writes_ints_as_percent_d(self, kernel, values):
+        a = np.array(values, dtype=np.int64)
+        b = a[::-1].copy()
+        out = kernel.format_lines(b"", b"p\t", "iii", a, b, None)
+        rows = zip(values, values[::-1], range(len(values)))
+        assert bytes(out) == "".join("p\t%d\t%d\t%d\n" % row for row in rows).encode()
+
+    def test_writes_tokens_by_index(self, kernel):
+        tokens = ["", "a", "a\x00", "café", "\U0001f600", "#x"]
+        blob = "".join(t + "\n" for t in tokens).encode()
+        ids = np.array([5, 0, 2, 2, 4, 3], dtype=np.int64)
+        weights = np.arange(6, dtype=np.int64) * 10**17
+        expected = "".join(f"{tokens[i]}\t{tokens[k]}\t{w}\n"
+                           for k, (i, w) in enumerate(zip(ids.tolist(), weights.tolist())))
+        assert bytes(kernel.format_lines(blob, b"", "tti", ids, None, weights)) == expected.encode()
+        nodes = kernel.format_lines(blob, b"# node\t", "ti", None, np.zeros(6, dtype=np.int64))
+        assert bytes(nodes) == "".join(f"# node\t{t}\t0\n" for t in tokens).encode()
+        assert bytes(kernel.format_lines(blob, b"", "t", np.zeros(0, dtype=np.int64))) == b""
+
+    def test_refuses_what_it_cannot_take(self, kernel):
+        one = np.zeros(1, dtype=np.int64)
+        for fields, columns in [("i", (one, one)), ("x", (one,)), ("iiii", (one,) * 4),
+                                ("", ()), ("ii", (one, np.zeros(2, dtype=np.int64))),
+                                ("i", (None,))]:
+            with pytest.raises(ValueError, match="one `t` or `i` per column"):
+                kernel.format_lines(b"a\n", b"", fields, *columns)
+        for column in (np.zeros(1, dtype=np.int32), np.zeros((1, 1), dtype=np.int64),
+                       np.zeros(4, dtype=np.int64)[::2]):
+            with pytest.raises(ValueError, match="C-contiguous 1-d int64"):
+                kernel.format_lines(b"a\n", b"", "i", column)
+        for ids in ([1], [-1]):
+            with pytest.raises(ValueError, match="token indices"):
+                kernel.format_lines(b"a\n", b"", "t", np.array(ids, dtype=np.int64))
+
+
+COOC_VOCAB = "0\ta\t3\n1\tb\t1\n2\tc\x00\t9223372036854775807\n"
+AT = len(COOC_VOCAB)  # the offset of the first triple
+
+
+class TestCoocReader:
+    @ORACLE
+    @given(data=st.data())
+    def test_gives_the_symmetric_arrays(self, kernel, data):
+        v = data.draw(st.integers(1, 8))
+        cells = data.draw(st.lists(st.tuples(st.integers(0, v - 1), st.integers(0, v - 1)),
+                                   unique=True, max_size=20))
+        cells = sorted({(min(t, c), max(t, c)) for t, c in cells})
+        counts = data.draw(st.lists(st.integers(1, 2**63 - 1), min_size=len(cells),
+                                    max_size=len(cells)))
+        freqs = data.draw(st.lists(st.integers(1, 2**63 - 1), min_size=v, max_size=v))
+        body = "".join(f"{i}\tw{i}\t{f}\n" for i, f in enumerate(freqs))
+        body += "".join(f"{t}\t{c}\t{n}\n" for (t, c), n in zip(cells, counts))
+        bad, tokens, got_freqs, (values, indices, indptr) = kernel.read_cooc(body.encode(), v)
+        assert bad == -1
+        assert tokens == "".join(f"w{i}\n" for i in range(v)).encode()
+        assert got_freqs.tolist() == freqs
+        t, c = (np.array(x, dtype=np.int64).reshape(-1) for x in zip(*cells or [((), ())]))
+        want = CSR.symmetric(t, c, np.array(counts, dtype=np.int64), v)
+        assert indptr.tolist() == want.indptr.tolist()
+        assert indices.tolist() == want.indices.tolist()
+        assert values.tolist() == want.data.tolist()
+
+    @pytest.mark.parametrize("body, offset", [
+        (COOC_VOCAB.replace("1\tb", "2\tb"), 6),  # an index out of line order
+        (COOC_VOCAB.replace("1\tb", "01\tb"), -1),  # int() reads 1
+        (COOC_VOCAB.replace("\t3\n", "\t0\n"), 0),  # a frequency below 1
+        (COOC_VOCAB.replace("\ta\t", "\ta\n\t"), 0),  # an LF in a token
+        (COOC_VOCAB.replace("\ta\t3", "\ta"), 0),
+        (COOC_VOCAB[:-1], 12),  # the vocabulary ends early
+        (COOC_VOCAB + "1\t0\t4\n", AT),  # t > c
+        (COOC_VOCAB + "0\t3\t4\n", AT),  # c >= vocab
+        (COOC_VOCAB + "0\t1\t0\n", AT),  # a count below 1
+        (COOC_VOCAB + "0\t1\t4\n0\t1\t4\n", AT + 6),  # a repeated triple
+        (COOC_VOCAB + "0\t1\t4\n0\t0\t4\n", AT + 6),  # out of order
+        (COOC_VOCAB + "0\t1\t4\n\n1\t1\t2\n", AT + 6),  # a blank line
+        (COOC_VOCAB + "0\t1\t4\n1\t1\t2", AT + 6),  # no final LF
+        (COOC_VOCAB + "0\t1\t4\r\n", AT),
+        (COOC_VOCAB + "0\t1\t9223372036854775808\n", AT),
+        (COOC_VOCAB + "0\t0\t1\n0\t2\t2\n1\t1\t3\n2\t2\t4\n", -1),
+    ])
+    def test_points_at_the_first_bad_line(self, kernel, body, offset):
+        assert kernel.read_cooc(body.encode(), 3)[0] == offset
+
+    def test_refuses_what_it_cannot_take(self, kernel):
+        for vocab in (-1, 2**31):
+            with pytest.raises(ValueError, match="vocabulary"):
+                kernel.read_cooc(b"", vocab)
+
+
+NODES = "# node\t\t0\n# node\ta\t1\n# node\ta\x00\t2\n# node\tab\t0\n# node\tcafé\t5\n"
+# node tokens that share prefixes, hold NUL or are empty, in byte order
+NODE_TOKENS = sorted(["", "a", "a\x00", "a\x00b", "ab", "b", "café", "cafe", "é", "\U0001f600",
+                      *(f"n{i:03d}" for i in range(60))])
+
+
+class TestEdgeListReader:
+    @ORACLE
+    @given(data=st.data())
+    def test_finds_every_end_node(self, kernel, data):
+        tokens = sorted(data.draw(st.sets(st.sampled_from(NODE_TOKENS), max_size=len(NODE_TOKENS))))
+        assert tokens == sorted(tokens, key=str.encode)  # code-point order is byte order
+        pairs = [(i, j) for i in range(len(tokens)) for j in range(i + 1, len(tokens))]
+        edges = sorted(data.draw(st.sets(st.sampled_from(pairs), max_size=60)) if pairs else ())
+        weights = data.draw(st.lists(st.integers(1, 2**63 - 1), min_size=len(edges),
+                                     max_size=len(edges)))
+        body = "".join(f"# node\t{t}\t{i}\n" for i, t in enumerate(tokens))
+        body += "".join(f"{tokens[i]}\t{tokens[j]}\t{w}\n" for (i, j), w in zip(edges, weights))
+        bad, blob, self_weights, (values, indices, indptr) = kernel.read_edge_list(
+            body.encode(), len(tokens))
+        assert bad == -1
+        assert blob == "".join(t + "\n" for t in tokens).encode()
+        assert self_weights.tolist() == list(range(len(tokens)))
+        rows = np.repeat(np.arange(len(tokens)), np.diff(indptr))
+        assert list(zip(rows.tolist(), indices.tolist())) == edges
+        assert values.tolist() == weights
+
+    @pytest.mark.parametrize("edges, offset", [
+        ("\ta\t1\na\tab\t2\n", -1),  # the empty token is a node
+        ("a\tab\t1\na\x00\tcafé\t2\n", -1),
+        ("a\ta\t1\n", 0),  # tokenA is not before tokenB
+        ("ab\ta\t1\n", 0),
+        ("a\tb\t1\n", 0),  # an undeclared node
+        ("a\tab\t1\na\ta\x00\t2\n", 7),  # out of order
+        ("a\tab\t1\n\ta\t2\n", 7),  # a row before the last row
+        ("a\tab\t1\na\tab\t2\n", 7),  # a repeated edge
+        ("a\tab\t0\n", 0),  # a weight below 1
+        ("a\tab\t1\n# note\n", 7),  # a comment
+        ("#\ta\t1\n", 0),
+        ("a\tab\t1\n\n", 7),  # a blank line
+        ("a\tab\t1", 0),  # no final LF
+        ("a\tab\t1\r\n", 0),
+    ])
+    def test_points_at_the_first_bad_line(self, kernel, edges, offset):
+        body = (NODES + edges).encode()
+        bad = kernel.read_edge_list(body, 5)[0]
+        assert bad == (-1 if offset < 0 else len(NODES.encode()) + offset)
+
+    @pytest.mark.parametrize("nodes, offset", [
+        (NODES.replace("\ta\t1", "\ta\t-1"), 10),
+        (NODES.replace("# node\ta\t", "# node\tb\t"), 21),  # out of order
+        (NODES.replace("# node\ta\x00\t", "# node\ta\t"), 21),  # a repeated node
+        (NODES.replace("# node\ta\t", "#node\ta\t"), 10),
+        (NODES.replace("# node\t\t0\n", "# node\t0\n"), 0),
+        (NODES[:-1], len(NODES.encode()) - 1),  # no final LF: fewer lines than nodes
+        (NODES + "# node\tz\t0\n", len(NODES.encode())),  # a node line past the count
+    ])
+    def test_points_at_the_first_bad_node_line(self, kernel, nodes, offset):
+        assert kernel.read_edge_list(nodes.encode(), 5)[0] == offset
+
+    def test_refuses_what_it_cannot_take(self, kernel):
+        for nodes in (-1, 2**31):
+            with pytest.raises(ValueError, match="nodes"):
+                kernel.read_edge_list(b"", nodes)
 
 
 # ---------------------------------------------------------------------------
