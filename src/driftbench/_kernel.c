@@ -1,9 +1,10 @@
 /* The loops of driftbench that numpy cannot batch: an SGD epoch of the
- * trainer (driftbench_sgd), the chain sampler of the synthetic language
- * (driftbench_chain), the co-occurrence counter (driftbench_cooccur),
- * the writer and reader of the embedding text format
- * (driftbench_format, driftbench_parse), the line writer and the readers
- * of the COOC and edge-list formats (driftbench_format_lines,
+ * trainer (driftbench_sgd), the tokenizer of ASCII text, which gives each
+ * token a type id in one pass (driftbench_encode), the chain sampler of
+ * the synthetic language (driftbench_chain), the co-occurrence counter
+ * (driftbench_cooccur), the writer and reader of the embedding text
+ * format (driftbench_format, driftbench_parse), the line writer and the
+ * readers of the COOC and edge-list formats (driftbench_format_lines,
  * driftbench_read_cooc, driftbench_read_edge_list), the loop of
  * neighbour ranking: the cosine division with top-k selection
  * (driftbench_select), and the product of a CSR matrix with dense
@@ -11,18 +12,19 @@
  * does its arithmetic in the same order as the numpy step it replaces,
  * except that dot products and sums run sequentially where numpy calls
  * BLAS or sums pairwise, so results agree with it to the last few bits.
- * The chain sampler gives the ids of numpy's searchsorted, the counter
- * the CSR arrays of the numpy counter, the text functions the same bytes
- * and values as repr(), %, float() and int(), the ranking loop the same
- * ids and score bits as numpy's ranking, and the CSR product the bits of
- * its numpy twin. Each text reader takes a file's body only in its
- * writer's layout and order, and returns the offset of the first line or
- * field that breaks them, so that its caller reads that file line by line
- * instead. Build it with -ffp-contract=off and without fast-math so
- * that every run of the same build gives the same bits: the SGD step's
- * element-wise updates run in vector lanes, each lane doing the scalar
- * operations, and no sum is ever reordered. The kernel name in training
- * manifests hashes this source, so any change here changes it.
+ * The tokenizer gives the tokens of corpus._TOKEN_RE, the chain sampler
+ * the ids of numpy's searchsorted, the counter the CSR arrays of the
+ * numpy counter, the text functions the same bytes and values as repr(),
+ * %, float() and int(), the ranking loop the same ids and score bits as
+ * numpy's ranking, and the CSR product the bits of its numpy twin. Each
+ * text reader takes a file's body only in its writer's layout and order,
+ * and returns the offset of the first line or field that breaks them, so
+ * that its caller reads that file line by line instead. Build it with
+ * -ffp-contract=off and without fast-math so that every run of the same
+ * build gives the same bits: the SGD step's element-wise updates run in
+ * vector lanes, each lane doing the scalar operations, and no sum is ever
+ * reordered. The kernel name in training manifests hashes this source, so
+ * any change here changes it.
  */
 
 #include <math.h>
@@ -1112,6 +1114,129 @@ void driftbench_csr_dot(const int64_t *indptr, const int32_t *indices, const dou
         for (int64_t p = indptr[i]; p < indptr[i + 1]; p++)
             add_scaled(yi, data[p], x + (int64_t)indices[p] * k, k);
     }
+}
+
+/* ---------------------------------------------------------------------
+ * tokenization
+ */
+
+/* [A-Za-z0-9]: the ASCII bytes of corpus._TOKEN_RE's runs */
+static int is_word_byte(unsigned char c)
+{
+    return (unsigned char)((c | 0x20) - 'a') < 26 || (unsigned char)(c - '0') < 10;
+}
+
+/* Doubles an open-addressing table of `slots` slots, reinserting each
+ * occupied slot's type id by its stored hash. Returns the new slot count,
+ * or 0 when memory cannot be allocated (the old table is kept). */
+static int64_t grow_slots(uint64_t **hashes, int32_t **slot_ids, int64_t slots)
+{
+    int64_t bigger = 2 * slots, i, j;
+    uint64_t *h = malloc(sizeof(uint64_t) * (size_t)bigger);
+    int32_t *id = malloc(sizeof(int32_t) * (size_t)bigger);
+
+    if (h == NULL || id == NULL) {
+        free(h);
+        free(id);
+        return 0;
+    }
+    memset(id, 0xff, sizeof(int32_t) * (size_t)bigger);  /* -1: empty */
+    for (i = 0; i < slots; i++) {
+        if ((*slot_ids)[i] < 0)
+            continue;
+        for (j = (int64_t)((*hashes)[i] & (uint64_t)(bigger - 1)); id[j] >= 0; j = (j + 1) & (bigger - 1))
+            ;
+        h[j] = (*hashes)[i];
+        id[j] = (*slot_ids)[i];
+    }
+    free(*hashes);
+    free(*slot_ids);
+    *hashes = h;
+    *slot_ids = id;
+    return bigger;
+}
+
+/* The tokens of corpus.tokenize in the ASCII text (size bytes), in one
+ * pass: each maximal run of [A-Za-z0-9], lowercased, joined with the next
+ * run across one ' or - that sits between the two. Each token is hashed
+ * over its bytes (FNV-1a; equal hashes are compared by length and
+ * memcmp) to a type id, the types numbered in first-seen order, as
+ * word2vec's ReadWord and AddWordToVocab build a vocabulary (Mikolov et al.
+ * 2013). Writes each token's type id to ids, which must hold (size + 1) /
+ * 2 entries, and the distinct types, each ended by LF, to types, which
+ * must hold size + 1 bytes: a token lies in the text and a separator
+ * follows all but the last. A token is written at the end of types while
+ * it is read, so no token is too long, and is kept there only when it is
+ * new. The table starts small and doubles to stay at most half full.
+ * Returns the number of tokens and sets sizes[0] to the number of types
+ * and sizes[1] to the bytes of types; or returns -1 when memory cannot be
+ * allocated. */
+int64_t driftbench_encode(const unsigned char *text, int64_t size, int32_t *ids, char *types,
+                          int64_t *sizes)
+{
+    int64_t slots = 1024, capacity = 1024, ntypes = 0, ntokens = 0, used = 0, p = 0, result = -1;
+    uint64_t *hashes = malloc(sizeof(uint64_t) * (size_t)slots);
+    int32_t *slot_ids = malloc(sizeof(int32_t) * (size_t)slots);
+    /* type t is types[starts[t] .. starts[t + 1] - 2], then its LF */
+    int64_t *starts = malloc(sizeof(int64_t) * (size_t)(capacity + 1));
+
+    if (hashes == NULL || slot_ids == NULL || starts == NULL)
+        goto done;
+    memset(slot_ids, 0xff, sizeof(int32_t) * (size_t)slots);  /* -1: empty */
+    starts[0] = 0;
+    while (p < size) {
+        char *token = types + used;
+        uint64_t h = UINT64_C(14695981039346656037);
+        int64_t n = 0, i;
+
+        if (!is_word_byte(text[p])) {
+            p++;
+            continue;
+        }
+        for (;;) {
+            for (; p < size && is_word_byte(text[p]); p++) {
+                unsigned char c = text[p] | 0x20;  /* digits have the bit already */
+                token[n++] = (char)c;
+                h = (h ^ c) * UINT64_C(1099511628211);
+            }
+            if (p + 1 >= size || (text[p] != '\'' && text[p] != '-') || !is_word_byte(text[p + 1]))
+                break;
+            token[n++] = (char)text[p];
+            h = (h ^ text[p]) * UINT64_C(1099511628211);
+            p++;
+        }
+        for (i = (int64_t)(h & (uint64_t)(slots - 1)); slot_ids[i] >= 0; i = (i + 1) & (slots - 1)) {
+            int32_t t = slot_ids[i];
+            if (hashes[i] == h && starts[t + 1] - 1 - starts[t] == n
+                    && memcmp(types + starts[t], token, (size_t)n) == 0)
+                break;
+        }
+        if (slot_ids[i] < 0) {  /* a new type: keep its bytes */
+            if (ntypes == capacity) {
+                int64_t *bigger = realloc(starts, sizeof(int64_t) * (size_t)(2 * capacity + 1));
+                if (bigger == NULL)
+                    goto done;
+                starts = bigger;
+                capacity *= 2;
+            }
+            used += n;
+            types[used++] = '\n';
+            starts[ntypes + 1] = used;
+            hashes[i] = h;
+            slot_ids[i] = (int32_t)ntypes++;
+        }
+        ids[ntokens++] = slot_ids[i];
+        if (2 * ntypes > slots && (slots = grow_slots(&hashes, &slot_ids, slots)) == 0)
+            goto done;
+    }
+    sizes[0] = ntypes;
+    sizes[1] = used;
+    result = ntokens;
+done:
+    free(hashes);
+    free(slot_ids);
+    free(starts);
+    return result;
 }
 
 /* ---------------------------------------------------------------------

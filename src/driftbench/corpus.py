@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EncodingError, EmptyVocabularyError, UnknownWordError
+from . import kernel
+from .errors import DataError, EncodingError, EmptyVocabularyError, UnknownWordError
+from .kernel import _BOUNDARY
 
 # A token is a maximal run of Unicode letters/digits; apostrophes (straight or
 # typographic) and hyphens are kept only between such runs. Underscore is a
@@ -30,15 +31,67 @@ class Document:
     text: str
 
 
-@dataclass(frozen=True)
 class TokenStream:
-    """Ordered lowercase tokens of one document."""
+    """Ordered lowercase tokens of one document, held as ids: `types` lists
+    distinct tokens and `ids`, read-only int32, indexes them in text order.
+    `types` may list tokens that no id names (`remove_stopwords` keeps them).
 
-    doc_id: str
-    tokens: tuple[str, ...]
+    `TokenStream(doc_id, tokens)` builds one from strings; `tokens` is the
+    sequence as a tuple, built on first use. Two streams are equal when
+    their doc ids and token sequences are.
+    """
+
+    __slots__ = ("doc_id", "types", "ids", "_tokens")
+
+    def __init__(self, doc_id: str, tokens: Sequence[str]):
+        tokens = tuple(tokens)
+        types = tuple(dict.fromkeys(tokens))
+        index = dict(zip(types, range(len(types))))
+        ids = np.fromiter(map(index.__getitem__, tokens), np.int32, len(tokens))
+        self._set(doc_id, types, ids, tokens)
+
+    @classmethod
+    def _from_ids(cls, doc_id: str, types: Sequence[str], ids: np.ndarray) -> "TokenStream":
+        """The stream whose tokens are `types[i]` for each i of the int32
+        `ids`, which it makes read-only; the types must be distinct."""
+        stream = cls.__new__(cls)
+        stream._set(doc_id, tuple(types), ids, None)
+        return stream
+
+    def _set(self, doc_id, types, ids, tokens) -> None:
+        ids.flags.writeable = False
+        for name, value in (("doc_id", doc_id), ("types", types), ("ids", ids), ("_tokens", tokens)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TokenStream is immutable: cannot set {name!r}")
+
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        if self._tokens is None:
+            object.__setattr__(self, "_tokens", tuple(map(self.types.__getitem__, self.ids.tolist())))
+        return self._tokens
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.ids)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TokenStream):
+            return NotImplemented
+        if self.doc_id != other.doc_id or len(self) != len(other):
+            return False
+        if self.types == other.types:
+            return bool(np.array_equal(self.ids, other.ids))
+        return self.tokens == other.tokens
+
+    def __hash__(self) -> int:
+        return hash((self.doc_id, self.tokens))
+
+    def __repr__(self) -> str:
+        return f"TokenStream(doc_id={self.doc_id!r}, tokens={self.tokens!r})"
+
+    def __reduce__(self):
+        return TokenStream._from_ids, (self.doc_id, self.types, self.ids)
 
 
 def tokenize(text: str, doc_id: str = "") -> TokenStream:
@@ -49,23 +102,28 @@ def tokenize(text: str, doc_id: str = "") -> TokenStream:
     separates. Lowercasing happens before extraction, so tokenizing the
     space-joined output reproduces it exactly.
 
-    _TOKEN_RE defines the tokens. ASCII text takes a faster path with the
-    same result: one translate keeps the runs of [a-z0-9'-], and only a run
-    holding an apostrophe or hyphen goes through the regex, which cannot
-    match across the separators between runs.
+    _TOKEN_RE defines the tokens. On ASCII text the compiled kernel finds
+    them and their type ids in one pass (`Kernel.encode`). Without it,
+    ASCII text takes a faster path with the same result: one translate
+    keeps the runs of [a-z0-9'-], and only a run holding an apostrophe or
+    hyphen goes through the regex, which cannot match across the
+    separators between runs.
     """
     if not text.isascii():
-        return TokenStream(doc_id=doc_id, tokens=tuple(_TOKEN_RE.findall(text.lower())))
+        return TokenStream(doc_id, _TOKEN_RE.findall(text.lower()))
+    built = kernel.get()
+    if built is not None:
+        return TokenStream._from_ids(doc_id, *built.encode(text.encode()))
     runs = text.encode().translate(_ASCII_WORDS).decode()
     if "'" not in runs and "-" not in runs:
-        return TokenStream(doc_id=doc_id, tokens=tuple(runs.split()))
+        return TokenStream(doc_id, runs.split())
     tokens: list[str] = []
     for run in runs.split():
         if run.isalnum():
             tokens.append(run)
         else:
             tokens += _TOKEN_RE.findall(run)
-    return TokenStream(doc_id=doc_id, tokens=tuple(tokens))
+    return TokenStream(doc_id, tokens)
 
 
 def tokenize_document(doc: Document) -> TokenStream:
@@ -111,9 +169,23 @@ def read_corpus(path: str | Path) -> list[Document]:
 
 
 def load_stoplist(path: str | Path) -> frozenset[str]:
-    """Load a stoplist file: one token per line, blank lines ignored."""
+    """Load a stoplist file: one token per line, blank lines ignored.
+
+    Each line goes through `tokenize`, so `Rose` stoplists `rose`; a line
+    that gives no token or more than one is a `DataError` naming the file
+    and line.
+    """
     text = decode_utf8(Path(path).read_bytes(), source=str(path))
-    return frozenset(line.strip() for line in text.splitlines() if line.strip())
+    stop = set()
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        tokens = tokenize(line).tokens
+        if len(tokens) != 1:
+            raise DataError(f"{path}: line {number}: {line.strip()!r} is not one token "
+                            f"(it gives {len(tokens)})")
+        stop.add(tokens[0])
+    return frozenset(stop)
 
 
 def remove_stopwords(stream: TokenStream, stoplist: Iterable[str]) -> TokenStream:
@@ -123,10 +195,8 @@ def remove_stopwords(stream: TokenStream, stoplist: Iterable[str]) -> TokenStrea
     gaps left by removed tokens.
     """
     stop = stoplist if isinstance(stoplist, (set, frozenset)) else frozenset(stoplist)
-    return TokenStream(
-        doc_id=stream.doc_id,
-        tokens=tuple(t for t in stream.tokens if t not in stop),
-    )
+    kept = np.fromiter((t not in stop for t in stream.types), bool, len(stream.types))
+    return TokenStream._from_ids(stream.doc_id, stream.types, stream.ids[kept[stream.ids]])
 
 
 class Vocabulary:
@@ -190,7 +260,7 @@ class Vocabulary:
         for i, (t, f) in enumerate(zip(self._tokens, self._freq)):
             yield t, i, f
 
-    def extended(self, extra_counts: Counter[str]) -> "Vocabulary":
+    def extended(self, extra_counts: Mapping[str, int]) -> "Vocabulary":
         """Return a vocabulary with frequencies updated and new types appended.
 
         Existing indices are untouched; new types go on the end sorted by
@@ -226,24 +296,41 @@ def build_vocabulary(
         raise ValueError("min_count must be >= 1")
     if max_size is not None and max_size < 1:
         raise ValueError("max_size must be >= 1 when given")
-    counts: Counter[str] = Counter()
-    for stream in streams:
-        counts.update(stream.tokens)
-    kept = [(t, c) for t, c in counts.items() if c >= min_count]
-    if not kept:
+    types, counts = _type_counts(streams)
+    kept = np.flatnonzero(counts >= min_count)
+    if not len(kept):
         raise EmptyVocabularyError(
             f"no token has frequency >= {min_count}"
-            + ("" if counts else " (corpus is empty)")
+            + ("" if counts.any() else " (corpus is empty)")
         )
-    kept.sort(key=lambda tc: (-tc[1], tc[0]))
+    kept = np.array(sorted(kept.tolist(), key=types.__getitem__), dtype=np.int64)
+    kept = kept[np.argsort(-counts[kept], kind="stable")]
     if max_size is not None:
         kept = kept[:max_size]
-    return Vocabulary([t for t, _ in kept], [c for _, c in kept])
+    return Vocabulary(list(map(types.__getitem__, kept.tolist())), counts[kept].tolist())
 
 
-# the entry of `_window_ids` that ends every window: one before each
-# document and one after the last
-_BOUNDARY = -2
+def _type_counts(streams: Iterable[TokenStream]) -> tuple[Sequence[str], np.ndarray]:
+    """The distinct types of the streams and how often each occurs in them,
+    int64 (0 for a type that a stream lists but no id names): one bincount
+    per stream, merged over the streams' types."""
+    parts: list[list] = []
+    for stream in streams:
+        counts = np.bincount(stream.ids, minlength=len(stream.types))
+        if parts and stream.types is parts[-1][0]:
+            parts[-1][1] += counts
+        else:
+            parts.append([stream.types, counts])
+    if len(parts) < 2:
+        return tuple(parts[0]) if parts else ((), np.zeros(0, dtype=np.int64))
+    index: dict[str, int] = {}
+    for types, _ in parts:
+        for t in types:
+            index.setdefault(t, len(index))
+    merged = np.zeros(len(index), dtype=np.int64)
+    for types, counts in parts:
+        merged[np.fromiter(map(index.__getitem__, types), np.int64, len(types))] += counts
+    return list(index), merged
 
 
 def _window_ids(streams: Iterable[TokenStream], vocab: Vocabulary,
@@ -256,12 +343,16 @@ def _window_ids(streams: Iterable[TokenStream], vocab: Vocabulary,
     stays inside its document; the array holds tokens + documents + 1
     entries, whatever the radius. Counting and training both walk it."""
     streams = list(streams)
-    ids = np.full(1 + sum(len(s.tokens) + 1 for s in streams), _BOUNDARY, dtype=np.int64)
+    ids = np.full(1 + sum(len(s) + 1 for s in streams), _BOUNDARY, dtype=np.int64)
     get, oov = vocab._index.get, itertools.repeat(-1)
-    start, longest = 1, 0
+    start, longest, types, lookup = 1, 0, None, None
     for stream in streams:
-        n = len(stream.tokens)
-        ids[start : start + n] = np.fromiter(map(get, stream.tokens, oov), np.int64, n)
+        n = len(stream)
+        if stream.types is not types:  # each type's vocabulary id, -1 out of vocabulary
+            types = stream.types
+            lookup = np.fromiter(map(get, types, oov), np.int64, len(types))
+        # the ids index the types, so no id clips; "clip" writes to `out` unbuffered
+        np.take(lookup, stream.ids, out=ids[start : start + n], mode="clip")
         start += n + 1
         longest = max(longest, n)
     return ids, max(1, min(radius, longest - 1))
@@ -289,11 +380,8 @@ def corpus_stats(streams: Iterable[TokenStream]) -> CorpusStats:
     The type/token ratio of an empty corpus is undefined; it is reported
     as 0.0 with the `empty` flag set.
     """
-    tokens = 0
-    types: set[str] = set()
-    for stream in streams:
-        tokens += len(stream.tokens)
-        types.update(stream.tokens)
+    _, counts = _type_counts(streams)
+    tokens, types = int(counts.sum()), int(np.count_nonzero(counts))
     if tokens == 0:
         return CorpusStats(0, 0, 0.0, empty=True)
-    return CorpusStats(tokens, len(types), len(types) / tokens)
+    return CorpusStats(tokens, types, types / tokens)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -18,6 +17,7 @@ from .corpus import (
     TokenStream,
     Vocabulary,
     _lf_lines_only,
+    _type_counts,
     _window_ids,
     decode_utf8,
 )
@@ -165,10 +165,8 @@ def augment_counts(
     vocabulary. The new documents are counted with the base's window.
     """
     new_streams = list(new_streams)
-    extra: Counter[str] = Counter()
-    for stream in new_streams:
-        extra.update(stream.tokens)
-    vocab = base.vocab.extended(extra)
+    types, counts = _type_counts(new_streams)
+    vocab = base.vocab.extended(dict(zip(types, counts.tolist())))
     vsize = len(vocab)
     old = base.counts
     indptr = np.append(old.indptr, np.full(vsize - old.shape[0], old.nnz))  # new rows are empty

@@ -1,29 +1,30 @@
 """The compiled kernel: build, load and ctypes bindings of `_kernel.c`.
 
 One small C file holds the loops that numpy cannot batch: the SGD epoch of
-the trainer, the chain sampler of the synthetic language, the co-occurrence
-counter, the writer and reader of the embedding text format, the line
-writer and the readers of the COOC and edge-list formats, the loop of
-neighbour ranking (the cosine division with top-k selection), and the
-product of a CSR matrix with dense vectors. The embedding writer formats
-components with Ryu and the reader parses them with Eisel-Lemire, each
-from a table of powers of five that this module computes with exact
-integers; the reader leaves to the C library's strtod only the fields
-Eisel-Lemire does not decide. Each text reader takes a file only in its
-writer's layout and order. `get()` compiles it on first use with the
-system C compiler and caches the library; where it cannot be built or
-loaded, `get()` returns None and each caller runs its fallback: the numpy
-step, the per-token chain loop (`synthetic._chain`), the numpy counter
-(`count_model._numpy_counts`), the repr() and % writers, for each text
-loader its per-line reader, numpy's ranking (`vector_space._select`) and
-the numpy CSR product (`_csr._numpy_dot`).
-The fallbacks, with float() and int() for the parsers, are the references
-the kernel is tested against. The name the provenance gives the kernel
-hashes this source, so it changes with any change here, the ranking loop,
-the chain sampler and the counter included. The training step's
-element-wise updates run in vector lanes that each do the scalar
-operations, and no sum is reordered, so the trained bits are those of the
-scalar loops.
+the trainer, the tokenizer that turns ASCII text into type ids in one pass,
+the chain sampler of the synthetic language, the co-occurrence counter,
+the writer and reader of the embedding text format, the line writer and
+the readers of the COOC and edge-list formats, the loop of neighbour
+ranking (the cosine division with top-k selection), and the product of a
+CSR matrix with dense vectors. The embedding writer formats components
+with Ryu and the reader parses them with Eisel-Lemire, each from a table
+of powers of five that this module computes with exact integers; the
+reader leaves to the C library's strtod only the fields Eisel-Lemire does
+not decide. Each text reader takes a file only in its writer's layout and
+order. `get()` compiles it on first use with the system C compiler and
+caches the library; where it cannot be built or loaded, `get()` returns
+None and each caller runs its fallback: the translate/split tokenizer
+(`corpus.tokenize`), the numpy step, the per-token chain loop
+(`synthetic._chain`), the numpy counter (`count_model._numpy_counts`), the
+repr() and % writers, for each text loader its per-line reader, numpy's
+ranking (`vector_space._select`) and the numpy CSR product
+(`_csr._numpy_dot`). The fallbacks, with `_TOKEN_RE` for the tokenizer and
+float() and int() for the parsers, are the references the kernel is tested
+against. The name the provenance gives the kernel hashes this source, so
+it changes with any change here, the ranking loop, the chain sampler and
+the counter included. The training step's element-wise updates run in
+vector lanes that each do the scalar operations, and no sum is reordered,
+so the trained bits are those of the scalar loops.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import _BOUNDARY
-
 SOURCE = Path(__file__).with_name("_kernel.c")
 # no -march=native and no fast-math: sums stay sequential and bits reproducible
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
@@ -49,6 +48,9 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _COMPONENT_BYTES = 25
 _P = ctypes.c_void_p
 _I = ctypes.c_int64
+# the entry of `corpus._window_ids` that ends every window: one before each
+# document and one after the last
+_BOUNDARY = -2
 
 
 def _ryu_table() -> np.ndarray:
@@ -119,6 +121,8 @@ class Kernel:
         self._cooccur = _bind(library, "driftbench_cooccur", ctypes.c_int, _P, _I, _I, _I,
                               _P, _P, _P)
         self._csr_dot = _bind(library, "driftbench_csr_dot", None, _P, _P, _P, _I, _P, _I, _P)
+        self._encode = _bind(library, "driftbench_encode", _I, ctypes.c_char_p, _I, _P, _P,
+                             ctypes.POINTER(_I))
         self._table = _ryu_table()
         self._powers = _eisel_lemire_table()
         self._library = library  # keeps the library loaded while its functions are used
@@ -164,6 +168,22 @@ class Kernel:
         self._chain(unigram_cdf.ctypes.data, transition_cdf.ctypes.data, v,
                     draws.ctypes.data, len(draws), out.ctypes.data)
         return out
+
+    def encode(self, text: bytes) -> tuple[list[str], np.ndarray]:
+        """The tokens of the ASCII `text` as `corpus.tokenize` finds them, in
+        one pass: (types, ids), the distinct tokens in first-seen order and,
+        read-only int32, each token's index into them."""
+        if not text.isascii() or len(text) >= 2**32:
+            raise ValueError("need ASCII text of fewer than 2**32 bytes")
+        ids = np.empty((len(text) + 1) // 2, dtype=np.int32)  # a separator follows each token but the last
+        types = np.empty(len(text) + 1, dtype=np.uint8)
+        sizes = (_I * 2)()
+        tokens = self._encode(text, len(text), ids.ctypes.data, types.ctypes.data, sizes)
+        if tokens < 0:
+            raise MemoryError("encoding kernel could not allocate its hash table")
+        ids = ids[:tokens].copy()
+        ids.flags.writeable = False
+        return str(types.data[:sizes[1]], "ascii").split("\n")[:-1], ids
 
     def cooccur(self, ids: np.ndarray, vocab: int, radius: int):
         """The counts of `count_model._numpy_counts` over the `_window_ids`

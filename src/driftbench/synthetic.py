@@ -64,17 +64,15 @@ def synthetic_corpus(
         raise ValueError(f"vocab_size must be >= {PREFERRED_SUCCESSORS}")
     words, unigram_cdf, transition_cdf = _language(vocab_size)
     rng = np.random.default_rng(seed)
-    ids: list[int] = []
+    ids = np.zeros(0, dtype=np.int32)
     if n_tokens:
         draws = np.concatenate(([rng.random()], rng.random(n_tokens - 1)))
         built = kernel.get()
         if built is None:
-            ids = _chain(unigram_cdf, transition_cdf, draws)
+            ids = np.array(_chain(unigram_cdf, transition_cdf, draws), dtype=np.int32)
         else:
-            ids = built.chain(unigram_cdf, transition_cdf, draws).tolist()
-    return TokenStream(
-        doc_id=f"synthetic-s{seed}-n{n_tokens}", tokens=tuple(map(words.__getitem__, ids))
-    )
+            ids = built.chain(unigram_cdf, transition_cdf, draws).astype(np.int32)
+    return TokenStream._from_ids(f"synthetic-s{seed}-n{n_tokens}", words, ids)
 
 
 def _chain(unigram_cdf: np.ndarray, transition_cdf: np.ndarray, draws: np.ndarray) -> list[int]:

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: pipelines, manifests, determinism, exit codes."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -10,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import driftbench as db
 from driftbench import cli, kernel as kernel_module, stability
 from driftbench.cli import build_parser, main
 
-from conftest import ROSE_TEXT
+from conftest import DATA_DIR, ROSE_TEXT
 
 TRAIN_TEXT = (
     "the river ran past the mill and the miller watched the water turn "
@@ -113,6 +115,20 @@ class TestBuildCount:
         stop.write_text("rose\nis\na\n", encoding="utf-8")
         code = run("build-count", rose_file, "--out", tmp_path / "x.cooc", "--stoplist", stop)
         assert code == 2
+
+    def test_stoplist_with_capitals_removes_its_tokens(self, tmp_path):
+        corpus, stop, out = tmp_path / "rose.txt", tmp_path / "stop.txt", tmp_path / "s.json"
+        corpus.write_text("Rose is a rose", encoding="utf-8")
+        stop.write_text("Rose\nIS\n", encoding="utf-8")
+        assert run("stats", corpus, "--stoplist", stop, "--out", out) == 0
+        assert json.loads(out.read_text())["token_count"] == 1
+
+    @pytest.mark.parametrize("line", ["Rose is", "--"])
+    def test_stoplist_line_of_not_one_token_exits_2(self, rose_file, tmp_path, capsys, line):
+        stop = tmp_path / "stop.txt"
+        stop.write_text(f"a\n{line}\n", encoding="utf-8")
+        assert run("stats", rose_file, "--stoplist", stop) == 2
+        assert f"stop.txt: line 2: {line!r} is not one token" in capsys.readouterr().err
 
     def test_usage_error_exits_1(self, rose_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -835,3 +851,57 @@ def test_manifest_of_a_command_that_does_not_train_names_no_kernel(run_in, monke
         with monkeypatch.context() as without_kernel:
             without_kernel.setattr(kernel_module, "get", lambda: None)
             assert run_in(f"{command}-numpy", *run) == first
+
+
+# commands that read text: the sha256 of their outputs (manifests aside) at
+# the commit before text was encoded as ids, on `cafe_story.txt` and on a
+# synthetic speaker corpus laid out as the benchmark writes it
+TEXT_RUNS = {
+    "stats": ["stats", "{corpus}", "--out", "out.json"],
+    "build-count": ["build-count", "{corpus}", "--out", "out.cooc", "--window", "5"],
+    "build-count-stoplist": ["build-count", "{corpus}", "--out", "out.cooc", "--window", "5",
+                             "--stoplist", "{stoplist}"],
+    "stein_hemingway": ["experiment", "stein_hemingway", "--base", "{corpus}",
+                        "--addition", "{other}", "--out", "exp", "--window", "2"],
+}
+TEXT_DIGESTS = {
+    ("cafe_story", "stats"): "b12030285ddbb4e87f760e32b9fc4ee4c401d466dbf327ed89b5f119b3e971f8",
+    ("cafe_story", "build-count"): "eb3e28c2c9190bd0df026e982c6f20ba673cd50724e52ba68df56b07a32ab083",
+    ("cafe_story", "build-count-stoplist"):
+        "10107db647083858f5761de7fff3102884d816bd8113f05d9b9ec91e7ab0646d",
+    ("cafe_story", "stein_hemingway"):
+        "891f2a65577d3da24829a3e8fde3b0c393808b0a9257dc200001b105a6aa4bb3",
+    ("speaker", "stats"): "d85f9084fcb0733764f81da3980641d63762ec8d66ddbeca25f023f84b6f781a",
+    ("speaker", "build-count"): "0a3c80b2731f45e429136ca9c32e8c6abda799dd77fd0145c1d4cc07901ea563",
+    ("speaker", "build-count-stoplist"):
+        "b13dca022ff13b6e990c20e6d56a59a20d5f40467185a0c20f035ce68a5a6b2a",
+    ("speaker", "stein_hemingway"):
+        "fca2595f8331e465586b8f231add58e4b2d39288cf7c6e4ef61ae1c5b7434881",
+}
+
+
+@pytest.fixture(scope="module")
+def text_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("text")
+    tokens = db.synthetic_corpus(5000, seed=11, vocab_size=300).tokens
+    speaker = d / "speaker.txt"
+    speaker.write_text("\n".join(" ".join(tokens[i:i + 20]) for i in range(0, len(tokens), 20))
+                       + "\n", encoding="utf-8")
+    stoplist = d / "stop.txt"
+    stoplist.write_text("the\nand\nw000\nw001\n", encoding="utf-8")
+    return {"cafe_story": DATA_DIR / "cafe_story.txt", "speaker": speaker, "stoplist": stoplist}
+
+
+@pytest.mark.parametrize("corpus", ["cafe_story", "speaker"])
+@pytest.mark.parametrize("command", list(TEXT_RUNS))
+def test_text_commands_keep_their_bytes_on_both_paths(corpus, command, text_inputs, each_path,
+                                                      tmp_path, monkeypatch):
+    other = text_inputs["speaker" if corpus == "cafe_story" else "cafe_story"]
+    monkeypatch.chdir(tmp_path)
+    assert main([a.format(corpus=text_inputs[corpus], other=other,
+                          stoplist=text_inputs["stoplist"]) for a in TEXT_RUNS[command]]) == 0
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.rglob("*")):
+        if path.is_file() and not path.name.endswith("manifest.json"):
+            digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == TEXT_DIGESTS[corpus, command]

@@ -1,15 +1,18 @@
 """Tokenization, vocabulary construction, and corpus statistics."""
 
+import pickle
 import string
+from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import driftbench as db
-from driftbench import corpus
-from driftbench.corpus import _TOKEN_RE, decode_utf8
+from driftbench import corpus, kernel as kernel_module
+from driftbench.corpus import _TOKEN_RE, _window_ids, decode_utf8
 
 from conftest import DATA_DIR, ROSE_TEXT
 
@@ -110,8 +113,8 @@ class TestTokenize:
         assert len(tokens) > 1000
         assert tokens == regex_tokens(text)
 
-    def test_ascii_text_takes_the_translate_path(self, monkeypatch):
-        """Only a run that holds a joiner reaches the regex."""
+    def test_ascii_text_takes_the_translate_path(self, monkeypatch, numpy_step):
+        """Without the kernel, only a run that holds a joiner reaches the regex."""
         seen = []
 
         class Recorder:
@@ -128,12 +131,130 @@ class TestTokenize:
         assert db.tokenize("Café’s menu").tokens == ("café’s", "menu")
         assert seen == ["café’s menu"]
 
+    def test_ascii_text_takes_the_kernel_path(self, monkeypatch, kernel):
+        """With the kernel, ASCII text never reaches the regex."""
+        seen = []
+
+        class Recorder:
+            def findall(self, text):
+                seen.append(text)
+                return _TOKEN_RE.findall(text)
+
+        monkeypatch.setattr(corpus, "_TOKEN_RE", Recorder())
+        assert db.tokenize("Don't stop--the Well-Known 'x' ends.").tokens == (
+            "don't", "stop", "the", "well-known", "x", "ends",
+        )
+        assert db.tokenize("Café’s menu").tokens == ("café’s", "menu")
+        assert seen == ["café’s menu"]
+
     @given(st.text(max_size=100))
     def test_tokens_lowercase_nonempty_no_whitespace(self, text):
         for tok in db.tokenize(text).tokens:
             assert tok
             assert tok == tok.lower()
             assert not any(ch.isspace() for ch in tok)
+
+
+def many_types(n: int, seed: int) -> str:
+    """n distinct tokens, some capitalised, each twice, in a shuffled order."""
+    words = [f"{'T' if i % 3 else 't'}{i:x}" for i in range(n)] * 2
+    np.random.default_rng(seed).shuffle(words)
+    return " ".join(words)
+
+
+# ASCII documents for the encoder: joiners at the edges of runs, capitals,
+# digits, CR, TAB, NUL and DEL; enough distinct types to grow its table
+# several times (it starts at 1,024 slots and stays at most half full); and
+# one token longer than 64 KB
+documents = (
+    st.text(alphabet=st.sampled_from(ASCII_ALPHABET), max_size=200)
+    | st.text(alphabet=st.sampled_from("aZ9'- \r\t\x00\x7f"), max_size=80)
+    | st.lists(st.sampled_from(["'quoted'", "rock-", "--", "a'-b", "Don't", "X-1'2", "'", "-",
+                                "\r\n", "\t", "\x00", "\x7f", "A", "9"]), max_size=30).map(" ".join)
+    | st.builds(many_types, st.integers(1, 5000), st.integers(0, 2**32 - 1))
+    | st.tuples(st.sampled_from(["", "a'", "-"]), st.sampled_from(["Ab9-" * 17_000, "z" * 70_000]),
+                st.sampled_from(["", "'b", " c"])).map("".join)
+)
+
+
+def string_chain(texts: list[str], min_count: int, radius: int):
+    """Tokens to window ids one string at a time, the reference for the ids
+    path: regex tokens, a Counter vocabulary sorted by (-count, token), dict
+    lookups for the window ids and a set of the types for the statistics."""
+    docs = [regex_tokens(text) for text in texts]
+    counts = Counter(chain.from_iterable(docs))
+    kept = sorted(((t, c) for t, c in counts.items() if c >= min_count), key=lambda tc: (-tc[1], tc[0]))
+    index = {t: i for i, (t, _) in enumerate(kept)}
+    ids = [-2]
+    for doc in docs:
+        ids += [index.get(t, -1) for t in doc] + [-2]
+    tokens = sum(map(len, docs))
+    stats = (tokens, len(counts), len(counts) / tokens if tokens else 0.0)
+    return kept, ids, max(1, min(radius, max(map(len, docs), default=0) - 1)), stats
+
+
+class TestEncode:
+    @given(st.lists(documents, max_size=4), st.integers(1, 3), st.integers(1, 12))
+    @example(texts=[many_types(5000, 0), "", "x'Y-" * 17_000], min_count=1, radius=3)
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    def test_ids_path_equals_the_string_chain(self, kernel, texts, min_count, radius):
+        for text in texts:
+            types, ids = kernel.encode(text.encode())
+            tokens = regex_tokens(text)
+            assert types == list(dict.fromkeys(tokens))
+            assert ids.dtype == np.int32 and not ids.flags.writeable
+            assert list(map(types.__getitem__, ids.tolist())) == list(tokens)
+        kept, window_ids, clipped, stats = string_chain(texts, min_count, radius)
+        for path in ("kernel", "numpy"):
+            with pytest.MonkeyPatch.context() as mp:
+                if path == "numpy":
+                    mp.setattr(kernel_module, "get", lambda: None)
+                streams = [db.tokenize(text, doc_id=str(i)) for i, text in enumerate(texts)]
+            got = db.corpus_stats(streams)
+            assert (got.token_count, got.type_count, got.type_token_ratio) == stats
+            if not kept:
+                with pytest.raises(db.EmptyVocabularyError):
+                    db.build_vocabulary(streams, min_count=min_count)
+                continue
+            vocab = db.build_vocabulary(streams, min_count=min_count)
+            assert list(zip(vocab.tokens, vocab.frequencies)) == kept
+            ids, r = _window_ids(streams, vocab, radius)
+            assert (ids.tolist(), r) == (window_ids, clipped)
+
+    def test_refuses_text_that_is_not_ascii(self, kernel):
+        with pytest.raises(ValueError):
+            kernel.encode("café".encode())
+
+
+class TestTokenStream:
+    def test_ids_and_strings_make_equal_streams(self, each_path, cafe_text):
+        stream = db.tokenize(cafe_text, doc_id="cafe")
+        assert stream == db.TokenStream("cafe", regex_tokens(cafe_text))
+        assert stream != db.TokenStream("other", regex_tokens(cafe_text))
+        assert stream != db.TokenStream("cafe", regex_tokens(cafe_text)[1:])
+        assert hash(stream) == hash(db.TokenStream("cafe", regex_tokens(cafe_text)))
+
+    def test_length_reads_the_ids(self, kernel, cafe_text):
+        stream = db.tokenize(cafe_text)
+        assert len(stream) == len(regex_tokens(cafe_text))
+        assert stream._tokens is None  # no string was built
+        assert stream.tokens is stream.tokens
+
+    def test_read_only(self, rose_stream):
+        with pytest.raises(ValueError):
+            rose_stream.ids[0] = 1
+        with pytest.raises(AttributeError):
+            rose_stream.doc_id = "other"
+
+    def test_pickles(self, rose_stream):
+        assert pickle.loads(pickle.dumps(rose_stream)) == rose_stream
+
+    def test_synthetic_stream_holds_the_chain_ids(self):
+        stream = db.synthetic_corpus(200, seed=3, vocab_size=50)
+        assert len(stream.types) == 50 and len(stream) == 200
+        assert stream.tokens == tuple(f"w{i:03d}" for i in stream.ids.tolist())
 
 
 class TestEncoding:
@@ -228,6 +349,26 @@ class TestStopwords:
         path = tmp_path / "stop.txt"
         path.write_text("the\nand\n\nof\n", encoding="utf-8")
         assert db.load_stoplist(path) == {"the", "and", "of"}
+
+    def test_stoplist_lines_are_tokenized(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_text("Rose\n  IS \n\n'Tis\r\nDON'T\n", encoding="utf-8")
+        assert db.load_stoplist(path) == {"rose", "is", "tis", "don't"}
+        stream = db.remove_stopwords(db.tokenize("Rose is a rose"), db.load_stoplist(path))
+        assert stream.tokens == ("a",)
+
+    @pytest.mark.parametrize("line", ["two words", "--", "rock- roll", "...", "a_b"])
+    def test_stoplist_line_of_not_one_token_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "stop.txt"
+        path.write_text(f"the\n\n{line}\nand\n", encoding="utf-8")
+        with pytest.raises(db.DataError, match=rf"stop\.txt: line 3: "):
+            db.load_stoplist(path)
+
+    def test_removal_keeps_the_types(self, each_path, rose_stream):
+        out = db.remove_stopwords(rose_stream, {"is"})
+        assert out.types == rose_stream.types
+        assert out.tokens == ("rose", "a", "rose", "a", "rose", "a", "rose")
+        assert db.corpus_stats([out]).type_count == 2
 
 
 class TestCorpusStats:

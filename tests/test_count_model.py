@@ -129,13 +129,22 @@ class TestEffectiveRadius:
         assert augmented.window.radius == wide
 
 
+# The memory probes read the peak RSS of their own address space (VmHWM), in
+# KiB: ru_maxrss would start from the peak of the process that started them,
+# which exec passes on, so a parent larger than the probe hides every rise.
+PEAK = """
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+"""
+
 # Counts a uniform corpus over 200 words, whose 40,000 cells all fill, and
 # prints the rise of the process's own peak RSS in KiB, nnz and the length
 # of the window id array. Shape "one" is one document at radius 20; shape
 # "many" is a 300-token document and then documents of 0 to 40 tokens, at
 # radius 2,000,000,000, which walks 299 positions.
-MEMORY_PROBE = """
-import resource, sys
+MEMORY_PROBE = PEAK + """
+import sys
 import numpy as np
 import driftbench as db
 from driftbench import kernel
@@ -161,13 +170,13 @@ del draws, every
 vocab = db.build_vocabulary(streams)
 window = db.WindowConfig(radius)
 db.count_cooccurrences([db.TokenStream("warm-up", streams[0].tokens[:2000])], vocab, window)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak()
 nnz = db.count_cooccurrences(streams, vocab, window).counts.nnz
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, nnz, len(_window_ids(streams, vocab, radius)[0]))
+print(peak() - before, nnz, len(_window_ids(streams, vocab, radius)[0]))
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux reports it")
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 class TestBoundedMemory:
     TOKENS = 100_000
 
@@ -194,6 +203,62 @@ class TestBoundedMemory:
         rise, entries = self.probe(path, shape, self.TOKENS)
         rise_4n, entries_4n = self.probe(path, shape, 4 * self.TOKENS)
         assert rise_4n - rise <= (entries_4n - entries) * 8 + 3 * self.TOKENS * 8
+
+
+# Reads, tokenizes and counts a text file as `build-count` does, and prints
+# the rise of the process's own peak RSS in KiB, nnz and the token count.
+TEXT_MEMORY_PROBE = PEAK + """
+import sys
+import driftbench as db
+from driftbench import kernel
+from driftbench.cli import _corpus_streams
+text, warm_up = sys.argv[1], sys.argv[2]
+if kernel.get() is None:
+    sys.exit("the C kernel does not load")
+window = db.WindowConfig(20)
+streams = _corpus_streams(warm_up)
+db.count_cooccurrences(streams, db.build_vocabulary(streams), window)
+del streams
+before = peak()
+streams = _corpus_streams(text)
+nnz = db.count_cooccurrences(streams, db.build_vocabulary(streams), window).counts.nnz
+print(peak() - before, nnz, len(streams[0]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+class TestBoundedTextMemory:
+    TOKENS = 100_000
+
+    @staticmethod
+    def write_text(path: Path, tokens: int) -> Path:
+        """tokens of 200 words, capitalised or not, 20 to a line ending in a full stop"""
+        words = [f"{'W' if i % 2 else 'w'}{i:03d}" for i in range(200)]
+        draws = np.random.default_rng(0).integers(0, 200, tokens).tolist()
+        path.write_text("".join(" ".join(map(words.__getitem__, draws[i:i + 20])) + ".\n"
+                                for i in range(0, tokens, 20)), encoding="utf-8")
+        return path
+
+    def probe(self, tmp_path: Path, tokens: int) -> int:
+        """The peak-RSS rise in bytes of reading, tokenizing and counting the text."""
+        text = self.write_text(tmp_path / f"text_{tokens}.txt", tokens)
+        warm_up = self.write_text(tmp_path / "warm_up.txt", 2000)
+        src = str(Path(db.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", TEXT_MEMORY_PROBE, str(text), str(warm_up)],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=300, check=True)
+        rise, nnz, length = map(int, done.stdout.split())
+        assert (nnz, length) == (200 * 200, tokens)
+        return rise * 1024
+
+    def test_text_is_held_as_ids(self, kernel, tmp_path):
+        # Each extra token of text may raise the peak by 40 B. Held as an
+        # int32 id per token it took 20 B; as a tuple of str per token 92 B,
+        # and the numpy fallback, which still builds that tuple, takes 90 B
+        # (2-vCPU VM, Python 3.11, 5 bytes of text per token).
+        rise = self.probe(tmp_path, self.TOKENS)
+        rise_4n = self.probe(tmp_path, 4 * self.TOKENS)
+        assert rise_4n - rise <= 3 * self.TOKENS * 40
 
 
 class TestAugmentation:
