@@ -905,3 +905,90 @@ def test_text_commands_keep_their_bytes_on_both_paths(corpus, command, text_inpu
         if path.is_file() and not path.name.endswith("manifest.json"):
             digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0" + path.read_bytes())
     assert digest.hexdigest() == TEXT_DIGESTS[corpus, command]
+
+
+# commands that write stability reports: the sha256 of their outputs
+# (manifests aside) at the commit before reports were held as per-word
+# columns. Dense diffs with equal dimensions have a displacement column and
+# diffs across dimensions have none; the PPMI diff asks for a k above its
+# shortest list, so k is clamped and some rank agreements are undefined.
+REPORT_RUNS = {
+    "diff-dense-json": ["diff", "{dense}", "{dense_b}", "--out", "out.json"],
+    "diff-dense-csv": ["diff", "{dense}", "{dense_b}", "--format", "csv", "--out", "out.csv"],
+    "diff-dims-json": ["diff", "{dense}", "{narrow}", "--out", "out.json"],
+    "diff-dims-csv": ["diff", "{dense}", "{narrow}", "--format", "csv", "--out", "out.csv"],
+    "diff-ppmi-clamped-json": ["diff", "{cooc}", "{cooc_b}", "--ppmi", "--k", "12",
+                               "--out", "out.json"],
+    "diff-ppmi-clamped-csv": ["diff", "{cooc}", "{cooc_b}", "--ppmi", "--k", "12",
+                              "--format", "csv", "--out", "out.csv"],
+    "wiki_sep_style": ["experiment", "wiki_sep_style", "--base", "{corpus}", "--addition",
+                       "{speaker}", "--out", "exp", "--dim", "8", "--epochs", "1", "--seed", "3"],
+    "seed_stability": ["experiment", "seed_stability", "--out", "exp", "--sizes", "400",
+                       "--num-seeds", "2", "--seed", "1"],
+}
+# a trained model's bits depend on the training step, so wiki_sep_style has
+# one digest per path
+REPORT_DIGESTS = {
+    "diff-dense-json":
+        "cff114944b48b9c145f4521b5a77ee97ed4ab9d5602855eb7512cdeb72d9d548",
+    "diff-dense-csv":
+        "bf27ed9d257516a21c79de05e60d6f0022ef792efb70bfcbf3ddf82d76233499",
+    "diff-dims-json":
+        "d47ec2402b24fb8f4e3fb1ff9f4b3cc7d753a50bf12e79a8a1f8c06fc4f8148a",
+    "diff-dims-csv":
+        "9aa985e86fe8a06b3570a17c9cf6ed92a6b360ebb0c791949b53b24ef53b608a",
+    "diff-ppmi-clamped-json":
+        "c8b036ccb2616ff602e006aa7f30b6c398110815d3120829e12de9214292d965",
+    "diff-ppmi-clamped-csv":
+        "d83da3a99cd7545a63ac309072c49b6672a20f2fdbb2cc5b92f677b3b97dc57a",
+    ("wiki_sep_style", "kernel"):
+        "f4175cb516f189ded4f8d48cd1acdbac57d04de24a4e8d1bed0a1beb94a05600",
+    ("wiki_sep_style", "numpy"):
+        "0335fc912cbc944b513b69700fae11e735cee46057d1c5efa500a4d177ddfced",
+    "seed_stability":
+        "1c83c86c70a85770cbe7def855f02e424a504490542089a889ca5ce311f23ac5",
+}
+
+
+@pytest.fixture(scope="module")
+def report_inputs(tmp_path_factory, text_inputs):
+    """Two 8-d models whose vocabularies overlap in different orders, a 5-d
+    one, and two small count models that share three or four words."""
+    d = tmp_path_factory.mktemp("report")
+    corpus = text_inputs["cafe_story"]
+    tokens = db.build_vocabulary(cli._corpus_streams(corpus)).tokens
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((len(tokens), 8))
+    order = rng.permutation(len(tokens))[:300]
+    spaces = {
+        "dense": (tokens[:200], rows[:200]),
+        "dense_b": ([tokens[i] for i in order], rows[order] + 0.4 * rng.standard_normal((300, 8))),
+        "narrow": (tokens[50:250], rng.standard_normal((200, 5))),
+    }
+    paths = {"corpus": corpus, "speaker": text_inputs["speaker"]}
+    for name, (words, vectors) in spaces.items():
+        paths[name] = d / f"{name}.txt"
+        db.save_embedding_text(db.VectorSpace(db.Vocabulary(words, [1] * len(words)), vectors),
+                               paths[name])
+    stoplist = d / "stop.txt"
+    stoplist.write_text("the\nand\na\nat\n", encoding="utf-8")
+    paths["cooc"], paths["cooc_b"] = d / "a.cooc", d / "b.cooc"
+    assert main(["build-count", str(corpus), "--out", str(paths["cooc"]), "--window", "2",
+                 "--max-size", "8"]) == 0
+    assert main(["build-count", str(corpus), "--out", str(paths["cooc_b"]), "--window", "5",
+                 "--max-size", "12", "--stoplist", str(stoplist)]) == 0
+    return paths
+
+
+@pytest.mark.filterwarnings("ignore:k=.*clamped")
+@pytest.mark.parametrize("command", list(REPORT_RUNS))
+def test_report_commands_keep_their_bytes_on_both_paths(command, report_inputs, each_path,
+                                                        tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([a.format(**report_inputs) for a in REPORT_RUNS[command]]) == 0
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.rglob("*")):
+        if path.is_file() and not path.name.endswith("manifest.json"):
+            digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0" + path.read_bytes())
+    expected = REPORT_DIGESTS.get(command) or REPORT_DIGESTS[command, each_path]
+    assert digest.hexdigest() == expected
