@@ -304,12 +304,12 @@ def cmd_intersect(args) -> str:
 # experiments
 
 
-def _write_report(outdir: Path, name: str, report) -> None:
-    _write(
-        outdir / f"{name}.json",
-        json.dumps(report.to_json_dict(), indent=2, ensure_ascii=False) + "\n",
-    )
+def _write_report(outdir: Path, name: str, report) -> dict:
+    """Write a report as JSON and CSV, and return its JSON payload."""
+    payload = report.to_json_dict()
+    _write(outdir / f"{name}.json", json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
     _write(outdir / f"{name}.csv", report.to_csv())
+    return payload
 
 
 def experiment_stein_hemingway(args) -> None:
@@ -326,19 +326,19 @@ def experiment_stein_hemingway(args) -> None:
     save_cooc(augmented, outdir / "augmented.cooc")
     space_a, space_b = base_matrix.to_space(), augmented.to_space()
     report = stability_report(space_a, space_b, k=args.k, metric=args.metric)
-    _write_report(outdir, "report", report)
+    rows = _write_report(outdir, "report", report)["words"]
 
     tracked = {}
     for word in [w for w in args.words.split(",") if w]:
-        if word not in space_a or word not in space_b:
+        if word not in rows:  # the report covers every word both models know
             tracked[word] = {"missing": True}
             continue
         la, lb = (nearest_neighbors(s, word, args.k, args.metric) for s in (space_a, space_b))
         _write(outdir / f"{word}.base.tsv", la.to_tsv())
         _write(outdir / f"{word}.augmented.tsv", lb.to_tsv())
         tracked[word] = {
-            "overlap_at_k": report.diffs[word].overlap_at_k,
-            "exact_order": report.diffs[word].exact_order,
+            "overlap_at_k": rows[word]["overlap_at_k"],
+            "exact_order": rows[word]["exact_order"],
             "base_top": list(la.tokens()),
             "augmented_top": list(lb.tokens()),
         }

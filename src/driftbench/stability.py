@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -87,8 +89,13 @@ class AlignmentResult:
             raise NumericalError("alignment produced a non-orthogonal rotation")
 
 
-def _shared_tokens(a: VectorSpace, b: VectorSpace) -> list[str]:
-    return [t for t in a.vocab.tokens if t in b.vocab]
+def _join(a: VectorSpace, b: VectorSpace) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The tokens both models know, in the first model's order, and their
+    rows in each: one lookup per token of the first model."""
+    tokens = a.vocab.tokens
+    rows_b = np.fromiter(map(b.vocab._index.get, tokens, itertools.repeat(-1)), np.intp, len(a))
+    shared = rows_b >= 0
+    return list(itertools.compress(tokens, shared)), np.flatnonzero(shared), rows_b[shared]
 
 
 def procrustes_align(x: VectorSpace, y: VectorSpace) -> AlignmentResult:
@@ -105,10 +112,10 @@ def procrustes_align(x: VectorSpace, y: VectorSpace) -> AlignmentResult:
         raise DimensionMismatchError(
             f"cannot align a {x.dim}-d space with a {y.dim}-d space"
         )
-    shared = _shared_tokens(x, y)
+    shared, rows_x, rows_y = _join(x, y)
     if not shared:
         raise DataError("no shared vocabulary to align on")
-    xm, ym = (s.dense_rows([s.vocab.index_of(t) for t in shared]) for s in (x, y))
+    xm, ym = x.dense_rows(rows_x), y.dense_rows(rows_y)
     # rows whose centring overflows fail the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         xc = xm - xm.mean(axis=0)
@@ -158,11 +165,15 @@ class NeighborDiff:
     k_used: int
 
 
-def _compare(queries: Sequence[str], a: np.ndarray, b: np.ndarray, k: int) -> list[NeighborDiff]:
+_DIFF_FIELDS = NeighborDiff.__match_args__[1:]
+
+
+def _compare(queries: Sequence[str], a: np.ndarray, b: np.ndarray, k: int) -> dict:
     """Compare each query's two rankings: rows of `a` and `b` are ids from
     one numbering, best first, with the query itself already left out.
 
-    Both rows are cut to k, or to the shorter list with one warning.
+    Both rows are cut to k, or to the shorter list with one warning at the
+    caller outside this module. Returns one column per NeighborDiff field.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -170,20 +181,33 @@ def _compare(queries: Sequence[str], a: np.ndarray, b: np.ndarray, k: int) -> li
     if k_used == 0:
         raise DataError(f"empty neighbor list for {queries[0]!r}")
     if k_used < k:
+        frame, level = sys._getframe(), 1
+        while frame.f_globals.get("__name__") == __name__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(f"k={k} clamped to {k_used} (shortest list) for {len(queries)} "
-                      f"word(s), the first {queries[0]!r}", stacklevel=3)
+                      f"word(s), the first {queries[0]!r}", stacklevel=level)
     a, b = a[:, :k_used], b[:, :k_used]
     shared, position = _match(a, b)
     common = shared.sum(axis=1)
-    overlap = (common / k_used).tolist()
-    jaccard = (common / (2 * k_used - common)).tolist()
-    exact = (a == b).all(axis=1).tolist()
-    tau = _rank_agreement(shared, position).tolist()
-    return [
-        NeighborDiff(q, overlap[i], jaccard[i], exact[i],
-                     None if math.isnan(tau[i]) else tau[i], k_used)
-        for i, q in enumerate(queries)
-    ]
+    return dict(zip(_DIFF_FIELDS, (
+        common / k_used,
+        common / (2 * k_used - common),
+        (a == b).all(axis=1),
+        _rank_agreement(shared, position),
+        np.full(len(queries), k_used),
+    )))
+
+
+def _rows(words: Sequence[str], columns: dict, names: Sequence[str]):
+    """Each word with its values of the named columns as Python scalars,
+    None where a value is undefined (NaN) or the table lacks the column."""
+    listed = (columns.get(name, np.full(len(words), np.nan)) for name in names)
+    return zip(words, *(np.where(np.isnan(c), None, c).tolist() for c in listed))
+
+
+def _neighbor_diffs(words: Sequence[str], columns: dict) -> dict[str, NeighborDiff]:
+    """Each word's NeighborDiff from its row of a column table: the only builder."""
+    return {row[0]: NeighborDiff(*row) for row in _rows(words, columns, _DIFF_FIELDS)}
 
 
 def _match(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,23 +279,12 @@ def diff_neighbor_lists(a: NeighborList, b: NeighborList, k: int) -> NeighborDif
     ta, tb = ([t for t in nl.tokens() if t != nl.query] for nl in (a, b))
     ids = {t: i for i, t in enumerate(dict.fromkeys(ta + tb))}
     rows = [np.array([[ids[t] for t in tokens]], dtype=np.intp) for tokens in (ta, tb)]
-    return _compare([a.query], *rows, k)[0]
+    return _neighbor_diffs([a.query], _compare([a.query], *rows, k))[a.query]
 
 
-def _rankings(models: Sequence[VectorSpace], words: Sequence[str], k: int, metric: str):
-    """Rank `words` once in each model, each word's own row left out.
-
-    Returns each model's ids in one token numbering, the first model's with
-    the tokens only later models know numbered past it, a row per word.
-    """
-    numbering: dict[str, int] = {}
-    renumbered = []
-    for model in models:
-        rows = np.array([model.vocab.index_of(w) for w in words], dtype=np.intp)
-        ids = _top_k(model, rows, k, metric, rows[:, None])[0]
-        shared = [numbering.setdefault(t, len(numbering)) for t in model.vocab.tokens]
-        renumbered.append(np.array(shared, dtype=np.intp)[ids])
-    return renumbered
+def _rankings(model: VectorSpace, rows: np.ndarray, k: int, metric: str) -> np.ndarray:
+    """The top-k ids of each of the model's `rows`, best first, its own row left out."""
+    return _top_k(model, rows, k, metric, rows[:, None])[0]
 
 
 def neighbor_diff(
@@ -290,7 +303,7 @@ def neighbor_diff(
         raise UnknownWordError(word, "the first model")
     if word not in space_b.vocab:
         raise UnknownWordError(word, "the second model")
-    return _compare([word], *_rankings([space_a, space_b], [word], k, metric), k)[0]
+    return stability_report(space_a, space_b, k, metric, [word]).diffs[word]
 
 
 @dataclass(frozen=True)
@@ -319,27 +332,25 @@ def displacement(
             f"spaces have dimensions {space_a.dim} and {space_b.dim}; "
             "displacement needs a common basis - align with procrustes_align first"
         )
-    va = space_a.dense_row(space_a.vocab.index_of(word))
-    vb = space_b.dense_row(space_b.vocab.index_of(word))
+    ia, ib = space_a.vocab.index_of(word), space_b.vocab.index_of(word)
     try:
-        cos = cosine_similarity(va, vb)
+        cos = cosine_similarity(space_a.dense_row(ia), space_b.dense_row(ib))
     except ZeroVectorError:
         cos = None
-    return Displacement(word, _euclidean_displacements(space_a, space_b, [word])[0], cos, aligned)
+    euclidean = float(_euclidean_displacements(space_a, space_b, [ia], [ib])[0])
+    return Displacement(word, euclidean, cos, aligned)
 
 
-def _euclidean_displacements(a: VectorSpace, b: VectorSpace, words: list[str]) -> list[float]:
-    """Each word's Euclidean distance between its rows in a and b, from one
-    subtraction of the words' rows per block and sqrt(d @ d) per difference
-    d, so a word's value does not depend on the words around it."""
-    ia, ib = (np.array([s.vocab.index_of(w) for w in words], dtype=np.intp) for s in (a, b))
+def _euclidean_displacements(a: VectorSpace, b: VectorSpace, ia, ib) -> np.ndarray:
+    """The Euclidean distance between rows ia[i] of a and ib[i] of b, from one
+    subtraction of the rows per block and sqrt(d @ d) per difference d, so a
+    word's value does not depend on the words around it."""
     # sparse rows densify a block at a time
     step = max(1, vector_space._BLOCK_ENTRIES // max(a.dim, 1))
-    values: list[float] = []
-    for lo in range(0, len(words), step):
-        diff = a.dense_rows(ia[lo : lo + step]) - b.dense_rows(ib[lo : lo + step])
-        values.extend(np.sqrt([d @ d for d in diff]).tolist())
-    return values
+    return np.concatenate([
+        np.sqrt([d @ d for d in a.dense_rows(ia[lo : lo + step]) - b.dense_rows(ib[lo : lo + step])])
+        for lo in range(0, len(ia), step)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -348,44 +359,45 @@ def _euclidean_displacements(a: VectorSpace, b: VectorSpace, words: list[str]) -
 
 @dataclass(frozen=True, eq=False)
 class StabilityReport:
-    diffs: dict[str, NeighborDiff]
-    displacements: dict[str, float] | None  # Euclidean, per word
+    """Per-word measures as one table: the words in the first model's token
+    order, and a column per measure, NaN where a value is undefined.
+    `diffs` and `displacements` are read-only views of it."""
+
+    _words: tuple[str, ...]
+    _columns: dict[str, np.ndarray]
     aggregates: dict
     frequency_correlation: float | None
     metadata: dict
 
+    @property
+    def diffs(self) -> Mapping[str, NeighborDiff]:
+        return MappingProxyType(_neighbor_diffs(self._words, self._columns))
+
+    @property
+    def displacements(self) -> Mapping[str, float] | None:
+        if "displacement" not in self._columns:
+            return None
+        return MappingProxyType(dict(zip(self._words, self._columns["displacement"].tolist())))
+
     def to_json_dict(self) -> dict:
-        per_word = {}
-        for word, d in self.diffs.items():
-            record = {
-                "overlap_at_k": d.overlap_at_k,
-                "jaccard_at_k": d.jaccard_at_k,
-                "exact_order": d.exact_order,
-                "rank_agreement": d.rank_agreement,
-                "k_used": d.k_used,
-            }
-            if self.displacements is not None:
-                record["displacement"] = self.displacements[word]
-            per_word[word] = record
+        # every column in table order, but the frequencies, which the metadata holds
+        names = [name for name in self._columns if name != "frequency"]
         return {
             "metadata": self.metadata,
             "aggregates": self.aggregates,
             "frequency_correlation": self.frequency_correlation,
-            "words": per_word,
+            "words": {w: dict(zip(names, row))
+                      for w, *row in _rows(self._words, self._columns, names)},
         }
 
     def to_csv(self) -> str:
         lines = ["word,frequency,overlap,jaccard,exact_order,rank_agreement,displacement"]
-        freqs = self.metadata.get("frequencies", {})
-        for word, d in self.diffs.items():
-            rank = "" if d.rank_agreement is None else f"{d.rank_agreement:.10f}"
-            disp = ""
-            if self.displacements is not None:
-                disp = f"{self.displacements[word]:.10f}"
-            lines.append(
-                f"{word},{freqs.get(word, '')},{d.overlap_at_k:.10f},"
-                f"{d.jaccard_at_k:.10f},{str(d.exact_order).lower()},{rank},{disp}"
-            )
+        names = ("frequency", "overlap_at_k", "jaccard_at_k", "exact_order", "rank_agreement",
+                 "displacement")
+        for word, *row in _rows(self._words, self._columns, names):
+            # floats to ten places, ints as printed, booleans in lower case, undefined empty
+            lines.append(",".join([word, *("" if v is None else f"{v:.10f}" if type(v) is float
+                                           else str(v).lower() for v in row)]))
         return "\n".join(lines) + "\n"
 
 
@@ -427,61 +439,55 @@ def stability_report(
     in the first model and overlap; it is None when either side is
     constant.
     """
-    shared = _shared_tokens(model_a, model_b)
+    tokens, rows_a, rows_b = _join(model_a, model_b)
+    keep = np.arange(len(tokens))
     if words is not None:
         requested = set(words)
         if not requested:
             raise DataError("no words given to compare")
-        missing = requested - set(shared)
-        if missing:
-            raise UnknownWordError(sorted(missing)[0], "both models")
-        shared = [t for t in shared if t in requested]
-    if not shared:
+        keep = np.flatnonzero([t in requested for t in tokens])
+        if keep.size < len(requested):
+            raise UnknownWordError(sorted(requested.difference(tokens))[0], "both models")
+    if not keep.size:
         raise DataError("models share no vocabulary")
+    words = [tokens[i] for i in keep]
     comparable = model_a.dim == model_b.dim
-    ids_a, ids_b = _rankings([model_a, model_b], shared, k, metric)
-    diffs = dict(zip(shared, _compare(shared, ids_a, ids_b, k)))
-    disps: dict[str, float] | None = None
+    # the second model's ids as the first's rows where shared, past them elsewhere
+    numbering = np.arange(len(model_a), len(model_a) + len(model_b))
+    numbering[rows_b] = rows_a
+    qa, qb = rows_a[keep], rows_b[keep]
+    ranked = _rankings(model_a, qa, k, metric), numbering[_rankings(model_b, qb, k, metric)]
+    columns = _compare(words, *ranked, k)
+    columns["frequency"] = np.array(model_a.vocab.frequencies)[qa]
     if comparable:
-        disps = dict(zip(shared, _euclidean_displacements(model_a, model_b, shared)))
-    overlaps = np.array([d.overlap_at_k for d in diffs.values()])
-    jaccards = np.array([d.jaccard_at_k for d in diffs.values()])
-    agreements = [d.rank_agreement for d in diffs.values() if d.rank_agreement is not None]
+        columns["displacement"] = _euclidean_displacements(model_a, model_b, qa, qb)
+    overlaps, agreements = columns["overlap_at_k"], columns["rank_agreement"]
+    agreements = agreements[~np.isnan(agreements)]
     quant = np.quantile(overlaps, [0.0, 0.25, 0.5, 0.75, 1.0])
     aggregates = {
-        "words": len(shared),
+        "words": len(words),
         "mean_overlap": float(overlaps.mean()),
-        "mean_jaccard": float(jaccards.mean()),
-        "exact_order_fraction": float(
-            np.mean([d.exact_order for d in diffs.values()])
-        ),
-        "overlap_quantiles": {
-            "min": float(quant[0]),
-            "q25": float(quant[1]),
-            "median": float(quant[2]),
-            "q75": float(quant[3]),
-            "max": float(quant[4]),
-        },
-        "mean_rank_agreement": float(np.mean(agreements)) if agreements else None,
-        "rank_agreement_undefined": len(diffs) - len(agreements),
+        "mean_jaccard": float(columns["jaccard_at_k"].mean()),
+        "exact_order_fraction": float(np.mean(columns["exact_order"])),
+        "overlap_quantiles": dict(zip(("min", "q25", "median", "q75", "max"), quant.tolist())),
+        "mean_rank_agreement": float(np.mean(agreements)) if agreements.size else None,
+        "rank_agreement_undefined": len(words) - agreements.size,
     }
-    if disps is not None:
-        aggregates["mean_displacement"] = float(np.mean(list(disps.values())))
-    freqs = {w: model_a.vocab.frequency(w) for w in shared}
-    corr = _spearman([freqs[w] for w in shared], [diffs[w].overlap_at_k for w in shared])
+    if comparable:
+        aggregates["mean_displacement"] = float(np.mean(columns["displacement"]))
     metadata = {
         "k": k,
         "metric": metric,
         "dims": [model_a.dim, model_b.dim],
         "comparable_dims": comparable,
         "aligned": False,
-        "frequencies": freqs,
+        "frequencies": dict(zip(words, columns["frequency"].tolist())),
     }
     return StabilityReport(
-        diffs=diffs,
-        displacements=disps,
+        _words=tuple(words),
+        _columns=columns,
         aggregates=aggregates,
-        frequency_correlation=corr,
+        frequency_correlation=_spearman(columns["frequency"], overlaps),
         metadata=metadata,
     )
 
@@ -520,9 +526,10 @@ def cross_seed_stability(
 ) -> CrossSeedReport:
     """Train one embedding per seed and measure cross-seed neighbor overlap.
 
-    Every listed seed pair (self-pairs excluded) contributes an
-    overlap_at_k per word; per-word values are averaged over pairs and
-    then over words. Each unique seed is trained once, in ascending order.
+    Every pair of positions in `seeds` contributes an overlap_at_k per
+    word (a seed listed twice meets itself); per-word values are averaged
+    over pairs and then over words. Each unique seed is trained once, in
+    ascending order.
     """
     if len(seeds) < 2:
         raise ValueError("cross-seed stability needs at least 2 seeds")
@@ -535,31 +542,24 @@ def cross_seed_stability(
         except Exception as exc:
             exc.args = (f"[seed {seed}] {exc}",)
             raise
-    return _cross_seed_report(spaces, seeds, k, metric)
-
-
-def _cross_seed_report(
-    spaces: dict[int, VectorSpace], seeds: Sequence[int], k: int, metric: str
-) -> CrossSeedReport:
-    """Neighbour overlap of the given spaces, one per seed, for every pair of
-    positions in `seeds` (a seed listed twice meets itself), over the first
-    space's vocabulary."""
-    words = next(iter(spaces.values())).vocab.tokens
-    ids = dict(zip(spaces, _rankings(list(spaces.values()), words, k, metric)))
+    # one row numbering: the same streams give every seed's space one vocabulary
+    words = spaces[seeds[0]].vocab.tokens
+    rows = np.arange(len(words))
+    ids = {seed: _rankings(space, rows, k, metric) for seed, space in spaces.items()}
     per_word_sums = np.zeros(len(words))
     per_pair: dict[str, float] = {}
     pairs = list(itertools.combinations(seeds, 2))
     for sa, sb in pairs:
-        values = np.array([d.overlap_at_k for d in _compare(words, ids[sa], ids[sb], k)])
+        values = _compare(words, ids[sa], ids[sb], k)["overlap_at_k"]
         per_word_sums += values
         # a running total in word order: the bits of a float sum depend on its order
         per_pair[f"{sa}-{sb}"] = float(np.cumsum(values)[-1]) / len(words)
-    per_word = dict(zip(words, (per_word_sums / len(pairs)).tolist()))
+    per_word = per_word_sums / len(pairs)
     return CrossSeedReport(
         seeds=tuple(seeds),
         k=k,
         metric=metric,
-        per_word_mean_overlap=per_word,
+        per_word_mean_overlap=dict(zip(words, per_word.tolist())),
         per_pair_mean_overlap=per_pair,
-        mean_overlap=float(np.mean(list(per_word.values()))),
+        mean_overlap=float(per_word.mean()),
     )

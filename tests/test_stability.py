@@ -475,14 +475,38 @@ class TestStabilityReport:
         with pytest.raises(db.DataError, match="no words given"):
             db.stability_report(table1_space, table1_space, words=[])
 
-    def test_one_warning_per_clamped_comparison(self):
-        # each of five words has four neighbours, so k=6 clamps all five
+    @pytest.mark.parametrize("entry", ["overlap_at_k", "jaccard_at_k", "diff_neighbor_lists",
+                                       "neighbor_diff", "stability_report",
+                                       "cross_seed_stability"])
+    def test_one_warning_per_clamped_comparison(self, entry):
+        # lists of five and two neighbours; five words of four neighbours each;
+        # thirteen trained words of twelve each: every call clamps k once, and
+        # the warning names this file, however deep in the package it is raised
+        long, short = make_list("q", ["a", "b", "c", "d", "e"]), make_list("q", ["a", "b"])
         space = dense_space([f"w{i}" for i in range(5)], np.eye(5) + 0.1)
+        config = db.TrainingConfig(seed=0, dimension=12, window_radius=2, epochs=2,
+                                   learning_rate=0.05, min_count=2)
+        calls = {
+            "overlap_at_k": lambda: db.overlap_at_k(long, short, 5),
+            "jaccard_at_k": lambda: db.jaccard_at_k(long, short, 5),
+            "diff_neighbor_lists": lambda: db.diff_neighbor_lists(long, short, 5),
+            "neighbor_diff": lambda: db.neighbor_diff(space, space, "w0", k=6),
+            "stability_report": lambda: db.stability_report(space, space, k=6),
+            "cross_seed_stability": lambda: db.cross_seed_stability(
+                [db.synthetic_corpus(600, seed=5)], config, [1, 2], k=20),
+        }
+        messages = {
+            "neighbor_diff": "k=6 clamped to 4 (shortest list) for 1 word(s), the first 'w0'",
+            "stability_report": "k=6 clamped to 4 (shortest list) for 5 word(s), the first 'w0'",
+            "cross_seed_stability":
+                "k=20 clamped to 12 (shortest list) for 13 word(s), the first 'w000'",
+        }
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            db.stability_report(space, space, k=6)
-        assert [str(w.message) for w in caught] == [
-            "k=6 clamped to 4 (shortest list) for 5 word(s), the first 'w0'"]
+            calls[entry]()
+        assert [str(w.message) for w in caught] == [messages.get(
+            entry, "k=5 clamped to 2 (shortest list) for 1 word(s), the first 'q'")]
+        assert caught[0].filename == __file__
 
 
 class TestSpearman:
