@@ -6,20 +6,26 @@ matrices are equal exactly when their arrays are, and row-major cell
 numbers (row * columns + column) of the stored entries increase.
 `indptr` is int64, `indices` int32, and all three arrays are read-only,
 so matrices share arrays without copying and a caller cannot make a
-count model's cached totals stale by writing into them. Outside this
-module only the compiled counter's output and `augment_counts`' widened
-base (the same cells, more empty rows) are wrapped without a check.
+count model's cached totals stale by writing into them.
 
-It has only what the count models, vector spaces and word graphs use,
-and one primitive that combines cells: `from_triples` takes cells in any
-order, sums repeated ones and drops zeros, and `+` is `from_triples` over
-both operands' cells. `with_data` gives the same cells new values and
-drops the zeros among them. The product with a dense matrix runs in the
-compiled kernel where it is built (`kernel.Kernel.csr_dot`) and in
-`_numpy_dot` otherwise; both sum each row's terms on their own, in index
-order, as scipy's `csr_matvec` and `csr_matvecs` do, so scores keep
-those bits. The constructors accept a scipy sparse matrix (anything with
-`tocsr()`) and only read it; this module does not import scipy.
+Two builders make every matrix: `from_triples` takes cells in any
+order, sums repeated ones and drops zeros, and `with_data` gives a
+matrix's cells new values and drops the zeros among them. `+` and `T`
+are `from_triples` over the operands' cells, and `of` over a scipy
+matrix's. Outside this module, only arrays that are canonical already
+are wrapped with `CSR(...)`, which checks nothing: the compiled
+counter's output (`count_model.count_cooccurrences`), the compiled bulk
+readers' output (`count_model._parse_cooc_bulk` and
+`graph._import_edge_list_bulk`), and `augment_counts`' widened base,
+which is the same cells with more empty rows.
+
+It has only what the count models, vector spaces and word graphs use.
+The product with a dense matrix runs in the compiled kernel where it is
+built (`kernel.Kernel.csr_dot`) and in `_numpy_dot` otherwise; both sum
+each row's terms on their own, in index order, as scipy's `csr_matvec`
+and `csr_matvecs` do, so scores keep those bits. The constructors accept
+a scipy sparse matrix (anything with `tocsr()`) and only read it; this
+module does not import scipy.
 """
 
 from __future__ import annotations
@@ -76,31 +82,6 @@ class CSR:
         indptr = np.searchsorted(keys, first_cells)
         return cls(values, keys - np.repeat(first_cells[:-1], np.diff(indptr)), indptr, shape)
 
-    @classmethod
-    def symmetric(cls, rows, cols, values, n: int) -> "CSR":
-        """The symmetric n x n matrix whose upper triangle holds values[k] at
-        (rows[k], cols[k]): distinct cells with rows[k] <= cols[k], in
-        increasing (row, column) order, none zero. A row's mirrored cells
-        (those left of the diagonal) come before its own, so the two lists
-        interleave by row without a sort of all the cells."""
-        rows, cols, values = np.asarray(rows), np.asarray(cols), np.asarray(values)
-        below = np.flatnonzero(rows < cols)
-        below = below[np.argsort(_keys(cols[below], rows[below], n))]  # in mirrored order
-        own = np.bincount(rows, minlength=n)
-        mirrored = np.bincount(cols[below], minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(own + mirrored, out=indptr[1:])
-        # position of each cell: its row's start, past the row's mirrored cells
-        # for its own cells, then its rank within the row's list
-        at = indptr[rows] + mirrored[rows] + _rank_in_runs(rows)
-        mirror_rows = cols[below]
-        mirror_at = indptr[mirror_rows] + _rank_in_runs(mirror_rows)
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        data = np.empty(indptr[-1], dtype=values.dtype)
-        indices[at], data[at] = cols, values
-        indices[mirror_at], data[mirror_at] = rows[below], values[below]
-        return cls(data, indices, indptr, (n, n))
-
     @property
     def nnz(self) -> int:
         return len(self.data)
@@ -136,11 +117,7 @@ class CSR:
 
     @property
     def T(self) -> "CSR":
-        rows = self.row_ids()
-        order = np.argsort(_keys(self.indices, rows, self.shape[0]))
-        indptr = np.zeros(self.shape[1] + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.indices, minlength=self.shape[1]), out=indptr[1:])
-        return CSR(self.data[order], rows[order], indptr, self.shape[::-1])
+        return CSR.from_triples(self.indices, self.row_ids(), self.data, self.shape[::-1])
 
     def __add__(self, other: "CSR") -> "CSR":
         if self.shape != other.shape:
@@ -207,12 +184,6 @@ def _firsts(sorted_keys: np.ndarray) -> np.ndarray:
     firsts = np.ones(len(sorted_keys), dtype=bool)
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=firsts[1:])
     return firsts
-
-
-def _rank_in_runs(sorted_ids: np.ndarray) -> np.ndarray:
-    """Each entry's position within its run of equal values."""
-    n = np.arange(len(sorted_ids))
-    return n - np.maximum.accumulate(np.where(_firsts(sorted_ids), n, 0))
 
 
 def _numpy_dot(indptr, indices, data, x: np.ndarray) -> np.ndarray:

@@ -18,11 +18,6 @@ from .kernel import _BOUNDARY
 # typographic) and hyphens are kept only between such runs. Underscore is a
 # separator (it is markup in plain-text ebooks, not a word character).
 _TOKEN_RE = re.compile(r"[^\W_]+(?:['’-][^\W_]+)*", re.UNICODE)
-# On ASCII text _TOKEN_RE's letters and digits are [a-z0-9] after lowercasing.
-# This table lowercases A-Z, keeps [a-z0-9'-] and maps every other byte to a
-# space, so that splitting the result gives the runs a token can come from.
-_ASCII_KEPT = b"abcdefghijklmnopqrstuvwxyz0123456789'-"
-_ASCII_WORDS = bytes(c + 32 if 65 <= c <= 90 else c if c in _ASCII_KEPT else 32 for c in range(256))
 
 
 @dataclass(frozen=True)
@@ -103,27 +98,14 @@ def tokenize(text: str, doc_id: str = "") -> TokenStream:
     space-joined output reproduces it exactly.
 
     _TOKEN_RE defines the tokens. On ASCII text the compiled kernel finds
-    them and their type ids in one pass (`Kernel.encode`). Without it,
-    ASCII text takes a faster path with the same result: one translate
-    keeps the runs of [a-z0-9'-], and only a run holding an apostrophe or
-    hyphen goes through the regex, which cannot match across the
-    separators between runs.
+    them and their type ids in one pass (`Kernel.encode`); any other text,
+    and all text where the kernel is not built, goes through the regex.
     """
-    if not text.isascii():
-        return TokenStream(doc_id, _TOKEN_RE.findall(text.lower()))
-    built = kernel.get()
-    if built is not None:
-        return TokenStream._from_ids(doc_id, *built.encode(text.encode()))
-    runs = text.encode().translate(_ASCII_WORDS).decode()
-    if "'" not in runs and "-" not in runs:
-        return TokenStream(doc_id, runs.split())
-    tokens: list[str] = []
-    for run in runs.split():
-        if run.isalnum():
-            tokens.append(run)
-        else:
-            tokens += _TOKEN_RE.findall(run)
-    return TokenStream(doc_id, tokens)
+    if text.isascii():
+        built = kernel.get()
+        if built is not None:
+            return TokenStream._from_ids(doc_id, *built.encode(text.encode()))
+    return TokenStream(doc_id, _TOKEN_RE.findall(text.lower()))
 
 
 def tokenize_document(doc: Document) -> TokenStream:

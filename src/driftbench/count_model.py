@@ -322,6 +322,7 @@ def _parse_cooc_lines(text: str, path: str | Path) -> CooccurrenceMatrix:
             tokens[idx], freqs[idx] = token, freq
             seen.add(token)
         triples: list[int] = []
+        cells: set[int] = set()  # t * vsize + c of each triple read
         for number, line in enumerate(lines[1 + vsize :], start=2 + vsize):
             if not line:
                 continue
@@ -331,14 +332,14 @@ def _parse_cooc_lines(text: str, path: str | Path) -> CooccurrenceMatrix:
                 raise ValueError(f"triple violates 0 <= t <= c < {vsize}")
             if not 1 <= v < 1 << 63:
                 raise ValueError("count must be in [1, 2**63)")
+            if t * vsize + c in cells:
+                raise ValueError(f"triple ({t}, {c}) repeated")
+            cells.add(t * vsize + c)
             triples += (t, c, v)
     except ValueError as exc:
         raise FormatError(f"{path}: line {number}: {exc}") from None
     t, c, v = np.array(triples, dtype=np.int64).reshape(-1, 3).T
-    firsts = np.unique(t * vsize + c, return_index=True)[1]  # first triples, in cell order
-    if firsts.size < t.size:
-        first = int(np.setdiff1d(np.arange(t.size), firsts)[0])  # the earliest repeat
-        number = [n for n, line in enumerate(lines[1 + vsize :], start=2 + vsize) if line][first]
-        raise FormatError(f"{path}: line {number}: triple ({t[first]}, {c[first]}) repeated")
-    counts = CSR.symmetric(t[firsts], c[firsts], v[firsts], vsize)  # the file holds t <= c
+    off = t < c  # the file holds t <= c: mirror each cell off the diagonal
+    counts = CSR.from_triples(np.concatenate((t, c[off])), np.concatenate((c, t[off])),
+                              np.concatenate((v, v[off])), (vsize, vsize))
     return CooccurrenceMatrix(Vocabulary(tokens, freqs), counts, window)

@@ -121,7 +121,10 @@ class SemanticGraph:
     @cached_property
     def _adjacency(self) -> tuple[list[int], list[int], list[float]]:
         """Both directions of every edge as CSR lists, with step cost 1/weight."""
-        both = CSR.symmetric(*self._triples(), len(self.tokens))
+        rows, cols, weights = self._triples()  # no cell on the diagonal
+        n = len(self.tokens)
+        both = CSR.from_triples(np.concatenate((rows, cols)), np.concatenate((cols, rows)),
+                                np.concatenate((weights, weights)), (n, n))
         return both.indptr.tolist(), both.indices.tolist(), (1.0 / both.data).tolist()
 
 

@@ -13,18 +13,18 @@ reader leaves to the C library's strtod only the fields Eisel-Lemire does
 not decide. Each text reader takes a file only in its writer's layout and
 order. `get()` compiles it on first use with the system C compiler and
 caches the library; where it cannot be built or loaded, `get()` returns
-None and each caller runs its fallback: the translate/split tokenizer
-(`corpus.tokenize`), the numpy step, the per-token chain loop
+None and each caller runs its fallback: the regex tokenizer
+(`corpus._TOKEN_RE`), the numpy step, the per-token chain loop
 (`synthetic._chain`), the numpy counter (`count_model._numpy_counts`), the
 repr() and % writers, for each text loader its per-line reader, numpy's
 ranking (`vector_space._select`) and the numpy CSR product
-(`_csr._numpy_dot`). The fallbacks, with `_TOKEN_RE` for the tokenizer and
-float() and int() for the parsers, are the references the kernel is tested
-against. The name the provenance gives the kernel hashes this source, so
-it changes with any change here, the ranking loop, the chain sampler and
-the counter included. The training step's element-wise updates run in
-vector lanes that each do the scalar operations, and no sum is reordered,
-so the trained bits are those of the scalar loops.
+(`_csr._numpy_dot`). The fallbacks, with float() and int() for the
+parsers, are the references the kernel is tested against. The name the
+provenance gives the kernel hashes this source, so it changes with any
+change here, the ranking loop, the chain sampler and the counter
+included. The training step's element-wise updates run in vector lanes
+that each do the scalar operations, and no sum is reordered, so the
+trained bits are those of the scalar loops.
 """
 
 from __future__ import annotations

@@ -565,13 +565,12 @@ def _parse_embedding_lines(text: str, path: str | Path) -> EmbeddingSpace:
             if token in seen:
                 raise ValueError(f"token {token!r} repeated")
             matrix[number - 2] = [float(x) for x in comps]
+            if not np.isfinite(matrix[number - 2]).all():
+                raise ValueError("non-finite component")
             tokens.append(token)
             seen.add(token)
     except ValueError as exc:
         raise FormatError(f"{path}: line {number}: {exc}") from None
-    nonfinite = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-    if nonfinite.size:
-        raise FormatError(f"{path}: line {nonfinite[0] + 2}: non-finite component")
     for number, line in enumerate(lines[1 + vsize :], start=2 + vsize):
         if line:
             raise FormatError(f"{path}: line {number}: more rows than the header's {vsize}")

@@ -562,6 +562,9 @@ def test_malformed_edge_list_exits_2(content, where, tmp_path, capsys):
         ("COOC v12 2 10\n0\ta\t1\n1\tb\t1\n", "line 1: not a COOC v1 file"),
         ("COOC v1x 2 10\n0\ta\t1\n1\tb\t1\n", "line 1: not a COOC v1 file"),
         ("2 2\n 1.0 0.0\nb 0.0 1.0\n", "line 2: empty token"),
+        ("COOC v1 2 2\n0\ta\t3\n1\tb\t2\n0\t1\t4\n0\t1\t4\n1\t1\tx\n",
+         "line 5: triple (0, 1) repeated"),
+        ("3 2\na 1.0 2.0\nb inf 1.0\nc 1.0\n", "line 3: non-finite component"),
     ],
     ids=["two-field-triple", "vocab-index-out-of-range", "context-id-out-of-range",
          "zero-count", "negative-count", "count-beyond-int64", "repeated-vocab-index",
@@ -569,7 +572,8 @@ def test_malformed_edge_list_exits_2(content, where, tmp_path, capsys):
          "nan-component", "non-numeric-component", "short-vector",
          "repeated-embedding-token", "negative-dimension", "dimension-beyond-file",
          "invalid-utf8", "extra-embedding-row", "cooc-version-v12", "cooc-version-v1x",
-         "empty-embedding-token"],
+         "empty-embedding-token", "repeated-triple-before-a-bad-line",
+         "non-finite-row-before-a-short-one"],
 )
 def test_malformed_model_exits_2(content, where, tmp_path, capsys):
     bad = tmp_path / "bad.model"

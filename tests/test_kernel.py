@@ -482,7 +482,9 @@ class TestCoocReader:
         assert tokens == "".join(f"w{i}\n" for i in range(v)).encode()
         assert got_freqs.tolist() == freqs
         t, c = (np.array(x, dtype=np.int64).reshape(-1) for x in zip(*cells or [((), ())]))
-        want = CSR.symmetric(t, c, np.array(counts, dtype=np.int64), v)
+        n, off = np.array(counts, dtype=np.int64), t < c  # the cells and their mirrors
+        rows, cols = np.concatenate((t, c[off])), np.concatenate((c, t[off]))
+        want = CSR.of(sparse.coo_matrix((np.concatenate((n, n[off])), (rows, cols)), shape=(v, v)))
         assert indptr.tolist() == want.indptr.tolist()
         assert indices.tolist() == want.indices.tolist()
         assert values.tolist() == want.data.tolist()

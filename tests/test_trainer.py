@@ -431,6 +431,12 @@ class TestEffectiveRadius:
         assert len(samples) == near.provenance["samples_per_epoch"]
 
 
+# a build can be cached where no compiler is on PATH, so a test that compiles
+# needs the compiler as well as the `kernel` fixture
+needs_compiler = pytest.mark.skipif(kernel_module.compiler() is None,
+                                    reason="no C compiler on PATH")
+
+
 class TestKernelBuild:
     def test_no_compiler_trains_on_numpy_step(self, tiny_stream, tmp_path, monkeypatch):
         monkeypatch.setattr(kernel_module, "compiler", lambda: None)
@@ -440,6 +446,7 @@ class TestKernelBuild:
         assert np.isfinite(emb.vectors).all()
         assert emb.provenance["epoch_losses"][-1] < emb.provenance["epoch_losses"][0]
 
+    @needs_compiler
     def test_compile_error_returns_none(self, kernel, tmp_path, monkeypatch):
         source = tmp_path / "_kernel.c"
         source.write_text("this is not C\n", encoding="utf-8")
@@ -447,6 +454,7 @@ class TestKernelBuild:
         assert kernel_module.load(tmp_path / "cache") is None
         assert not list((tmp_path / "cache").iterdir())  # no temporary file is left behind
 
+    @needs_compiler
     def test_garbage_at_the_cache_path_is_rebuilt(self, kernel, tiny_stream, tmp_path,
                                                  monkeypatch):
         assert kernel_module.load(tmp_path / "first") is not None
@@ -462,6 +470,7 @@ class TestKernelBuild:
         again = db.train_cbow([tiny_stream], small_config())
         assert np.array_equal(cached.vectors, again.vectors)
 
+    @needs_compiler
     def test_unwritable_cache_builds_in_a_private_directory(self, kernel, tiny_stream,
                                                             tmp_path, monkeypatch):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
@@ -477,6 +486,7 @@ class TestKernelBuild:
         assert np.array_equal(cached.vectors, again.vectors)
         assert np.array_equal(cached.output_weights, again.output_weights)
 
+    @needs_compiler
     def test_a_new_build_removes_the_stale_ones(self, kernel, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
         cache.mkdir()
