@@ -1,7 +1,8 @@
 /* The loops of driftbench that numpy cannot batch: an SGD epoch of the
  * trainer (driftbench_sgd), the tokenizer of ASCII text, which gives each
  * token a type id in one pass (driftbench_encode), the chain sampler of
- * the synthetic language (driftbench_chain), the co-occurrence counter
+ * the synthetic language, which sums each transition row's CDF only as
+ * far as its draw (driftbench_chain), the co-occurrence counter
  * (driftbench_cooccur), the writer and reader of the embedding text
  * format (driftbench_format, driftbench_parse), the line writer and the
  * readers of the COOC and edge-list formats (driftbench_format_lines,
@@ -13,18 +14,18 @@
  * except that dot products and sums run sequentially where numpy calls
  * BLAS or sums pairwise, so results agree with it to the last few bits.
  * The tokenizer gives the tokens of corpus._TOKEN_RE, the chain sampler
- * the ids of numpy's searchsorted, the counter the CSR arrays of the
- * numpy counter, the text functions the same bytes and values as repr(),
- * %, float() and int(), the ranking loop the same ids and score bits as
- * numpy's ranking, and the CSR product the bits of its numpy twin. Each
- * text reader takes a file's body only in its writer's layout and order,
- * and returns the offset of the first line or field that breaks them, so
- * that its caller reads that file line by line instead. Build it with
- * -ffp-contract=off and without fast-math so that every run of the same
- * build gives the same bits: the SGD step's element-wise updates run in
- * vector lanes, each lane doing the scalar operations, and no sum is ever
- * reordered. The kernel name in training manifests hashes this source, so
- * any change here changes it.
+ * the ids of numpy's searchsorted over whole row CDFs, the counter the
+ * CSR arrays of the numpy counter, the text functions the same bytes and
+ * values as repr(), %, float() and int(), the ranking loop the same ids
+ * and score bits as numpy's ranking, and the CSR product the bits of its
+ * numpy twin. Each text reader takes a file's body only in its writer's
+ * layout and order, and returns the offset of the first line or field
+ * that breaks them, so that its caller reads that file line by line
+ * instead. Build it with -ffp-contract=off and without fast-math so that
+ * every run of the same build gives the same bits: the SGD step's
+ * element-wise updates run in vector lanes, each lane doing the scalar
+ * operations, and no sum is ever reordered. The kernel name in training
+ * manifests hashes this source, so any change here changes it.
  */
 
 #include <math.h>
@@ -316,21 +317,42 @@ static int64_t search_left(const double *cdf, int64_t n, double x)
 
 /* The chain loop of synthetic.synthetic_corpus: out[0] is the unigram
  * word of draws[0], and each out[i] the successor of out[i - 1] that
- * draws[i] picks from that word's row of transition_cdf (vocab x vocab).
- * A draw above the last entry of its CDF, which rounding leaves just
- * below 1.0, picks the last word. */
-void driftbench_chain(const double *unigram_cdf, const double *transition_cdf, int64_t vocab,
+ * draws[i] picks from that word's row, never built: unigram (vocab
+ * entries) with the entries at the word's npref preferred ids (ascending,
+ * row r of preferred) multiplied by boost, divided by sums[r]. The scan
+ * sums the row's CDF only as far as the draw, in the order and with the
+ * IEEE operations of np.cumsum(row / sums[r]); the CDF does not decrease,
+ * so its first entry not below the draw is the id searchsorted finds. A
+ * draw above the last entry, which rounding leaves just below 1.0, picks
+ * the last word. */
+void driftbench_chain(const double *unigram, const double *unigram_cdf, const int64_t *preferred,
+                      int64_t npref, const double *sums, double boost, int64_t vocab,
                       const double *draws, int64_t n, int64_t *out)
 {
-    const double *cdf = unigram_cdf;
-    int64_t i, current;
+    int64_t i, j, k, current;
 
-    for (i = 0; i < n; i++) {
-        current = search_left(cdf, vocab, draws[i]);
-        if (current == vocab)
-            current = vocab - 1;
+    if (n < 1)
+        return;
+    current = search_left(unigram_cdf, vocab, draws[0]);
+    out[0] = current = current == vocab ? vocab - 1 : current;
+    for (i = 1; i < n; i++) {
+        const int64_t *pref = preferred + current * npref;
+        double sum = sums[current], cdf = 0.0, x = draws[i];
+
+        current = vocab - 1;
+        for (j = 0, k = 0; j < vocab; j++) {
+            double w = unigram[j];
+            if (k < npref && pref[k] == j) {
+                w = w * boost;
+                k++;
+            }
+            cdf += w / sum;
+            if (cdf >= x) {
+                current = j;
+                break;
+            }
+        }
         out[i] = current;
-        cdf = transition_cdf + current * vocab;
     }
 }
 

@@ -80,6 +80,28 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _seed_count(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
+    return value
+
+
+def _sizes(text: str) -> str:
+    """Comma-separated corpus sizes, each >= 0; kept as given for the manifest."""
+    for size in filter(None, text.split(",")):
+        if int(size) < 0:
+            raise argparse.ArgumentTypeError(f"sizes must be >= 0, got {size}")
+    return text
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if value <= 0:
@@ -419,7 +441,7 @@ def _add_training_flags(p):
     p.add_argument("--min-count", type=_positive_int, default=1)
     p.add_argument("--objective", type=_objective, default="auto")
     p.add_argument("--stoplist", default=None)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--skipgram", action="store_true")
 
 
@@ -474,7 +496,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("rotate", help="rigidly rotate an embedding model")
     p.add_argument("model")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--style", choices=ROTATION_STYLES, default=ROTATION_STYLES[0])
     p.set_defaults(handler=cmd_rotate)
 
@@ -524,8 +546,8 @@ def build_parser() -> _Parser:
 
     e = exp.add_parser("seed_stability", help="cross-seed overlap vs corpus size")
     e.add_argument("--out", required=True)
-    e.add_argument("--sizes", default="2000,20000")
-    e.add_argument("--num-seeds", type=_positive_int, default=5)
+    e.add_argument("--sizes", type=_sizes, default="2000,20000")
+    e.add_argument("--num-seeds", type=_seed_count, default=5)
     e.add_argument("--k", type=_positive_int, default=10)
     e.add_argument("--min-rel-freq", type=_positive_float, default=1.5e-3)
     _add_metric(e)

@@ -2,26 +2,27 @@
 
 One small C file holds the loops that numpy cannot batch: the SGD epoch of
 the trainer, the tokenizer that turns ASCII text into type ids in one pass,
-the chain sampler of the synthetic language, the co-occurrence counter,
-the writer and reader of the embedding text format, the line writer and
-the readers of the COOC and edge-list formats, the loop of neighbour
-ranking (the cosine division with top-k selection), and the product of a
-CSR matrix with dense vectors. The embedding writer formats components
-with Ryu and the reader parses them with Eisel-Lemire, each from a table
-of powers of five that this module computes with exact integers; the
-reader leaves to the C library's strtod only the fields Eisel-Lemire does
-not decide. Each text reader takes a file only in its writer's layout and
-order. `get()` compiles it on first use with the system C compiler and
-caches the library; where it cannot be built or loaded, `get()` returns
-None and each caller runs its fallback: the regex tokenizer
-(`corpus._TOKEN_RE`), the numpy step, the per-token chain loop
-(`synthetic._chain`), the numpy counter (`count_model._numpy_counts`), the
-repr() and % writers, for each text loader its per-line reader, numpy's
-ranking (`vector_space._select`) and the numpy CSR product
-(`_csr._numpy_dot`). The fallbacks, with float() and int() for the
-parsers, are the references the kernel is tested against. The name the
-provenance gives the kernel hashes this source, so it changes with any
-change here, the ranking loop, the chain sampler and the counter
+the chain sampler of the synthetic language, which sums each transition
+row's CDF only as far as its draw, the co-occurrence counter, the writer
+and reader of the embedding text format, the line writer and the readers
+of the COOC and edge-list formats, the loop of neighbour ranking (the
+cosine division with top-k selection), and the product of a CSR matrix
+with dense vectors. The embedding writer formats components with Ryu and
+the reader parses them with Eisel-Lemire, each from a table of powers of
+five that this module computes with exact integers; the reader leaves to
+the C library's strtod only the fields Eisel-Lemire does not decide. Each
+text reader takes a file only in its writer's layout and order. `get()`
+compiles it on first use with the system C compiler and caches the
+library; where it cannot be built or loaded, `get()` returns None and each
+caller runs its fallback: the regex tokenizer (`corpus._TOKEN_RE`), the
+numpy step, the per-token chain loop (`synthetic._chain`, which builds
+each visited row's whole CDF), the numpy counter
+(`count_model._numpy_counts`), the repr() and % writers, for each text
+loader its per-line reader, numpy's ranking (`vector_space._select`) and
+the numpy CSR product (`_csr._numpy_dot`). The fallbacks, with float() and
+int() for the parsers, are the references the kernel is tested against.
+The name the provenance gives the kernel hashes this source, so it changes
+with any change here, the ranking loop, the chain sampler and the counter
 included. The training step's element-wise updates run in vector lanes
 that each do the scalar operations, and no sum is reordered, so the
 trained bits are those of the scalar loops.
@@ -117,7 +118,8 @@ class Kernel:
                                      _P, _P, _P, _P, _P, _P)
         self._select = _bind(library, "driftbench_select", ctypes.c_int,
                              _P, _I, _I, _P, _P, _P, _I, _P, _I, _P, _P)
-        self._chain = _bind(library, "driftbench_chain", None, _P, _P, _I, _P, _I, _P)
+        self._chain = _bind(library, "driftbench_chain", None, _P, _P, _P, _I, _P,
+                            ctypes.c_double, _I, _P, _I, _P)
         self._cooccur = _bind(library, "driftbench_cooccur", ctypes.c_int, _P, _I, _I, _I,
                               _P, _P, _P)
         self._csr_dot = _bind(library, "driftbench_csr_dot", None, _P, _P, _P, _I, _P, _I, _P)
@@ -151,22 +153,31 @@ class Kernel:
 
         return step
 
-    def chain(self, unigram_cdf: np.ndarray, transition_cdf: np.ndarray,
-              draws: np.ndarray) -> np.ndarray:
+    def chain(self, unigram: np.ndarray, unigram_cdf: np.ndarray, preferred: np.ndarray,
+              sums: np.ndarray, boost: float, draws: np.ndarray) -> np.ndarray:
         """The word ids of `synthetic._chain`, as int64: the first from the
-        unigram CDF, each next from the transition CDF row of the one before,
+        unigram CDF, each next from the transition row of the one before,
         each the first id whose CDF entry is not below its draw in [0, 1),
-        or the last id where none is."""
-        v = len(unigram_cdf)
-        cdfs = (unigram_cdf, transition_cdf, draws)
-        if any(a.dtype != np.float64 or not a.flags.c_contiguous for a in cdfs):
-            raise ValueError("CDFs and draws must be C-contiguous float64")
-        if v < 1 or unigram_cdf.shape != (v,) or transition_cdf.shape != (v, v) or draws.ndim != 1:
-            raise ValueError("need a unigram CDF of V >= 1 entries, a (V, V) transition CDF "
+        or the last id where none is. Row r is `unigram` with the entries
+        at row r of `preferred` (ascending ids) multiplied by `boost`,
+        divided by sums[r]; the kernel sums its CDF only up to the draw."""
+        v = len(unigram)
+        floats = (unigram, unigram_cdf, sums, draws)
+        if any(a.dtype != np.float64 or not a.flags.c_contiguous for a in floats):
+            raise ValueError("unigram, CDF, sums and draws must be C-contiguous float64")
+        if v < 1 or any(a.shape != (v,) for a in (unigram, unigram_cdf, sums)) or draws.ndim != 1:
+            raise ValueError("need a unigram, its CDF and sums of V >= 1 entries each "
                              "and a 1-d array of draws")
+        if (preferred.dtype != np.int64 or not preferred.flags.c_contiguous
+                or preferred.ndim != 2 or preferred.shape[0] != v):
+            raise ValueError("preferred must be C-contiguous int64 of shape (V, successors)")
+        if preferred.size and (preferred.min() < 0 or preferred.max() >= v
+                               or (np.diff(preferred, axis=1) <= 0).any()):
+            raise ValueError("each row of preferred must hold ascending ids in [0, V)")
         out = np.empty(len(draws), dtype=np.int64)
-        self._chain(unigram_cdf.ctypes.data, transition_cdf.ctypes.data, v,
-                    draws.ctypes.data, len(draws), out.ctypes.data)
+        self._chain(unigram.ctypes.data, unigram_cdf.ctypes.data, preferred.ctypes.data,
+                    preferred.shape[1], sums.ctypes.data, boost, v, draws.ctypes.data,
+                    len(draws), out.ctypes.data)
         return out
 
     def encode(self, text: bytes) -> tuple[list[str], np.ndarray]:

@@ -168,13 +168,10 @@ class NeighborDiff:
 _DIFF_FIELDS = NeighborDiff.__match_args__[1:]
 
 
-def _compare(queries: Sequence[str], a: np.ndarray, b: np.ndarray, k: int) -> dict:
-    """Compare each query's two rankings: rows of `a` and `b` are ids from
-    one numbering, best first, with the query itself already left out.
-
-    Both rows are cut to k, or to the shorter list with one warning at the
-    caller outside this module. Returns one column per NeighborDiff field.
-    """
+def _clamp(queries: Sequence[str], a: np.ndarray, b: np.ndarray,
+           k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Both rankings cut to k, or to the shorter list with one warning at
+    the caller outside this module, and the k used."""
     if k < 1:
         raise ValueError("k must be >= 1")
     k_used = min(k, a.shape[1], b.shape[1])
@@ -186,7 +183,16 @@ def _compare(queries: Sequence[str], a: np.ndarray, b: np.ndarray, k: int) -> di
             frame, level = frame.f_back, level + 1
         warnings.warn(f"k={k} clamped to {k_used} (shortest list) for {len(queries)} "
                       f"word(s), the first {queries[0]!r}", stacklevel=level)
-    a, b = a[:, :k_used], b[:, :k_used]
+    return a[:, :k_used], b[:, :k_used], k_used
+
+
+def _compare(queries: Sequence[str], a: np.ndarray, b: np.ndarray, k: int) -> dict:
+    """Compare each query's two rankings: rows of `a` and `b` are ids from
+    one numbering, best first, with the query itself already left out.
+
+    Both rows are cut by `_clamp`. Returns one column per NeighborDiff field.
+    """
+    a, b, k_used = _clamp(queries, a, b, k)
     shared, position = _match(a, b)
     common = shared.sum(axis=1)
     return dict(zip(_DIFF_FIELDS, (
@@ -550,7 +556,8 @@ def cross_seed_stability(
     per_pair: dict[str, float] = {}
     pairs = list(itertools.combinations(seeds, 2))
     for sa, sb in pairs:
-        values = _compare(words, ids[sa], ids[sb], k)["overlap_at_k"]
+        a, b, k_used = _clamp(words, ids[sa], ids[sb], k)
+        values = _match(a, b)[0].sum(axis=1) / k_used  # overlap_at_k alone
         per_word_sums += values
         # a running total in word order: the bits of a float sum depend on its order
         per_pair[f"{sa}-{sb}"] = float(np.cumsum(values)[-1]) / len(words)

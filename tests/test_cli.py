@@ -484,6 +484,12 @@ class TestEntryPoint:
         assert proc.returncode == 1
         assert "invalid choice" in proc.stderr
 
+    def test_negative_seed_exits_1_without_a_traceback(self, train_file, tmp_path):
+        proc = self.module("train", str(train_file), "--out", str(tmp_path / "m"), "--seed", "-1")
+        assert proc.returncode == 1
+        assert "argument --seed: must be >= 0, got -1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_parser_is_built_once_and_handlers_are_looked_up(self, rose_file, monkeypatch, capsys):
         assert build_parser() is build_parser()
         calls = []
@@ -496,6 +502,38 @@ class TestEntryPoint:
         monkeypatch.setattr(cli, "cmd_stats", wrapped)
         assert run("stats", rose_file) == 0
         assert calls == [str(rose_file)]
+
+
+# ---------------------------------------------------------------------------
+# bad seed and size arguments: each is a usage error (exit 1) that argparse
+# reports before any work starts, never a traceback from numpy or int()
+
+SEED_STABILITY = ["experiment", "seed_stability", "--out", "ss"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["train", "c.txt", "--out", "m", "--seed", "-1"], "--seed"),
+        (["rotate", "m.txt", "--out", "r.txt", "--seed", "-1"], "--seed"),
+        (["experiment", "wiki_sep_style", "--base", "b.txt", "--addition", "a.txt",
+          "--out", "w", "--seed", "-1"], "--seed"),
+        (SEED_STABILITY + ["--seed", "-1"], "--seed"),
+        (SEED_STABILITY + ["--seed", "1", "--sizes", "-5"], "--sizes"),
+        (SEED_STABILITY + ["--seed", "1", "--sizes", "300,abc"], "--sizes"),
+        (SEED_STABILITY + ["--seed", "1", "--num-seeds", "1"], "--num-seeds"),
+    ],
+    ids=["train-seed", "rotate-seed", "wiki_sep_style-seed", "seed_stability-seed",
+         "negative-size", "non-numeric-size", "one-seed"],
+)
+def test_bad_seed_or_size_is_a_usage_error(argv, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------

@@ -727,39 +727,59 @@ def chain_draws(cdf_rows):
     )
 
 
+def chain_arrays(language):
+    """The arguments of `Kernel.chain` before the draws, for a language."""
+    return (language.unigram, language.unigram_cdf, language.preferred, language.sums,
+            db.synthetic.PREFERENCE_BOOST)
+
+
 class TestChain:
     @pytest.mark.parametrize("vocab_size", [4, 500, 3000])
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_gives_the_numpy_ids(self, kernel, vocab_size, data):
-        _, unigram_cdf, transition_cdf = db.synthetic._language(vocab_size)
-        rows = [unigram_cdf.tolist(), transition_cdf[0].tolist(), transition_cdf[-1].tolist()]
+        language = db.synthetic._language(vocab_size)
+        rows = [language.unigram_cdf.tolist()] + [
+            db.synthetic._row_cdf(language, r).tolist() for r in (0, vocab_size - 1)]
         draws = np.array(data.draw(chain_draws(rows)), dtype=np.float64)
-        got = kernel.chain(unigram_cdf, transition_cdf, draws)
+        got = kernel.chain(*chain_arrays(language), draws)
         assert got.dtype == np.int64
-        assert got.tolist() == db.synthetic._chain(unigram_cdf, transition_cdf, draws)
+        assert got.tolist() == db.synthetic._chain(language, draws)
 
     def test_a_draw_past_the_last_entry_picks_the_last_word(self, kernel):
-        # both rows end below 1.0, as rounding leaves half the rows at V=500
-        unigram_cdf = np.array([0.5, 0.9])
-        transition_cdf = np.array([[0.3, 0.9], [0.6, 0.9]])
-        draws = np.array([0.95, 0.5, 0.95, 0.95])
-        assert kernel.chain(unigram_cdf, transition_cdf, draws).tolist() == [1, 0, 1, 1]
-        assert db.synthetic._chain(unigram_cdf, transition_cdf, draws) == [1, 0, 1, 1]
+        # both rows end below 1.0, as rounding leaves half the rows at V=500:
+        # row 0 is [30, 0.4] / 40, row 1 is [0.5, 24] / 30
+        language = db.synthetic._Language(
+            ("a", "b"), np.array([0.5, 0.4]), np.array([0.5, 0.9]),
+            np.array([[0], [1]]), np.array([40.0, 30.0]))
+        assert db.synthetic._row_cdf(language, 0).tolist() == [0.75, 0.76]
+        draws = np.array([0.95, 0.01, 0.75, 0.76, 0.95, 0.95])
+        expected = [1, 0, 0, 1, 1, 1]
+        assert kernel.chain(*chain_arrays(language), draws).tolist() == expected
+        assert db.synthetic._chain(language, draws) == expected
 
     def test_refuses_what_it_cannot_take(self, kernel):
-        unigram_cdf, transition_cdf, draws = np.array([0.5, 1.0]), np.ones((2, 2)), np.zeros(3)
+        unigram, cdf, sums, draws = np.array([0.5, 0.5]), np.array([0.5, 1.0]), np.ones(2), np.zeros(3)
+        preferred = np.array([[0], [1]])
         with pytest.raises(ValueError, match="float64"):
-            kernel.chain(unigram_cdf.astype(np.float32), transition_cdf, draws)
+            kernel.chain(unigram.astype(np.float32), cdf, preferred, sums, 2.0, draws)
         with pytest.raises(ValueError, match="C-contiguous"):
-            kernel.chain(unigram_cdf, np.ones((2, 3))[:, :2], draws)
-        with pytest.raises(ValueError, match=r"\(V, V\)"):
-            kernel.chain(unigram_cdf, np.ones((2, 3)), draws)
-        with pytest.raises(ValueError, match=r"\(V, V\)"):
-            kernel.chain(np.zeros(0), np.ones((0, 0)), draws)
-        with pytest.raises(ValueError, match=r"\(V, V\)"):
-            kernel.chain(unigram_cdf, transition_cdf, np.zeros((3, 1)))
+            kernel.chain(unigram, cdf, preferred, np.ones(4)[::2], 2.0, draws)
+        with pytest.raises(ValueError, match="V >= 1"):
+            kernel.chain(unigram, cdf, preferred, np.ones(3), 2.0, draws)
+        with pytest.raises(ValueError, match="V >= 1"):
+            kernel.chain(np.zeros(0), np.zeros(0), np.zeros((0, 1), dtype=np.int64), np.zeros(0),
+                         2.0, draws)
+        with pytest.raises(ValueError, match="V >= 1"):
+            kernel.chain(unigram, cdf, preferred, sums, 2.0, np.zeros((3, 1)))
+        for bad in (preferred.astype(np.int32), np.array([[0, 1]] * 4), np.array([0, 1]),
+                    np.array([[0, 1, 1], [0, 0, 1]])[:, 1:]):
+            with pytest.raises(ValueError, match=r"int64 of shape \(V, successors\)"):
+                kernel.chain(unigram, cdf, bad, sums, 2.0, draws)
+        for bad in ([[0], [2]], [[-1], [0]], [[1, 0], [0, 1]], [[0, 0], [0, 1]]):
+            with pytest.raises(ValueError, match=r"ascending ids in \[0, V\)"):
+                kernel.chain(unigram, cdf, np.array(bad), sums, 2.0, draws)
 
 
 @st.composite

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -648,11 +649,12 @@ class TestSyntheticCorpus:
         assert digest == CORPUS_DIGESTS[case]
 
     def test_a_draw_past_the_last_cdf_entry_picks_the_last_word(self, sampler, monkeypatch):
-        words, unigram_cdf, transition_cdf = db.synthetic._language(500)
-        row = int(np.argmin(transition_cdf[:, -1]))  # ends 1.8e-15 below 1.0
+        language = db.synthetic._language(500)
+        ends = [db.synthetic._row_cdf(language, r)[-1] for r in range(500)]
+        row = int(np.argmin(ends))  # ends 1.8e-15 below 1.0
         last_below_one = float(np.nextafter(1.0, 0.0))
-        assert transition_cdf[row, -1] < last_below_one
-        draws = [unigram_cdf[row], last_below_one]  # pick word `row`, then draw past its row
+        assert ends[row] < last_below_one
+        draws = [language.unigram_cdf[row], last_below_one]  # pick word `row`, then draw past its row
 
         class Draws:
             def random(self, size=None):
@@ -664,7 +666,7 @@ class TestSyntheticCorpus:
         monkeypatch.setattr(np.random, "default_rng",
                             lambda seed: Draws() if seed == -1 else real(seed))
         stream = db.synthetic_corpus(2, seed=-1, vocab_size=500)
-        assert stream.tokens == (words[row], words[-1])
+        assert stream.tokens == (language.words[row], language.words[-1])
 
     @pytest.mark.parametrize("vocab_size", [4, 500, 3000])
     @settings(max_examples=40, deadline=None,
@@ -676,3 +678,60 @@ class TestSyntheticCorpus:
         with monkeypatch.context() as numpy_path:
             numpy_path.setattr(kernel_module, "get", lambda: None)
             assert db.synthetic_corpus(n_tokens, seed=seed, vocab_size=vocab_size) == got
+
+
+def dense_transition_cdf(vocab_size: int) -> np.ndarray:
+    """The V x V transition CDF matrix of the language as it was first
+    built, with one `rng.choice` per row: the oracle of the O(V) language."""
+    rng = np.random.default_rng(db.synthetic.STRUCTURE_SEED)
+    unigram = 1.0 / np.arange(1, vocab_size + 1) ** db.synthetic.ZIPF_EXPONENT
+    unigram /= unigram.sum()
+    transition = np.tile(unigram, (vocab_size, 1))
+    for i in range(vocab_size):
+        preferred = rng.choice(vocab_size, size=db.synthetic.PREFERRED_SUCCESSORS, replace=False,
+                               p=unigram)
+        transition[i, preferred] *= db.synthetic.PREFERENCE_BOOST
+    transition /= transition.sum(axis=1, keepdims=True)
+    return np.cumsum(transition, axis=1)
+
+
+class TestLanguage:
+    @pytest.mark.parametrize("vocab_size", [4, 5, 37, 500, 3000])
+    @pytest.mark.parametrize("seed", [db.synthetic.STRUCTURE_SEED, 3])
+    def test_preferred_draws_as_rng_choice(self, vocab_size, seed):
+        unigram = db.synthetic._language(vocab_size).unigram
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = db.synthetic._preferred(rng, unigram)
+        assert got.dtype == np.int64
+        for row in got:
+            chosen = oracle.choice(vocab_size, size=db.synthetic.PREFERRED_SUCCESSORS,
+                                   replace=False, p=unigram)
+            assert row.tolist() == sorted(chosen.tolist())
+        assert rng.random() == oracle.random()  # the generator is where choice leaves it
+
+    @pytest.mark.parametrize("vocab_size", [4, 500, 3000])
+    def test_row_cdfs_have_the_bits_of_the_dense_matrix(self, vocab_size):
+        language = db.synthetic._language(vocab_size)
+        dense = dense_transition_cdf(vocab_size)
+        for r in range(vocab_size):
+            assert np.array_equal(db.synthetic._row_cdf(language, r), dense[r])
+        assert np.array_equal(language.unigram_cdf, np.cumsum(language.unigram))
+
+    def test_holds_o_of_v_arrays(self):
+        language = db.synthetic._language(300)
+        assert language.preferred.shape == (300, db.synthetic.PREFERRED_SUCCESSORS)
+        assert all(a.shape == (300,) for a in (language.unigram, language.unigram_cdf,
+                                                language.sums))
+        assert not any(a.flags.writeable for a in language[1:])
+
+    def test_a_large_vocabulary_samples_in_little_memory(self, kernel):
+        # the dense language took 2 x 3.2 GB at this size; this run peaks near 6 MB
+        db.synthetic._language.cache_clear()
+        tracemalloc.start()
+        try:
+            stream = db.synthetic_corpus(2000, seed=1, vocab_size=20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stream) == 2000
+        assert peak < 16 * 2**20
