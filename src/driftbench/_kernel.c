@@ -1,31 +1,36 @@
 /* The loops of driftbench that numpy cannot batch: an SGD epoch of the
- * trainer (driftbench_sgd), the tokenizer of ASCII text, which gives each
- * token a type id in one pass (driftbench_encode), the chain sampler of
- * the synthetic language, which sums each transition row's CDF only as
- * far as its draw (driftbench_chain), the co-occurrence counter
- * (driftbench_cooccur), the writer and reader of the embedding text
- * format (driftbench_format, driftbench_parse), the line writer and the
- * readers of the COOC and edge-list formats (driftbench_format_lines,
- * driftbench_read_cooc, driftbench_read_edge_list), the loop of
- * neighbour ranking: the cosine division with top-k selection
- * (driftbench_select), and the product of a CSR matrix with dense
- * vectors that scores sparse rows (driftbench_csr_dot). The SGD epoch
- * does its arithmetic in the same order as the numpy step it replaces,
- * except that dot products and sums run sequentially where numpy calls
- * BLAS or sums pairwise, so results agree with it to the last few bits.
- * The tokenizer gives the tokens of corpus._TOKEN_RE, the chain sampler
- * the ids of numpy's searchsorted over whole row CDFs, the counter the
- * CSR arrays of the numpy counter, the text functions the same bytes and
- * values as repr(), %, float() and int(), the ranking loop the same ids
- * and score bits as numpy's ranking, and the CSR product the bits of its
- * numpy twin. Each text reader takes a file's body only in its writer's
- * layout and order, and returns the offset of the first line or field
- * that breaks them, so that its caller reads that file line by line
- * instead. Build it with -ffp-contract=off and without fast-math so that
- * every run of the same build gives the same bits: the SGD step's
- * element-wise updates run in vector lanes, each lane doing the scalar
- * operations, and no sum is ever reordered. The kernel name in training
- * manifests hashes this source, so any change here changes it.
+ * trainer (driftbench_sgd), the tokenizer of ASCII text, which gives
+ * each token a type id in one pass (driftbench_encode), the chain
+ * sampler of the synthetic language, which sums each transition row's
+ * CDF only as far as its draw (driftbench_chain), the co-occurrence
+ * counter (driftbench_cooccur), the writer and reader of the embedding
+ * text format (driftbench_format, driftbench_parse), the line writer
+ * and the readers of the COOC and edge-list formats
+ * (driftbench_format_lines, driftbench_read_cooc,
+ * driftbench_read_edge_list), the loop of neighbour ranking: the cosine
+ * division with top-k selection (driftbench_select), which ranks sparse
+ * rows' cosine scores straight from a column scatter of each query
+ * (driftbench_transpose once per ranking, then
+ * driftbench_scatter_select), and the product of a CSR matrix with
+ * dense vectors that scores sparse rows under the distance metrics
+ * (driftbench_csr_dot). The SGD epoch does its arithmetic in the same
+ * order as the numpy step it replaces, except that dot products and
+ * sums run sequentially where numpy calls BLAS or sums pairwise, so
+ * results agree with it to the last few bits. The tokenizer gives the
+ * tokens of corpus._TOKEN_RE, the chain sampler the ids of numpy's
+ * searchsorted over whole row CDFs, the counter the CSR arrays of the
+ * numpy counter, the text functions the same bytes and values as
+ * repr(), %, float() and int(), the ranking loop the same ids and score
+ * bits as numpy's ranking, the scatter the bits of the CSR product, and
+ * the CSR product the bits of its numpy twin. Each text reader takes a
+ * file's body only in its writer's layout and order, and returns the
+ * offset of the first line or field that breaks them, so that its
+ * caller reads that file line by line instead. Build it with
+ * -ffp-contract=off and without fast-math so that every run of the same
+ * build gives the same bits: the SGD step's element-wise updates run in
+ * vector lanes, each lane doing the scalar operations, and no sum is
+ * ever reordered. The kernel name in training manifests hashes this
+ * source, so any change here changes it.
  */
 
 #include <math.h>
@@ -1055,70 +1060,144 @@ static void sift_down(double *score, int64_t *id, const int64_t *lex_rank, int64
     id[p] = i;
 }
 
-/* For each of the `queries` rows of `scores` (queries x vocab), the ids
- * and scores of its k best candidates, best first, in ranks_before order,
- * to ids and top (queries x k). Row q leaves out the n_exclude ids at
- * exclude[q * n_exclude ..], each in [0, vocab); k must not exceed the
- * candidates left. Where norms is not NULL, candidate i of row q scores
- * scores[q][i] / (norms[i] * qnorms[q]), the IEEE operations of the numpy
- * division. One pass keeps the k best in a heap whose root is the one
- * that ranks last. Returns 0, or -1 when scratch memory cannot be
- * allocated. */
+/* The k best candidates of one query, best first, in ranks_before order,
+ * to ids and top (k entries each). Candidate i scores row[i], or row[i] /
+ * (norms[i] * qnorm) where norms is not NULL, the IEEE operations of the
+ * numpy division; the n_exclude ids at drop, each in [0, vocab), are left
+ * out, and k must not exceed the candidates left. left_out (vocab + 1
+ * bytes, all 0) marks them while the row is read and is all 0 again on
+ * return. One pass keeps the k best in a heap whose root is the one that
+ * ranks last. */
+static void select_row(const double *row, int64_t vocab, const double *norms, double qnorm,
+                       const int64_t *drop, int64_t n_exclude, unsigned char *left_out,
+                       const int64_t *lex_rank, int64_t k, int64_t *hi, double *hs)
+{
+    int64_t i, n = 0, worst_rank = 0;
+    double worst = 0.0;  /* the score and lex_rank of the heap's root */
+
+    for (i = 0; i < n_exclude; i++)
+        left_out[drop[i]] = 1;
+    for (i = 0; i < vocab; i++) {
+        double s;
+        if (left_out[i])
+            continue;
+        s = norms == NULL ? row[i] : row[i] / (norms[i] * qnorm);
+        if (n < k) {
+            hs[n] = s;
+            hi[n++] = i;
+            if (n == k)
+                for (int64_t p = k / 2 - 1; p >= 0; p--)
+                    sift_down(hs, hi, lex_rank, k, p);
+        } else if (!(s < worst) && ranks_before(s, lex_rank[i], worst, worst_rank)) {
+            hs[0] = s;
+            hi[0] = i;
+            sift_down(hs, hi, lex_rank, k, 0);
+        } else {
+            continue;  /* most entries: a score below the root's ranks after it */
+        }
+        worst = hs[0];
+        worst_rank = lex_rank[hi[0]];
+    }
+    for (i = 0; i < n_exclude; i++)
+        left_out[drop[i]] = 0;
+    /* heapsort: the last-ranked entry goes to the end, and so on */
+    for (n = k - 1; n > 0; n--) {
+        double s = hs[0];
+        int64_t id = hi[0];
+        hs[0] = hs[n];
+        hi[0] = hi[n];
+        hs[n] = s;
+        hi[n] = id;
+        sift_down(hs, hi, lex_rank, n, 0);
+    }
+}
+
+/* For each of the `queries` rows of `scores` (queries x vocab), select_row
+ * with row q's n_exclude ids at exclude[q * n_exclude ..] and qnorms[q]
+ * (NULL where norms is), to ids and top (queries x k). Returns 0, or -1
+ * when scratch memory cannot be allocated. */
 int driftbench_select(const double *scores, int64_t queries, int64_t vocab,
                       const double *norms, const double *qnorms,
                       const int64_t *exclude, int64_t n_exclude,
                       const int64_t *lex_rank, int64_t k, int64_t *ids, double *top)
 {
     unsigned char *left_out = calloc((size_t)vocab + 1, 1);
-    int64_t q, i, n, worst_rank = 0;
-    double worst = 0.0;  /* the score and lex_rank of the heap's root */
 
     if (left_out == NULL)
         return -1;
-    for (q = 0; q < queries; q++) {
-        const double *row = scores + q * vocab;
-        const int64_t *drop = exclude + q * n_exclude;
-        double *hs = top + q * k;
-        int64_t *hi = ids + q * k;
+    for (int64_t q = 0; q < queries; q++)
+        select_row(scores + q * vocab, vocab, norms, norms == NULL ? 0.0 : qnorms[q],
+                   exclude + q * n_exclude, n_exclude, left_out, lex_rank, k,
+                   ids + q * k, top + q * k);
+    free(left_out);
+    return 0;
+}
 
-        for (i = 0; i < n_exclude; i++)
-            left_out[drop[i]] = 1;
-        n = 0;
-        for (i = 0; i < vocab; i++) {
-            double s;
-            if (left_out[i])
+/* The transpose of the CSR matrix (rows x cols: indptr, indices, data),
+ * to t_indptr (cols + 1), t_indices and t_data (one per entry): a counting
+ * sort by column, so each column's entries keep their row order. */
+void driftbench_transpose(const int64_t *indptr, const int32_t *indices, const double *data,
+                          int64_t rows, int64_t cols, int64_t *t_indptr, int32_t *t_indices,
+                          double *t_data)
+{
+    int64_t i, j, p;
+
+    memset(t_indptr, 0, (size_t)(cols + 1) * sizeof *t_indptr);
+    for (p = 0; p < indptr[rows]; p++)
+        t_indptr[indices[p] + 1]++;
+    for (j = 0; j < cols; j++)
+        t_indptr[j + 1] += t_indptr[j];
+    /* t_indptr[j] is the next free slot of column j, then column j + 1's start */
+    for (i = 0; i < rows; i++)
+        for (p = indptr[i]; p < indptr[i + 1]; p++) {
+            int64_t at = t_indptr[indices[p]]++;
+            t_indices[at] = (int32_t)i;
+            t_data[at] = data[p];
+        }
+    for (j = cols; j > 0; j--)
+        t_indptr[j] = t_indptr[j - 1];
+    t_indptr[0] = 0;
+}
+
+/* driftbench_select of the cosine scores of the sparse rows U (vocab x
+ * dim), given as their transpose (dim x vocab: t_indptr, t_indices,
+ * t_data, each column's rows ascending), against the dense queries
+ * (queries x dim), without a (queries x vocab) block: each query's
+ * non-zero components are scattered down U's columns into one row of
+ * vocab sums, which select_row then ranks. Sum i adds U[i][j] * x[j] for
+ * ascending j, the order of driftbench_csr_dot over U's canonical rows;
+ * the skipped x[j] == 0 add only +-0.0 there, U being finite, and a sum
+ * that starts at 0.0 is never -0.0, so adding them changes no bit. Returns
+ * 0, or -1 when scratch memory cannot be allocated. */
+int driftbench_scatter_select(const int64_t *t_indptr, const int32_t *t_indices,
+                              const double *t_data, int64_t vocab, int64_t dim,
+                              const double *x, int64_t queries, const double *norms,
+                              const double *qnorms, const int64_t *exclude, int64_t n_exclude,
+                              const int64_t *lex_rank, int64_t k, int64_t *ids, double *top)
+{
+    unsigned char *left_out = calloc((size_t)vocab + 1, 1);
+    double *row = malloc(((size_t)vocab + 1) * sizeof *row);
+
+    if (left_out == NULL || row == NULL) {
+        free(left_out);
+        free(row);
+        return -1;
+    }
+    for (int64_t q = 0; q < queries; q++) {
+        const double *xq = x + q * dim;
+        memset(row, 0, (size_t)vocab * sizeof *row);
+        for (int64_t j = 0; j < dim; j++) {
+            double a = xq[j];
+            if (a == 0.0)
                 continue;
-            s = norms == NULL ? row[i] : row[i] / (norms[i] * qnorms[q]);
-            if (n < k) {
-                hs[n] = s;
-                hi[n++] = i;
-                if (n == k)
-                    for (int64_t p = k / 2 - 1; p >= 0; p--)
-                        sift_down(hs, hi, lex_rank, k, p);
-            } else if (!(s < worst) && ranks_before(s, lex_rank[i], worst, worst_rank)) {
-                hs[0] = s;
-                hi[0] = i;
-                sift_down(hs, hi, lex_rank, k, 0);
-            } else {
-                continue;  /* most entries: a score below the root's ranks after it */
-            }
-            worst = hs[0];
-            worst_rank = lex_rank[hi[0]];
+            for (int64_t p = t_indptr[j]; p < t_indptr[j + 1]; p++)
+                row[t_indices[p]] += t_data[p] * a;
         }
-        for (i = 0; i < n_exclude; i++)
-            left_out[drop[i]] = 0;
-        /* heapsort: the last-ranked entry goes to the end, and so on */
-        for (n = k - 1; n > 0; n--) {
-            double s = hs[0];
-            int64_t id = hi[0];
-            hs[0] = hs[n];
-            hi[0] = hi[n];
-            hs[n] = s;
-            hi[n] = id;
-            sift_down(hs, hi, lex_rank, n, 0);
-        }
+        select_row(row, vocab, norms, qnorms[q], exclude + q * n_exclude, n_exclude, left_out,
+                   lex_rank, k, ids + q * k, top + q * k);
     }
     free(left_out);
+    free(row);
     return 0;
 }
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from types import MappingProxyType
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -445,7 +444,14 @@ def _import_edge_list_lines(text: str) -> SemanticGraph:
     return SemanticGraph._of(tokens, self_weights, _upper(len(tokens), rows, cols, weights))
 
 
-_ATTRIBUTE_ENTITIES = {'"': "&quot;", "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
+# A token as an XML attribute value: the bytes of xml.sax.saxutils.escape
+# with '"', TAB, LF and CR also escaped. One translate pass gives them, since
+# no replacement is itself replaced, and importing xml.sax would bring in
+# urllib.request, http, email and ssl, about 3 MB and 25 ms per process.
+_ATTRIBUTE_ESCAPES = str.maketrans({
+    "&": "&amp;", "<": "&lt;", ">": "&gt;",
+    '"': "&quot;", "\t": "&#9;", "\n": "&#10;", "\r": "&#13;",
+})
 
 
 def export_graphml(g: SemanticGraph) -> str:
@@ -455,7 +461,7 @@ def export_graphml(g: SemanticGraph) -> str:
     FormatError.
     """
     _refuse(g.tokens, _XML_UNSAFE, "cannot be written to GraphML: XML 1.0 cannot carry it")
-    names = np.array([escape(token, _ATTRIBUTE_ENTITIES) for token in g.tokens], dtype=object)
+    names = np.array([token.translate(_ATTRIBUTE_ESCAPES) for token in g.tokens], dtype=object)
     rows, cols, data = g._triples()
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'

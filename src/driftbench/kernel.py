@@ -4,28 +4,33 @@ One small C file holds the loops that numpy cannot batch: the SGD epoch of
 the trainer, the tokenizer that turns ASCII text into type ids in one pass,
 the chain sampler of the synthetic language, which sums each transition
 row's CDF only as far as its draw, the co-occurrence counter, the writer
-and reader of the embedding text format, the line writer and the readers
-of the COOC and edge-list formats, the loop of neighbour ranking (the
-cosine division with top-k selection), and the product of a CSR matrix
-with dense vectors. The embedding writer formats components with Ryu and
-the reader parses them with Eisel-Lemire, each from a table of powers of
-five that this module computes with exact integers; the reader leaves to
-the C library's strtod only the fields Eisel-Lemire does not decide. Each
-text reader takes a file only in its writer's layout and order. `get()`
-compiles it on first use with the system C compiler and caches the
-library; where it cannot be built or loaded, `get()` returns None and each
-caller runs its fallback: the regex tokenizer (`corpus._TOKEN_RE`), the
-numpy step, the per-token chain loop (`synthetic._chain`, which builds
-each visited row's whole CDF), the numpy counter
-(`count_model._numpy_counts`), the repr() and % writers, for each text
-loader its per-line reader, numpy's ranking (`vector_space._select`) and
-the numpy CSR product (`_csr._numpy_dot`). The fallbacks, with float() and
-int() for the parsers, are the references the kernel is tested against.
-The name the provenance gives the kernel hashes this source, so it changes
-with any change here, the ranking loop, the chain sampler and the counter
-included. The training step's element-wise updates run in vector lanes
-that each do the scalar operations, and no sum is reordered, so the
-trained bits are those of the scalar loops.
+and reader of the embedding text format, the line writer and the readers of
+the COOC and edge-list formats, the loop of neighbour ranking (the cosine
+division with top-k selection), the scoring of sparse cosine queries, which
+scatters each query's non-zero components down the columns of the rows
+(transposed once per ranking) into one row of sums that the same selection
+ranks, and the product of a CSR matrix with dense vectors, which scores
+sparse rows under the distance metrics. The embedding writer formats
+components with Ryu and the reader parses them with Eisel-Lemire, each from
+a table of powers of five that this module computes with exact integers;
+the reader leaves to the C library's strtod only the fields Eisel-Lemire
+does not decide. Each text reader takes a file only in its writer's layout
+and order. `get()` compiles it on first use with the system C compiler and
+caches the library; where it cannot be built or loaded, `get()` returns
+None and each caller runs its fallback: the regex tokenizer
+(`corpus._TOKEN_RE`), the numpy step, the per-token chain loop
+(`synthetic._chain`, which builds each visited row's whole CDF), the numpy
+counter (`count_model._numpy_counts`), the repr() and % writers, for each
+text loader its per-line reader, numpy's ranking (`vector_space._select`)
+and the numpy CSR product (`_csr._numpy_dot`), which then scores sparse
+cosine queries too. The fallbacks, with float() and int() for the parsers,
+are the references the kernel is tested against. The name the provenance
+gives the kernel hashes this source, so it changes with any change here,
+the ranking loop, the chain sampler and the counter included. The training
+step's element-wise updates run in vector lanes that each do the scalar
+operations, and no sum is reordered, so the trained bits are those of the
+scalar loops. Only a build imports `subprocess`, `tempfile` and `shutil`;
+loading a cached kernel does not.
 """
 
 from __future__ import annotations
@@ -35,9 +40,6 @@ import functools
 import hashlib
 import os
 import platform
-import shutil
-import subprocess
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +92,30 @@ def _bind(library: ctypes.CDLL, name: str, restype, *argtypes):
     return function
 
 
+def _check_csr(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, cols: int) -> None:
+    """Refuses what is not the arrays of a CSR matrix of `cols` columns:
+    the kernel walks each row's entries and indexes by their columns."""
+    if (indptr.dtype != np.int64 or indices.dtype != np.int32 or data.dtype != np.float64
+            or not all(a.flags.c_contiguous for a in (indptr, indices, data))):
+        raise ValueError("need C-contiguous int64 indptr, int32 indices and float64 data")
+    if (len(indptr) < 1 or indptr[0] != 0 or (np.diff(indptr) < 0).any()
+            or indptr[-1] != len(indices) or len(indices) != len(data)):
+        raise ValueError("indptr must rise from 0 to the number of entries")
+    if len(indices) and not 0 <= indices.min() <= indices.max() < cols:
+        raise ValueError(f"column indices must be in [0, {cols})")
+
+
+def _selection(exclude: np.ndarray, n: int, v: int, k: int):
+    """`exclude` as C-contiguous int64, checked, and the (ids, top) arrays
+    of n queries' k best of v candidates."""
+    exclude = np.ascontiguousarray(exclude, dtype=np.int64)
+    if exclude.ndim != 2 or exclude.shape[0] != n or not 1 <= k <= v - exclude.shape[1]:
+        raise ValueError("need an exclude row per query and 1 <= k <= candidates")
+    if exclude.size and (exclude.min() < 0 or exclude.max() >= v):
+        raise ValueError("excluded ids must be in [0, vocabulary)")
+    return exclude, np.empty((n, k), dtype=np.int64), np.empty((n, k))
+
+
 def _check_window_ids(ids: np.ndarray, vocab: int) -> None:
     """Refuses what is not a `corpus._window_ids` array over `vocab` words:
     the kernel's walks stop only at the boundaries at its ends."""
@@ -123,6 +149,10 @@ class Kernel:
         self._cooccur = _bind(library, "driftbench_cooccur", ctypes.c_int, _P, _I, _I, _I,
                               _P, _P, _P)
         self._csr_dot = _bind(library, "driftbench_csr_dot", None, _P, _P, _P, _I, _P, _I, _P)
+        self._transpose = _bind(library, "driftbench_transpose", None, _P, _P, _P, _I, _I,
+                                _P, _P, _P)
+        self._scatter_select = _bind(library, "driftbench_scatter_select", ctypes.c_int,
+                                     _P, _P, _P, _I, _I, _P, _I, _P, _P, _P, _I, _P, _I, _P, _P)
         self._encode = _bind(library, "driftbench_encode", _I, ctypes.c_char_p, _I, _P, _P,
                              ctypes.POINTER(_I))
         self._table = _ryu_table()
@@ -226,14 +256,7 @@ class Kernel:
         (n, k) float64 x, each row's terms summed in index order."""
         x = np.ascontiguousarray(x, dtype=np.float64)
         columns = x.reshape(len(x), -1)
-        if (indptr.dtype != np.int64 or indices.dtype != np.int32 or data.dtype != np.float64
-                or not all(a.flags.c_contiguous for a in (indptr, indices, data))):
-            raise ValueError("need C-contiguous int64 indptr, int32 indices and float64 data")
-        if (len(indptr) < 1 or indptr[0] != 0 or (np.diff(indptr) < 0).any()
-                or indptr[-1] != len(indices) or len(indices) != len(data)):
-            raise ValueError("indptr must rise from 0 to the number of entries")
-        if len(indices) and not 0 <= indices.min() <= indices.max() < len(x):
-            raise ValueError("column indices must be in [0, rows of x)")
+        _check_csr(indptr, indices, data, len(x))
         y = np.empty((len(indptr) - 1, columns.shape[1]))
         self._csr_dot(indptr.ctypes.data, indices.ctypes.data, data.ctypes.data, len(y),
                       columns.ctypes.data, columns.shape[1], y.ctypes.data)
@@ -385,20 +408,16 @@ class Kernel:
         and `qnorms`, the scores are first divided as `scores / (norms *
         qnorms[:, None])` divides them."""
         scores = np.ascontiguousarray(scores, dtype=np.float64)
-        exclude = np.ascontiguousarray(exclude, dtype=np.int64)
         lex_rank = np.ascontiguousarray(lex_rank, dtype=np.int64)
         n, v = scores.shape
-        if exclude.shape[0] != n or lex_rank.shape != (v,) or not 1 <= k <= v - exclude.shape[1]:
-            raise ValueError("need an exclude row per query, a rank per id, 1 <= k <= candidates")
-        if exclude.size and (exclude.min() < 0 or exclude.max() >= v):
-            raise ValueError("excluded ids must be in [0, vocabulary)")
+        if lex_rank.shape != (v,):
+            raise ValueError("need a rank per id")
+        exclude, ids, top = _selection(exclude, n, v, k)
         if norms is not None:
             norms = np.ascontiguousarray(norms, dtype=np.float64)
             qnorms = np.ascontiguousarray(qnorms, dtype=np.float64)
             if norms.shape != (v,) or qnorms.shape != (n,):
                 raise ValueError("need a norm per id and per query")
-        ids = np.empty((n, k), dtype=np.int64)
-        top = np.empty((n, k))
         status = self._select(scores.ctypes.data, n, v,
                               None if norms is None else norms.ctypes.data,
                               None if qnorms is None else qnorms.ctypes.data,
@@ -408,8 +427,50 @@ class Kernel:
             raise MemoryError("selection kernel could not allocate its scratch memory")
         return ids, top
 
+    def cosine_ranker(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+                      dim: int, norms: np.ndarray, lex_rank: np.ndarray):
+        """`select` of the cosine dots of the CSR rows (int64 indptr, int32
+        indices, float64 data; V rows of `dim` columns) with dense queries,
+        divided by `norms * qnorms[:, None]`, bit for bit: the dots have the
+        bits of `csr_dot`. Transposes the rows once, in a counting sort, and
+        returns rank(queries, qnorms, exclude, k) -> (ids, top), which
+        scatters the non-zero components of each of the (n, dim) queries
+        down the rows' columns and selects from that row of sums, so no
+        (n, V) scores are built."""
+        v = len(indptr) - 1
+        _check_csr(indptr, indices, data, dim)
+        norms = np.ascontiguousarray(norms, dtype=np.float64)
+        lex_rank = np.ascontiguousarray(lex_rank, dtype=np.int64)
+        if v >= 2**31 or norms.shape != (v,) or lex_rank.shape != (v,):
+            raise ValueError("need fewer than 2**31 rows and a norm and a rank per row")
+        t_indptr = np.empty(dim + 1, dtype=np.int64)
+        t_indices = np.empty(len(indices), dtype=np.int32)
+        t_data = np.empty(len(data))
+        self._transpose(indptr.ctypes.data, indices.ctypes.data, data.ctypes.data, v, dim,
+                        t_indptr.ctypes.data, t_indices.ctypes.data, t_data.ctypes.data)
+
+        def rank(queries: np.ndarray, qnorms: np.ndarray, exclude: np.ndarray, k: int):
+            queries = np.ascontiguousarray(queries, dtype=np.float64)
+            qnorms = np.ascontiguousarray(qnorms, dtype=np.float64)
+            if queries.ndim != 2 or queries.shape[1] != dim or qnorms.shape != (len(queries),):
+                raise ValueError("need (queries, dimension) vectors and a norm per query")
+            drop, ids, top = _selection(exclude, len(queries), v, k)
+            status = self._scatter_select(
+                t_indptr.ctypes.data, t_indices.ctypes.data, t_data.ctypes.data, v, dim,
+                queries.ctypes.data, len(queries), norms.ctypes.data, qnorms.ctypes.data,
+                drop.ctypes.data, drop.shape[1], lex_rank.ctypes.data, k, ids.ctypes.data,
+                top.ctypes.data,
+            )
+            if status != 0:
+                raise MemoryError("selection kernel could not allocate its scratch memory")
+            return ids, top
+
+        return rank
+
 
 def compiler() -> str | None:
+    import shutil  # only a build needs it
+
     return shutil.which("cc") or shutil.which("gcc")
 
 
@@ -441,6 +502,10 @@ def load(cache_dir: Path) -> Kernel | None:
     cc = compiler()
     if cc is None:
         return None
+    import shutil  # the build's modules, which loading a cached kernel does without
+    import subprocess
+    import tempfile
+
     try:
         try:
             cache_dir.mkdir(parents=True, exist_ok=True)

@@ -254,11 +254,17 @@ def _distance_scores(m, query: np.ndarray, metric: str) -> np.ndarray:
     return -np.abs(diff).sum(axis=1)
 
 
+def _unit_queries(queries: np.ndarray):
+    """Dense queries and their norms, rescaled as `_unit_rows` rescales rows."""
+    return _rescale(queries, np.sqrt([q @ q for q in queries]))
+
+
 def _cosine_terms(space: VectorSpace, queries: np.ndarray):
     """Dot product of every unit row with each dense query, the rows' norms
-    and the queries' norms."""
+    and the queries' norms. Where the kernel is built, sparse rows are
+    scored by its `cosine_ranker` instead, with the bits of this product."""
     rows, norms = space._unit_rows()
-    queries, qnorms = _rescale(queries, np.sqrt([q @ q for q in queries]))
+    queries, qnorms = _unit_queries(queries)
     if space.is_sparse:
         # the product sums each row's entries in index order, whatever the block
         dots = rows.dot(queries.T).T
@@ -305,8 +311,10 @@ def _top_k(space: VectorSpace, queries, k: int, metric: str, exclude):
     similarities, or negated distances; ties are broken by token. k is
     clamped to the candidates left after exclusion. Returns two
     (queries, k) arrays. The compiled kernel's `select` ranks where it is
-    built, else `_select`; both give the same bits. Rows that overflow
-    score inf or NaN and rank last, without a warning.
+    built, else `_select`; both give the same bits. Where it is built, its
+    `cosine_ranker` scores and ranks sparse cosine queries in one pass,
+    again with the same bits. Rows that overflow score inf or NaN and rank
+    last, without a warning.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -334,10 +342,17 @@ def _top_k(space: VectorSpace, queries, k: int, metric: str, exclude):
         source = space._unit_rows()[0] if metric == "cosine" else space.vectors
         built = kernel.get()
         select = _select if built is None else built.select
+        rank = None
+        if built is not None and metric == "cosine" and space.is_sparse:
+            rank = built.cosine_ranker(source.indptr, source.indices, source.data, space.dim,
+                                       norms, space.lex_rank())
         for lo in range(0, len(queries), step):
             block, drop = queries[lo : lo + step], exclude[lo : lo + step]
             if by_row:
                 block = source.dense_rows(block) if space.is_sparse else source[block]
+            if rank is not None:
+                ids[lo : lo + step], scores[lo : lo + step] = rank(*_unit_queries(block), drop, k)
+                continue
             if metric == "cosine":
                 values, norms, qnorms = _cosine_terms(space, block)
             else:

@@ -474,6 +474,18 @@ class TestEntryPoint:
                               env={**os.environ, "PYTHONPATH": src}, capture_output=True,
                               text=True)
 
+    def test_import_loads_no_xml_or_network_module(self):
+        # xml.sax.saxutils alone would bring in urllib.request, http.client,
+        # email and ssl; pathlib brings in urllib.parse, which is allowed
+        src = str(Path(cli.__file__).parents[1])
+        code = "import sys, driftbench, driftbench.cli; print(*sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, check=True)
+        loaded = [name for name in proc.stdout.split()
+                  if name.split(".")[0] in ("xml", "http", "email", "ssl")
+                  or name == "urllib.request"]
+        assert not loaded
+
     def test_module_invocation(self, rose_file):
         proc = self.module("stats", str(rose_file))
         assert proc.returncode == 0

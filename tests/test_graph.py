@@ -276,6 +276,12 @@ class TestEdgeListFormat:
         root = ET.fromstring(db.export_graphml(g))
         assert [n.get("id") for n in root.iter(f"{ns}node")] == sorted(tokens)
 
+    @pytest.mark.parametrize("char", list('&<>"\t\n\r'))
+    def test_graphml_escapes_each_special_character(self, char):
+        tokens = [char, f"a{char}b", f"{char}&amp;{char}", f"<{char}>"]
+        g = db.SemanticGraph(dict.fromkeys(tokens, 1), {tuple(sorted(tokens[:2])): 3})
+        assert db.export_graphml(g) == ref_export_graphml(g.nodes, dict(g.edges.items()))
+
     def test_node_lines_out_of_order_take_the_per_line_path(self, kernel):
         # valid, but the bulk reader takes only the writer's order
         text = (
@@ -405,6 +411,10 @@ def ref_export_edge_list(nodes, edges):
     return "\n".join(lines) + "\n"
 
 
+# the attribute entities of export_graphml beyond escape()'s & < >
+GRAPHML_ENTITIES = {'"': "&quot;", "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
+
+
 def ref_export_graphml(nodes, edges):
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -414,11 +424,11 @@ def ref_export_graphml(nodes, edges):
         '  <graph edgedefault="undirected">',
     ]
     for token in sorted(nodes):
-        et = escape(token, {'"': "&quot;"})
+        et = escape(token, GRAPHML_ENTITIES)
         out.append(f'    <node id="{et}"><data key="sw">{nodes[token]}</data></node>')
     for (a, b), w in sorted(edges.items()):
-        ea = escape(a, {'"': "&quot;"})
-        eb = escape(b, {'"': "&quot;"})
+        ea = escape(a, GRAPHML_ENTITIES)
+        eb = escape(b, GRAPHML_ENTITIES)
         out.append(f'    <edge source="{ea}" target="{eb}"><data key="w">{w}</data></edge>')
     out.extend(["  </graph>", "</graphml>"])
     return "\n".join(out) + "\n"

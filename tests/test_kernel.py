@@ -713,6 +713,103 @@ class TestRanking:
             kernel.select(scores, np.zeros((2, 0), dtype=int), 1, rank, np.ones(3), np.ones(2))
 
 
+# per-query scales for the scatter: components that overflow a norm, and
+# inf or NaN components, which the scatter adds wherever the CSR product does
+QUERY_SCALES = [1.0, 1.0, 5e-324, 1e307, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def scatter_case(draw):
+    """A sparse V x d space with signed rows, rows that `_rescale` rewrites
+    and empty columns; 2-d queries, some with inf or NaN components;
+    exclusions; k up to the number of candidates; and a block size that
+    splits the queries."""
+    v, d = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    rows = draw(ranked_rows(v, d))
+    rows[:, draw(st.lists(st.integers(0, d - 1), max_size=d))] = 0.0
+    rows[~rows.any(axis=1), draw(st.integers(0, d - 1))] = 1.0  # no zero row to refuse
+    space = db.VectorSpace(db.Vocabulary([f"t{i}" for i in range(v)][::-1], [1] * v),
+                           CSR.of(sparse.csr_matrix(rows)))
+    queries = draw(ranked_rows(draw(st.integers(1, 6)), d))
+    for i in draw(st.lists(st.integers(0, len(queries) - 1), max_size=3)):
+        queries[i, draw(st.integers(0, d - 1))] = draw(st.sampled_from(QUERY_SCALES))
+    queries[~queries.any(axis=1), 0] = 1.0
+    width = draw(st.integers(0, v - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exclude = np.array([rng.permutation(v)[:width] for _ in range(len(queries))])
+    k = draw(st.sampled_from([v - width, 1]) | st.integers(1, v - width))
+    return space, queries, exclude.reshape(len(queries), width), k, draw(st.integers(1, 3 * v))
+
+
+class TestScatterRanking:
+    @ORACLE
+    @given(case=scatter_case())
+    def test_gives_the_bits_of_the_csr_product_and_select(self, kernel, case):
+        space, queries, exclude, k, block = case
+        lex_rank = space.lex_rank()
+        with np.errstate(all="ignore"):
+            rows, norms = space._unit_rows()
+            rank = kernel.cosine_ranker(rows.indptr, rows.indices, rows.data, space.dim, norms,
+                                        lex_rank)
+            ids, top = rank(*db.vector_space._unit_queries(queries), exclude, k)
+            with mock.patch.object(kernel_module, "get", lambda: None):
+                dots, norms, qnorms = db.vector_space._cosine_terms(space, queries)
+                ref_ids, ref_top = db.vector_space._select(dots, exclude, k, lex_rank, norms, qnorms)
+        assert ids.tolist() == ref_ids.tolist()
+        assert top.view(np.uint64).tolist() == ref_top.view(np.uint64).tolist()
+        # through _top_k, a block at a time, for row queries and vectors alike
+        by_row = np.arange(len(space))[:, None][:, :0]
+        with mock.patch.object(db.vector_space, "_BLOCK_ENTRIES", block):
+            for q, drop in ((queries, exclude), (np.arange(len(space)), by_row)):
+                compiled = ranked(space, q, k, "cosine", drop)
+                with mock.patch.object(kernel_module, "get", lambda: None):
+                    assert compiled == ranked(space, q, k, "cosine", drop)
+
+    def test_makes_no_csr_product(self, kernel):
+        rng = np.random.default_rng(5)
+        rows = rng.standard_normal((200, 90)) * (rng.random((200, 90)) < 0.1)
+        rows[:, 0] += 1.0
+        space = db.VectorSpace(db.Vocabulary([f"w{i:03d}" for i in range(200)], [1] * 200),
+                               sparse.csr_matrix(rows))
+        with mock.patch.object(kernel_module, "get", lambda: None):
+            expected = db.neighbor_table(space, 7)
+        with mock.patch.object(CSR, "dot", side_effect=AssertionError), \
+                mock.patch.object(db.vector_space, "_select", side_effect=AssertionError):
+            assert db.neighbor_table(space, 7) == expected
+
+    def test_refuses_what_it_cannot_take(self, kernel):
+        m = CSR.of(sparse.csr_matrix(np.array([[0.0, 2.0, 0.0], [1.0, 0.0, 3.0]])))
+        norms, rank = np.ones(2), np.arange(2)
+        with pytest.raises(ValueError, match="int32 indices"):
+            kernel.cosine_ranker(m.indptr, m.indices.astype(np.int64), m.data, 3, norms, rank)
+        with pytest.raises(ValueError, match="float64 data"):
+            kernel.cosine_ranker(m.indptr, m.indices, m.data.astype(np.float32), 3, norms, rank)
+        for indptr in ([1, 1, 3], [0, 2, 1], [0, 1, 4]):
+            with pytest.raises(ValueError, match="indptr"):
+                kernel.cosine_ranker(np.array(indptr, dtype=np.int64), m.indices, m.data, 3,
+                                     norms, rank)
+        with pytest.raises(ValueError, match="column indices"):
+            kernel.cosine_ranker(m.indptr, m.indices, m.data, 2, norms, rank)
+        for norms_, rank_ in ((np.ones(3), rank), (norms, np.arange(1))):
+            with pytest.raises(ValueError, match="a norm and a rank per row"):
+                kernel.cosine_ranker(m.indptr, m.indices, m.data, 3, norms_, rank_)
+        ranker = kernel.cosine_ranker(m.indptr, m.indices, m.data, 3, norms, rank)
+        queries, none = np.ones((2, 3)), np.zeros((2, 0), dtype=int)
+        for q, qnorms in ((np.ones((2, 2)), np.ones(2)), (np.ones(3), np.ones(1)),
+                          (queries, np.ones(3))):
+            with pytest.raises(ValueError, match="a norm per query"):
+                ranker(q, qnorms, none, 1)
+        for k in (0, 3):
+            with pytest.raises(ValueError, match="1 <= k"):
+                ranker(queries, np.ones(2), none, k)
+        with pytest.raises(ValueError, match="1 <= k"):
+            ranker(queries, np.ones(2), np.zeros((1, 1), dtype=int), 1)
+        with pytest.raises(ValueError, match=r"\[0, vocabulary\)"):
+            ranker(queries, np.ones(2), np.array([[0], [2]]), 1)
+        ids, top = ranker(queries, np.ones(2), np.array([[0], [1]]), 1)
+        assert ids.tolist() == [[1], [0]] and top.tolist() == [[4.0], [2.0]]
+
+
 def chain_draws(cdf_rows):
     """Draws that land on CDF entries, just beside them, at the ends of
     [0, 1) and past the last entry of a row that ends below 1.0."""
